@@ -9,18 +9,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .dsl import DIMENSIONS, RuleBase
 from .fuzzy import (
-    DEFAULT_GRID_POINTS,
-    MissingInputError,
-    NoRuleFiredError as _EmptyEnvelopeError,
-    defuzzify_centroid,
-    infer,
+    CompiledRules,
+    centroids,
+    compile_rules,
+    firing_strengths,
+    term_strengths,
 )
-from .ingest import BehaviorRecord, QuestionnaireRecord
+from .ingest import BehaviorRecord, QuestionnaireRecord, csv_rows, csv_text
 from .stats import pearson_r
 
 
@@ -86,58 +87,112 @@ class ClassificationFailure:
     reason: str
 
 
-@lru_cache(maxsize=8)
-def _compiled(rb: RuleBase):
+# Learners per kernel pass: bounds the (learners x centroid nodes) arrays, so
+# peak memory stays flat in the cohort size.
+_BLOCK = 256
+
+
+def _compile(rb: RuleBase) -> tuple[tuple[str, CompiledRules], ...]:
     return tuple(
-        (dimension, *rb.compile_dimension(dimension)) for dimension in rb.dimensions()
+        (dimension, compile_rules(rb.compile_dimension(dimension)[0]))
+        for dimension in rb.dimensions()
     )
 
 
-def classify_learner(
-    record: BehaviorRecord, rb: RuleBase, grid_points: int = DEFAULT_GRID_POINTS
-) -> StyleProfile:
-    """Classify one learner across every dimension the rule base covers."""
-    results = []
-    for dimension, rules, out_var in _compiled(rb):
-        try:
-            output = infer(rules, record.features)
-        except MissingInputError as exc:
-            raise MissingFeatureError(record.learner_id, exc.variable) from None
-        try:
-            crisp = defuzzify_centroid(output, grid_points=grid_points)
-        except _EmptyEnvelopeError:
-            raise NoRuleFiredError(record.learner_id, dimension) from None
-        results.append(
-            DimensionResult(
-                dimension=dimension,
-                crisp_score=crisp,
-                label=out_var.classify(crisp),
-                term_memberships=out_var.fuzzify(crisp),
-                fired_rules=tuple((rule_id, strength) for rule_id, strength, _ in output.fired),
+def _feature_matrix(
+    records: Sequence[BehaviorRecord], names: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Learner x variable values (NaN where absent) and the absent mask."""
+    features = [record.features for record in records]
+    values = np.array([[f.get(name, np.nan) for name in names] for f in features], dtype=float)
+    missing = np.array([[name not in f for name in names] for f in features])
+    return values, missing
+
+
+def _classify_block(
+    records: Sequence[BehaviorRecord], dimensions: tuple[tuple[str, CompiledRules], ...]
+) -> list[StyleProfile | ClassificationError]:
+    """One outcome per record: its profile, or the error of its first failing dimension.
+
+    Within a dimension a missing feature (the first in rule/clause order)
+    is reported before an empty envelope.
+    """
+    columns = []
+    for dimension, compiled in dimensions:
+        values, missing = _feature_matrix(records, compiled.inputs)
+        strengths = firing_strengths(compiled, values)
+        crisp = centroids(
+            compiled.variable.universe,
+            [trap for _, trap in compiled.variable.terms],
+            term_strengths(compiled, strengths),
+        )
+        columns.append(
+            (
+                dimension,
+                compiled,
+                np.where(missing.any(axis=1), missing.argmax(axis=1), -1).tolist(),
+                crisp.tolist(),
+                strengths.tolist(),
             )
         )
-    return StyleProfile(learner_id=record.learner_id, results=tuple(results))
+
+    def result(n: int, learner_id: str, column) -> DimensionResult:
+        dimension, compiled, first_missing, crisp, strengths = column
+        if first_missing[n] >= 0:
+            raise MissingFeatureError(learner_id, compiled.inputs[first_missing[n]])
+        if crisp[n] != crisp[n]:  # NaN: the envelope is empty
+            raise NoRuleFiredError(learner_id, dimension)
+        return DimensionResult(
+            dimension=dimension,
+            crisp_score=crisp[n],
+            label=compiled.variable.classify(crisp[n]),
+            term_memberships=compiled.variable.fuzzify(crisp[n]),
+            fired_rules=tuple(
+                (rule_id, strength)
+                for rule_id, strength in zip(compiled.rule_ids, strengths[n])
+                if strength > 0.0
+            ),
+        )
+
+    outcomes: list[StyleProfile | ClassificationError] = []
+    for n, record in enumerate(records):
+        try:
+            results = tuple(result(n, record.learner_id, column) for column in columns)
+        except ClassificationError as exc:
+            outcomes.append(exc)
+        else:
+            outcomes.append(StyleProfile(learner_id=record.learner_id, results=results))
+    return outcomes
+
+
+def classify_learner(record: BehaviorRecord, rb: RuleBase) -> StyleProfile:
+    """Classify one learner across every dimension the rule base covers."""
+    (outcome,) = _classify_block([record], _compile(rb))
+    if isinstance(outcome, ClassificationError):
+        raise outcome
+    return outcome
 
 
 def classify_cohort(
-    records: Iterable[BehaviorRecord],
-    rb: RuleBase,
-    grid_points: int = DEFAULT_GRID_POINTS,
+    records: Iterable[BehaviorRecord], rb: RuleBase
 ) -> tuple[list[StyleProfile], list[ClassificationFailure]]:
-    """Classify every learner independently; failures are collected, not fatal."""
+    """Classify every learner independently; failures are collected, not fatal.
+
+    The rule base compiles once; learners then run through the array
+    kernel in fixed-size blocks. Cohort order never changes a profile.
+    """
+    records = list(records)
+    dimensions = _compile(rb)
     profiles = []
     failures = []
-    for record in records:
-        try:
-            profiles.append(classify_learner(record, rb, grid_points=grid_points))
-        except MissingFeatureError as exc:
-            failures.append(
-                ClassificationFailure(record.learner_id, None, str(exc))
-            )
-        except NoRuleFiredError as exc:
-            failures.append(
-                ClassificationFailure(record.learner_id, exc.dimension, str(exc))
-            )
+    for start in range(0, len(records), _BLOCK):
+        block = records[start : start + _BLOCK]
+        for record, outcome in zip(block, _classify_block(block, dimensions)):
+            if isinstance(outcome, StyleProfile):
+                profiles.append(outcome)
+            else:
+                dimension = outcome.dimension if isinstance(outcome, NoRuleFiredError) else None
+                failures.append(ClassificationFailure(record.learner_id, dimension, str(outcome)))
     return profiles, failures
 
 
@@ -250,27 +305,29 @@ def validate_against_questionnaire(
 # Export
 
 
+PROFILE_HEADER = ["learner_id", "dimension", "crisp_score", "label"]
+
+
 def profiles_to_csv(profiles: Sequence[StyleProfile]) -> str:
     """Flat export: one row per (learner, dimension)."""
-    lines = ["learner_id,dimension,crisp_score,label"]
-    for profile in profiles:
-        for result in profile.results:
-            lines.append(
-                f"{profile.learner_id},{result.dimension},"
-                f"{result.crisp_score!r},{result.label}"
-            )
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        PROFILE_HEADER,
+        (
+            (profile.learner_id, result.dimension, repr(result.crisp_score), result.label)
+            for profile in profiles
+            for result in profile.results
+        ),
+    )
 
 
 def profiles_from_csv(text: str) -> list[StyleProfile]:
     """Rebuild profiles from the flat export (fired-rule detail is not kept there)."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or lines[0] != "learner_id,dimension,crisp_score,label":
+    rows = csv_rows(text)
+    if not rows or rows[0] != PROFILE_HEADER:
         raise ValueError("not a profile export: bad header")
     grouped: dict[str, list[DimensionResult]] = {}
     order: list[str] = []
-    for line in lines[1:]:
-        learner_id, dimension, crisp, label = line.split(",")
+    for learner_id, dimension, crisp, label in rows[1:]:
         if learner_id not in grouped:
             grouped[learner_id] = []
             order.append(learner_id)
@@ -287,8 +344,12 @@ def profiles_from_csv(text: str) -> list[StyleProfile]:
 
 
 def profiles_to_json(profiles: Sequence[StyleProfile]) -> str:
-    """Detailed export including fired rules and term memberships."""
-    payload = [
+    """Detailed export including fired rules and term memberships.
+
+    A JSON array with one learner per line: compact objects keep the C
+    encoder in use and the file diffable line by line.
+    """
+    payload = (
         {
             "learner_id": profile.learner_id,
             "results": [
@@ -306,5 +367,5 @@ def profiles_to_json(profiles: Sequence[StyleProfile]) -> str:
             ],
         }
         for profile in profiles
-    ]
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    )
+    return "[\n" + ",\n".join(json.dumps(item, sort_keys=True) for item in payload) + "\n]\n"

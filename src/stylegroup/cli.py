@@ -31,6 +31,7 @@ from .classify import (
 from .dsl import DslError, default_rulebase, error_count, parse_rules, parse_variables, validate
 from .dsl import RuleBase
 from .grouping import (
+    ASSIGNMENT_HEADER,
     GroupAssignment,
     GroupingError,
     GroupingParams,
@@ -39,6 +40,7 @@ from .grouping import (
 )
 from .ingest import (
     IngestError,
+    csv_rows,
     feature_coverage,
     load_behaviors,
     load_demographics,
@@ -298,18 +300,20 @@ def _cmd_group(args: argparse.Namespace, config: dict) -> int:
     return 0
 
 
+def _assignment_rows(path: str) -> list[list[str]]:
+    rows = csv_rows(Path(path).read_text(encoding="utf-8"))
+    if not rows or rows[0] != ASSIGNMENT_HEADER:
+        raise IngestError("not an assignment export: bad header")
+    return rows[1:]
+
+
 def _samples_from_files(
     assignment_path: str, scores_path: str
 ) -> tuple[list[Sample], Sample | None]:
     scores = load_scores(scores_path)
-    text = Path(assignment_path).read_text(encoding="utf-8")
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or lines[0] != "learner_id,group_id,is_control":
-        raise IngestError("not an assignment export: bad header")
     grouped: dict[str, list[float]] = {}
     control_values: list[float] = []
-    for line in lines[1:]:
-        learner, group_id, is_control = line.split(",")
+    for learner, group_id, is_control in _assignment_rows(assignment_path):
         if learner not in scores:
             raise IngestError(f"no score for learner {learner!r}")
         if is_control == "1":
@@ -328,12 +332,8 @@ def _satisfaction_by_label(
     path: str, assignment_path: str
 ) -> dict[str, list[tuple[float, ...]]]:
     responses = load_satisfaction(path)
-    text = Path(assignment_path).read_text(encoding="utf-8")
     by_label: dict[str, list[tuple[float, ...]]] = {}
-    for line in text.splitlines()[1:]:
-        if not line.strip():
-            continue
-        learner, group_id, is_control = line.split(",")
+    for learner, group_id, is_control in _assignment_rows(assignment_path):
         if learner not in responses:
             continue
         label = "control" if is_control == "1" else f"group-{group_id}"

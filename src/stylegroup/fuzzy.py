@@ -7,6 +7,11 @@ antecedent membership degrees, implication scales the consequent term by the
 strength, and the per-rule outputs aggregate into one envelope by pointwise
 max. The envelope collapses to a crisp score through its centre of gravity.
 
+Inference runs on arrays: `compile_rules` resolves one dimension's rules
+once, then `firing_strengths`, `term_strengths` and `centroids` handle a
+whole block of inputs per call. `infer` and `defuzzify_centroid` are the
+one-input case of the same kernel.
+
 All types are immutable; every operation is a pure function of its inputs.
 """
 
@@ -16,8 +21,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-
-DEFAULT_GRID_POINTS = 1001
 
 # Integrated envelope area below this is treated as "no rule fired".
 ZERO_AREA_TOL = 1e-12
@@ -94,10 +97,6 @@ class Trapezoid:
     @property
     def plateau_midpoint(self) -> float:
         return (self.b + self.c) / 2.0
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.a, self.d)
 
     def corners(self) -> tuple[float, float, float, float]:
         return (self.a, self.b, self.c, self.d)
@@ -205,115 +204,177 @@ class FuzzyOutput:
             value = max(value, strength * trap.membership(x))
         return value
 
-    def envelope_grid(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        env = np.zeros(xs.shape)
-        for _, strength, trap in self.fired:
-            np.maximum(env, strength * trap.membership_grid(xs), out=env)
-        return env
-
     @property
     def is_empty(self) -> bool:
         return not self.fired
 
 
-def infer(rules: Sequence[InferenceRule], inputs: Mapping[str, float]) -> FuzzyOutput:
-    """Run Mamdani product inference for one dimension's rules.
+@dataclass(frozen=True)
+class CompiledRules:
+    """One output variable's rules, resolved once for inference over many inputs.
 
-    An identically-zero envelope (no rule fired) is a valid result here;
-    defuzzification reports it.
+    `inputs` names the feature columns in the order the rules and their
+    clauses first reference them, so the first missing column is the first
+    missing variable a rule-by-rule, clause-by-clause walk would meet.
     """
+
+    rule_ids: tuple[str, ...]
+    inputs: tuple[str, ...]
+    clauses: tuple[tuple[tuple[int, Trapezoid], ...], ...]  # per rule: (column, term)
+    consequents: tuple[int, ...]  # per rule: index into variable.terms
+    variable: LinguisticVariable
+
+
+def compile_rules(rules: Sequence[InferenceRule]) -> CompiledRules:
+    """Resolve one dimension's rules into feature columns and term indices."""
     if not rules:
         raise ValueError("cannot infer from an empty rule list")
     out_var = rules[0].consequent_variable
     for rule in rules:
         if rule.consequent_variable.name != out_var.name:
             raise ValueError("all rules passed to infer must share one output variable")
-    fired = []
-    for rule in rules:
-        degrees = []
-        for variable, term_label in rule.antecedent:
-            if variable.name not in inputs:
-                raise MissingInputError(variable.name)
-            degrees.append(variable.term(term_label).membership(inputs[variable.name]))
-        strength = rule_strength(degrees)
-        if strength > 0.0:
-            fired.append((rule.rule_id, strength, out_var.term(rule.consequent_term)))
-    return FuzzyOutput(variable=out_var, fired=tuple(fired))
+        if not rule.antecedent:
+            raise EmptyAntecedentError(f"rule {rule.rule_id!r} has no antecedent clauses")
+    term_index = {label: i for i, (label, _) in enumerate(out_var.terms)}
+    columns: dict[str, int] = {}
+    clauses = tuple(
+        tuple(
+            (columns.setdefault(variable.name, len(columns)), variable.term(label))
+            for variable, label in rule.antecedent
+        )
+        for rule in rules
+    )
+    return CompiledRules(
+        rule_ids=tuple(rule.rule_id for rule in rules),
+        inputs=tuple(columns),
+        clauses=clauses,
+        consequents=tuple(term_index[rule.consequent_term] for rule in rules),
+        variable=out_var,
+    )
 
 
-def _pair_crossings(
-    f: tuple[float, Trapezoid], g: tuple[float, Trapezoid], lo: float, hi: float
-) -> list[float]:
-    """Interior abscissae where two strength-scaled trapezoids intersect.
+def firing_strengths(compiled: CompiledRules, features: np.ndarray) -> np.ndarray:
+    """N x R Mamdani product strengths for an N x len(inputs) feature matrix.
 
-    Both functions are linear between consecutive corner points, so each
-    crossing is found exactly from two interior samples of the difference.
+    Degrees multiply in clause order, as in `rule_strength`, so every
+    strength equals the scalar product bit for bit.
     """
-    sf, tf = f
-    sg, tg = g
-    nodes = sorted({lo, hi, *tf.corners(), *tg.corners()})
-    nodes = [p for p in nodes if lo <= p <= hi]
-    crossings = []
-    for x0, x1 in zip(nodes, nodes[1:]):
-        if x1 <= x0:
-            continue
-        third = (x1 - x0) / 3.0
-        q1, q2 = x0 + third, x0 + 2.0 * third
-        d1 = sf * tf.membership(q1) - sg * tg.membership(q1)
-        d2 = sf * tf.membership(q2) - sg * tg.membership(q2)
-        if d1 == d2:
-            continue
-        # Root of the linear difference; a spurious node is harmless.
-        x_cross = q1 - d1 * (q2 - q1) / (d2 - d1)
-        if x0 < x_cross < x1:
-            crossings.append(x_cross)
-    return crossings
+    strengths = np.ones((features.shape[0], len(compiled.clauses)))
+    for r, clauses in enumerate(compiled.clauses):
+        for column, term in clauses:
+            strengths[:, r] *= term.membership_grid(features[:, column])
+    return strengths
 
 
-def _integration_nodes(out: FuzzyOutput, grid_points: int) -> np.ndarray:
-    """Uniform grid refined with every envelope breakpoint.
+def term_strengths(compiled: CompiledRules, strengths: np.ndarray) -> np.ndarray:
+    """N x T scale of each output term: the max strength of the rules concluding it.
 
-    Term corners and crossings of the scaled terms are inserted so the
-    envelope is linear on every open segment between consecutive nodes.
+    Scaling is monotone, so max over rules of s * term(x) equals
+    (max s) * term(x) exactly and the envelope is unchanged.
     """
-    lo, hi = out.variable.universe
-    nodes = set(np.linspace(lo, hi, grid_points))
-    for _, _, trap in out.fired:
-        nodes.update(p for p in trap.corners() if lo < p < hi)
-    contributions = [(strength, trap) for _, strength, trap in out.fired]
-    for i in range(len(contributions)):
-        for j in range(i + 1, len(contributions)):
-            nodes.update(_pair_crossings(contributions[i], contributions[j], lo, hi))
-    return np.array(sorted(nodes))
+    scales = np.zeros((strengths.shape[0], len(compiled.variable.terms)))
+    consequents = np.asarray(compiled.consequents)
+    for t in np.unique(consequents):
+        scales[:, t] = strengths[:, consequents == t].max(axis=1)
+    return scales
 
 
-def defuzzify_centroid(out: FuzzyOutput, grid_points: int = DEFAULT_GRID_POINTS) -> float:
-    """Centre-of-gravity of the output envelope over the variable's universe.
+def centroids(
+    universe: tuple[float, float], terms: Sequence[Trapezoid], scales: np.ndarray
+) -> np.ndarray:
+    """Exact centre of gravity of max_t scales[n, t] * terms[t](x), per row n.
 
-    Computes integral(x * env(x)) / integral(env(x)) by trapezoidal
-    quadrature on a uniform grid of `grid_points` points refined with the
-    envelope's breakpoints. The envelope is linear between refined nodes
-    (one-sided limits handle step edges), so both moments are integrated
-    without discretisation error and the result is independent of
-    `grid_points`.
+    Each envelope is linear between its breakpoints: the universe bounds,
+    the term corners, and the crossings of every pair of scaled terms. The
+    corners are shared by all rows; the crossings are closed-form per
+    segment between corners, one slot per (pair, segment), and a slot with
+    no crossing holds the segment start (a zero-width segment). Both
+    moments are then integrated exactly from two interior samples per
+    segment, so step edges (one-sided limits) need no special case.
+
+    Rows whose envelope area is below ZERO_AREA_TOL come back as NaN.
     """
-    xs = _integration_nodes(out, grid_points)
-    x0, x1 = xs[:-1], xs[1:]
+    lo, hi = universe
+    corners = np.array([trap.corners() for trap in terms], dtype=float).reshape(-1)
+    base = np.unique(np.clip(np.concatenate(([lo, hi], corners)), lo, hi))
+    x0, x1 = base[:-1], base[1:]
+    third = (x1 - x0) / 3.0
+    q1, q2 = x0 + third, x0 + 2.0 * third
+    mu1 = np.array([trap.membership_grid(q1) for trap in terms]).reshape(len(terms), x0.size)
+    mu2 = np.array([trap.membership_grid(q2) for trap in terms]).reshape(len(terms), x0.size)
+
+    first, second = np.triu_indices(len(terms), k=1)
+    fs, gs = scales[:, first, None], scales[:, second, None]
+    d1 = fs * mu1[first] - gs * mu1[second]
+    d2 = fs * mu2[first] - gs * mu2[second]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        crossing = q1 - d1 * (q2 - q1) / (d2 - d1)
+    inside = (d1 != d2) & (crossing > x0) & (crossing < x1)
+    crossing = np.where(inside, crossing, x0)
+    rows = scales.shape[0]
+    nodes = np.concatenate(
+        (np.broadcast_to(base, (rows, base.size)), crossing.reshape(rows, -1)), axis=1
+    )
+    nodes.sort(axis=1)
+
+    x0, x1 = nodes[:, :-1], nodes[:, 1:]
     h = x1 - x0
     third = h / 3.0
-    yq1 = out.envelope_grid(x0 + third)
-    yq2 = out.envelope_grid(x1 - third)
+    yq1 = _envelope(terms, scales, x0 + third)
+    yq2 = _envelope(terms, scales, x1 - third)
     # One-sided limits at the segment ends, extrapolated from the interior
-    # samples; env is linear on each open segment.
+    # samples; the envelope is linear on each open segment.
     y0 = 2.0 * yq1 - yq2
     y1 = 2.0 * yq2 - yq1
-    area = float(np.sum(h * (y0 + y1) / 2.0))
-    if area < ZERO_AREA_TOL:
+    area = np.sum(h * (y0 + y1) / 2.0, axis=1)
+    first_moment = np.sum(h * x0 * (y0 + y1) / 2.0 + h * h * (y0 + 2.0 * y1) / 6.0, axis=1)
+    return np.divide(
+        first_moment, area, out=np.full(rows, np.nan), where=area >= ZERO_AREA_TOL
+    )
+
+
+def _envelope(terms: Sequence[Trapezoid], scales: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Row-wise max of the scaled terms at an N x K array of points."""
+    env = np.zeros(xs.shape)
+    for t, trap in enumerate(terms):
+        np.maximum(env, scales[:, t, None] * trap.membership_grid(xs), out=env)
+    return env
+
+
+def infer(rules: Sequence[InferenceRule], inputs: Mapping[str, float]) -> FuzzyOutput:
+    """Run Mamdani product inference for one dimension's rules and one input.
+
+    An identically-zero envelope (no rule fired) is a valid result here;
+    defuzzification reports it.
+    """
+    compiled = compile_rules(rules)
+    for name in compiled.inputs:
+        if name not in inputs:
+            raise MissingInputError(name)
+    features = np.array([[inputs[name] for name in compiled.inputs]], dtype=float)
+    strengths = firing_strengths(compiled, features)[0].tolist()
+    terms = compiled.variable.terms
+    return FuzzyOutput(
+        variable=compiled.variable,
+        fired=tuple(
+            (rule_id, strength, terms[t][1])
+            for rule_id, strength, t in zip(compiled.rule_ids, strengths, compiled.consequents)
+            if strength > 0.0
+        ),
+    )
+
+
+def defuzzify_centroid(out: FuzzyOutput) -> float:
+    """Centre-of-gravity of the output envelope over the variable's universe.
+
+    Computes integral(x * env(x)) / integral(env(x)) exactly, with no
+    sampling grid (see `centroids`).
+    """
+    terms = [trap for _, _, trap in out.fired]
+    scales = np.array([[strength for _, strength, _ in out.fired]], dtype=float)
+    crisp = centroids(out.variable.universe, terms, scales)[0]
+    if np.isnan(crisp):
         raise NoRuleFiredError(
             f"output envelope of {out.variable.name!r} is identically zero"
         )
-    first_moment = float(
-        np.sum(h * x0 * (y0 + y1) / 2.0 + h * h * (y0 + 2.0 * y1) / 6.0)
-    )
-    return first_moment / area
+    return float(crisp)

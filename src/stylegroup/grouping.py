@@ -15,9 +15,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .classify import StyleProfile
+from .ingest import csv_text
 from .rng import STREAM_CONTROL, philox_rng
 
 StyleSignature = tuple[str, ...]
+
+ASSIGNMENT_HEADER = ["learner_id", "group_id", "is_control"]
 
 
 class GroupingError(Exception):
@@ -59,11 +62,9 @@ class GroupAssignment:
     params: GroupingParams
 
     def to_csv(self) -> str:
-        lines = ["learner_id,group_id,is_control"]
-        for group in self.groups:
-            lines.extend(f"{m},{group.group_id},0" for m in group.members)
-        lines.extend(f"{m},control,1" for m in self.control)
-        return "\n".join(lines) + "\n"
+        rows = [(m, group.group_id, 0) for group in self.groups for m in group.members]
+        rows.extend((m, "control", 1) for m in self.control)
+        return csv_text(ASSIGNMENT_HEADER, rows)
 
 
 def split_control(

@@ -14,6 +14,7 @@ rescaled to percent of that ceiling before universe checks.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -114,6 +115,24 @@ class ClampReport:
         return lines
 
 
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """RFC-4180 text with "\n" line ends; a field is quoted only where it must be."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+def csv_rows(text: str) -> list[list[str]]:
+    """The rows of RFC-4180 text, header included, skipping blank lines."""
+    return [row for row in csv.reader(io.StringIO(text)) if not _blank(row)]
+
+
+def _blank(row: list[str]) -> bool:
+    return not row or all(not cell.strip() for cell in row)
+
+
 def _read_rows(path: str | Path, expected_header: list[str]) -> Iterable[tuple[int, list[str]]]:
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -126,7 +145,7 @@ def _read_rows(path: str | Path, expected_header: list[str]) -> Iterable[tuple[i
                 1, f"expected header {','.join(expected_header)!r}, got {','.join(header)!r}"
             )
         for line, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            if _blank(row):
                 continue
             yield line, row
 

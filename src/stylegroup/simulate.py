@@ -169,6 +169,7 @@ def generate(
 
     rng = philox_rng(spec.seed, STREAM_BEHAVIOR)
     input_specs = [v for v in rb.variables if v.kind == "input"]
+    linguistic = {v.name: v.to_linguistic() for v in rb.variables}
     width = max(4, len(str(spec.total)))
 
     truth = []
@@ -183,10 +184,9 @@ def generate(
                 candidates = producers[(dimension, label)]
                 rule = candidates[int(rng.integers(0, len(candidates)))]
                 for var_name, term_label in rule.antecedent:
-                    var_spec = rb.variable(var_name)
-                    lo, hi = var_spec.universe
-                    trap = var_spec.to_linguistic().term(term_label)
-                    value = trap.plateau_midpoint
+                    variable = linguistic[var_name]
+                    lo, hi = variable.universe
+                    value = variable.term(term_label).plateau_midpoint
                     if spec.noise_sigma > 0:
                         value += rng.normal(0.0, spec.noise_sigma * (hi - lo))
                     features[var_name] = min(max(value, lo), hi)

@@ -163,6 +163,63 @@ def test_cohort_determinism_and_permutation_invariance(rb):
     assert [p.learner_id for p in reversed_profiles] == [f"L{5 - i}" for i in range(6)]
 
 
+def test_cohort_matches_learner_by_learner(rb):
+    # A noisy cohort over every producible signature, spanning several
+    # kernel blocks, with a feature dropped from every 23rd learner.
+    import itertools
+
+    from stylegroup.classify import _BLOCK, NoRuleFiredError
+    from stylegroup.fuzzy import rule_strength
+    from stylegroup.simulate import CohortSpec, generate
+
+    labels = [sorted({r.consequent[1] for r in rb.rules_for(d)}) for d in DIMENSIONS]
+    spec = CohortSpec(
+        counts=tuple((sig, 2) for sig in itertools.product(*labels)), noise_sigma=0.15, seed=3
+    )
+    _, generated = generate(spec, rb)
+    records = []
+    for i, record in enumerate(generated):
+        features = dict(record.features)
+        if i % 23 == 0:
+            del features[sorted(features)[i % len(features)]]
+        records.append(BehaviorRecord(record.learner_id, features))
+    assert len(records) > _BLOCK
+
+    profiles, failures = classify_cohort(records, rb)
+
+    expected_profiles, expected_failures = [], []
+    for record in records:
+        try:
+            expected_profiles.append(classify_learner(record, rb))
+        except MissingFeatureError as exc:
+            expected_failures.append((record.learner_id, None, str(exc)))
+        except NoRuleFiredError as exc:
+            expected_failures.append((record.learner_id, exc.dimension, str(exc)))
+    assert profiles == expected_profiles  # labels, memberships, fired rules, crisp scores
+    assert [(f.learner_id, f.dimension, f.reason) for f in failures] == expected_failures
+
+    # the cohort exercises every outcome the kernel distinguishes
+    assert any(f.dimension is None for f in failures)
+    assert any(f.dimension is not None for f in failures)
+    assert any(len(r.fired_rules) > 1 for p in profiles for r in p.results)
+
+    # firing strengths equal the scalar clause-by-clause product bit for bit
+    features = {r.learner_id: r.features for r in records}
+    variables = {v.name: v.to_linguistic() for v in rb.variables}
+    for profile in profiles:
+        for result in profile.results:
+            expected = []
+            for rule in rb.rules_for(result.dimension):
+                degrees = [
+                    variables[name].term(term).membership(features[profile.learner_id][name])
+                    for name, term in rule.antecedent
+                ]
+                strength = rule_strength(degrees)
+                if strength > 0.0:
+                    expected.append((rule.rule_id, strength))
+            assert result.fired_rules == tuple(expected)
+
+
 # -- questionnaire validation --------------------------------------------------
 
 

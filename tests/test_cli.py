@@ -156,6 +156,42 @@ def test_simulate_then_classify_then_group_then_evaluate(tmp_path, capsys):
     assert "Positive" in (out / "evaluation.txt").read_text()
 
 
+def test_comma_learner_id_survives_classify_group_evaluate(tmp_path, capsys):
+    import csv
+
+    spec_path = _small_cohort_spec(tmp_path, with_scores=False)
+    simulate = ["simulate", "--cohort-spec", str(spec_path), "--seed", "3", "--out", str(tmp_path)]
+    assert main(simulate) == 0
+    rename = {"L0001": "Doe, Jane", "L0002": 'Roe "Rick", Jr.'}
+    with open(tmp_path / "behaviors.csv", encoding="utf-8", newline="") as handle:
+        rows = [[rename.get(row[0], row[0]), *row[1:]] for row in csv.reader(handle)]
+    behaviors = tmp_path / "renamed.csv"
+    with open(behaviors, "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+    learners = list(dict.fromkeys(row[0] for row in rows[1:]))
+    scores = tmp_path / "scores.csv"
+    with open(scores, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["learner_id", "score"])
+        writer.writerows([learner, 10.0 + i % 7] for i, learner in enumerate(learners))
+
+    out = tmp_path / "out"
+    for argv in (
+        ["classify", "--behaviors", str(behaviors)],
+        ["group", "--profiles", str(out / "profiles.csv"), "--seed", "1"],
+        ["evaluate", "--assignment", str(out / "assignment.csv"), "--scores", str(scores)],
+    ):
+        assert main([*argv, "--out", str(out)]) == 0
+
+    with open(out / "assignment.csv", encoding="utf-8", newline="") as handle:
+        assigned = [row["learner_id"] for row in csv.DictReader(handle)]
+    assert sorted(assigned) == sorted(learners)
+    evaluation = json.loads((out / "evaluation.json").read_text())
+    assert sum(g["n"] for g in evaluation["groups"]) + evaluation["control"]["n"] == len(learners)
+    # ids that need no quoting are written exactly as before
+    assert "\nL0003,processing," in (out / "profiles.csv").read_text()
+
+
 def test_classify_missing_feature_writes_sidecar(tmp_path, capsys):
     out = tmp_path / "out"
     behaviors = tmp_path / "behaviors.csv"

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stylegroup.fuzzy import (
     EmptyAntecedentError,
@@ -286,11 +286,30 @@ def test_centroid_zero_envelope_tolerance():
         defuzzify_centroid(out)
 
 
-def test_centroid_stable_under_grid_doubling():
-    out = _output([("a", 1.0, Trapezoid(0, 0, 6, 8)), ("b", 0.5, Trapezoid(6, 8, 12, 12))])
-    coarse = defuzzify_centroid(out, grid_points=1001)
-    fine = defuzzify_centroid(out, grid_points=2001)
-    assert abs(fine - coarse) < 1e-6 * 12.0
+# Corners on half units of [0, 12]: ties draw step edges (a == b, c == d)
+# and shared corners, and overlapping terms at different strengths cross.
+_HALF_UNITS = st.integers(0, 24).map(lambda k: k / 2.0)
+_SCALED_TRAPEZOIDS = st.lists(
+    st.tuples(
+        st.floats(min_value=0.05, max_value=1.0),
+        st.lists(_HALF_UNITS, min_size=4, max_size=4).map(sorted).filter(lambda c: c[3] > c[0]),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(deadline=None)
+@given(_SCALED_TRAPEZOIDS)
+@example([(1.0, [0.0, 0.0, 6.0, 8.0]), (0.5, [6.0, 8.0, 12.0, 12.0])])
+@example([(0.7, [2.0, 2.0, 5.0, 5.0]), (0.4, [4.0, 4.5, 9.0, 9.0]), (0.9, [8.5, 10, 12, 12])])
+def test_centroid_is_exact_without_a_grid(contributions):
+    # The oracle's 240k cells have edges on every half unit, so corners and
+    # steps fall on cell edges; its only error is O(h^2) at crossings, below
+    # 1e-7. A missed breakpoint costs orders of magnitude more than 1e-6.
+    out = _output([(f"r{i}", s, Trapezoid(*c)) for i, (s, c) in enumerate(contributions)])
+    oracle = riemann_centroid(scaled_trap_envelope(contributions), 0.0, 12.0, points=240_000)
+    assert defuzzify_centroid(out) == pytest.approx(oracle, abs=1e-6)
 
 
 def test_centroid_within_fired_support():
