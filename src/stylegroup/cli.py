@@ -41,6 +41,7 @@ from .grouping import (
 from .ingest import (
     IngestError,
     csv_rows,
+    csv_text,
     feature_coverage,
     load_behaviors,
     load_demographics,
@@ -221,11 +222,8 @@ def _cmd_validate_rules(args: argparse.Namespace, config: dict) -> int:
 
 
 def _write_failures(failures, path: Path) -> None:
-    lines = ["learner_id,dimension,reason"]
-    for failure in failures:
-        reason = failure.reason.replace('"', "'")
-        lines.append(f'{failure.learner_id},{failure.dimension or ""},"{reason}"')
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = ((f.learner_id, f.dimension or "", f.reason) for f in failures)
+    path.write_text(csv_text(["learner_id", "dimension", "reason"], rows), encoding="utf-8")
 
 
 def _cmd_classify(args: argparse.Namespace, config: dict) -> int:
@@ -237,9 +235,9 @@ def _cmd_classify(args: argparse.Namespace, config: dict) -> int:
     out = _out_dir(args, config)
 
     records, clamp_report = load_behaviors(behaviors_path, list(rb.variables), policy=policy)
+    clamp_lines = clamp_report.format_lines()
     (out / "clamp_report.txt").write_text(
-        "\n".join(clamp_report.format_lines()) + ("\n" if clamp_report.format_lines() else ""),
-        encoding="utf-8",
+        "".join(line + "\n" for line in clamp_lines), encoding="utf-8"
     )
     coverage = feature_coverage(records, rb)
     (out / "coverage.txt").write_text(

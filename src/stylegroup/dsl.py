@@ -164,9 +164,15 @@ class RuleBase:
     def compile_dimension(
         self, dimension: str
     ) -> tuple[tuple[InferenceRule, ...], LinguisticVariable]:
-        """Resolve one dimension's rules against concrete linguistic variables."""
-        linguistic = {v.name: v.to_linguistic() for v in self.variables}
-        out_var = linguistic[self.output_for(dimension).name]
+        """Resolve one dimension's rules against concrete linguistic variables.
+
+        Only the variables those rules reference, and the dimension's output,
+        are converted.
+        """
+        rules = self.rules_for(dimension)
+        used = {name for rule in rules for name, _ in rule.antecedent}
+        linguistic = {v.name: v.to_linguistic() for v in self.variables if v.name in used}
+        out_var = self.output_for(dimension).to_linguistic()
         compiled = tuple(
             InferenceRule(
                 rule_id=rule.rule_id,
@@ -176,7 +182,7 @@ class RuleBase:
                 consequent_variable=out_var,
                 consequent_term=rule.consequent[1],
             )
-            for rule in self.rules_for(dimension)
+            for rule in rules
         )
         return compiled, out_var
 

@@ -6,9 +6,10 @@ behaviour variables never require a schema change:
 
     learner_id,variable,value
 
-Repeated (learner, variable) rows aggregate according to the variable's
-declared mode (sum by default). Variables declaring ``max_expected`` are
-rescaled to percent of that ceiling before universe checks.
+Repeated (learner, variable) rows aggregate, in file order, according to
+the variable's declared mode (sum by default). Variables declaring
+``max_expected`` are rescaled to percent of that ceiling before universe
+checks. Blank rows are skipped in every file.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ from __future__ import annotations
 import csv
 import io
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .dsl import DIMENSIONS, RuleBase, VariableSpec
 
@@ -133,7 +135,15 @@ def _blank(row: list[str]) -> bool:
     return not row or all(not cell.strip() for cell in row)
 
 
-def _read_rows(path: str | Path, expected_header: list[str]) -> Iterable[tuple[int, list[str]]]:
+@contextmanager
+def _read_rows(
+    path: str | Path, expected_header: list[str]
+) -> Iterator[Iterator[tuple[int, list[str]]]]:
+    """Check the header, then give the (record number, row) pairs after it.
+
+    Blank rows are not filtered here: a blank row always fails the caller's
+    field-count or empty-learner check, and the caller skips it there.
+    """
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -144,10 +154,29 @@ def _read_rows(path: str | Path, expected_header: list[str]) -> Iterable[tuple[i
             raise MalformedRowError(
                 1, f"expected header {','.join(expected_header)!r}, got {','.join(header)!r}"
             )
-        for line, row in enumerate(reader, start=2):
-            if _blank(row):
-                continue
-            yield line, row
+        yield enumerate(reader, start=2)
+
+
+def _learner_rows(
+    path: str | Path, expected_header: list[str]
+) -> Iterator[tuple[int, list[str], str]]:
+    """Yield (line, row, stripped learner id) per non-blank row.
+
+    A row of another width than the header, or with an empty id, raises.
+    """
+    width = len(expected_header)
+    with _read_rows(path, expected_header) as rows:
+        for line, row in rows:
+            if len(row) != width:
+                if _blank(row):
+                    continue
+                raise MalformedRowError(line, f"expected {width} fields, got {len(row)}")
+            learner = row[0].strip()
+            if not learner:
+                if _blank(row):
+                    continue
+                raise MalformedRowError(line, "empty learner_id")
+            yield line, row, learner
 
 
 def _parse_float(line: int, text: str, what: str) -> float:
@@ -175,23 +204,53 @@ def load_behaviors(
         raise ValueError(f"policy must be 'clamp' or 'strict', got {policy!r}")
     by_name = {v.name: v for v in variables if v.kind == "input"}
     report = ClampReport()
+    isfinite = math.isfinite
+
+    # One list of values per (learner, variable), in file order. A key already
+    # in the table has a learner id and a declared variable, so later rows of
+    # it only need their number checked. The keys share one string object per
+    # distinct id or name; every row's cells are new objects.
+    table: dict[tuple[str, str], list[float]] = {}
+    get = table.get
+    names: dict[str, str] = {}
+    with _read_rows(path, ["learner_id", "variable", "value"]) as rows:
+        for line, row in rows:
+            try:
+                learner, variable, raw = row
+            except ValueError:
+                if _blank(row):
+                    continue
+                raise MalformedRowError(line, f"expected 3 fields, got {len(row)}") from None
+            learner, variable = learner.strip(), variable.strip()
+            values = get((learner, variable))
+            if values is None and not learner:
+                if _blank(row):
+                    continue
+                raise MalformedRowError(line, "empty learner_id")
+            # float() strips only part of what str.strip() does (not U+001C-U+001F),
+            # so a value it accepts is the stripped cell's value; anything else is
+            # parsed again from the stripped cell, for its value or this row's error.
+            try:
+                value = float(raw)
+            except ValueError:
+                value = math.nan
+            if not isfinite(value):
+                value = _parse_float(line, raw.strip(), "value")
+            if values is None:
+                if variable not in by_name:
+                    if policy == "strict":
+                        raise UndeclaredVariableError(
+                            f"line {line}: variable {variable!r} is not declared"
+                        )
+                    report.skipped_unknown.append((learner, variable))
+                    continue
+                key = (names.setdefault(learner, learner), names.setdefault(variable, variable))
+                values = table[key] = []
+            values.append(value)
 
     observations: dict[str, dict[str, list[float]]] = {}
-    for line, row in _read_rows(path, ["learner_id", "variable", "value"]):
-        if len(row) != 3:
-            raise MalformedRowError(line, f"expected 3 fields, got {len(row)}")
-        learner, variable, raw_value = row[0].strip(), row[1].strip(), row[2].strip()
-        if not learner:
-            raise MalformedRowError(line, "empty learner_id")
-        value = _parse_float(line, raw_value, "value")
-        if variable not in by_name:
-            if policy == "strict":
-                raise UndeclaredVariableError(
-                    f"line {line}: variable {variable!r} is not declared"
-                )
-            report.skipped_unknown.append((learner, variable))
-            continue
-        observations.setdefault(learner, {}).setdefault(variable, []).append(value)
+    for (learner, variable), values in table.items():
+        observations.setdefault(learner, {})[variable] = values
 
     records = []
     for learner, per_variable in observations.items():
@@ -225,12 +284,8 @@ def load_questionnaire(path: str | Path) -> list[QuestionnaireRecord]:
     records = []
     seen = set()
     lo, hi = QUESTIONNAIRE_RANGE
-    for line, row in _read_rows(path, ["learner_id", "dimension", "score"]):
-        if len(row) != 3:
-            raise MalformedRowError(line, f"expected 3 fields, got {len(row)}")
-        learner, dimension, raw_score = row[0].strip(), row[1].strip(), row[2].strip()
-        if not learner:
-            raise MalformedRowError(line, "empty learner_id")
+    for line, row, learner in _learner_rows(path, ["learner_id", "dimension", "score"]):
+        dimension, raw_score = row[1].strip(), row[2].strip()
         if dimension not in DIMENSIONS:
             raise UnknownDimensionError(
                 f"line {line}: dimension {dimension!r} is not one of {', '.join(DIMENSIONS)}"
@@ -253,12 +308,7 @@ def load_questionnaire(path: str | Path) -> list[QuestionnaireRecord]:
 def load_scores(path: str | Path) -> dict[str, float]:
     """Load final test scores: header learner_id,score."""
     scores: dict[str, float] = {}
-    for line, row in _read_rows(path, ["learner_id", "score"]):
-        if len(row) != 2:
-            raise MalformedRowError(line, f"expected 2 fields, got {len(row)}")
-        learner = row[0].strip()
-        if not learner:
-            raise MalformedRowError(line, "empty learner_id")
+    for line, row, learner in _learner_rows(path, ["learner_id", "score"]):
         if learner in scores:
             raise DuplicateEntryError(f"line {line}: duplicate score for {learner!r}")
         scores[learner] = _parse_float(line, row[1].strip(), "score")
@@ -269,12 +319,7 @@ def load_satisfaction(path: str | Path) -> dict[str, tuple[float, ...]]:
     """Load 7-item satisfaction responses: header learner_id,q1,...,q7."""
     header = ["learner_id"] + [f"q{i}" for i in range(1, 8)]
     responses: dict[str, tuple[float, ...]] = {}
-    for line, row in _read_rows(path, header):
-        if len(row) != 8:
-            raise MalformedRowError(line, f"expected 8 fields, got {len(row)}")
-        learner = row[0].strip()
-        if not learner:
-            raise MalformedRowError(line, "empty learner_id")
+    for line, row, learner in _learner_rows(path, header):
         if learner in responses:
             raise DuplicateEntryError(f"line {line}: duplicate responses for {learner!r}")
         responses[learner] = tuple(
@@ -294,12 +339,7 @@ def load_demographics(path: str | Path) -> list[Demographics]:
     }
     header = ["learner_id", *allowed]
     records = []
-    for line, row in _read_rows(path, header):
-        if len(row) != 6:
-            raise MalformedRowError(line, f"expected 6 fields, got {len(row)}")
-        learner = row[0].strip()
-        if not learner:
-            raise MalformedRowError(line, "empty learner_id")
+    for line, row, learner in _learner_rows(path, header):
         values = {}
         for (column, categories), cell in zip(allowed.items(), row[1:]):
             value = cell.strip().lower()

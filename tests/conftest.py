@@ -47,3 +47,88 @@ def scaled_trap_envelope(contributions):
         return env
 
     return envelope
+
+
+def reference_load_behaviors(path, variables, policy="clamp"):
+    """Row-at-a-time behaviours loader: the oracle for `ingest.load_behaviors`.
+
+    Every row is tested for blankness and stripped cell by cell before any
+    check; values collect in learner -> variable -> list dictionaries.
+    """
+    import csv
+    import math
+
+    from stylegroup.ingest import (
+        BehaviorRecord,
+        ClampReport,
+        MalformedRowError,
+        NonFiniteValueError,
+        UndeclaredVariableError,
+        ValueOutOfUniverseError,
+    )
+
+    def parse_float(line, text):
+        try:
+            value = float(text)
+        except ValueError:
+            raise MalformedRowError(line, f"value {text!r} is not a number") from None
+        if not math.isfinite(value):
+            raise NonFiniteValueError(f"line {line}: value {text!r} is not finite")
+        return value
+
+    by_name = {v.name: v for v in variables if v.kind == "input"}
+    report = ClampReport()
+    observations = {}
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise MalformedRowError(1, "file is empty") from None
+        if [h.strip().lower() for h in header] != ["learner_id", "variable", "value"]:
+            raise MalformedRowError(
+                1, f"expected header 'learner_id,variable,value', got {','.join(header)!r}"
+            )
+        for line, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != 3:
+                raise MalformedRowError(line, f"expected 3 fields, got {len(row)}")
+            learner, variable, raw_value = row[0].strip(), row[1].strip(), row[2].strip()
+            if not learner:
+                raise MalformedRowError(line, "empty learner_id")
+            value = parse_float(line, raw_value)
+            if variable not in by_name:
+                if policy == "strict":
+                    raise UndeclaredVariableError(
+                        f"line {line}: variable {variable!r} is not declared"
+                    )
+                report.skipped_unknown.append((learner, variable))
+                continue
+            observations.setdefault(learner, {}).setdefault(variable, []).append(value)
+
+    records = []
+    for learner, per_variable in observations.items():
+        features = {}
+        for variable, values in per_variable.items():
+            spec = by_name[variable]
+            if spec.aggregation == "sum":
+                value = sum(values)
+            elif spec.aggregation == "mean":
+                value = sum(values) / len(values)
+            else:
+                value = max(values)
+            if spec.max_expected is not None:
+                value = value * 100.0 / spec.max_expected
+            lo, hi = spec.universe
+            if value < lo or value > hi:
+                if policy == "strict":
+                    raise ValueOutOfUniverseError(
+                        f"{learner}: {variable}={value!r} outside its universe [{lo}, {hi}]"
+                    )
+                clamped = min(max(value, lo), hi)
+                report.clamped.append((learner, variable, value, clamped))
+                value = clamped
+            features[variable] = value
+        records.append(BehaviorRecord(learner_id=learner, features=features))
+    return records, report

@@ -221,6 +221,24 @@ def test_classify_missing_feature_writes_sidecar(tmp_path, capsys):
     assert "audio_time" in capsys.readouterr().err
 
 
+def test_failures_csv_quotes_comma_and_quote_ids(tmp_path, capsys):
+    import csv
+
+    behaviors = tmp_path / "behaviors.csv"
+    behaviors.write_text(
+        'learner_id,variable,value\n"Doe, Jane",audio_time,3\n"Roe ""Rick"", Jr.",audio_time,3\n',
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["classify", "--behaviors", str(behaviors), "--out", str(out)]) == 0
+    with open(out / "failures.csv", encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows[0] == ["learner_id", "dimension", "reason"]
+    assert [len(row) for row in rows] == [3, 3, 3]
+    assert [row[0] for row in rows[1:]] == ["Doe, Jane", 'Roe "Rick", Jr.']
+    assert rows[2][2].startswith("learner 'Roe \"Rick\", Jr.' has no value for ")
+
+
 def test_classify_with_questionnaire_validation(tmp_path):
     out = tmp_path / "out"
     spec_path = _small_cohort_spec(tmp_path, with_scores=False)

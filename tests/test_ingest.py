@@ -1,10 +1,14 @@
+import csv
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import reference_load_behaviors
 from stylegroup.dsl import parse_variables
 from stylegroup.ingest import (
     DuplicateEntryError,
+    IngestError,
     InvalidCategoryError,
     MalformedRowError,
     NonFiniteValueError,
@@ -169,12 +173,91 @@ def test_rfc4180_quoting(tmp_path):
     assert records[0].learner_id == "L 1"
 
 
+# -- the row loop against the row-at-a-time reference --------------------------
+
+# Whitespace that str.strip removes: ASCII, Unicode, and U+001C-U+001F,
+# which float() does not strip.
+_PAD = st.sampled_from(
+    ["", " ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2003", "\u3000"]
+)
+_LEARNERS = st.sampled_from(["L1", "L2", "L3", "Doe, Jane", 'Roe "Rick", Jr.', "two\nlines"])
+_VARIABLES = st.sampled_from(
+    ["discussion_participation", "test_time", "lesson_minutes", "peak_difficulty", "mean_gap",
+     "mystery", ""]
+)
+_BAD_VALUES = st.sampled_from(
+    ["abc", "", "inf", "-Infinity", "nan", "1e400", "1_5", "0x10", "3,5"]
+)
+
+
+def _padded(text):
+    return st.tuples(_PAD, text, _PAD).map("".join)
+
+
+@st.composite
+def _value_text(draw):
+    if draw(st.integers(0, 11)) == 0:
+        return draw(_padded(_BAD_VALUES))
+    value = draw(st.floats(-40.0, 120.0) | st.integers(-40, 120))
+    return draw(_padded(st.just(repr(value))))
+
+
+@st.composite
+def _row(draw):
+    kind = draw(st.integers(0, 39))
+    if kind < 5:  # blank: 0 to 4 whitespace-only cells
+        return draw(st.lists(_PAD, min_size=kind, max_size=kind))
+    if kind == 5:  # non-blank, wrong width
+        cells = [draw(_padded(_LEARNERS)), draw(_VARIABLES), draw(_value_text())]
+        return cells[: draw(st.integers(1, 2))] if draw(st.booleans()) else cells + ["x"]
+    learner = draw(_PAD) if kind == 6 else draw(_padded(_LEARNERS))
+    return [learner, draw(_padded(_VARIABLES)), draw(_value_text())]
+
+
+def _outcome(load, path, policy):
+    try:
+        records, report = load(path, VARS, policy=policy)
+    except IngestError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return [(r.learner_id, repr(list(r.features.items()))) for r in records], repr(report)
+
+
+@settings(max_examples=300, deadline=None)
+# the checks of one row run in order: width, learner id, number, finite, declared
+@example(rows=[["L1", "mystery", "abc"]], policy="strict", quoting=0, terminator="\n")
+@example(
+    rows=[["L1", "test_time", "1"], [" ", "test_time", "inf"]],
+    policy="clamp", quoting=0, terminator="\n",
+)
+@example(
+    rows=[[" ", "", "\t"], ["L1", "test_time", "1\x1c"], ["L1", "test_time", "2"]],
+    policy="strict", quoting=0, terminator="\n",
+)
+@given(
+    rows=st.lists(_row(), max_size=40),
+    policy=st.sampled_from(["clamp", "strict"]),
+    quoting=st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]),
+    terminator=st.sampled_from(["\n", "\r\n"]),
+)
+def test_load_behaviors_matches_reference_loader(
+    tmp_path_factory, rows, policy, quoting, terminator
+):
+    path = tmp_path_factory.mktemp("rows") / "b.csv"
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, quoting=quoting, lineterminator=terminator)
+        writer.writerow(["learner_id", "variable", "value"])
+        writer.writerows(rows)
+    expected = _outcome(reference_load_behaviors, path, policy)
+    assert _outcome(load_behaviors, path, policy) == expected
+
+
 # -- questionnaire -----------------------------------------------------------
 
 
 def test_questionnaire_valid_row(tmp_path):
-    path = _write(tmp_path, "q.csv", "learner_id,dimension,score\nL1,entrance,8\n")
+    path = _write(tmp_path, "q.csv", "learner_id,dimension,score\n\nL1,entrance,8\n , ,\t\n \n")
     records = load_questionnaire(path)
+    assert len(records) == 1
     assert records[0].learner_id == "L1"
     assert records[0].dimension == "entrance"
     assert records[0].score == 8.0
@@ -206,13 +289,13 @@ def test_questionnaire_unknown_dimension(tmp_path):
 
 
 def test_load_scores(tmp_path):
-    path = _write(tmp_path, "s.csv", "learner_id,score\nL1,17.5\nL2,12\n")
+    path = _write(tmp_path, "s.csv", "learner_id,score\nL1,17.5\n\n , \n,,\nL2,12\n")
     assert load_scores(path) == {"L1": 17.5, "L2": 12.0}
 
 
 def test_load_scores_duplicate(tmp_path):
-    path = _write(tmp_path, "s.csv", "learner_id,score\nL1,17.5\nL1,12\n")
-    with pytest.raises(DuplicateEntryError):
+    path = _write(tmp_path, "s.csv", "learner_id,score\nL1,17.5\n\t\nL1,12\n")
+    with pytest.raises(DuplicateEntryError, match="^line 4: "):
         load_scores(path)
 
 
@@ -220,7 +303,7 @@ def test_load_satisfaction(tmp_path):
     path = _write(
         tmp_path,
         "sat.csv",
-        "learner_id,q1,q2,q3,q4,q5,q6,q7\nL1,5,4,3,4,5,4,5\n",
+        "learner_id,q1,q2,q3,q4,q5,q6,q7\n , , , , , , , \nL1,5,4,3,4,5,4,5\n\n",
     )
     assert load_satisfaction(path) == {"L1": (5.0, 4.0, 3.0, 4.0, 5.0, 4.0, 5.0)}
 
