@@ -14,6 +14,7 @@ from .dsl import (
     DIMENSIONS,
     RuleBase,
     default_rulebase,
+    load_rulebase,
     parse_rulebase,
     parse_rules,
     parse_variables,

@@ -8,6 +8,7 @@ cohort order never changes an individual profile.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -21,7 +22,7 @@ from .fuzzy import (
     firing_strengths,
     term_strengths,
 )
-from .ingest import BehaviorRecord, QuestionnaireRecord, csv_rows, csv_text
+from .ingest import BehaviorRecord, IngestError, QuestionnaireRecord, csv_rows, csv_text
 from .stats import pearson_r
 
 
@@ -324,23 +325,44 @@ def profiles_from_csv(text: str) -> list[StyleProfile]:
     """Rebuild profiles from the flat export (fired-rule detail is not kept there)."""
     rows = csv_rows(text)
     if not rows or rows[0] != PROFILE_HEADER:
-        raise ValueError("not a profile export: bad header")
+        raise IngestError("not a profile export: bad header")
     grouped: dict[str, list[DimensionResult]] = {}
-    order: list[str] = []
-    for learner_id, dimension, crisp, label in rows[1:]:
-        if learner_id not in grouped:
-            grouped[learner_id] = []
-            order.append(learner_id)
-        grouped[learner_id].append(
+    for row in rows[1:]:
+        if len(row) != len(PROFILE_HEADER):
+            raise IngestError(
+                f"learner {row[0]!r}: profile row has {len(row)} fields, "
+                f"expected {len(PROFILE_HEADER)}"
+            )
+        learner_id, dimension, crisp, label = row
+        try:
+            score = float(crisp)
+        except ValueError:
+            score = math.nan
+        if not math.isfinite(score):
+            raise IngestError(
+                f"learner {learner_id!r}: crisp score {crisp!r} for {dimension!r} "
+                "is not a finite number"
+            )
+        grouped.setdefault(learner_id, []).append(
             DimensionResult(
                 dimension=dimension,
-                crisp_score=float(crisp),
+                crisp_score=score,
                 label=label,
                 term_memberships={},
                 fired_rules=(),
             )
         )
-    return [StyleProfile(learner_id=lid, results=tuple(grouped[lid])) for lid in order]
+    profiles = [StyleProfile(learner_id=lid, results=tuple(r)) for lid, r in grouped.items()]
+    # Grouping compares crisp-score vectors position by position.
+    expected = [r.dimension for r in profiles[0].results] if profiles else []
+    for profile in profiles:
+        found = [r.dimension for r in profile.results]
+        if found != expected:
+            raise IngestError(
+                f"learner {profile.learner_id!r}: dimensions {', '.join(found)} "
+                f"differ from the first learner's {', '.join(expected)}"
+            )
+    return profiles
 
 
 def profiles_to_json(profiles: Sequence[StyleProfile]) -> str:

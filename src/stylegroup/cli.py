@@ -14,6 +14,7 @@ to run without one.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -28,23 +29,21 @@ from .classify import (
     profiles_to_json,
     validate_against_questionnaire,
 )
-from .dsl import DslError, default_rulebase, error_count, parse_rules, parse_variables, validate
-from .dsl import RuleBase
+from .dsl import Diagnostic, DslError, RuleBase, default_rulebase, error_count, load_rulebase
+from .dsl import validate
 from .grouping import (
-    ASSIGNMENT_HEADER,
     GroupAssignment,
     GroupingError,
     GroupingParams,
     assign_groups,
+    assignment_from_csv,
     content_plan,
 )
 from .ingest import (
     IngestError,
-    csv_rows,
     csv_text,
     feature_coverage,
     load_behaviors,
-    load_demographics,
     load_questionnaire,
     load_satisfaction,
     load_scores,
@@ -107,7 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p, rules=True, out=True)
     p.add_argument("--behaviors", help="long-format behaviours CSV")
     p.add_argument("--questionnaire", help="questionnaire CSV for validation")
-    p.add_argument("--demographics", help="demographics CSV (validated, reported)")
     p.add_argument("--policy", choices=["clamp", "strict"], help="ingest policy (default clamp)")
     p.set_defaults(handler=_cmd_classify)
 
@@ -178,20 +176,21 @@ def _load_rulebase(args: argparse.Namespace, config: dict) -> RuleBase:
         return default_rulebase()
     if vars_path is None or rules_path is None:
         raise ConfigError("--vars and --rules must be given together")
-    variables = parse_variables(Path(vars_path).read_text(encoding="utf-8"))
-    rules = parse_rules(Path(rules_path).read_text(encoding="utf-8"), variables)
-    return RuleBase(variables=tuple(variables), rules=tuple(rules))
+    return load_rulebase(
+        Path(vars_path).read_text(encoding="utf-8"),
+        Path(rules_path).read_text(encoding="utf-8"),
+    )
 
 
-def _checked_rulebase(args: argparse.Namespace, config: dict) -> RuleBase | None:
-    """Load and validate; print diagnostics to stderr, None on error-level ones."""
+def _checked_rulebase(
+    args: argparse.Namespace, config: dict
+) -> tuple[RuleBase, list[Diagnostic]]:
+    """Load and validate; print the diagnostics to stderr."""
     rb = _load_rulebase(args, config)
     diagnostics = validate(rb)
     for diagnostic in diagnostics:
         print(diagnostic.format(), file=sys.stderr)
-    if error_count(diagnostics):
-        return None
-    return rb
+    return rb, diagnostics
 
 
 def _out_dir(args: argparse.Namespace, config: dict) -> Path:
@@ -211,24 +210,25 @@ def _dump_json(payload, path: Path) -> None:
 
 
 def _cmd_validate_rules(args: argparse.Namespace, config: dict) -> int:
-    rb = _load_rulebase(args, config)
-    diagnostics = validate(rb)
-    for diagnostic in diagnostics:
-        print(diagnostic.format(), file=sys.stderr)
+    _, diagnostics = _checked_rulebase(args, config)
     errors = error_count(diagnostics)
     warnings = len(diagnostics) - errors
     print(f"{errors} errors, {warnings} warnings")
     return 1 if errors else 0
 
 
-def _write_failures(failures, path: Path) -> None:
+def _write_classification(profiles, failures, out: Path) -> None:
+    (out / "profiles.csv").write_text(profiles_to_csv(profiles), encoding="utf-8")
+    (out / "profiles.json").write_text(profiles_to_json(profiles), encoding="utf-8")
     rows = ((f.learner_id, f.dimension or "", f.reason) for f in failures)
-    path.write_text(csv_text(["learner_id", "dimension", "reason"], rows), encoding="utf-8")
+    (out / "failures.csv").write_text(
+        csv_text(["learner_id", "dimension", "reason"], rows), encoding="utf-8"
+    )
 
 
 def _cmd_classify(args: argparse.Namespace, config: dict) -> int:
-    rb = _checked_rulebase(args, config)
-    if rb is None:
+    rb, diagnostics = _checked_rulebase(args, config)
+    if error_count(diagnostics):
         return 1
     behaviors_path = _require(args, config, "behaviors")
     policy = _opt(args, config, "policy", "clamp")
@@ -244,15 +244,8 @@ def _cmd_classify(args: argparse.Namespace, config: dict) -> int:
         "\n".join(coverage.format_lines()) + "\n", encoding="utf-8"
     )
 
-    demographics_path = _opt(args, config, "demographics")
-    if demographics_path:
-        demographics = load_demographics(demographics_path)
-        log.info("validated %d demographic records", len(demographics))
-
     profiles, failures = classify_cohort(records, rb)
-    (out / "profiles.csv").write_text(profiles_to_csv(profiles), encoding="utf-8")
-    (out / "profiles.json").write_text(profiles_to_json(profiles), encoding="utf-8")
-    _write_failures(failures, out / "failures.csv")
+    _write_classification(profiles, failures, out)
     for failure in failures:
         print(f"classification failed: {failure.reason}", file=sys.stderr)
 
@@ -298,23 +291,15 @@ def _cmd_group(args: argparse.Namespace, config: dict) -> int:
     return 0
 
 
-def _assignment_rows(path: str) -> list[list[str]]:
-    rows = csv_rows(Path(path).read_text(encoding="utf-8"))
-    if not rows or rows[0] != ASSIGNMENT_HEADER:
-        raise IngestError("not an assignment export: bad header")
-    return rows[1:]
-
-
-def _samples_from_files(
-    assignment_path: str, scores_path: str
+def _samples(
+    entries: list[tuple[str, str, bool]], scores: dict[str, float]
 ) -> tuple[list[Sample], Sample | None]:
-    scores = load_scores(scores_path)
     grouped: dict[str, list[float]] = {}
     control_values: list[float] = []
-    for learner, group_id, is_control in _assignment_rows(assignment_path):
+    for learner, group_id, is_control in entries:
         if learner not in scores:
             raise IngestError(f"no score for learner {learner!r}")
-        if is_control == "1":
+        if is_control:
             control_values.append(scores[learner])
         else:
             grouped.setdefault(group_id, []).append(scores[learner])
@@ -327,16 +312,20 @@ def _samples_from_files(
 
 
 def _satisfaction_by_label(
-    path: str, assignment_path: str
+    entries: list[tuple[str, str, bool]], responses: dict[str, tuple[float, ...]]
 ) -> dict[str, list[tuple[float, ...]]]:
-    responses = load_satisfaction(path)
     by_label: dict[str, list[tuple[float, ...]]] = {}
-    for learner, group_id, is_control in _assignment_rows(assignment_path):
+    for learner, group_id, is_control in entries:
         if learner not in responses:
             continue
-        label = "control" if is_control == "1" else f"group-{group_id}"
+        label = "control" if is_control else f"group-{group_id}"
         by_label.setdefault(label, []).append(responses[learner])
     return by_label
+
+
+def _write_evaluation(report, out: Path) -> None:
+    _dump_json(report.to_json_dict(), out / "evaluation.json")
+    (out / "evaluation.txt").write_text(report.to_text(), encoding="utf-8")
 
 
 def _cmd_evaluate(args: argparse.Namespace, config: dict) -> int:
@@ -345,18 +334,19 @@ def _cmd_evaluate(args: argparse.Namespace, config: dict) -> int:
     alpha = float(_opt(args, config, "alpha", DEFAULT_ALPHA))
     out = _out_dir(args, config)
 
-    samples, control = _samples_from_files(assignment_path, scores_path)
+    scores = load_scores(scores_path)
+    entries = assignment_from_csv(Path(assignment_path).read_text(encoding="utf-8"))
+    samples, control = _samples(entries, scores)
     satisfaction_path = _opt(args, config, "satisfaction")
     satisfaction = (
-        _satisfaction_by_label(satisfaction_path, assignment_path)
+        _satisfaction_by_label(entries, load_satisfaction(satisfaction_path))
         if satisfaction_path
         else None
     )
     report = build_evaluation_report(
         samples, control, alpha=alpha, satisfaction_responses=satisfaction
     )
-    _dump_json(report.to_json_dict(), out / "evaluation.json")
-    (out / "evaluation.txt").write_text(report.to_text(), encoding="utf-8")
+    _write_evaluation(report, out)
     print(report.to_text(), end="")
     return 0
 
@@ -365,48 +355,41 @@ def _resolve_cohort_spec(args: argparse.Namespace, config: dict):
     seed = int(_require(args, config, "seed"))
     spec_path = _opt(args, config, "cohort_spec")
     if spec_path:
-        spec = load_cohort_spec(spec_path)
-        return spec.__class__(
-            counts=spec.counts,
-            noise_sigma=spec.noise_sigma,
-            seed=seed,
-            score_model=spec.score_model,
-        )
+        return dataclasses.replace(load_cohort_spec(spec_path), seed=seed)
     return default_cohort_spec(seed=seed)
 
 
-def _cmd_simulate(args: argparse.Namespace, config: dict) -> int:
-    rb = _checked_rulebase(args, config)
-    if rb is None:
-        return 1
-    spec = _resolve_cohort_spec(args, config)
-    out = _out_dir(args, config)
+def _simulate(spec, rb: RuleBase, out: Path):
+    """Generate the cohort and write its spec, behaviours and planted truth."""
     truth, records = generate(spec, rb)
     _dump_json(spec.to_json_dict(), out / "cohort_spec.json")
     write_behaviors_csv(records, rb, out / "behaviors.csv")
     write_truth_csv(truth, rb.dimensions(), out / "truth.csv")
+    return truth, records
+
+
+def _cmd_simulate(args: argparse.Namespace, config: dict) -> int:
+    rb, diagnostics = _checked_rulebase(args, config)
+    if error_count(diagnostics):
+        return 1
+    spec = _resolve_cohort_spec(args, config)
+    _, records = _simulate(spec, rb, _out_dir(args, config))
     print(f"simulated {len(records)} learners")
     return 0
 
 
 def _cmd_pipeline(args: argparse.Namespace, config: dict) -> int:
-    rb = _checked_rulebase(args, config)
-    if rb is None:
+    rb, diagnostics = _checked_rulebase(args, config)
+    if error_count(diagnostics):
         return 1
     spec = _resolve_cohort_spec(args, config)
     params = _grouping_params(args, config)
     alpha = float(_opt(args, config, "alpha", DEFAULT_ALPHA))
     out = _out_dir(args, config)
 
-    truth, records = generate(spec, rb)
-    _dump_json(spec.to_json_dict(), out / "cohort_spec.json")
-    write_behaviors_csv(records, rb, out / "behaviors.csv")
-    write_truth_csv(truth, rb.dimensions(), out / "truth.csv")
-
+    truth, records = _simulate(spec, rb, out)
     profiles, failures = classify_cohort(records, rb)
-    (out / "profiles.csv").write_text(profiles_to_csv(profiles), encoding="utf-8")
-    (out / "profiles.json").write_text(profiles_to_json(profiles), encoding="utf-8")
-    _write_failures(failures, out / "failures.csv")
+    _write_classification(profiles, failures, out)
 
     assignment = assign_groups(profiles, params)
     _write_assignment(assignment, out)
@@ -414,9 +397,7 @@ def _cmd_pipeline(args: argparse.Namespace, config: dict) -> int:
     if spec.score_model is not None:
         samples, control = generate_scores(truth, assignment, spec.score_model, spec.seed)
         write_scores_csv(samples, assignment, control, out / "scores.csv")
-        report = build_evaluation_report(samples, control, alpha=alpha)
-        _dump_json(report.to_json_dict(), out / "evaluation.json")
-        (out / "evaluation.txt").write_text(report.to_text(), encoding="utf-8")
+        _write_evaluation(build_evaluation_report(samples, control, alpha=alpha), out)
 
     print(
         f"pipeline complete: {len(records)} learners, "

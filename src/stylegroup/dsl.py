@@ -30,7 +30,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from importlib import resources
+from typing import Iterable, Iterator, Sequence
 
 from .fuzzy import InferenceRule, LinguisticVariable, Trapezoid
 
@@ -40,9 +42,9 @@ AGGREGATIONS = ("sum", "mean", "max")
 
 DEFAULT_UNIVERSE = (0.0, 100.0)
 DEFAULT_TERMS = (
-    ("low", 0.0, 0.0, 25.0, 40.0),
-    ("medium", 25.0, 40.0, 60.0, 75.0),
-    ("much", 60.0, 75.0, 100.0, 100.0),
+    ("low", Trapezoid(0.0, 0.0, 25.0, 40.0)),
+    ("medium", Trapezoid(25.0, 40.0, 60.0, 75.0)),
+    ("much", Trapezoid(60.0, 75.0, 100.0, 100.0)),
 )
 
 
@@ -77,29 +79,6 @@ class DuplicateClauseVariableError(ParseError):
 
 
 @dataclass(frozen=True)
-class VariableSpec:
-    """Declaration of one linguistic variable, as written in a `.fvars` file."""
-
-    name: str
-    kind: str  # "input" | "output"
-    dimension: str
-    universe: tuple[float, float] = DEFAULT_UNIVERSE
-    terms: tuple[tuple[str, float, float, float, float], ...] = DEFAULT_TERMS
-    aggregation: str = "sum"
-    max_expected: float | None = None
-
-    def term_labels(self) -> tuple[str, ...]:
-        return tuple(t[0] for t in self.terms)
-
-    def to_linguistic(self) -> LinguisticVariable:
-        return LinguisticVariable(
-            name=self.name,
-            universe=self.universe,
-            terms=tuple((label, Trapezoid(a, b, c, d)) for label, a, b, c, d in self.terms),
-        )
-
-
-@dataclass(frozen=True)
 class Rule:
     """One IF/THEN rule; clauses are (variable name, term label) pairs."""
 
@@ -125,13 +104,13 @@ class Diagnostic:
 class RuleBase:
     """Parsed variables plus rules, grouped by dimension on demand."""
 
-    variables: tuple[VariableSpec, ...]
+    variables: tuple[LinguisticVariable, ...]
     rules: tuple[Rule, ...]
 
-    def variable(self, name: str) -> VariableSpec:
-        for spec in self.variables:
-            if spec.name == name:
-                return spec
+    def variable(self, name: str) -> LinguisticVariable:
+        for variable in self.variables:
+            if variable.name == name:
+                return variable
         raise KeyError(f"no variable named {name!r}")
 
     def dimensions(self) -> tuple[str, ...]:
@@ -141,12 +120,12 @@ class RuleBase:
     def rules_for(self, dimension: str) -> tuple[Rule, ...]:
         return tuple(r for r in self.rules if r.dimension == dimension)
 
-    def inputs_for(self, dimension: str) -> tuple[VariableSpec, ...]:
+    def inputs_for(self, dimension: str) -> tuple[LinguisticVariable, ...]:
         return tuple(
             v for v in self.variables if v.kind == "input" and v.dimension == dimension
         )
 
-    def output_for(self, dimension: str) -> VariableSpec:
+    def output_for(self, dimension: str) -> LinguisticVariable:
         outputs = [
             v for v in self.variables if v.kind == "output" and v.dimension == dimension
         ]
@@ -164,25 +143,17 @@ class RuleBase:
     def compile_dimension(
         self, dimension: str
     ) -> tuple[tuple[InferenceRule, ...], LinguisticVariable]:
-        """Resolve one dimension's rules against concrete linguistic variables.
-
-        Only the variables those rules reference, and the dimension's output,
-        are converted.
-        """
-        rules = self.rules_for(dimension)
-        used = {name for rule in rules for name, _ in rule.antecedent}
-        linguistic = {v.name: v.to_linguistic() for v in self.variables if v.name in used}
-        out_var = self.output_for(dimension).to_linguistic()
+        """Bind one dimension's rules to the variables they name."""
+        variables = {v.name: v for v in self.variables}
+        out_var = self.output_for(dimension)
         compiled = tuple(
             InferenceRule(
                 rule_id=rule.rule_id,
-                antecedent=tuple(
-                    (linguistic[name], term) for name, term in rule.antecedent
-                ),
+                antecedent=tuple((variables[name], term) for name, term in rule.antecedent),
                 consequent_variable=out_var,
                 consequent_term=rule.consequent[1],
             )
-            for rule in rules
+            for rule in self.rules_for(dimension)
         )
         return compiled, out_var
 
@@ -321,8 +292,8 @@ def _parse_term_block(p: _LineParser) -> list[tuple[str, float, float, float, fl
     return terms
 
 
-def _parse_variable_line(line_no: int, line: str) -> VariableSpec:
-    p = _LineParser(line_no, _tokenize(line_no, line), len(line))
+def _parse_variable_line(p: _LineParser) -> LinguisticVariable:
+    line_no = p.line_no
     kind_tok = p.expect_ident("'input' or 'output'")
     kind = kind_tok.text.lower()
     if kind not in ("input", "output"):
@@ -376,13 +347,13 @@ def _parse_variable_line(line_no: int, line: str) -> VariableSpec:
         raise RangeError(line_no, 1, f"universe bounds must satisfy lo < hi, got [{lo}, {hi}]")
 
     if raw_terms is None:
-        terms = DEFAULT_TERMS if universe == DEFAULT_UNIVERSE else None
-        if terms is None:
+        if universe != DEFAULT_UNIVERSE:
             raise ParseError(
                 line_no,
                 p.end_column,
                 "a variable with a custom universe must declare its terms",
             )
+        terms = DEFAULT_TERMS
     else:
         seen = set()
         terms = []
@@ -400,161 +371,150 @@ def _parse_variable_line(line_no: int, line: str) -> VariableSpec:
                     line_no, tok.column,
                     f"term {label!r} extends outside the universe [{lo}, {hi}]",
                 )
-            terms.append((label, a, b, c, d))
-        terms = tuple(terms)
+            terms.append((label, Trapezoid(a, b, c, d)))
 
-    return VariableSpec(
+    return LinguisticVariable(
         name=name,
+        universe=universe,
+        terms=tuple(terms),
         kind=kind,
         dimension=dimension,
-        universe=universe,
-        terms=terms,
         aggregation=aggregation,
         max_expected=max_expected,
     )
-
-
-def parse_variables(text: str) -> list[VariableSpec]:
-    """Parse a variables document into specs, in file order."""
-    specs = []
-    names = set()
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not _tokenize(line_no, line):
-            continue
-        spec = _parse_variable_line(line_no, line)
-        if spec.name in names:
-            raise ParseError(line_no, 1, f"variable {spec.name!r} declared twice")
-        names.add(spec.name)
-        specs.append(spec)
-    return specs
 
 
 # --------------------------------------------------------------------------
 # Rules grammar
 
 
-def _parse_rule_line(
-    line_no: int, line: str, variables: dict[str, VariableSpec]
-) -> Rule:
-    p = _LineParser(line_no, _tokenize(line_no, line), len(line))
+def _expect_variable(
+    p: _LineParser, variables: dict[str, LinguisticVariable], kind: str
+) -> tuple[LinguisticVariable, _Token]:
+    tok = p.expect_ident(f"{kind} variable name")
+    variable = variables.get(tok.text)
+    if variable is None:
+        raise UnknownVariableError(p.line_no, tok.column, f"unknown variable {tok.text!r}")
+    if variable.kind != kind:
+        side = "antecedents" if kind == "input" else "consequents"
+        message = f"{tok.text!r} is an {variable.kind} variable; {side} use {kind}s"
+        raise ParseError(p.line_no, tok.column, message)
+    return variable, tok
+
+
+def _expect_term(p: _LineParser, variable: LinguisticVariable) -> str:
+    p.expect_keyword("is")
+    tok = p.expect_ident("term label")
+    if tok.text not in variable.labels():
+        raise UnknownTermError(
+            p.line_no, tok.column, f"variable {variable.name!r} has no term {tok.text!r}"
+        )
+    return tok.text
+
+
+def _parse_rule_line(p: _LineParser, variables: dict[str, LinguisticVariable]) -> Rule:
     p.expect_keyword("rule")
     rule_id = p.expect_ident("rule id").text
     p.expect_punct(":")
     p.expect_keyword("if")
 
     antecedent = []
-    seen_vars = set()
     while True:
-        var_tok = p.expect_ident("input variable name")
-        spec = variables.get(var_tok.text)
-        if spec is None:
-            raise UnknownVariableError(
-                line_no, var_tok.column, f"unknown variable {var_tok.text!r}"
-            )
-        if spec.kind != "input":
-            raise ParseError(
-                line_no, var_tok.column,
-                f"{var_tok.text!r} is an output variable; antecedents use inputs",
-            )
-        if spec.name in seen_vars:
+        variable, tok = _expect_variable(p, variables, "input")
+        if any(name == variable.name for name, _ in antecedent):
             raise DuplicateClauseVariableError(
-                line_no, var_tok.column,
-                f"variable {spec.name!r} appears twice in one antecedent",
+                p.line_no, tok.column,
+                f"variable {variable.name!r} appears twice in one antecedent",
             )
-        seen_vars.add(spec.name)
-        p.expect_keyword("is")
-        term_tok = p.expect_ident("term label")
-        if term_tok.text not in spec.term_labels():
-            raise UnknownTermError(
-                line_no, term_tok.column,
-                f"variable {spec.name!r} has no term {term_tok.text!r}",
-            )
-        antecedent.append((spec.name, term_tok.text))
-        if p.at_keyword("and"):
-            p.take("keyword 'and'")
-            continue
-        break
+        antecedent.append((variable.name, _expect_term(p, variable)))
+        if not p.at_keyword("and"):
+            break
+        p.take("keyword 'and'")
 
     p.expect_keyword("then")
-    out_tok = p.expect_ident("output variable name")
-    out_spec = variables.get(out_tok.text)
-    if out_spec is None:
-        raise UnknownVariableError(
-            line_no, out_tok.column, f"unknown variable {out_tok.text!r}"
-        )
-    if out_spec.kind != "output":
-        raise ParseError(
-            line_no, out_tok.column,
-            f"{out_tok.text!r} is an input variable; consequents use outputs",
-        )
-    p.expect_keyword("is")
-    cons_tok = p.expect_ident("term label")
-    if cons_tok.text not in out_spec.term_labels():
-        raise UnknownTermError(
-            line_no, cons_tok.column,
-            f"variable {out_spec.name!r} has no term {cons_tok.text!r}",
-        )
+    out_var, _ = _expect_variable(p, variables, "output")
+    label = _expect_term(p, out_var)
     p.expect_end()
-
     return Rule(
         rule_id=rule_id,
-        dimension=out_spec.dimension,
+        dimension=out_var.dimension,
         antecedent=tuple(antecedent),
-        consequent=(out_spec.name, cons_tok.text),
+        consequent=(out_var.name, label),
     )
 
 
-def parse_rules(text: str, variables: list[VariableSpec]) -> list[Rule]:
-    """Parse a rules document against already-parsed variable declarations."""
-    var_map = {spec.name: spec for spec in variables}
+# --------------------------------------------------------------------------
+# Documents
+
+
+def _numbered_lines(text: str) -> Iterator[_LineParser]:
+    """A parser per line that holds a token, numbered from 1, tokenized lazily."""
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        tokens = _tokenize(line_no, line)
+        if tokens:
+            yield _LineParser(line_no, tokens, len(line))
+
+
+def _variables_from(lines: Iterable[_LineParser]) -> list[LinguisticVariable]:
+    variables = []
+    names = set()
+    for p in lines:
+        variable = _parse_variable_line(p)
+        if variable.name in names:
+            raise ParseError(p.line_no, 1, f"variable {variable.name!r} declared twice")
+        names.add(variable.name)
+        variables.append(variable)
+    return variables
+
+
+def _rules_from(
+    lines: Iterable[_LineParser], variables: Sequence[LinguisticVariable]
+) -> list[Rule]:
+    by_name = {variable.name: variable for variable in variables}
     rules = []
     ids = set()
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not _tokenize(line_no, line):
-            continue
-        rule = _parse_rule_line(line_no, line, var_map)
+    for p in lines:
+        rule = _parse_rule_line(p, by_name)
         if rule.rule_id in ids:
-            raise ParseError(line_no, 1, f"rule id {rule.rule_id!r} declared twice")
+            raise ParseError(p.line_no, 1, f"rule id {rule.rule_id!r} declared twice")
         ids.add(rule.rule_id)
         rules.append(rule)
     return rules
+
+
+def parse_variables(text: str) -> list[LinguisticVariable]:
+    """Parse a variables document into declared variables, in file order."""
+    return _variables_from(_numbered_lines(text))
+
+
+def parse_rules(text: str, variables: Sequence[LinguisticVariable]) -> list[Rule]:
+    """Parse a rules document against already-parsed variable declarations."""
+    return _rules_from(_numbered_lines(text), variables)
 
 
 def parse_rulebase(text: str) -> RuleBase:
     """Parse a combined document: variable lines first, rule lines in any position."""
     var_lines = []
     rule_lines = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(line_no, line)
-        if not tokens:
-            continue
-        head = tokens[0]
+    for p in _numbered_lines(text):
+        head = p.peek()
         if head.kind == "ident" and head.text.lower() in ("input", "output"):
-            var_lines.append((line_no, line))
+            var_lines.append(p)
         elif head.kind == "ident" and head.text.lower() == "rule":
-            rule_lines.append((line_no, line))
+            rule_lines.append(p)
         else:
-            raise ParseError(
-                line_no, head.column, "expected 'input', 'output' or 'RULE'"
-            )
-    specs = []
-    names = set()
-    for line_no, line in var_lines:
-        spec = _parse_variable_line(line_no, line)
-        if spec.name in names:
-            raise ParseError(line_no, 1, f"variable {spec.name!r} declared twice")
-        names.add(spec.name)
-        specs.append(spec)
-    var_map = {spec.name: spec for spec in specs}
-    rules = []
-    ids = set()
-    for line_no, line in rule_lines:
-        rule = _parse_rule_line(line_no, line, var_map)
-        if rule.rule_id in ids:
-            raise ParseError(line_no, 1, f"rule id {rule.rule_id!r} declared twice")
-        ids.add(rule.rule_id)
-        rules.append(rule)
-    return RuleBase(variables=tuple(specs), rules=tuple(rules))
+            raise ParseError(p.line_no, head.column, "expected 'input', 'output' or 'RULE'")
+    variables = _variables_from(var_lines)
+    return RuleBase(variables=tuple(variables), rules=tuple(_rules_from(rule_lines, variables)))
+
+
+def load_rulebase(vars_text: str, rules_text: str) -> RuleBase:
+    """A rule base from a variables document and a rules document.
+
+    An error names its line within the document it comes from.
+    """
+    variables = parse_variables(vars_text)
+    return RuleBase(variables=tuple(variables), rules=tuple(parse_rules(rules_text, variables)))
 
 
 # --------------------------------------------------------------------------
@@ -646,23 +606,26 @@ def error_count(diagnostics: list[Diagnostic]) -> int:
 
 
 def _format_number(value: float) -> str:
+    """Shortest positional form that parses back to the same float.
+
+    The tokenizer reads no exponent, so `repr`'s `4e-05` is written `0.00004`.
+    """
     if value == int(value):
         return str(int(value))
-    return repr(value)
+    return format(Decimal(repr(value)), "f")
 
 
-def _format_variable(spec: VariableSpec) -> str:
-    parts = [spec.kind, spec.name, f"dim={spec.dimension}"]
-    lo, hi = spec.universe
+def _format_variable(variable: LinguisticVariable) -> str:
+    parts = [variable.kind, variable.name, f"dim={variable.dimension}"]
+    lo, hi = variable.universe
     parts.append(f"universe=[{_format_number(lo)},{_format_number(hi)}]")
-    if spec.aggregation != "sum":
-        parts.append(f"agg={spec.aggregation}")
-    if spec.max_expected is not None:
-        parts.append(f"max_expected={_format_number(spec.max_expected)}")
+    if variable.aggregation != "sum":
+        parts.append(f"agg={variable.aggregation}")
+    if variable.max_expected is not None:
+        parts.append(f"max_expected={_format_number(variable.max_expected)}")
     terms = " ".join(
-        f"{label}=({_format_number(a)},{_format_number(b)},"
-        f"{_format_number(c)},{_format_number(d)})"
-        for label, a, b, c, d in spec.terms
+        f"{label}=({','.join(_format_number(x) for x in trap.corners())})"
+        for label, trap in variable.terms
     )
     parts.append("{ " + terms + " }")
     return " ".join(parts)
@@ -676,7 +639,7 @@ def _format_rule(rule: Rule) -> str:
 
 def pretty_print(rb: RuleBase) -> str:
     """Canonical single-document form: variables block, blank line, one rule per line."""
-    lines = [_format_variable(spec) for spec in rb.variables]
+    lines = [_format_variable(variable) for variable in rb.variables]
     if rb.rules:
         lines.append("")
         lines.extend(_format_rule(rule) for rule in rb.rules)
@@ -690,6 +653,7 @@ def pretty_print(rb: RuleBase) -> str:
 def default_rulebase() -> RuleBase:
     """The rule base shipped with the package (learning-style identification)."""
     data = resources.files("stylegroup.data")
-    variables = parse_variables((data / "default.fvars").read_text(encoding="utf-8"))
-    rules = parse_rules((data / "default.frules").read_text(encoding="utf-8"), variables)
-    return RuleBase(variables=tuple(variables), rules=tuple(rules))
+    return load_rulebase(
+        (data / "default.fvars").read_text(encoding="utf-8"),
+        (data / "default.frules").read_text(encoding="utf-8"),
+    )

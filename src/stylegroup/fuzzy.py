@@ -104,11 +104,18 @@ class Trapezoid:
 
 @dataclass(frozen=True)
 class LinguisticVariable:
-    """A named variable with a closed universe and ordered, labelled terms."""
+    """A named variable with a closed universe and ordered, labelled terms.
+
+    The other fields hold the rest of its `.fvars` declaration (see `dsl`).
+    """
 
     name: str
     universe: tuple[float, float]
     terms: tuple[tuple[str, Trapezoid], ...]
+    kind: str = "input"  # "input" | "output"
+    dimension: str | None = None
+    aggregation: str = "sum"
+    max_expected: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "universe", tuple(self.universe))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .classify import StyleProfile
-from .ingest import csv_text
+from .ingest import IngestError, csv_rows, csv_text
 from .rng import STREAM_CONTROL, philox_rng
 
 StyleSignature = tuple[str, ...]
@@ -65,6 +65,25 @@ class GroupAssignment:
         rows = [(m, group.group_id, 0) for group in self.groups for m in group.members]
         rows.extend((m, "control", 1) for m in self.control)
         return csv_text(ASSIGNMENT_HEADER, rows)
+
+
+def assignment_from_csv(text: str) -> list[tuple[str, str, bool]]:
+    """(learner id, group id, is control) per row of a `GroupAssignment.to_csv` export."""
+    rows = csv_rows(text)
+    if not rows or rows[0] != ASSIGNMENT_HEADER:
+        raise IngestError("not an assignment export: bad header")
+    entries = []
+    for row in rows[1:]:
+        if len(row) != len(ASSIGNMENT_HEADER):
+            raise IngestError(
+                f"learner {row[0]!r}: assignment row has {len(row)} fields, "
+                f"expected {len(ASSIGNMENT_HEADER)}"
+            )
+        learner, group_id, is_control = row
+        if is_control not in ("0", "1"):
+            raise IngestError(f"learner {learner!r}: is_control {is_control!r} is not 0 or 1")
+        entries.append((learner, group_id, is_control == "1"))
+    return entries
 
 
 def split_control(

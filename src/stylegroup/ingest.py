@@ -22,15 +22,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .dsl import DIMENSIONS, RuleBase, VariableSpec
+from .dsl import DIMENSIONS, RuleBase
+from .fuzzy import LinguisticVariable
 
 QUESTIONNAIRE_RANGE = (0.0, 11.0)
-
-GENDERS = ("f", "m")
-EMPLOYMENT = ("student", "employed")
-AGE_BANDS = ("20-25", "25-30", "30-35")
-EXPERIENCE_BANDS = ("<5", "5-10", ">10")
-CERTIFICATES = ("associate", "bsc", "msc")
 
 
 class IngestError(Exception):
@@ -67,10 +62,6 @@ class UnknownDimensionError(IngestError):
     pass
 
 
-class InvalidCategoryError(IngestError):
-    pass
-
-
 @dataclass(frozen=True)
 class BehaviorRecord:
     learner_id: str
@@ -82,16 +73,6 @@ class QuestionnaireRecord:
     learner_id: str
     dimension: str
     score: float
-
-
-@dataclass(frozen=True)
-class Demographics:
-    learner_id: str
-    gender: str
-    employment: str
-    age_band: str
-    experience_band: str
-    certificate: str
 
 
 @dataclass
@@ -191,7 +172,7 @@ def _parse_float(line: int, text: str, what: str) -> float:
 
 def load_behaviors(
     path: str | Path,
-    variables: Sequence[VariableSpec],
+    variables: Sequence[LinguisticVariable],
     policy: str = "clamp",
 ) -> tuple[list[BehaviorRecord], ClampReport]:
     """Load long-format behaviour observations into one record per learner.
@@ -326,30 +307,6 @@ def load_satisfaction(path: str | Path) -> dict[str, tuple[float, ...]]:
             _parse_float(line, cell.strip(), f"q{i}") for i, cell in enumerate(row[1:], 1)
         )
     return responses
-
-
-def load_demographics(path: str | Path) -> list[Demographics]:
-    """Load demographic records with closed category sets."""
-    allowed = {
-        "gender": GENDERS,
-        "employment": EMPLOYMENT,
-        "age_band": AGE_BANDS,
-        "experience_band": EXPERIENCE_BANDS,
-        "certificate": CERTIFICATES,
-    }
-    header = ["learner_id", *allowed]
-    records = []
-    for line, row, learner in _learner_rows(path, header):
-        values = {}
-        for (column, categories), cell in zip(allowed.items(), row[1:]):
-            value = cell.strip().lower()
-            if value not in categories:
-                raise InvalidCategoryError(
-                    f"line {line}: {column}={cell.strip()!r} not in {', '.join(categories)}"
-                )
-            values[column] = value
-        records.append(Demographics(learner, **values))
-    return records
 
 
 @dataclass(frozen=True)

@@ -169,7 +169,7 @@ def generate(
 
     rng = philox_rng(spec.seed, STREAM_BEHAVIOR)
     input_specs = [v for v in rb.variables if v.kind == "input"]
-    linguistic = {v.name: v.to_linguistic() for v in rb.variables}
+    variables = {v.name: v for v in rb.variables}
     width = max(4, len(str(spec.total)))
 
     truth = []
@@ -184,7 +184,7 @@ def generate(
                 candidates = producers[(dimension, label)]
                 rule = candidates[int(rng.integers(0, len(candidates)))]
                 for var_name, term_label in rule.antecedent:
-                    variable = linguistic[var_name]
+                    variable = variables[var_name]
                     lo, hi = variable.universe
                     value = variable.term(term_label).plateau_midpoint
                     if spec.noise_sigma > 0:

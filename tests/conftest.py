@@ -1,7 +1,15 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from stylegroup.dsl import RuleBase, parse_rulebase, default_rulebase
+
+# Child processes the tests start (`python -m stylegroup.cli`) import the
+# package from this checkout, as the tests themselves do.
+SRC = Path(__file__).resolve().parents[1] / "src"
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture(scope="session")

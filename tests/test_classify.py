@@ -13,7 +13,7 @@ from stylegroup.classify import (
     validate_against_questionnaire,
 )
 from stylegroup.dsl import DIMENSIONS, parse_rulebase
-from stylegroup.ingest import BehaviorRecord, QuestionnaireRecord
+from stylegroup.ingest import BehaviorRecord, IngestError, QuestionnaireRecord
 from stylegroup.stats import pearson_r
 
 from conftest import riemann_centroid, scaled_trap_envelope
@@ -36,7 +36,7 @@ def _full_features(rb, overrides=None):
 
 def _term_mid(rb, variable, label):
     spec = rb.variable(variable)
-    trap = dict(spec.to_linguistic().terms)[label]
+    trap = dict(spec.terms)[label]
     return trap.plateau_midpoint
 
 
@@ -205,7 +205,7 @@ def test_cohort_matches_learner_by_learner(rb):
 
     # firing strengths equal the scalar clause-by-clause product bit for bit
     features = {r.learner_id: r.features for r in records}
-    variables = {v.name: v.to_linguistic() for v in rb.variables}
+    variables = {v.name: v for v in rb.variables}
     for profile in profiles:
         for result in profile.results:
             expected = []
@@ -358,6 +358,31 @@ def test_profiles_csv_round_trip(rb):
             assert copy.result(dimension).crisp_score == original.result(
                 dimension
             ).crisp_score
+
+
+@pytest.mark.parametrize(
+    "row, problem",
+    [
+        ("L2,processing,nan,reactive", "crisp score 'nan' for 'processing' is not a finite number"),
+        ("L2,processing,-inf,reactive", "crisp score '-inf' for 'processing' is not a finite number"),
+        ("L2,processing,high,reactive", "crisp score 'high' for 'processing' is not a finite number"),
+        ("L2,processing,7.5", "profile row has 3 fields, expected 4"),
+        ("L2,processing,7.5,reactive,x", "profile row has 5 fields, expected 4"),
+        (
+            "L2,perception,7.5,intuitive",
+            "dimensions perception differ from the first learner's processing",
+        ),
+        (
+            "L2,processing,7.5,reactive\nL2,processing,7.5,reactive",
+            "dimensions processing, processing differ from the first learner's processing",
+        ),
+    ],
+)
+def test_profiles_from_csv_rejects_corrupt_rows(row, problem):
+    text = f"learner_id,dimension,crisp_score,label\nL1,processing,3.5,reactive\n{row}\n"
+    with pytest.raises(IngestError) as exc_info:
+        profiles_from_csv(text)
+    assert str(exc_info.value) == f"learner 'L2': {problem}"
 
 
 def test_profiles_json_contains_fired_rules(rb):

@@ -239,6 +239,23 @@ def test_failures_csv_quotes_comma_and_quote_ids(tmp_path, capsys):
     assert rows[2][2].startswith("learner 'Roe \"Rick\", Jr.' has no value for ")
 
 
+def test_group_and_evaluate_reject_corrupt_rows(tmp_path, capsys):
+    profiles = tmp_path / "profiles.csv"
+    rows = [f"L{i},{d},{3.5 + i % 3},reactive" for i in range(12) for d in ("processing",)]
+    rows[5] = "L5,processing,nan,reactive"
+    profiles.write_text("learner_id,dimension,crisp_score,label\n" + "\n".join(rows) + "\n")
+    assert main(["group", "--profiles", str(profiles), "--seed", "1", "--out", str(tmp_path)]) == 1
+    assert "learner 'L5': crisp score 'nan'" in capsys.readouterr().err
+
+    assignment = tmp_path / "assignment.csv"
+    assignment.write_text("learner_id,group_id,is_control\nL1,1,0\nL2,control,true\n")
+    scores = tmp_path / "scores.csv"
+    scores.write_text("learner_id,score\nL1,10\nL2,12\n")
+    argv = ["evaluate", "--assignment", str(assignment), "--scores", str(scores)]
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    assert "learner 'L2': is_control 'true' is not 0 or 1" in capsys.readouterr().err
+
+
 def test_classify_with_questionnaire_validation(tmp_path):
     out = tmp_path / "out"
     spec_path = _small_cohort_spec(tmp_path, with_scores=False)

@@ -1,7 +1,8 @@
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stylegroup.dsl import (
     DIMENSIONS,
@@ -15,12 +16,14 @@ from stylegroup.dsl import (
     UnknownTermError,
     UnknownVariableError,
     error_count,
+    load_rulebase,
     parse_rulebase,
     parse_rules,
     parse_variables,
     pretty_print,
     validate,
 )
+from stylegroup.fuzzy import Trapezoid
 
 GOLDEN = Path(__file__).parent / "data" / "default_rulebase_pretty.txt"
 
@@ -39,9 +42,9 @@ def test_parse_input_variable():
     assert spec.dimension == "processing"
     assert spec.universe == (0.0, 15.0)
     assert spec.terms == (
-        ("low", 0.0, 0.0, 3.0, 5.0),
-        ("medium", 3.0, 5.0, 8.0, 10.0),
-        ("much", 8.0, 10.0, 15.0, 15.0),
+        ("low", Trapezoid(0.0, 0.0, 3.0, 5.0)),
+        ("medium", Trapezoid(3.0, 5.0, 8.0, 10.0)),
+        ("much", Trapezoid(8.0, 10.0, 15.0, 15.0)),
     )
 
 
@@ -51,7 +54,7 @@ def test_parse_output_variable():
         " { sensory=(0,0,6,8) sensory_intuitive=(6,7,8,8) intuitive=(6,8,12,12) }"
     )
     assert specs[0].kind == "output"
-    assert specs[0].term_labels() == ("sensory", "sensory_intuitive", "intuitive")
+    assert specs[0].labels() == ("sensory", "sensory_intuitive", "intuitive")
 
 
 def test_parse_rejects_unordered_corners():
@@ -67,7 +70,7 @@ def test_parse_rejects_term_outside_universe():
 def test_parse_defaults_for_percent_variables():
     specs = parse_variables("input test_time dim=processing")
     assert specs[0].universe == (0.0, 100.0)
-    assert specs[0].term_labels() == ("low", "medium", "much")
+    assert specs[0].labels() == ("low", "medium", "much")
     assert specs[0].aggregation == "sum"
     assert specs[0].max_expected is None
 
@@ -82,7 +85,7 @@ def test_parse_decimal_numbers():
     specs = parse_variables(
         "input x dim=processing universe=[0,1.5] { a=(0,0.25,0.5,1.5) }"
     )
-    assert specs[0].terms == (("a", 0.0, 0.25, 0.5, 1.5),)
+    assert specs[0].terms == (("a", Trapezoid(0.0, 0.25, 0.5, 1.5)),)
 
 
 def test_parse_custom_universe_requires_terms():
@@ -210,6 +213,31 @@ def test_parse_rule_syntax_error_position():
     assert "keyword 'is'" in str(exc_info.value)
 
 
+def test_load_rulebase_numbers_rules_file_lines_from_its_own_start():
+    vars_text = "\n".join(["# variables", ""] + [f"input v{i} dim=processing" for i in range(9)])
+    vars_text += "\noutput processing_score dim=processing universe=[0,12] { r=(0,0,6,8) }\n"
+    rules_text = (
+        "# rules\n"
+        "RULE a: IF v0 IS low THEN processing_score IS r\n"
+        "RULE b: IF v1 IS enormous THEN processing_score IS r\n"
+    )
+    with pytest.raises(UnknownTermError) as exc_info:
+        load_rulebase(vars_text, rules_text)
+    assert exc_info.value.line == 3
+    assert str(exc_info.value).startswith("line 3, column 18: ")
+
+    with pytest.raises(ParseError) as exc_info:
+        load_rulebase("\n\ninput x dim=nowhere\n", rules_text)
+    assert exc_info.value.line == 3
+
+
+def test_load_rulebase_equals_combined_document(rb):
+    text = pretty_print(rb)
+    var_text = "\n".join(l for l in text.splitlines() if not l.startswith("RULE"))
+    rule_text = "\n".join(l for l in text.splitlines() if l.startswith("RULE"))
+    assert load_rulebase(var_text, rule_text) == rb
+
+
 # -- validation --------------------------------------------------------------
 
 
@@ -335,6 +363,52 @@ def test_pretty_print_round_trip(rb):
 
 def test_pretty_print_matches_golden(rb):
     assert pretty_print(rb) == GOLDEN.read_text(encoding="utf-8")
+
+
+def _positional(value: float) -> str:
+    """The exact decimal expansion of a float, with no exponent."""
+    return format(Decimal(value), "f")
+
+
+_MAGNITUDES = st.floats(min_value=1e-9, max_value=1e9, allow_nan=False, allow_infinity=False)
+_NUMBERS = st.one_of(_MAGNITUDES, _MAGNITUDES.map(lambda v: -v), st.just(0.0))
+
+
+@st.composite
+def _declarations(draw) -> str:
+    """A variables-and-rules document whose numbers span 1e-9 to 1e9 in magnitude."""
+    lines = []
+    for kind in ("input", "output"):
+        terms = draw(st.lists(st.lists(_NUMBERS, min_size=4, max_size=4), min_size=1, max_size=3))
+        points = sorted(v for corners in terms for v in corners)
+        lo, hi = points[0], points[-1]
+        if lo == hi:
+            hi = lo + 1.0
+        attributes = f"universe=[{_positional(lo)},{_positional(hi)}]"
+        if kind == "input" and draw(st.booleans()):
+            attributes += f" agg=mean max_expected={_positional(draw(_MAGNITUDES))}"
+        block = " ".join(
+            f"t{i}=({','.join(_positional(v) for v in sorted(corners))})"
+            for i, corners in enumerate(terms)
+        )
+        lines.append(f"{kind} {kind}_var dim=processing {attributes} {{ {block} }}")
+    lines.append("RULE r: IF input_var IS t0 THEN output_var IS t0")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_declarations())
+@example(
+    "input input_var dim=processing universe=[0,0.00004] { t0=(0,0.00001,0.00002,0.00004) }\n"
+    "output output_var dim=processing universe=[0,1] { t0=(0,0.5,0.5,1) }\n"
+    "RULE r: IF input_var IS t0 THEN output_var IS t0\n"
+)
+def test_pretty_print_reparses_to_the_same_rulebase(document):
+    rb = parse_rulebase(document)
+    text = pretty_print(rb)
+    reparsed = parse_rulebase(text)
+    assert reparsed == rb
+    assert pretty_print(reparsed) == text
 
 
 # -- bundled content ---------------------------------------------------------

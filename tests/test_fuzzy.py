@@ -83,11 +83,12 @@ def test_membership_invariants(corners, x):
 def test_membership_monotone_on_ramps(corners, u, v):
     t = Trapezoid(*corners)
     u, v = min(u, v), max(u, v)
-    x1 = t.a + u * (t.b - t.a)
-    x2 = t.a + v * (t.b - t.a)
+    # a + 1.0 * (b - a) can round past b; keep the points on the ramps
+    x1 = min(t.a + u * (t.b - t.a), t.b)
+    x2 = min(t.a + v * (t.b - t.a), t.b)
     assert t.membership(x1) <= t.membership(x2)
-    y1 = t.c + u * (t.d - t.c)
-    y2 = t.c + v * (t.d - t.c)
+    y1 = min(t.c + u * (t.d - t.c), t.d)
+    y2 = min(t.c + v * (t.d - t.c), t.d)
     assert t.membership(y1) >= t.membership(y2)
 
 

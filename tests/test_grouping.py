@@ -10,10 +10,12 @@ from stylegroup.grouping import (
     GroupingParams,
     InfeasibleConstraintsError,
     assign_groups,
+    assignment_from_csv,
     content_plan,
     homogeneous_partition,
     split_control,
 )
+from stylegroup.ingest import IngestError
 
 POLE_SCORE = {"low": 3.5, "high": 9.5, "mid": 7.2}
 
@@ -177,6 +179,37 @@ def test_assignment_csv_shape():
     assert lines[0] == "learner_id,group_id,is_control"
     assert len(lines) == 11
     assert sum(1 for line in lines[1:] if line.endswith(",1")) == 2
+
+
+def test_assignment_csv_reads_back():
+    profiles = [_profile(f"L{i}", SIG_A) for i in range(10)]
+    params = GroupingParams(control_fraction=0.2, seed=1, target_k=1, min_size=1)
+    assignment = assign_groups(profiles, params)
+    entries = assignment_from_csv(assignment.to_csv())
+    assert [e for e in entries if not e[2]] == [
+        (m, str(g.group_id), False) for g in assignment.groups for m in g.members
+    ]
+    assert [e for e in entries if e[2]] == [(m, "control", True) for m in assignment.control]
+
+
+@pytest.mark.parametrize(
+    "row, problem",
+    [
+        ("L2,1", "learner 'L2': assignment row has 2 fields, expected 3"),
+        ("L2,1,0,x", "learner 'L2': assignment row has 4 fields, expected 3"),
+        ("L2,control,yes", "learner 'L2': is_control 'yes' is not 0 or 1"),
+        ("L2,1,", "learner 'L2': is_control '' is not 0 or 1"),
+        ("L2,1,2", "learner 'L2': is_control '2' is not 0 or 1"),
+    ],
+)
+def test_assignment_from_csv_rejects_corrupt_rows(row, problem):
+    with pytest.raises(IngestError, match=f"^{problem}$"):
+        assignment_from_csv(f"learner_id,group_id,is_control\nL1,1,0\n{row}\n")
+
+
+def test_assignment_from_csv_rejects_other_header():
+    with pytest.raises(IngestError, match="bad header"):
+        assignment_from_csv("learner_id,score\nL1,3\n")
 
 
 # -- content plans ------------------------------------------------------------------

@@ -9,7 +9,6 @@ from stylegroup.dsl import parse_variables
 from stylegroup.ingest import (
     DuplicateEntryError,
     IngestError,
-    InvalidCategoryError,
     MalformedRowError,
     NonFiniteValueError,
     ScoreOutOfRangeError,
@@ -18,7 +17,6 @@ from stylegroup.ingest import (
     ValueOutOfUniverseError,
     feature_coverage,
     load_behaviors,
-    load_demographics,
     load_questionnaire,
     load_satisfaction,
     load_scores,
@@ -306,32 +304,6 @@ def test_load_satisfaction(tmp_path):
         "learner_id,q1,q2,q3,q4,q5,q6,q7\n , , , , , , , \nL1,5,4,3,4,5,4,5\n\n",
     )
     assert load_satisfaction(path) == {"L1": (5.0, 4.0, 3.0, 4.0, 5.0, 4.0, 5.0)}
-
-
-# -- demographics ------------------------------------------------------------
-
-
-def test_load_demographics(tmp_path):
-    path = _write(
-        tmp_path,
-        "d.csv",
-        "learner_id,gender,employment,age_band,experience_band,certificate\n"
-        "L1,f,student,20-25,<5,bsc\n",
-    )
-    records = load_demographics(path)
-    assert records[0].gender == "f"
-    assert records[0].certificate == "bsc"
-
-
-def test_load_demographics_bad_category(tmp_path):
-    path = _write(
-        tmp_path,
-        "d.csv",
-        "learner_id,gender,employment,age_band,experience_band,certificate\n"
-        "L1,f,retired,20-25,<5,bsc\n",
-    )
-    with pytest.raises(InvalidCategoryError):
-        load_demographics(path)
 
 
 # -- coverage ----------------------------------------------------------------
