@@ -12,16 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .dsl import DIMENSIONS, RuleBase
-from .fuzzy import (
-    CompiledRules,
-    centroids,
-    compile_rules,
-    firing_strengths,
-    term_strengths,
-)
+from .fuzzy import CompiledRules, compile_rules
 from .ingest import BehaviorRecord, IngestError, QuestionnaireRecord, csv_rows, csv_text
 from .stats import pearson_r
 
@@ -100,16 +92,6 @@ def _compile(rb: RuleBase) -> tuple[tuple[str, CompiledRules], ...]:
     )
 
 
-def _feature_matrix(
-    records: Sequence[BehaviorRecord], names: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Learner x variable values (NaN where absent) and the absent mask."""
-    features = [record.features for record in records]
-    values = np.array([[f.get(name, np.nan) for name in names] for f in features], dtype=float)
-    missing = np.array([[name not in f for name in names] for f in features])
-    return values, missing
-
-
 def _classify_block(
     records: Sequence[BehaviorRecord], dimensions: tuple[tuple[str, CompiledRules], ...]
 ) -> list[StyleProfile | ClassificationError]:
@@ -118,24 +100,13 @@ def _classify_block(
     Within a dimension a missing feature (the first in rule/clause order)
     is reported before an empty envelope.
     """
-    columns = []
-    for dimension, compiled in dimensions:
-        values, missing = _feature_matrix(records, compiled.inputs)
-        strengths = firing_strengths(compiled, values)
-        crisp = centroids(
-            compiled.variable.universe,
-            [trap for _, trap in compiled.variable.terms],
-            term_strengths(compiled, strengths),
-        )
-        columns.append(
-            (
-                dimension,
-                compiled,
-                np.where(missing.any(axis=1), missing.argmax(axis=1), -1).tolist(),
-                crisp.tolist(),
-                strengths.tolist(),
-            )
-        )
+    from . import kernel
+
+    features = [record.features for record in records]
+    columns = [
+        (dimension, compiled, *kernel.score_block(compiled, features))
+        for dimension, compiled in dimensions
+    ]
 
     def result(n: int, learner_id: str, column) -> DimensionResult:
         dimension, compiled, first_missing, crisp, strengths = column

@@ -28,6 +28,7 @@ exceptions.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from decimal import Decimal
@@ -242,7 +243,10 @@ class _LineParser:
         token = self.take("number")
         if token.kind != "number":
             raise ParseError(self.line_no, token.column, "expected number")
-        return float(token.text), token
+        value = float(token.text)
+        if not math.isfinite(value):
+            raise RangeError(self.line_no, token.column, "number is too large to be finite")
+        return value, token
 
     def at_keyword(self, word: str) -> bool:
         token = self.peek()

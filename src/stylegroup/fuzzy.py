@@ -8,22 +8,19 @@ strength, and the per-rule outputs aggregate into one envelope by pointwise
 max. The envelope collapses to a crisp score through its centre of gravity.
 
 Inference runs on arrays: `compile_rules` resolves one dimension's rules
-once, then `firing_strengths`, `term_strengths` and `centroids` handle a
-whole block of inputs per call. `infer` and `defuzzify_centroid` are the
-one-input case of the same kernel.
+once, then `kernel.firing_strengths`, `kernel.term_strengths` and
+`kernel.centroids` handle a whole block of inputs per call. `infer` and
+`defuzzify_centroid` are the one-input case of the same kernel, which they
+import when called, so that loading this module does not load numpy.
 
 All types are immutable; every operation is a pure function of its inputs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
-
-import numpy as np
-
-# Integrated envelope area below this is treated as "no rule fired".
-ZERO_AREA_TOL = 1e-12
 
 
 class FuzzyError(Exception):
@@ -80,19 +77,6 @@ class Trapezoid:
         if x < self.b:
             return (x - self.a) / (self.b - self.a)
         return (self.d - x) / (self.d - self.c)
-
-    def membership_grid(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorised membership over an array of points."""
-        xs = np.asarray(xs, dtype=float)
-        out = np.zeros(xs.shape)
-        out[(xs >= self.a) & (xs <= self.d)] = 1.0
-        if self.b > self.a:
-            rise = (xs >= self.a) & (xs < self.b)
-            out[rise] = (xs[rise] - self.a) / (self.b - self.a)
-        if self.d > self.c:
-            fall = (xs > self.c) & (xs <= self.d)
-            out[fall] = (self.d - xs[fall]) / (self.d - self.c)
-        return out
 
     @property
     def plateau_midpoint(self) -> float:
@@ -260,94 +244,6 @@ def compile_rules(rules: Sequence[InferenceRule]) -> CompiledRules:
     )
 
 
-def firing_strengths(compiled: CompiledRules, features: np.ndarray) -> np.ndarray:
-    """N x R Mamdani product strengths for an N x len(inputs) feature matrix.
-
-    Degrees multiply in clause order, as in `rule_strength`, so every
-    strength equals the scalar product bit for bit.
-    """
-    strengths = np.ones((features.shape[0], len(compiled.clauses)))
-    for r, clauses in enumerate(compiled.clauses):
-        for column, term in clauses:
-            strengths[:, r] *= term.membership_grid(features[:, column])
-    return strengths
-
-
-def term_strengths(compiled: CompiledRules, strengths: np.ndarray) -> np.ndarray:
-    """N x T scale of each output term: the max strength of the rules concluding it.
-
-    Scaling is monotone, so max over rules of s * term(x) equals
-    (max s) * term(x) exactly and the envelope is unchanged.
-    """
-    scales = np.zeros((strengths.shape[0], len(compiled.variable.terms)))
-    consequents = np.asarray(compiled.consequents)
-    for t in np.unique(consequents):
-        scales[:, t] = strengths[:, consequents == t].max(axis=1)
-    return scales
-
-
-def centroids(
-    universe: tuple[float, float], terms: Sequence[Trapezoid], scales: np.ndarray
-) -> np.ndarray:
-    """Exact centre of gravity of max_t scales[n, t] * terms[t](x), per row n.
-
-    Each envelope is linear between its breakpoints: the universe bounds,
-    the term corners, and the crossings of every pair of scaled terms. The
-    corners are shared by all rows; the crossings are closed-form per
-    segment between corners, one slot per (pair, segment), and a slot with
-    no crossing holds the segment start (a zero-width segment). Both
-    moments are then integrated exactly from two interior samples per
-    segment, so step edges (one-sided limits) need no special case.
-
-    Rows whose envelope area is below ZERO_AREA_TOL come back as NaN.
-    """
-    lo, hi = universe
-    corners = np.array([trap.corners() for trap in terms], dtype=float).reshape(-1)
-    base = np.unique(np.clip(np.concatenate(([lo, hi], corners)), lo, hi))
-    x0, x1 = base[:-1], base[1:]
-    third = (x1 - x0) / 3.0
-    q1, q2 = x0 + third, x0 + 2.0 * third
-    mu1 = np.array([trap.membership_grid(q1) for trap in terms]).reshape(len(terms), x0.size)
-    mu2 = np.array([trap.membership_grid(q2) for trap in terms]).reshape(len(terms), x0.size)
-
-    first, second = np.triu_indices(len(terms), k=1)
-    fs, gs = scales[:, first, None], scales[:, second, None]
-    d1 = fs * mu1[first] - gs * mu1[second]
-    d2 = fs * mu2[first] - gs * mu2[second]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        crossing = q1 - d1 * (q2 - q1) / (d2 - d1)
-    inside = (d1 != d2) & (crossing > x0) & (crossing < x1)
-    crossing = np.where(inside, crossing, x0)
-    rows = scales.shape[0]
-    nodes = np.concatenate(
-        (np.broadcast_to(base, (rows, base.size)), crossing.reshape(rows, -1)), axis=1
-    )
-    nodes.sort(axis=1)
-
-    x0, x1 = nodes[:, :-1], nodes[:, 1:]
-    h = x1 - x0
-    third = h / 3.0
-    yq1 = _envelope(terms, scales, x0 + third)
-    yq2 = _envelope(terms, scales, x1 - third)
-    # One-sided limits at the segment ends, extrapolated from the interior
-    # samples; the envelope is linear on each open segment.
-    y0 = 2.0 * yq1 - yq2
-    y1 = 2.0 * yq2 - yq1
-    area = np.sum(h * (y0 + y1) / 2.0, axis=1)
-    first_moment = np.sum(h * x0 * (y0 + y1) / 2.0 + h * h * (y0 + 2.0 * y1) / 6.0, axis=1)
-    return np.divide(
-        first_moment, area, out=np.full(rows, np.nan), where=area >= ZERO_AREA_TOL
-    )
-
-
-def _envelope(terms: Sequence[Trapezoid], scales: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Row-wise max of the scaled terms at an N x K array of points."""
-    env = np.zeros(xs.shape)
-    for t, trap in enumerate(terms):
-        np.maximum(env, scales[:, t, None] * trap.membership_grid(xs), out=env)
-    return env
-
-
 def infer(rules: Sequence[InferenceRule], inputs: Mapping[str, float]) -> FuzzyOutput:
     """Run Mamdani product inference for one dimension's rules and one input.
 
@@ -358,8 +254,10 @@ def infer(rules: Sequence[InferenceRule], inputs: Mapping[str, float]) -> FuzzyO
     for name in compiled.inputs:
         if name not in inputs:
             raise MissingInputError(name)
-    features = np.array([[inputs[name] for name in compiled.inputs]], dtype=float)
-    strengths = firing_strengths(compiled, features)[0].tolist()
+    from . import kernel
+
+    features = [[inputs[name] for name in compiled.inputs]]
+    strengths = kernel.firing_strengths(compiled, features)[0].tolist()
     terms = compiled.variable.terms
     return FuzzyOutput(
         variable=compiled.variable,
@@ -375,13 +273,15 @@ def defuzzify_centroid(out: FuzzyOutput) -> float:
     """Centre-of-gravity of the output envelope over the variable's universe.
 
     Computes integral(x * env(x)) / integral(env(x)) exactly, with no
-    sampling grid (see `centroids`).
+    sampling grid (see `kernel.centroids`).
     """
+    from . import kernel
+
     terms = [trap for _, _, trap in out.fired]
-    scales = np.array([[strength for _, strength, _ in out.fired]], dtype=float)
-    crisp = centroids(out.variable.universe, terms, scales)[0]
-    if np.isnan(crisp):
+    scales = [[strength for _, strength, _ in out.fired]]
+    crisp = float(kernel.centroids(out.variable.universe, terms, scales)[0])
+    if math.isnan(crisp):
         raise NoRuleFiredError(
             f"output envelope of {out.variable.name!r} is identically zero"
         )
-    return float(crisp)
+    return crisp

@@ -88,6 +88,24 @@ def test_parse_decimal_numbers():
     assert specs[0].terms == (("a", Trapezoid(0.0, 0.25, 0.5, 1.5)),)
 
 
+HUGE = "9" * 400  # a digit string that float() turns into inf
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        f"input x dim=processing universe=[0,{HUGE}] {{ a=(0,1,2,3) }}",
+        f"input x dim=processing universe=[0,10] {{ a=(0,1,2,{HUGE}) }}",
+        f"input x dim=processing max_expected={HUGE}",
+    ],
+    ids=["universe_bound", "term_corner", "max_expected"],
+)
+def test_parse_rejects_number_too_large_to_be_finite(line):
+    with pytest.raises(RangeError) as exc_info:
+        parse_variables("input y dim=processing\n" + line)
+    assert (exc_info.value.line, exc_info.value.column) == (2, line.index(HUGE) + 1)
+
+
 def test_parse_custom_universe_requires_terms():
     with pytest.raises(ParseError):
         parse_variables("input x dim=processing universe=[0,7]")

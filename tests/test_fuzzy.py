@@ -17,6 +17,7 @@ from stylegroup.fuzzy import (
     infer,
     rule_strength,
 )
+from stylegroup.kernel import membership_grid
 
 from conftest import riemann_centroid, scaled_trap_envelope
 
@@ -95,7 +96,7 @@ def test_membership_monotone_on_ramps(corners, u, v):
 @given(trapezoid_corners(), st.lists(st.floats(-60, 60), min_size=1, max_size=20))
 def test_membership_grid_matches_scalar(corners, xs):
     t = Trapezoid(*corners)
-    grid = t.membership_grid(np.array(xs))
+    grid = membership_grid(t, np.array(xs))
     for x, g in zip(xs, grid):
         assert g == t.membership(x)
 
