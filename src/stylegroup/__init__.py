@@ -7,7 +7,6 @@ homogeneous groups -> per-group content plans -> statistical evaluation.
 from .classify import (
     StyleProfile,
     classify_cohort,
-    classify_learner,
     validate_against_questionnaire,
 )
 from .dsl import (
@@ -27,7 +26,6 @@ from .fuzzy import (
     Trapezoid,
     defuzzify_centroid,
     infer,
-    rule_strength,
 )
 from .grouping import (
     GroupAssignment,

@@ -1,8 +1,12 @@
 """Per-dimension fuzzy classification of learners and questionnaire validation.
 
-For each style dimension the pipeline is fuzzify -> infer -> defuzzify ->
-label. Classification is deterministic and per-learner independent:
-cohort order never changes an individual profile.
+`classify_cohort` is the one classify entry point; one learner is
+`classify_cohort([record], rb)`. Each dimension compiles once
+(`RuleBase.compile_dimension`), then blocks of learners run through
+`kernel.score_block`: Mamdani firing strengths, the exact centroid of the
+output envelope as the crisp score, and as label the term of maximal
+membership at that score. Classification is deterministic and per-learner
+independent: cohort order never changes an individual profile.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .dsl import DIMENSIONS, RuleBase
-from .fuzzy import CompiledRules, compile_rules
+from .fuzzy import CompiledRules
 from .ingest import BehaviorRecord, IngestError, QuestionnaireRecord, csv_rows, csv_text
 from .stats import pearson_r
 
@@ -85,13 +89,6 @@ class ClassificationFailure:
 _BLOCK = 256
 
 
-def _compile(rb: RuleBase) -> tuple[tuple[str, CompiledRules], ...]:
-    return tuple(
-        (dimension, compile_rules(rb.compile_dimension(dimension)[0]))
-        for dimension in rb.dimensions()
-    )
-
-
 def _classify_block(
     records: Sequence[BehaviorRecord], dimensions: tuple[tuple[str, CompiledRules], ...]
 ) -> list[StyleProfile | ClassificationError]:
@@ -114,11 +111,13 @@ def _classify_block(
             raise MissingFeatureError(learner_id, compiled.inputs[first_missing[n]])
         if crisp[n] != crisp[n]:  # NaN: the envelope is empty
             raise NoRuleFiredError(learner_id, dimension)
+        memberships = compiled.variable.fuzzify(crisp[n])
         return DimensionResult(
             dimension=dimension,
             crisp_score=crisp[n],
-            label=compiled.variable.classify(crisp[n]),
-            term_memberships=compiled.variable.fuzzify(crisp[n]),
+            # as `LinguisticVariable.classify`: the first term of maximal membership
+            label=max(memberships, key=memberships.__getitem__),
+            term_memberships=memberships,
             fired_rules=tuple(
                 (rule_id, strength)
                 for rule_id, strength in zip(compiled.rule_ids, strengths[n])
@@ -137,14 +136,6 @@ def _classify_block(
     return outcomes
 
 
-def classify_learner(record: BehaviorRecord, rb: RuleBase) -> StyleProfile:
-    """Classify one learner across every dimension the rule base covers."""
-    (outcome,) = _classify_block([record], _compile(rb))
-    if isinstance(outcome, ClassificationError):
-        raise outcome
-    return outcome
-
-
 def classify_cohort(
     records: Iterable[BehaviorRecord], rb: RuleBase
 ) -> tuple[list[StyleProfile], list[ClassificationFailure]]:
@@ -154,7 +145,7 @@ def classify_cohort(
     kernel in fixed-size blocks. Cohort order never changes a profile.
     """
     records = list(records)
-    dimensions = _compile(rb)
+    dimensions = tuple((d, rb.compile_dimension(d)) for d in rb.dimensions())
     profiles = []
     failures = []
     for start in range(0, len(records), _BLOCK):
@@ -305,6 +296,8 @@ def profiles_from_csv(text: str) -> list[StyleProfile]:
                 f"expected {len(PROFILE_HEADER)}"
             )
         learner_id, dimension, crisp, label = row
+        if not learner_id.strip():
+            raise IngestError(f"learner {learner_id!r}: empty learner id")
         try:
             score = float(crisp)
         except ValueError:
@@ -333,6 +326,12 @@ def profiles_from_csv(text: str) -> list[StyleProfile]:
                 f"learner {profile.learner_id!r}: dimensions {', '.join(found)} "
                 f"differ from the first learner's {', '.join(expected)}"
             )
+    # Every learner lists the first one's dimensions, so a repeat shows there.
+    repeated = [d for n, d in enumerate(expected) if d in expected[:n]]
+    if repeated:
+        raise IngestError(
+            f"learner {profiles[0].learner_id!r}: dimension {repeated[0]!r} listed twice"
+        )
     return profiles
 
 

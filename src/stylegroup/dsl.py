@@ -35,7 +35,7 @@ from decimal import Decimal
 from importlib import resources
 from typing import Iterable, Iterator, Sequence
 
-from .fuzzy import InferenceRule, LinguisticVariable, Trapezoid
+from .fuzzy import CompiledRules, EmptyAntecedentError, LinguisticVariable, Trapezoid
 
 DIMENSIONS = ("processing", "perception", "entrance", "understanding")
 
@@ -141,22 +141,35 @@ class RuleBase:
         used = {name for rule in self.rules_for(dimension) for name, _ in rule.antecedent}
         return tuple(v.name for v in self.variables if v.name in used)
 
-    def compile_dimension(
-        self, dimension: str
-    ) -> tuple[tuple[InferenceRule, ...], LinguisticVariable]:
-        """Bind one dimension's rules to the variables they name."""
+    def compile_dimension(self, dimension: str) -> CompiledRules:
+        """Resolve one dimension's rules into feature columns, clause terms and term indices.
+
+        Columns are numbered in the order the rules and their clauses first
+        reference them. A rule with no clause would fire at strength 1 for
+        every input, so it raises `EmptyAntecedentError`.
+        """
         variables = {v.name: v for v in self.variables}
         out_var = self.output_for(dimension)
-        compiled = tuple(
-            InferenceRule(
-                rule_id=rule.rule_id,
-                antecedent=tuple((variables[name], term) for name, term in rule.antecedent),
-                consequent_variable=out_var,
-                consequent_term=rule.consequent[1],
+        rules = self.rules_for(dimension)
+        for rule in rules:
+            if not rule.antecedent:
+                raise EmptyAntecedentError(f"rule {rule.rule_id!r} has no antecedent clauses")
+        term_index = {label: i for i, (label, _) in enumerate(out_var.terms)}
+        columns: dict[str, int] = {}
+        clauses = tuple(
+            tuple(
+                (columns.setdefault(name, len(columns)), variables[name].term(label))
+                for name, label in rule.antecedent
             )
-            for rule in self.rules_for(dimension)
+            for rule in rules
         )
-        return compiled, out_var
+        return CompiledRules(
+            rule_ids=tuple(rule.rule_id for rule in rules),
+            inputs=tuple(columns),
+            clauses=clauses,
+            consequents=tuple(term_index[rule.consequent[1]] for rule in rules),
+            variable=out_var,
+        )
 
 
 # --------------------------------------------------------------------------

@@ -7,11 +7,12 @@ antecedent membership degrees, implication scales the consequent term by the
 strength, and the per-rule outputs aggregate into one envelope by pointwise
 max. The envelope collapses to a crisp score through its centre of gravity.
 
-Inference runs on arrays: `compile_rules` resolves one dimension's rules
-once, then `kernel.firing_strengths`, `kernel.term_strengths` and
-`kernel.centroids` handle a whole block of inputs per call. `infer` and
-`defuzzify_centroid` are the one-input case of the same kernel, which they
-import when called, so that loading this module does not load numpy.
+Inference runs on arrays. `RuleBase.compile_dimension` (`dsl`) resolves one
+dimension's rules once into `CompiledRules`; `kernel.firing_strengths`,
+`kernel.term_strengths` and `kernel.centroids` then handle a whole block of
+inputs per call. `infer` and `defuzzify_centroid` wrap the same kernel for
+one input and import it when called, so loading this module does not load
+numpy.
 
 All types are immutable; every operation is a pure function of its inputs.
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 
 class FuzzyError(Exception):
@@ -32,7 +33,7 @@ class OutOfUniverseError(FuzzyError):
 
 
 class EmptyAntecedentError(FuzzyError):
-    """A firing strength was requested for an empty antecedent."""
+    """A rule has no antecedent clauses, so it would fire for every input."""
 
 
 class MissingInputError(FuzzyError):
@@ -129,16 +130,13 @@ class LinguisticVariable:
                 return trap
         raise KeyError(f"variable {self.name!r} has no term {label!r}")
 
-    def _require_in_universe(self, x: float) -> None:
+    def fuzzify(self, x: float) -> dict[str, float]:
+        """Membership degree of x in every term; degrees need not sum to 1."""
         lo, hi = self.universe
         if not lo <= x <= hi:
             raise OutOfUniverseError(
                 f"{x} is outside the universe [{lo}, {hi}] of variable {self.name!r}"
             )
-
-    def fuzzify(self, x: float) -> dict[str, float]:
-        """Membership degree of x in every term; degrees need not sum to 1."""
-        self._require_in_universe(x)
         return {label: trap.membership(x) for label, trap in self.terms}
 
     def classify(self, score: float) -> str:
@@ -146,35 +144,8 @@ class LinguisticVariable:
 
         Ties break in favour of the earliest-declared term.
         """
-        self._require_in_universe(score)
-        best_label = self.terms[0][0]
-        best = -1.0
-        for label, trap in self.terms:
-            degree = trap.membership(score)
-            if degree > best:
-                best = degree
-                best_label = label
-        return best_label
-
-
-def rule_strength(degrees: Sequence[float]) -> float:
-    """Mamdani product: firing strength is the product of all antecedent degrees."""
-    if len(degrees) == 0:
-        raise EmptyAntecedentError("rule has no antecedent clauses")
-    strength = 1.0
-    for degree in degrees:
-        strength *= degree
-    return strength
-
-
-@dataclass(frozen=True)
-class InferenceRule:
-    """One IF/THEN rule bound to concrete variables and term labels."""
-
-    rule_id: str
-    antecedent: tuple[tuple[LinguisticVariable, str], ...]
-    consequent_variable: LinguisticVariable
-    consequent_term: str
+        memberships = self.fuzzify(score)
+        return max(memberships, key=memberships.__getitem__)
 
 
 @dataclass(frozen=True)
@@ -188,16 +159,6 @@ class FuzzyOutput:
 
     variable: LinguisticVariable
     fired: tuple[tuple[str, float, Trapezoid], ...]
-
-    def envelope(self, x: float) -> float:
-        value = 0.0
-        for _, strength, trap in self.fired:
-            value = max(value, strength * trap.membership(x))
-        return value
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.fired
 
 
 @dataclass(frozen=True)
@@ -216,41 +177,12 @@ class CompiledRules:
     variable: LinguisticVariable
 
 
-def compile_rules(rules: Sequence[InferenceRule]) -> CompiledRules:
-    """Resolve one dimension's rules into feature columns and term indices."""
-    if not rules:
-        raise ValueError("cannot infer from an empty rule list")
-    out_var = rules[0].consequent_variable
-    for rule in rules:
-        if rule.consequent_variable.name != out_var.name:
-            raise ValueError("all rules passed to infer must share one output variable")
-        if not rule.antecedent:
-            raise EmptyAntecedentError(f"rule {rule.rule_id!r} has no antecedent clauses")
-    term_index = {label: i for i, (label, _) in enumerate(out_var.terms)}
-    columns: dict[str, int] = {}
-    clauses = tuple(
-        tuple(
-            (columns.setdefault(variable.name, len(columns)), variable.term(label))
-            for variable, label in rule.antecedent
-        )
-        for rule in rules
-    )
-    return CompiledRules(
-        rule_ids=tuple(rule.rule_id for rule in rules),
-        inputs=tuple(columns),
-        clauses=clauses,
-        consequents=tuple(term_index[rule.consequent_term] for rule in rules),
-        variable=out_var,
-    )
-
-
-def infer(rules: Sequence[InferenceRule], inputs: Mapping[str, float]) -> FuzzyOutput:
-    """Run Mamdani product inference for one dimension's rules and one input.
+def infer(compiled: CompiledRules, inputs: Mapping[str, float]) -> FuzzyOutput:
+    """Mamdani product inference of one input: one row of `kernel.firing_strengths`.
 
     An identically-zero envelope (no rule fired) is a valid result here;
     defuzzification reports it.
     """
-    compiled = compile_rules(rules)
     for name in compiled.inputs:
         if name not in inputs:
             raise MissingInputError(name)

@@ -72,7 +72,7 @@ def assignment_from_csv(text: str) -> list[tuple[str, str, bool]]:
     rows = csv_rows(text)
     if not rows or rows[0] != ASSIGNMENT_HEADER:
         raise IngestError("not an assignment export: bad header")
-    entries = []
+    entries = {}
     for row in rows[1:]:
         if len(row) != len(ASSIGNMENT_HEADER):
             raise IngestError(
@@ -80,10 +80,14 @@ def assignment_from_csv(text: str) -> list[tuple[str, str, bool]]:
                 f"expected {len(ASSIGNMENT_HEADER)}"
             )
         learner, group_id, is_control = row
+        if not learner.strip():
+            raise IngestError(f"learner {learner!r}: empty learner id")
+        if learner in entries:
+            raise IngestError(f"learner {learner!r}: listed twice")
         if is_control not in ("0", "1"):
             raise IngestError(f"learner {learner!r}: is_control {is_control!r} is not 0 or 1")
-        entries.append((learner, group_id, is_control == "1"))
-    return entries
+        entries[learner] = (learner, group_id, is_control == "1")
+    return list(entries.values())
 
 
 def split_control(

@@ -1,9 +1,11 @@
 """Array kernel: memberships, firing strengths and exact centroids over blocks of inputs.
 
 This is the one module of the package that imports numpy when it loads.
-The modules that compute arrays (`fuzzy.infer`, `fuzzy.defuzzify_centroid`,
-`classify`) import it when first called, so the commands that compute no
-arrays (`validate-rules`, `evaluate`) start without numpy.
+Its callers import it when first called: `classify_cohort`, which runs
+every block of learners through `score_block`, and `fuzzy.infer` and
+`fuzzy.defuzzify_centroid`, which wrap it for one input. So the commands
+that compute no arrays (`validate-rules`, `evaluate`) start without numpy.
+The rules come compiled by `RuleBase.compile_dimension` (`dsl`).
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ def membership_grid(trap: Trapezoid, xs) -> np.ndarray:
 def firing_strengths(compiled: CompiledRules, features) -> np.ndarray:
     """N x R Mamdani product strengths for an N x len(inputs) feature matrix.
 
-    Degrees multiply in clause order, as in `fuzzy.rule_strength`, so every
-    strength equals the scalar product bit for bit.
+    Degrees multiply left to right in clause order, so every strength equals
+    the scalar product of the clause memberships bit for bit.
     """
     features = np.asarray(features, dtype=float)
     strengths = np.ones((features.shape[0], len(compiled.clauses)))

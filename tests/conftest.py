@@ -40,6 +40,19 @@ def riemann_centroid(envelope, lo: float, hi: float, points: int = 1_000_000) ->
     return float((mids * values).sum() / total)
 
 
+def rule_strength(degrees) -> float:
+    """Scalar Mamdani product: the reference for `kernel.firing_strengths`.
+
+    Degrees multiply left to right, so the kernel's clause-order product
+    must equal it bit for bit.
+    """
+    assert len(degrees) > 0, "a rule needs at least one antecedent clause"
+    strength = 1.0
+    for degree in degrees:
+        strength *= degree
+    return strength
+
+
 def scaled_trap_envelope(contributions):
     """Max of strength-scaled trapezoids, written independently of the package.
 

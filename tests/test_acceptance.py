@@ -18,8 +18,9 @@ from stylegroup.dsl import (
     pretty_print,
     validate,
 )
-from stylegroup.fuzzy import FuzzyOutput, Trapezoid, defuzzify_centroid
+from stylegroup.fuzzy import Trapezoid
 from stylegroup.grouping import GroupingParams, assign_groups
+from stylegroup.kernel import centroids
 from stylegroup.simulate import CohortSpec, ScoreModel, generate, generate_scores
 from stylegroup.stats import Sample, one_way_anova, pearson_r, two_sample_t
 
@@ -80,7 +81,7 @@ def test_criterion_1_fuzzy_algebra_randomized():
 
 def test_criterion_2_centroid_matches_riemann_oracle(rb):
     rng = np.random.default_rng(202)
-    output_vars = [rb.compile_dimension(d)[1] for d in DIMENSIONS]
+    output_vars = [rb.output_for(d) for d in DIMENSIONS]
     start = time.perf_counter()
     worst = 0.0
     for trial in range(100):
@@ -91,10 +92,8 @@ def test_criterion_2_centroid_matches_riemann_oracle(rb):
         contributions = [
             (float(rng.uniform(0.01, 1.0)), terms[int(i)]) for i in picked
         ]
-        out = FuzzyOutput(
-            out_var, tuple((f"r{i}", s, t) for i, (s, t) in enumerate(contributions))
-        )
-        value = defuzzify_centroid(out)
+        scales = [[s for s, _ in contributions]]
+        value = float(centroids(out_var.universe, [t for _, t in contributions], scales)[0])
         oracle = riemann_centroid(
             scaled_trap_envelope([(s, t.corners()) for s, t in contributions]),
             0.0,
@@ -160,7 +159,7 @@ def test_criterion_4_zero_noise_recovery(rb):
 def test_criterion_5_noisy_recovery_correlation(rb):
     prototype = {}
     for dimension in DIMENSIONS:
-        _, out_var = rb.compile_dimension(dimension)
+        out_var = rb.output_for(dimension)
         for label, trap in out_var.terms:
             prototype[(dimension, label)] = riemann_centroid(
                 scaled_trap_envelope([(1.0, trap.corners())]), 0.0, 12.0, points=200_000

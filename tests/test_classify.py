@@ -4,9 +4,9 @@ from stylegroup.classify import (
     DimensionResult,
     InsufficientPairsError,
     MissingFeatureError,
+    NoRuleFiredError,
     StyleProfile,
     classify_cohort,
-    classify_learner,
     profiles_from_csv,
     profiles_to_csv,
     profiles_to_json,
@@ -16,7 +16,21 @@ from stylegroup.dsl import DIMENSIONS, parse_rulebase
 from stylegroup.ingest import BehaviorRecord, IngestError, QuestionnaireRecord
 from stylegroup.stats import pearson_r
 
-from conftest import riemann_centroid, scaled_trap_envelope
+from conftest import riemann_centroid, rule_strength, scaled_trap_envelope
+
+
+def _classify_one(record, rb):
+    """One learner's profile, through the one classify entry point."""
+    profiles, failures = classify_cohort([record], rb)
+    assert not failures, failures
+    return profiles[0]
+
+
+def _classify_failure(record, rb):
+    """The (learner, dimension, reason) failure of one learner that cannot be classified."""
+    profiles, failures = classify_cohort([record], rb)
+    assert not profiles
+    return (failures[0].learner_id, failures[0].dimension, failures[0].reason)
 
 
 def _full_features(rb, overrides=None):
@@ -49,7 +63,7 @@ def _prototype_features(rb, rule):
 def test_reactive_prototype_classifies_reactive(rb):
     rule = next(r for r in rb.rules if r.rule_id == "proc1")
     record = BehaviorRecord("L1", _full_features(rb, _prototype_features(rb, rule)))
-    profile = classify_learner(record, rb)
+    profile = _classify_one(record, rb)
     result = profile.result("processing")
     assert result.label == "reactive"
     assert result.fired_rules == (("proc1", 1.0),)
@@ -64,13 +78,13 @@ def test_reactive_prototype_classifies_reactive(rb):
 def test_reflection_prototype_classifies_reflection(rb):
     rule = next(r for r in rb.rules if r.rule_id == "proc5")
     record = BehaviorRecord("L1", _full_features(rb, _prototype_features(rb, rule)))
-    profile = classify_learner(record, rb)
+    profile = _classify_one(record, rb)
     assert profile.result("processing").label == "reflection"
 
 
 def test_profile_covers_all_dimensions_in_order(rb):
     record = BehaviorRecord("L1", _full_features(rb))
-    profile = classify_learner(record, rb)
+    profile = _classify_one(record, rb)
     assert tuple(r.dimension for r in profile.results) == DIMENSIONS
     assert len(profile.signature) == 4
 
@@ -79,7 +93,7 @@ def test_balanced_inputs_fire_competing_rules_equally(mini_rulebase):
     # effort 6 gives both terms membership 0.5, so both rules fire at 0.5
     # and the crisp score is the centroid of the symmetric max-envelope.
     record = BehaviorRecord("L1", {"effort": 6.0})
-    profile = classify_learner(record, mini_rulebase)
+    profile = _classify_one(record, mini_rulebase)
     result = profile.result("processing")
     assert dict(result.fired_rules) == {"r_low": 0.5, "r_high": 0.5}
     oracle = riemann_centroid(
@@ -100,8 +114,8 @@ def test_single_rule_strength_does_not_move_centroid():
         RULE only: IF effort IS low THEN processing_score IS calm
         """
     )
-    weak = classify_learner(BehaviorRecord("L1", {"effort": 6.8}), rb)
-    strong = classify_learner(BehaviorRecord("L2", {"effort": 4.4}), rb)
+    weak = _classify_one(BehaviorRecord("L1", {"effort": 6.8}), rb)
+    strong = _classify_one(BehaviorRecord("L2", {"effort": 4.4}), rb)
     weak_result = weak.result("processing")
     strong_result = strong.result("processing")
     assert dict(weak_result.fired_rules) == {"only": pytest.approx(0.3)}
@@ -112,9 +126,11 @@ def test_single_rule_strength_does_not_move_centroid():
 def test_missing_feature_error(rb):
     features = _full_features(rb)
     del features["exam_time"]
-    with pytest.raises(MissingFeatureError) as exc_info:
-        classify_learner(BehaviorRecord("L1", features), rb)
-    assert exc_info.value.variable == "exam_time"
+    assert _classify_failure(BehaviorRecord("L1", features), rb) == (
+        "L1",
+        None,
+        str(MissingFeatureError("L1", "exam_time")),
+    )
 
 
 def test_no_rule_fired_error():
@@ -126,11 +142,11 @@ def test_no_rule_fired_error():
         RULE only: IF effort IS low THEN processing_score IS calm
         """
     )
-    from stylegroup.classify import NoRuleFiredError
-
-    with pytest.raises(NoRuleFiredError) as exc_info:
-        classify_learner(BehaviorRecord("L1", {"effort": 10.0}), rb)
-    assert exc_info.value.dimension == "processing"
+    assert _classify_failure(BehaviorRecord("L1", {"effort": 10.0}), rb) == (
+        "L1",
+        "processing",
+        str(NoRuleFiredError("L1", "processing")),
+    )
 
 
 def test_cohort_empty(rb):
@@ -168,8 +184,7 @@ def test_cohort_matches_learner_by_learner(rb):
     # kernel blocks, with a feature dropped from every 23rd learner.
     import itertools
 
-    from stylegroup.classify import _BLOCK, NoRuleFiredError
-    from stylegroup.fuzzy import rule_strength
+    from stylegroup.classify import _BLOCK
     from stylegroup.simulate import CohortSpec, generate
 
     labels = [sorted({r.consequent[1] for r in rb.rules_for(d)}) for d in DIMENSIONS]
@@ -189,12 +204,9 @@ def test_cohort_matches_learner_by_learner(rb):
 
     expected_profiles, expected_failures = [], []
     for record in records:
-        try:
-            expected_profiles.append(classify_learner(record, rb))
-        except MissingFeatureError as exc:
-            expected_failures.append((record.learner_id, None, str(exc)))
-        except NoRuleFiredError as exc:
-            expected_failures.append((record.learner_id, exc.dimension, str(exc)))
+        alone, failed = classify_cohort([record], rb)
+        expected_profiles.extend(alone)
+        expected_failures.extend((f.learner_id, f.dimension, f.reason) for f in failed)
     assert profiles == expected_profiles  # labels, memberships, fired rules, crisp scores
     assert [(f.learner_id, f.dimension, f.reason) for f in failures] == expected_failures
 
@@ -311,7 +323,7 @@ def test_validation_insufficient_pairs():
 
 
 def test_low_noise_synthetic_cohort_correlates(rb):
-    from stylegroup.fuzzy import FuzzyOutput, defuzzify_centroid
+    from stylegroup.kernel import centroids
     from stylegroup.simulate import CohortSpec, generate
 
     signatures = [
@@ -327,11 +339,9 @@ def test_low_noise_synthetic_cohort_correlates(rb):
 
     prototype = {}
     for dimension in DIMENSIONS:
-        _, out_var = rb.compile_dimension(dimension)
+        out_var = rb.output_for(dimension)
         for label, trap in out_var.terms:
-            prototype[(dimension, label)] = defuzzify_centroid(
-                FuzzyOutput(out_var, (("p", 1.0, trap),))
-            )
+            prototype[(dimension, label)] = float(centroids(out_var.universe, [trap], [[1.0]])[0])
     truth_map = dict(truth)
     questionnaire = [
         QuestionnaireRecord(learner, dimension, prototype[(dimension, label)])
@@ -376,13 +386,25 @@ def test_profiles_csv_round_trip(rb):
             "L2,processing,7.5,reactive\nL2,processing,7.5,reactive",
             "dimensions processing, processing differ from the first learner's processing",
         ),
+        # The next two name a learner other than L2, so they give the whole message.
+        pytest.param(
+            ",processing,7.5,reactive",
+            "learner '': empty learner id",
+            id="empty-learner-id",
+        ),
+        pytest.param(
+            "L1,processing,3.5,reactive",
+            "learner 'L1': dimension 'processing' listed twice",
+            id="learner-dimension-listed-twice",
+        ),
     ],
 )
 def test_profiles_from_csv_rejects_corrupt_rows(row, problem):
     text = f"learner_id,dimension,crisp_score,label\nL1,processing,3.5,reactive\n{row}\n"
     with pytest.raises(IngestError) as exc_info:
         profiles_from_csv(text)
-    assert str(exc_info.value) == f"learner 'L2': {problem}"
+    expected = problem if problem.startswith("learner ") else f"learner 'L2': {problem}"
+    assert str(exc_info.value) == expected
 
 
 def test_profiles_json_contains_fired_rules(rb):

@@ -1,13 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from stylegroup import kernel
+from stylegroup.dsl import Rule, RuleBase
 from stylegroup.fuzzy import (
     EmptyAntecedentError,
-    FuzzyOutput,
-    InferenceRule,
     LinguisticVariable,
     MissingInputError,
     NoRuleFiredError,
@@ -15,11 +16,10 @@ from stylegroup.fuzzy import (
     Trapezoid,
     defuzzify_centroid,
     infer,
-    rule_strength,
 )
 from stylegroup.kernel import membership_grid
 
-from conftest import riemann_centroid, scaled_trap_envelope
+from conftest import riemann_centroid, rule_strength, scaled_trap_envelope
 
 
 def trapezoid_corners(lo=-50.0, hi=50.0):
@@ -152,129 +152,182 @@ def test_variable_invariants_enforced():
         LinguisticVariable("v", (0, 10), (("a", Trapezoid(0, 1, 2, 11)),))
 
 
-# -- rule strength -----------------------------------------------------------
+# -- firing strengths ----------------------------------------------------------
+# Hand-built perception rules compiled by `RuleBase.compile_dimension`; the
+# kernel's strengths are held to the scalar Mamdani product in conftest.
+
+CHAT = LinguisticVariable("chat_participation", DISCUSSION.universe, DISCUSSION.terms)
+# membership(x) == x on [0, 1], so an input's value is its clause's degree
+RAMPS = tuple(
+    LinguisticVariable(f"u{i}", (0, 1), (("ramp", Trapezoid(0, 1, 1, 1)),)) for i in range(6)
+)
+SINGLE_INPUT_RULES = (
+    ("r1", (("discussion_participation", "low"),), "sensory"),
+    ("r2", (("discussion_participation", "much"),), "intuitive"),
+)
+
+
+def _compile(*rules, variables=(DISCUSSION, CHAT)):
+    """Compile (rule id, ((input, term), ...), perception term) rules."""
+    output = replace(PERCEPTION, kind="output", dimension="perception")
+    rb = RuleBase(
+        variables=(*variables, output),
+        rules=tuple(
+            Rule(rule_id, "perception", clauses, (output.name, term))
+            for rule_id, clauses, term in rules
+        ),
+    )
+    return rb.compile_dimension("perception")
+
+
+def _strength(degrees):
+    """Kernel firing strength of one rule whose i-th clause has membership degrees[i]."""
+    clauses = tuple((RAMPS[i].name, "ramp") for i in range(len(degrees)))
+    compiled = _compile(("r", clauses, "sensory"), variables=RAMPS)
+    return float(kernel.firing_strengths(compiled, [degrees])[0, 0])
 
 
 def test_rule_strength_identity():
-    assert rule_strength([1.0, 1.0, 1.0]) == 1.0
+    assert _strength([1.0, 1.0, 1.0]) == rule_strength([1.0, 1.0, 1.0]) == 1.0
 
 
 def test_rule_strength_product():
-    assert rule_strength([0.5, 0.5]) == 0.25
+    assert _strength([0.5, 0.5]) == rule_strength([0.5, 0.5]) == 0.25
 
 
 def test_rule_strength_annihilator():
-    assert rule_strength([0.9, 0.0, 0.7]) == 0.0
+    assert _strength([0.9, 0.0, 0.7]) == rule_strength([0.9, 0.0, 0.7]) == 0.0
 
 
 def test_rule_strength_empty_rejected():
+    # The kernel starts every strength at 1, so a rule without clauses would
+    # fire at full strength for every input; compiling rejects it.
     with pytest.raises(EmptyAntecedentError):
-        rule_strength([])
+        _compile(SINGLE_INPUT_RULES[0], ("empty", (), "sensory"))
 
 
 @given(st.lists(st.floats(0, 1), min_size=1, max_size=6), st.randoms())
 def test_rule_strength_commutative_and_bounded(degrees, rnd):
     shuffled = degrees[:]
     rnd.shuffle(shuffled)
-    assert rule_strength(degrees) == pytest.approx(rule_strength(shuffled), abs=1e-12)
-    assert rule_strength(degrees) <= min(degrees)
-    assert rule_strength([degrees[0]]) == degrees[0]
+    strength = _strength(degrees)
+    assert strength == rule_strength(degrees)  # bit for bit
+    assert strength == pytest.approx(_strength(shuffled), abs=1e-12)
+    assert strength <= min(degrees)
+    assert _strength(degrees[:1]) == degrees[0]
 
 
-# -- inference ---------------------------------------------------------------
+# -- inference: term scales, and the one-input wrappers ------------------------
 
 
-def _single_input_rules():
-    consequents = PERCEPTION
-    return [
-        InferenceRule("r1", ((DISCUSSION, "low"),), consequents, "sensory"),
-        InferenceRule("r2", ((DISCUSSION, "much"),), consequents, "intuitive"),
-    ]
+def _scales(compiled, inputs):
+    """Kernel scale of each output term (max strength of its rules) for one input."""
+    strengths = kernel.firing_strengths(compiled, [[inputs[name] for name in compiled.inputs]])
+    return dict(zip(PERCEPTION.labels(), kernel.term_strengths(compiled, strengths)[0].tolist()))
 
 
 def test_infer_identity_implication():
-    rules = [_single_input_rules()[0]]
-    out = infer(rules, {"discussion_participation": 1.0})  # low plateau: strength 1
-    trap = PERCEPTION.term("sensory")
-    for x in (0.0, 3.0, 6.5, 7.9, 10.0):
-        assert out.envelope(x) == trap.membership(x)
+    # low plateau: strength 1 leaves the consequent term unscaled
+    compiled = _compile(SINGLE_INPUT_RULES[0])
+    assert _scales(compiled, {"discussion_participation": 1.0}) == {
+        "sensory": 1.0,
+        "sensory_intuitive": 0.0,
+        "intuitive": 0.0,
+    }
 
 
 def test_infer_zero_strength_everywhere():
-    rules = [_single_input_rules()[1]]
-    out = infer(rules, {"discussion_participation": 1.0})  # outside "much" support
-    assert out.is_empty
-    assert out.envelope(6.0) == 0.0
+    compiled = _compile(SINGLE_INPUT_RULES[1])
+    out = infer(compiled, {"discussion_participation": 1.0})  # outside "much" support
+    assert out.fired == ()
     with pytest.raises(NoRuleFiredError):
         defuzzify_centroid(out)
 
 
 def test_infer_envelope_is_max_of_scaled_terms():
-    # two independent single-clause rules driven to strengths 0.5 and 0.25
-    other = LinguisticVariable(
-        "chat_participation", DISCUSSION.universe, DISCUSSION.terms
+    # single-clause rules at strengths 0.5, 0.25 and 0.75; two conclude "sensory"
+    compiled = _compile(
+        ("a", (("discussion_participation", "low"),), "sensory"),
+        ("b", (("chat_participation", "low"),), "sensory"),
+        ("c", (("chat_participation", "medium"),), "intuitive"),
     )
-    rules = [
-        InferenceRule("a", ((DISCUSSION, "low"),), PERCEPTION, "sensory"),
-        InferenceRule("b", ((other, "low"),), PERCEPTION, "intuitive"),
-    ]
-    out = infer(rules, {"discussion_participation": 4.0, "chat_participation": 4.5})
-    assert dict((r, s) for r, s, _ in out.fired) == {"a": 0.5, "b": 0.25}
-    sensory = PERCEPTION.term("sensory")
-    intuitive = PERCEPTION.term("intuitive")
-    for x in (0.0, 5.0, 6.9, 8.0, 11.0):
-        expected = max(0.5 * sensory.membership(x), 0.25 * intuitive.membership(x))
-        assert out.envelope(x) == expected
+    strengths = kernel.firing_strengths(compiled, [[4.0, 4.5]])
+    assert strengths.tolist() == [[0.5, 0.25, 0.75]]
+    scales = kernel.term_strengths(compiled, strengths)[0].tolist()
+    assert scales == [0.5, 0.0, 0.75]
+    # max over rules of s * term equals max over terms of (max s) * term
+    terms = [trap.corners() for _, trap in PERCEPTION.terms]
+    per_rule = scaled_trap_envelope(
+        [(s, terms[t]) for s, t in zip(strengths[0].tolist(), compiled.consequents)]
+    )
+    per_term = scaled_trap_envelope(list(zip(scales, terms)))
+    xs = np.linspace(0.0, 12.0, 97)
+    assert np.array_equal(per_rule(xs), per_term(xs))
 
 
 def test_infer_missing_input():
     with pytest.raises(MissingInputError):
-        infer(_single_input_rules(), {"something_else": 1.0})
-
-
-def test_infer_requires_shared_output_variable():
-    other = LinguisticVariable("other", (0, 1), (("x", Trapezoid(0, 0, 1, 1)),))
-    rules = [
-        _single_input_rules()[0],
-        InferenceRule("bad", ((DISCUSSION, "low"),), other, "x"),
-    ]
-    with pytest.raises(ValueError):
-        infer(rules, {"discussion_participation": 1.0})
+        infer(_compile(*SINGLE_INPUT_RULES), {"something_else": 1.0})
 
 
 @given(st.floats(min_value=0, max_value=15, allow_nan=False))
 def test_infer_adding_a_rule_never_decreases_envelope(x_input):
-    rules = _single_input_rules()
-    base = infer(rules[:1], {"discussion_participation": x_input})
-    more = infer(rules, {"discussion_participation": x_input})
-    for x in np.linspace(0, 12, 25):
-        assert more.envelope(x) >= base.envelope(x)
-        assert more.envelope(x) <= 1.0
+    inputs = {"discussion_participation": x_input}
+    base = _scales(_compile(SINGLE_INPUT_RULES[0]), inputs)
+    more = _scales(_compile(*SINGLE_INPUT_RULES), inputs)
+    for label in PERCEPTION.labels():
+        assert base[label] <= more[label] <= 1.0
 
 
-# -- defuzzification ---------------------------------------------------------
+@given(st.floats(0, 15), st.floats(0, 15))
+@example(4.0, 4.5)
+def test_infer_and_defuzzify_match_score_block_row(discussion, chat):
+    compiled = _compile(
+        ("a", (("discussion_participation", "low"),), "sensory"),
+        ("b", (("chat_participation", "medium"),), "sensory_intuitive"),
+        ("c", (("discussion_participation", "much"), ("chat_participation", "much")), "intuitive"),
+        ("d", (("chat_participation", "low"),), "sensory"),
+    )
+    inputs = {"discussion_participation": discussion, "chat_participation": chat}
+    (first_missing,), (crisp,), (strengths,) = kernel.score_block(compiled, [inputs])
+    out = infer(compiled, inputs)
+    assert first_missing == -1
+    terms = PERCEPTION.terms
+    assert out.fired == tuple(
+        (rule_id, strength, terms[t][1])
+        for rule_id, strength, t in zip(compiled.rule_ids, strengths, compiled.consequents)
+        if strength > 0.0
+    )
+    if math.isnan(crisp):
+        with pytest.raises(NoRuleFiredError):
+            defuzzify_centroid(out)
+    else:
+        assert defuzzify_centroid(out) == pytest.approx(crisp, abs=1e-12)
 
 
-def _output(contributions):
-    return FuzzyOutput(PERCEPTION, tuple(contributions))
+# -- exact centroids -------------------------------------------------------------
+
+
+def _centroid(contributions):
+    """`kernel.centroids` of max_k s_k * trap_k on [0, 12], for (s, trap) pairs."""
+    traps = [trap for _, trap in contributions]
+    return float(kernel.centroids((0.0, 12.0), traps, [[s for s, _ in contributions]])[0])
 
 
 def test_centroid_symmetric_trapezoid():
-    out = _output([("r", 1.0, Trapezoid(3, 5, 8, 10))])
-    assert defuzzify_centroid(out) == pytest.approx(6.5, abs=1e-9)
+    assert _centroid([(1.0, Trapezoid(3, 5, 8, 10))]) == pytest.approx(6.5, abs=1e-9)
 
 
 def test_centroid_invariant_to_uniform_scaling():
-    full = _output([("r", 1.0, Trapezoid(3, 5, 8, 10))])
-    half = _output([("r", 0.5, Trapezoid(3, 5, 8, 10))])
-    assert defuzzify_centroid(half) == pytest.approx(defuzzify_centroid(full), abs=1e-12)
+    full = _centroid([(1.0, Trapezoid(3, 5, 8, 10))])
+    half = _centroid([(0.5, Trapezoid(3, 5, 8, 10))])
+    assert half == pytest.approx(full, abs=1e-12)
 
 
 def test_centroid_against_riemann_oracle():
     # max(1.0*trap(0,0,6,8), 0.5*trap(6,8,12,12)); the crossing sits at 22/3
     # and the exact centroid works out to 2482/495.
-    out = _output([("a", 1.0, Trapezoid(0, 0, 6, 8)), ("b", 0.5, Trapezoid(6, 8, 12, 12))])
-    value = defuzzify_centroid(out)
+    value = _centroid([(1.0, Trapezoid(0, 0, 6, 8)), (0.5, Trapezoid(6, 8, 12, 12))])
     oracle = riemann_centroid(
         scaled_trap_envelope([(1.0, (0, 0, 6, 8)), (0.5, (6, 8, 12, 12))]), 0.0, 12.0
     )
@@ -283,9 +336,8 @@ def test_centroid_against_riemann_oracle():
 
 
 def test_centroid_zero_envelope_tolerance():
-    out = _output([("r", 1e-16, Trapezoid(0, 0, 6, 8))])
-    with pytest.raises(NoRuleFiredError):
-        defuzzify_centroid(out)
+    # an area below kernel.ZERO_AREA_TOL reads as "no rule fired"
+    assert math.isnan(_centroid([(1e-16, Trapezoid(0, 0, 6, 8))]))
 
 
 # Corners on half units of [0, 12]: ties draw step edges (a == b, c == d)
@@ -309,9 +361,9 @@ def test_centroid_is_exact_without_a_grid(contributions):
     # The oracle's 240k cells have edges on every half unit, so corners and
     # steps fall on cell edges; its only error is O(h^2) at crossings, below
     # 1e-7. A missed breakpoint costs orders of magnitude more than 1e-6.
-    out = _output([(f"r{i}", s, Trapezoid(*c)) for i, (s, c) in enumerate(contributions)])
+    value = _centroid([(s, Trapezoid(*c)) for s, c in contributions])
     oracle = riemann_centroid(scaled_trap_envelope(contributions), 0.0, 12.0, points=240_000)
-    assert defuzzify_centroid(out) == pytest.approx(oracle, abs=1e-6)
+    assert value == pytest.approx(oracle, abs=1e-6)
 
 
 def test_centroid_within_fired_support():
@@ -320,14 +372,12 @@ def test_centroid_within_fired_support():
     for _ in range(50):
         k = int(rng.integers(1, len(terms) + 1))
         picked = rng.choice(len(terms), size=k, replace=False)
-        fired = [(f"r{i}", float(rng.uniform(0.05, 1.0)), terms[int(i)]) for i in picked]
-        out = _output(fired)
-        value = defuzzify_centroid(out)
-        lo = min(t.a for _, _, t in fired)
-        hi = max(t.d for _, _, t in fired)
+        fired = [(float(rng.uniform(0.05, 1.0)), terms[int(i)]) for i in picked]
+        value = _centroid(fired)
+        lo = min(t.a for _, t in fired)
+        hi = max(t.d for _, t in fired)
         assert lo <= value <= hi
-        scaled = _output([(r, 0.37 * s, t) for r, s, t in fired])
-        assert defuzzify_centroid(scaled) == pytest.approx(value, abs=1e-9)
+        assert _centroid([(0.37 * s, t) for s, t in fired]) == pytest.approx(value, abs=1e-9)
 
 
 # -- classification ----------------------------------------------------------

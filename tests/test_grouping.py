@@ -200,6 +200,9 @@ def test_assignment_csv_reads_back():
         ("L2,control,yes", "learner 'L2': is_control 'yes' is not 0 or 1"),
         ("L2,1,", "learner 'L2': is_control '' is not 0 or 1"),
         ("L2,1,2", "learner 'L2': is_control '2' is not 0 or 1"),
+        ("L1,2,0", "learner 'L1': listed twice"),
+        (",1,0", "learner '': empty learner id"),
+        (" ,1,0", "learner ' ': empty learner id"),
     ],
 )
 def test_assignment_from_csv_rejects_corrupt_rows(row, problem):
