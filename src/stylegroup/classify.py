@@ -89,8 +89,23 @@ class ClassificationFailure:
 _BLOCK = 256
 
 
+@dataclass(frozen=True)
+class _Dimension:
+    """One dimension as a `classify_cohort` call runs it.
+
+    `columns` index the call's feature matrix in `compiled.inputs` order;
+    `labels` memoises (memberships, label) per crisp score for this call.
+    """
+
+    name: str
+    compiled: CompiledRules
+    table: tuple  # kernel.term_table(compiled.variable)
+    columns: list[int]
+    labels: dict[float | str, tuple[dict[str, float], str]]
+
+
 def _classify_block(
-    records: Sequence[BehaviorRecord], dimensions: tuple[tuple[str, CompiledRules], ...]
+    records: Sequence[BehaviorRecord], names: Sequence[str], dimensions: Sequence[_Dimension]
 ) -> list[StyleProfile | ClassificationError]:
     """One outcome per record: its profile, or the error of its first failing dimension.
 
@@ -99,28 +114,38 @@ def _classify_block(
     """
     from . import kernel
 
-    features = [record.features for record in records]
+    values, missing = kernel.feature_matrix(names, [record.features for record in records])
     columns = [
-        (dimension, compiled, *kernel.score_block(compiled, features))
-        for dimension, compiled in dimensions
+        (
+            dim,
+            *kernel.score_block(
+                dim.compiled, dim.table, values[:, dim.columns], missing[:, dim.columns]
+            ),
+        )
+        for dim in dimensions
     ]
 
     def result(n: int, learner_id: str, column) -> DimensionResult:
-        dimension, compiled, first_missing, crisp, strengths = column
+        dim, first_missing, crisp, strengths = column
         if first_missing[n] >= 0:
-            raise MissingFeatureError(learner_id, compiled.inputs[first_missing[n]])
-        if crisp[n] != crisp[n]:  # NaN: the envelope is empty
-            raise NoRuleFiredError(learner_id, dimension)
-        memberships = compiled.variable.fuzzify(crisp[n])
-        return DimensionResult(
-            dimension=dimension,
-            crisp_score=crisp[n],
+            raise MissingFeatureError(learner_id, dim.compiled.inputs[first_missing[n]])
+        score = crisp[n]
+        if score != score:  # NaN: the envelope is empty
+            raise NoRuleFiredError(learner_id, dim.name)
+        key = score or score.hex()  # 0.0 and -0.0 are one float key, two hex strings
+        if key not in dim.labels:
+            memberships = dim.compiled.variable.fuzzify(score)
             # as `LinguisticVariable.classify`: the first term of maximal membership
-            label=max(memberships, key=memberships.__getitem__),
-            term_memberships=memberships,
+            dim.labels[key] = (memberships, max(memberships, key=memberships.__getitem__))
+        memberships, label = dim.labels[key]
+        return DimensionResult(
+            dimension=dim.name,
+            crisp_score=score,
+            label=label,
+            term_memberships=dict(memberships),
             fired_rules=tuple(
                 (rule_id, strength)
-                for rule_id, strength in zip(compiled.rule_ids, strengths[n])
+                for rule_id, strength in zip(dim.compiled.rule_ids, strengths[n])
                 if strength > 0.0
             ),
         )
@@ -142,15 +167,30 @@ def classify_cohort(
     """Classify every learner independently; failures are collected, not fatal.
 
     The rule base compiles once; learners then run through the array
-    kernel in fixed-size blocks. Cohort order never changes a profile.
+    kernel in fixed-size blocks. Work that depends only on the rule base
+    (each output term's centroid) or on a crisp score (memberships and
+    label) is done once per call. Cohort order never changes a profile.
     """
+    from . import kernel
+
     records = list(records)
-    dimensions = tuple((d, rb.compile_dimension(d)) for d in rb.dimensions())
+    compiled = [(d, rb.compile_dimension(d)) for d in rb.dimensions()]
+    names = list(dict.fromkeys(name for _, c in compiled for name in c.inputs))
+    dimensions = [
+        _Dimension(
+            name=d,
+            compiled=c,
+            table=kernel.term_table(c.variable),
+            columns=[names.index(name) for name in c.inputs],
+            labels={},
+        )
+        for d, c in compiled
+    ]
     profiles = []
     failures = []
     for start in range(0, len(records), _BLOCK):
         block = records[start : start + _BLOCK]
-        for record, outcome in zip(block, _classify_block(block, dimensions)):
+        for record, outcome in zip(block, _classify_block(block, names, dimensions)):
             if isinstance(outcome, StyleProfile):
                 profiles.append(outcome)
             else:

@@ -86,6 +86,13 @@ def assignment_from_csv(text: str) -> list[tuple[str, str, bool]]:
             raise IngestError(f"learner {learner!r}: listed twice")
         if is_control not in ("0", "1"):
             raise IngestError(f"learner {learner!r}: is_control {is_control!r} is not 0 or 1")
+        if not group_id.strip():
+            raise IngestError(f"learner {learner!r}: empty group_id")
+        # `to_csv` writes group "control" with 1, and a group id with 0.
+        if (group_id == "control") != (is_control == "1"):
+            raise IngestError(
+                f"learner {learner!r}: group_id {group_id!r} disagrees with is_control {is_control}"
+            )
         entries[learner] = (learner, group_id, is_control == "1")
     return list(entries.values())
 
@@ -172,23 +179,26 @@ def homogeneous_partition(
     def centroid_of(gid: int) -> tuple[float, ...]:
         return _centroid([scores[m] for m in groups[gid]])
 
+    # Only a merge changes a centroid, and only the target's.
+    centroids = {gid: centroid_of(gid) for gid in groups}
     while len(groups) > 1:
         sizes_ok = all(len(members) >= min_size for members in groups.values())
         if len(groups) <= target_k and sizes_ok:
             break
         smallest = min(groups, key=lambda gid: (len(groups[gid]), gid))
-        source_centroid = centroid_of(smallest)
+        source_centroid = centroids.pop(smallest)
         target = min(
             (gid for gid in groups if gid != smallest),
-            key=lambda gid: (_distance(centroid_of(gid), source_centroid), gid),
+            key=lambda gid: (_distance(centroids[gid], source_centroid), gid),
         )
         groups[target].extend(groups.pop(smallest))
+        centroids[target] = centroid_of(target)
 
     return tuple(
         Group(
             group_id=gid,
             members=tuple(members),
-            centroid=centroid_of(gid),
+            centroid=centroids[gid],
             signature_mode=_mode_signature([signatures[m] for m in members]),
         )
         for gid, members in sorted(groups.items())
@@ -286,12 +296,22 @@ class ContentPlan:
 
 
 def content_plan(group: Group) -> ContentPlan:
-    """Deterministic mapping from a group's modal signature to its preferences."""
-    processing, perception, entrance, understanding = group.signature_mode
+    """Deterministic mapping from a group's modal signature to its preferences.
+
+    Each preference takes the first label of the signature its map knows,
+    so a rule base with fewer or other dimensions still gets a plan; an
+    axis no label speaks to is "mixed".
+    """
+
+    def preference(table: dict[str, str]) -> str:
+        return next(
+            (table[label] for label in group.signature_mode if label in table), "mixed"
+        )
+
     return ContentPlan(
         group_id=group.group_id,
-        activity=_ACTIVITY.get(processing, "mixed"),
-        grounding=_GROUNDING.get(perception, "mixed"),
-        media=_MEDIA.get(entrance, "mixed"),
-        structure=_STRUCTURE.get(understanding, "mixed"),
+        activity=preference(_ACTIVITY),
+        grounding=preference(_GROUNDING),
+        media=preference(_MEDIA),
+        structure=preference(_STRUCTURE),
     )

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 if TYPE_CHECKING:
-    from .fuzzy import CompiledRules, Trapezoid
+    from .fuzzy import CompiledRules, LinguisticVariable, Trapezoid
 
 # Integrated envelope area below this is treated as "no rule fired".
 ZERO_AREA_TOL = 1e-12
@@ -65,6 +65,36 @@ def term_strengths(compiled: CompiledRules, strengths: np.ndarray) -> np.ndarray
 def centroids(universe: tuple[float, float], terms: Sequence[Trapezoid], scales) -> np.ndarray:
     """Exact centre of gravity of max_t scales[n, t] * terms[t](x), per row n.
 
+    Rows whose envelope area is below ZERO_AREA_TOL come back as NaN.
+    """
+    return _centre(*_moments(universe, terms, np.asarray(scales, dtype=float)))
+
+
+def term_table(variable: LinguisticVariable) -> tuple[np.ndarray, np.ndarray]:
+    """Area and centroid of each output term, integrated as one-hot scale rows.
+
+    For any s > 0 the envelope s * T has T's centroid and s times its area,
+    so a row with one active term needs no integration of its own. The
+    rows integrated here are the ones `centroids` integrates for s = 1, so
+    such a row gets the same bits from either. A term of area below
+    ZERO_AREA_TOL has a NaN centroid.
+    """
+    terms = [trap for _, trap in variable.terms]
+    area, first_moment = _moments(variable.universe, terms, np.eye(len(terms)))
+    return area, _centre(area, first_moment)
+
+
+def _centre(area: np.ndarray, first_moment: np.ndarray) -> np.ndarray:
+    return np.divide(
+        first_moment, area, out=np.full(area.size, np.nan), where=area >= ZERO_AREA_TOL
+    )
+
+
+def _moments(
+    universe: tuple[float, float], terms: Sequence[Trapezoid], scales: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Area and first moment of max_t scales[n, t] * terms[t](x), per row n.
+
     Each envelope is linear between its breakpoints: the universe bounds,
     the term corners, and the crossings of every pair of scaled terms. The
     corners are shared by all rows; the crossings are closed-form per
@@ -72,10 +102,7 @@ def centroids(universe: tuple[float, float], terms: Sequence[Trapezoid], scales)
     no crossing holds the segment start (a zero-width segment). Both
     moments are then integrated exactly from two interior samples per
     segment, so step edges (one-sided limits) need no special case.
-
-    Rows whose envelope area is below ZERO_AREA_TOL come back as NaN.
     """
-    scales = np.asarray(scales, dtype=float)
     lo, hi = universe
     corners = np.array([trap.corners() for trap in terms], dtype=float).reshape(-1)
     base = np.unique(np.clip(np.concatenate(([lo, hi], corners)), lo, hi))
@@ -110,9 +137,7 @@ def centroids(universe: tuple[float, float], terms: Sequence[Trapezoid], scales)
     y1 = 2.0 * yq2 - yq1
     area = np.sum(h * (y0 + y1) / 2.0, axis=1)
     first_moment = np.sum(h * x0 * (y0 + y1) / 2.0 + h * h * (y0 + 2.0 * y1) / 6.0, axis=1)
-    return np.divide(
-        first_moment, area, out=np.full(rows, np.nan), where=area >= ZERO_AREA_TOL
-    )
+    return area, first_moment
 
 
 def _envelope(terms: Sequence[Trapezoid], scales: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -123,23 +148,47 @@ def _envelope(terms: Sequence[Trapezoid], scales: np.ndarray, xs: np.ndarray) ->
     return env
 
 
-def score_block(
-    compiled: CompiledRules, features: Sequence[Mapping[str, float]]
-) -> tuple[list[int], list[float], list[list[float]]]:
-    """One dimension over a block of learners' features, as plain lists.
-
-    Per learner: the index into `compiled.inputs` of its first missing
-    feature (-1 if none), its crisp score (NaN when the envelope is empty)
-    and its strength per rule.
-    """
-    names = compiled.inputs
+def feature_matrix(
+    names: Sequence[str], features: Sequence[Mapping[str, float]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """N x len(names) feature values (NaN where absent) and the mask of absent names."""
     values = np.array([[f.get(name, np.nan) for name in names] for f in features], dtype=float)
-    missing = np.array([[name not in f for name in names] for f in features])
+    missing = np.isnan(values)
+    for n in np.flatnonzero(missing.any(axis=1)):  # a NaN value is present, not missing
+        missing[n] = [name not in features[n] for name in names]
+    return values, missing
+
+
+def score_block(
+    compiled: CompiledRules,
+    table: tuple[np.ndarray, np.ndarray],
+    values: np.ndarray,
+    missing: np.ndarray,
+) -> tuple[list[int], list[float], list[list[float]]]:
+    """One dimension over a block of learners, as plain lists.
+
+    `values` and `missing` come from `feature_matrix` over `compiled.inputs`;
+    `table` is `term_table(compiled.variable)`. Per learner: the index into
+    `compiled.inputs` of its first missing feature (-1 if none), its crisp
+    score and its strength per rule. The crisp score is NaN when the
+    envelope's area is below ZERO_AREA_TOL. A row with one active output
+    term takes that term's centroid; only rows with several are integrated.
+    """
     strengths = firing_strengths(compiled, values)
-    crisp = centroids(
-        compiled.variable.universe,
-        [trap for _, trap in compiled.variable.terms],
-        term_strengths(compiled, strengths),
-    )
+    scales = term_strengths(compiled, strengths)
+    area, centroid = table
+    active = np.count_nonzero(scales > 0.0, axis=1)
+    crisp = np.full(len(scales), np.nan)
+    single = np.flatnonzero(active == 1)
+    term = scales[single].argmax(axis=1)
+    fired = scales[single, term] * area[term] >= ZERO_AREA_TOL
+    crisp[single[fired]] = centroid[term[fired]]
+    several = np.flatnonzero(active > 1)
+    if several.size:
+        crisp[several] = centroids(
+            compiled.variable.universe,
+            [trap for _, trap in compiled.variable.terms],
+            scales[several],
+        )
     first_missing = np.where(missing.any(axis=1), missing.argmax(axis=1), -1)
     return first_missing.tolist(), crisp.tolist(), strengths.tolist()

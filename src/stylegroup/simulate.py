@@ -167,33 +167,42 @@ def generate(
                     f"no rule produces {label!r} in dimension {dimension!r}"
                 )
 
-    rng = philox_rng(spec.seed, STREAM_BEHAVIOR)
-    input_specs = [v for v in rb.variables if v.kind == "input"]
     variables = {v.name: v for v in rb.variables}
-    width = max(4, len(str(spec.total)))
 
+    def prototype(rule: Rule) -> list[tuple[str, float, float, float, float]]:
+        """(variable, plateau midpoint, lo, hi, noise sd) per clause of a rule."""
+        clauses = []
+        for var_name, term_label in rule.antecedent:
+            variable = variables[var_name]
+            lo, hi = variable.universe
+            midpoint = variable.term(term_label).plateau_midpoint
+            clauses.append((var_name, midpoint, lo, hi, spec.noise_sigma * (hi - lo)))
+        return clauses
+
+    # Resolved once: the producing rules' prototypes per (dimension, label).
+    prototypes = {key: [prototype(rule) for rule in rules] for key, rules in producers.items()}
+    uniform = [(v.name, *v.universe) for v in rb.variables if v.kind == "input"]
+    noisy = spec.noise_sigma > 0
+
+    rng = philox_rng(spec.seed, STREAM_BEHAVIOR)
+    width = max(4, len(str(spec.total)))
     truth = []
     records = []
     index = 0
     for signature, count in spec.counts:
+        candidates = [prototypes[key] for key in zip(dimensions, signature)]
         for _ in range(count):
             index += 1
             learner_id = f"L{index:0{width}d}"
             features: dict[str, float] = {}
-            for dimension, label in zip(dimensions, signature):
-                candidates = producers[(dimension, label)]
-                rule = candidates[int(rng.integers(0, len(candidates)))]
-                for var_name, term_label in rule.antecedent:
-                    variable = variables[var_name]
-                    lo, hi = variable.universe
-                    value = variable.term(term_label).plateau_midpoint
-                    if spec.noise_sigma > 0:
-                        value += rng.normal(0.0, spec.noise_sigma * (hi - lo))
+            for rules in candidates:
+                for var_name, value, lo, hi, sd in rules[int(rng.integers(0, len(rules)))]:
+                    if noisy:
+                        value += rng.normal(0.0, sd)
                     features[var_name] = min(max(value, lo), hi)
-            for var_spec in input_specs:
-                if var_spec.name not in features:
-                    lo, hi = var_spec.universe
-                    features[var_spec.name] = float(rng.uniform(lo, hi))
+            for var_name, lo, hi in uniform:
+                if var_name not in features:
+                    features[var_name] = float(rng.uniform(lo, hi))
             truth.append((learner_id, signature))
             records.append(BehaviorRecord(learner_id=learner_id, features=features))
     return truth, records

@@ -232,6 +232,63 @@ def test_cohort_matches_learner_by_learner(rb):
             assert result.fired_rules == tuple(expected)
 
 
+def test_cohort_equals_integrating_every_row(rb):
+    # Over two kernel blocks, every envelope is integrated here, the
+    # single-term ones included, and labelled by `LinguisticVariable.classify`.
+    import itertools
+    import math
+
+    from stylegroup import kernel
+    from stylegroup.classify import _BLOCK
+    from stylegroup.simulate import CohortSpec, generate
+
+    labels = [sorted({r.consequent[1] for r in rb.rules_for(d)}) for d in DIMENSIONS]
+    spec = CohortSpec(
+        counts=tuple((sig, 2) for sig in itertools.product(*labels)), noise_sigma=0.15, seed=11
+    )
+    records = generate(spec, rb)[1][:400]
+    assert _BLOCK < len(records) < 2 * _BLOCK  # a full block and a part one
+
+    expected = {r.learner_id: [] for r in records}  # (dimension, crisp, label) until a failure
+    active_terms = set()
+    for dimension in DIMENSIONS:
+        compiled = rb.compile_dimension(dimension)
+        variable = compiled.variable
+        values = [[r.features[name] for name in compiled.inputs] for r in records]
+        scales = kernel.term_strengths(compiled, kernel.firing_strengths(compiled, values))
+        active_terms.update((scales > 0.0).sum(axis=1).tolist())
+        crisp = kernel.centroids(variable.universe, [t for _, t in variable.terms], scales)
+        for record, score in zip(records, crisp.tolist()):
+            outcome = expected[record.learner_id]
+            if outcome and outcome[-1][1] is None:
+                continue  # an earlier dimension failed
+            label = None if math.isnan(score) else variable.classify(score)
+            outcome.append((dimension, None if label is None else score, label))
+    assert {0, 1, 2} <= active_terms  # zero-, single- and multi-term envelopes
+
+    profiles, failures = classify_cohort(records, rb)
+    assert [(f.learner_id, f.dimension) for f in failures] == [
+        (lid, outcome[-1][0]) for lid, outcome in expected.items() if outcome[-1][1] is None
+    ]
+    assert failures and profiles
+    for profile in profiles:
+        outcome = expected[profile.learner_id]
+        assert [r.label for r in profile.results] == [label for _, _, label in outcome]
+        for result, (_, score, _) in zip(profile.results, outcome):
+            assert abs(result.crisp_score - score) <= 1e-12 * 12
+
+
+def test_results_do_not_share_membership_dicts(rb):
+    # Identical learners share one memoised label; each result owns its dict.
+    records = [BehaviorRecord(f"L{i}", _full_features(rb)) for i in range(3)]
+    profiles, _ = classify_cohort(records, rb)
+    dicts = [r.term_memberships for p in profiles for r in p.results]
+    assert len({id(d) for d in dicts}) == len(dicts) == 3 * len(DIMENSIONS)
+    before = dict(profiles[1].results[0].term_memberships)
+    profiles[0].results[0].term_memberships.clear()
+    assert profiles[1].results[0].term_memberships == before
+
+
 # -- questionnaire validation --------------------------------------------------
 
 

@@ -256,6 +256,24 @@ def test_group_and_evaluate_reject_corrupt_rows(tmp_path, capsys):
     assert "learner 'L2': is_control 'true' is not 0 or 1" in capsys.readouterr().err
 
 
+def test_group_profiles_of_two_dimensions(tmp_path, capsys):
+    # A rule base may cover fewer dimensions than the bundled four.
+    profiles = tmp_path / "profiles.csv"
+    dimensions = (("processing", 3.0, "reactive"), ("entrance", 10.0, "verbal"))
+    rows = [
+        f"L{i},{dimension},{score + i % 3 * 0.1},{label}"
+        for i in range(24)
+        for dimension, score, label in dimensions
+    ]
+    profiles.write_text("learner_id,dimension,crisp_score,label\n" + "\n".join(rows) + "\n")
+    assert main(["group", "--profiles", str(profiles), "--seed", "1", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    plans = json.loads((tmp_path / "content_plans.json").read_text(encoding="utf-8"))
+    assert [
+        {axis: value["descriptor"] for axis, value in plan["preferences"].items()} for plan in plans
+    ] == [{"activity": "individual", "grounding": "mixed", "media": "verbal", "structure": "mixed"}]
+
+
 def test_classify_with_questionnaire_validation(tmp_path):
     out = tmp_path / "out"
     spec_path = _small_cohort_spec(tmp_path, with_scores=False)

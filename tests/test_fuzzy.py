@@ -167,9 +167,9 @@ SINGLE_INPUT_RULES = (
 )
 
 
-def _compile(*rules, variables=(DISCUSSION, CHAT)):
-    """Compile (rule id, ((input, term), ...), perception term) rules."""
-    output = replace(PERCEPTION, kind="output", dimension="perception")
+def _compile(*rules, variables=(DISCUSSION, CHAT), output=PERCEPTION):
+    """Compile (rule id, ((input, term), ...), output term) rules of the perception dimension."""
+    output = replace(output, kind="output", dimension="perception")
     rb = RuleBase(
         variables=(*variables, output),
         rules=tuple(
@@ -218,6 +218,12 @@ def test_rule_strength_commutative_and_bounded(degrees, rnd):
 
 
 # -- inference: term scales, and the one-input wrappers ------------------------
+
+
+def _score_block(compiled, rows):
+    """`kernel.score_block` over input dicts, as `classify_cohort` calls it."""
+    values, missing = kernel.feature_matrix(compiled.inputs, rows)
+    return kernel.score_block(compiled, kernel.term_table(compiled.variable), values, missing)
 
 
 def _scales(compiled, inputs):
@@ -289,7 +295,7 @@ def test_infer_and_defuzzify_match_score_block_row(discussion, chat):
         ("d", (("chat_participation", "low"),), "sensory"),
     )
     inputs = {"discussion_participation": discussion, "chat_participation": chat}
-    (first_missing,), (crisp,), (strengths,) = kernel.score_block(compiled, [inputs])
+    (first_missing,), (crisp,), (strengths,) = _score_block(compiled, [inputs])
     out = infer(compiled, inputs)
     assert first_missing == -1
     terms = PERCEPTION.terms
@@ -364,6 +370,52 @@ def test_centroid_is_exact_without_a_grid(contributions):
     value = _centroid([(s, Trapezoid(*c)) for s, c in contributions])
     oracle = riemann_centroid(scaled_trap_envelope(contributions), 0.0, 12.0, points=240_000)
     assert value == pytest.approx(oracle, abs=1e-6)
+
+
+def _trapezoid_area(trap):
+    return ((trap.d - trap.a) + (trap.c - trap.b)) / 2.0
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.lists(_HALF_UNITS, min_size=4, max_size=4).map(sorted), min_size=1, max_size=5),
+    st.data(),
+)
+@example([[0.0, 0.0, 6.0, 8.0], [6.0, 7.0, 8.0, 8.0], [6.0, 8.0, 12.0, 12.0]], None)
+def test_single_term_rows_take_the_term_centroid(corners, data):
+    # One rule per output term, each on its own ramp input, so a feature
+    # row is the term-scale row: exactly one active term, s in [1e-13, 1].
+    output = LinguisticVariable(
+        "score", (0, 12), tuple((f"t{i}", Trapezoid(*c)) for i, c in enumerate(corners))
+    )
+    compiled = _compile(
+        *((f"r{i}", ((RAMPS[i].name, "ramp"),), f"t{i}") for i in range(len(corners))),
+        variables=RAMPS,
+        output=output,
+    )
+    if data is None:  # the bundled shapes at full strength and far from it
+        rows = [(t, s) for t in range(len(corners)) for s in (1.0, 0.3)]
+    else:
+        rows = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, len(corners) - 1), st.floats(1e-13, 1.0)),
+                min_size=1,
+                max_size=8,
+            )
+        )
+    scales = [[s if i == t else 0.0 for i in range(len(corners))] for t, s in rows]
+    features = [{RAMPS[i].name: row[i] for i in range(len(corners))} for row in scales]
+    _, crisp, _ = _score_block(compiled, features)
+    integrated = kernel.centroids((0, 12), [trap for _, trap in output.terms], scales)
+    for (t, s), score, reference in zip(rows, crisp, integrated.tolist()):
+        area = s * _trapezoid_area(output.terms[t][1])
+        if math.isclose(area, kernel.ZERO_AREA_TOL, rel_tol=1e-6):
+            continue  # either side of the tolerance is right at the boundary
+        assert math.isnan(score) == math.isnan(reference)
+        if not math.isnan(score):
+            assert abs(score - reference) <= 1e-12 * 12
+        if s == 1.0:
+            assert score == reference or math.isnan(score)  # the same integration, bit for bit
 
 
 def test_centroid_within_fired_support():

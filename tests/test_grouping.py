@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -152,6 +153,60 @@ def test_partition_invariants_randomized():
             assert all(len(g.members) >= min_size for g in groups)
 
 
+def _reference_partition(profiles, target_k, min_size):
+    """Smallest-into-nearest merging that recomputes every centroid at every step.
+
+    Returns (members, centroid) per group in group id order.
+    """
+
+    def centroid(members):
+        rows = [scores[m] for m in members]
+        return tuple(sum(row[k] for row in rows) / len(rows) for k in range(len(rows[0])))
+
+    def distance(a, b):
+        return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
+
+    scores = {p.learner_id: tuple(r.crisp_score for r in p.results) for p in profiles}
+    by_signature = {}
+    for profile in profiles:
+        by_signature.setdefault(profile.signature, []).append(profile.learner_id)
+    groups = {gid: m for gid, (_, m) in enumerate(sorted(by_signature.items()), start=1)}
+    while len(groups) > 1:
+        if len(groups) <= target_k and all(len(m) >= min_size for m in groups.values()):
+            break
+        smallest = min(groups, key=lambda gid: (len(groups[gid]), gid))
+        source = centroid(groups[smallest])
+        target = min(
+            (gid for gid in groups if gid != smallest),
+            key=lambda gid: (distance(centroid(groups[gid]), source), gid),
+        )
+        groups[target].extend(groups.pop(smallest))
+    return [(tuple(m), centroid(m)) for _, m in sorted(groups.items())]
+
+
+def test_partition_equals_recomputing_every_centroid():
+    # Many signatures and free scores, so that dozens of merges each move
+    # one group's centroid; groups and centroids must match bit for bit.
+    rng = random.Random(23)
+    labels = ("a", "b", "c")
+    for _ in range(20):
+        profiles = [
+            StyleProfile(
+                learner_id=f"L{i}",
+                results=tuple(
+                    DimensionResult(d, rng.uniform(0, 12), rng.choice(labels), {}, ())
+                    for d in DIMENSIONS
+                ),
+            )
+            for i in range(rng.randint(20, 120))
+        ]
+        target_k, min_size = rng.randint(1, 5), rng.randint(1, 12)
+        groups = homogeneous_partition(profiles, target_k=target_k, min_size=min_size)
+        assert [(g.members, g.centroid) for g in groups] == _reference_partition(
+            profiles, target_k, min_size
+        )
+
+
 # -- assign_groups ----------------------------------------------------------------
 
 
@@ -203,6 +258,10 @@ def test_assignment_csv_reads_back():
         ("L1,2,0", "learner 'L1': listed twice"),
         (",1,0", "learner '': empty learner id"),
         (" ,1,0", "learner ' ': empty learner id"),
+        ("L2,,0", "learner 'L2': empty group_id"),
+        ("L2, ,1", "learner 'L2': empty group_id"),
+        ("L2,control,0", "learner 'L2': group_id 'control' disagrees with is_control 0"),
+        ("L2,1,1", "learner 'L2': group_id '1' disagrees with is_control 1"),
     ],
 )
 def test_assignment_from_csv_rejects_corrupt_rows(row, problem):
