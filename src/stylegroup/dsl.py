@@ -545,7 +545,7 @@ def validate(rb: RuleBase) -> list[Diagnostic]:
     consequents), duplicate rule ids, a dimension with rules but not
     exactly one output variable. Warnings: identical rules, declared
     inputs no rule references, rules that omit some of their dimension's
-    inputs.
+    inputs, output terms no rule concludes.
     """
     diagnostics: list[Diagnostic] = []
 
@@ -611,6 +611,19 @@ def validate(rb: RuleBase) -> list[Diagnostic]:
                     f"input variable {spec.name!r} is referenced by no rule",
                 )
             )
+
+    concluded = {rule.consequent for rule in rb.rules}
+    for spec in rb.variables:
+        if spec.kind != "output":
+            continue
+        for label, _ in spec.terms:
+            if (spec.name, label) not in concluded:
+                diagnostics.append(
+                    Diagnostic(
+                        "warning", "unproduced-term", (),
+                        f"output term {spec.name} {label!r} is concluded by no rule",
+                    )
+                )
     return diagnostics
 
 

@@ -14,18 +14,28 @@ checks. Blank rows are skipped in every file.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
+import logging
+import marshal
 import math
+import os
+import threading
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, ContextManager, Iterable, Iterator, Sequence
 
 from .dsl import DIMENSIONS, RuleBase
 from .fuzzy import LinguisticVariable
 
 QUESTIONNAIRE_RANGE = (0.0, 11.0)
+
+log = logging.getLogger(__name__)
 
 
 class IngestError(Exception):
@@ -36,6 +46,7 @@ class MalformedRowError(IngestError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
+        self.detail = message
 
 
 class UndeclaredVariableError(IngestError):
@@ -60,6 +71,13 @@ class ScoreOutOfRangeError(IngestError):
 
 class UnknownDimensionError(IngestError):
     pass
+
+
+# The errors a behaviours row can raise; a second part sends them back by name.
+_ROW_ERRORS = {
+    cls.__name__: cls for cls in (MalformedRowError, NonFiniteValueError, UndeclaredVariableError)
+}
+_SCAN_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -119,11 +137,12 @@ def _blank(row: list[str]) -> bool:
 @contextmanager
 def _read_rows(
     path: str | Path, expected_header: list[str]
-) -> Iterator[Iterator[tuple[int, list[str]]]]:
-    """Check the header, then give the (record number, row) pairs after it.
+) -> Iterator[tuple[io.TextIOWrapper, Iterator[list[str]]]]:
+    """Check the header, then give the open file and a reader of the rows after it.
 
-    Blank rows are not filtered here: a blank row always fails the caller's
-    field-count or empty-learner check, and the caller skips it there.
+    The rows are records 2 on. Blank rows are not filtered here: a blank row
+    always fails the caller's field-count or empty-learner check, and the
+    caller skips it there.
     """
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -135,7 +154,7 @@ def _read_rows(
             raise MalformedRowError(
                 1, f"expected header {','.join(expected_header)!r}, got {','.join(header)!r}"
             )
-        yield enumerate(reader, start=2)
+        yield handle, reader
 
 
 def _learner_rows(
@@ -146,8 +165,8 @@ def _learner_rows(
     A row of another width than the header, or with an empty id, raises.
     """
     width = len(expected_header)
-    with _read_rows(path, expected_header) as rows:
-        for line, row in rows:
+    with _read_rows(path, expected_header) as (_, reader):
+        for line, row in enumerate(reader, start=2):
             if len(row) != width:
                 if _blank(row):
                     continue
@@ -180,54 +199,42 @@ def load_behaviors(
     Under the ``clamp`` policy, values outside a variable's universe move to
     the nearer bound and unknown variables are skipped; both are tallied in
     the returned report. Under ``strict`` either situation is an error.
+
+    Where `_split_point` allows, a forked child reads the second half of the
+    file while this process reads the first, and the halves merge in file
+    order: records, report and errors are those of reading in one part.
+    """
+    return _load(path, variables, policy, _split_point, _forked)
+
+
+def _load(
+    path: str | Path,
+    variables: Sequence[LinguisticVariable],
+    policy: str,
+    plan: Callable[[str | Path], tuple[tuple[int, int] | None, str]],
+    run: Callable[[Callable[[], bytes]], ContextManager[Callable[[], bytes]]],
+) -> tuple[list[BehaviorRecord], ClampReport]:
+    """`load_behaviors`, given where to split the file and how to run its second half.
+
+    ``plan(path)`` gives ``((lines, offset), "")`` or ``(None, reason)`` as
+    `_split_point` does; ``run`` is a context manager like `_forked`.
     """
     if policy not in ("clamp", "strict"):
         raise ValueError(f"policy must be 'clamp' or 'strict', got {policy!r}")
     by_name = {v.name: v for v in variables if v.kind == "input"}
     report = ClampReport()
-    isfinite = math.isfinite
 
-    # One list of values per (learner, variable), in file order. A key already
-    # in the table has a learner id and a declared variable, so later rows of
-    # it only need their number checked. The keys share one string object per
-    # distinct id or name; every row's cells are new objects.
+    # One list of values per (learner, variable), in file order. The keys
+    # share one string object per distinct id or name.
     table: dict[tuple[str, str], list[float]] = {}
-    get = table.get
     names: dict[str, str] = {}
-    with _read_rows(path, ["learner_id", "variable", "value"]) as rows:
-        for line, row in rows:
-            try:
-                learner, variable, raw = row
-            except ValueError:
-                if _blank(row):
-                    continue
-                raise MalformedRowError(line, f"expected 3 fields, got {len(row)}") from None
-            learner, variable = learner.strip(), variable.strip()
-            values = get((learner, variable))
-            if values is None and not learner:
-                if _blank(row):
-                    continue
-                raise MalformedRowError(line, "empty learner_id")
-            # float() strips only part of what str.strip() does (not U+001C-U+001F),
-            # so a value it accepts is the stripped cell's value; anything else is
-            # parsed again from the stripped cell, for its value or this row's error.
-            try:
-                value = float(raw)
-            except ValueError:
-                value = math.nan
-            if not isfinite(value):
-                value = _parse_float(line, raw.strip(), "value")
-            if values is None:
-                if variable not in by_name:
-                    if policy == "strict":
-                        raise UndeclaredVariableError(
-                            f"line {line}: variable {variable!r} is not declared"
-                        )
-                    report.skipped_unknown.append((learner, variable))
-                    continue
-                key = (names.setdefault(learner, learner), names.setdefault(variable, variable))
-                values = table[key] = []
-            values.append(value)
+    state = (by_name, policy, table, names, report.skipped_unknown)
+    with _read_rows(path, ["learner_id", "variable", "value"]) as (handle, reader):
+        split, reason = plan(path)
+        if split is None:
+            end = _fill(reader, 2, *state)
+        else:
+            end, reason = _read_in_two(handle, path, split, state, run)
 
     observations: dict[str, dict[str, list[float]]] = {}
     for (learner, variable), values in table.items():
@@ -257,7 +264,227 @@ def load_behaviors(
                 value = clamped
             features[variable] = value
         records.append(BehaviorRecord(learner_id=learner, features=features))
+    log.info(
+        "behaviours %s: %d rows, %d learners, %d keys, %d clamped, %d skipped-unknown, parts=%s",
+        path, end - 2, len(records), len(table), report.clamp_count,
+        len(report.skipped_unknown), f"1 ({reason})" if reason else "2",
+    )
     return records, report
+
+
+def _fill(reader, line, by_name, policy, table, names, skipped) -> int:
+    """Read `reader`'s records, numbered from `line`, into `table` and `skipped`.
+
+    Gives the number the next record would have. A key already in the table
+    has a learner id and a declared variable, so later rows of it only need
+    their number checked; every row's cells are new objects.
+    """
+    get = table.get
+    isfinite = math.isfinite
+    line -= 1
+    for line, row in enumerate(reader, line + 1):
+        try:
+            learner, variable, raw = row
+        except ValueError:
+            if _blank(row):
+                continue
+            raise MalformedRowError(line, f"expected 3 fields, got {len(row)}") from None
+        learner, variable = learner.strip(), variable.strip()
+        values = get((learner, variable))
+        if values is None and not learner:
+            if _blank(row):
+                continue
+            raise MalformedRowError(line, "empty learner_id")
+        # float() strips only part of what str.strip() does (not U+001C-U+001F),
+        # so a value it accepts is the stripped cell's value; anything else is
+        # parsed again from the stripped cell, for its value or this row's error.
+        try:
+            value = float(raw)
+        except ValueError:
+            value = math.nan
+        if not isfinite(value):
+            value = _parse_float(line, raw.strip(), "value")
+        if values is None:
+            if variable not in by_name:
+                if policy == "strict":
+                    raise UndeclaredVariableError(
+                        f"line {line}: variable {variable!r} is not declared"
+                    )
+                skipped.append((learner, variable))
+                continue
+            key = (names.setdefault(learner, learner), names.setdefault(variable, variable))
+            values = table[key] = []
+        values.append(value)
+    return line + 1
+
+
+# --------------------------------------------------------------------------
+# Reading behaviours in two parts
+
+
+def _split_point(path: str | Path) -> tuple[tuple[int, int] | None, str]:
+    r"""Where a second process can start reading `path`, or why it cannot.
+
+    The split falls after the first "\n" at or after the byte midpoint. If
+    the bytes before it hold no '"' and no "\r" outside a "\r\n", every
+    line end there ends a record, so those bytes hold exactly as many
+    records, header included, as "\n"s. Gives ((that count, the split's
+    byte offset), "") or (None, the reason to read in one part).
+    """
+    if not hasattr(os, "fork"):
+        return None, "no fork"
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    if cpus < 2:
+        return None, "one CPU"
+    if threading.active_count() > 1:
+        return None, "threads"
+    with open(path, "rb") as raw:
+        size = os.fstat(raw.fileno()).st_size
+        raw.seek(size // 2)
+        offset = size // 2 + len(raw.readline())
+        if offset == size:
+            return None, "no second half"
+        raw.seek(0)
+        lines, left, after_cr = 0, offset, False
+        while left:
+            chunk = raw.read(min(_SCAN_CHUNK, left))
+            left -= len(chunk)
+            if b'"' in chunk:
+                return None, "quote in first half"
+            # Every "\r" must start a "\r\n". The region ends with "\n", so a
+            # chunk that ends with "\r" has its "\n" at the next one's start.
+            if (after_cr and not chunk.startswith(b"\n")) or (
+                b"\r" in chunk
+                and chunk.count(b"\r") != chunk.count(b"\r\n") + chunk.endswith(b"\r")
+            ):
+                return None, "CR in first half"
+            after_cr = chunk.endswith(b"\r")
+            lines += chunk.count(b"\n")
+    return (lines, offset), ""
+
+
+def _read_in_two(handle, path, split, state, run) -> tuple[int, str]:
+    """Read records 2..lines from `handle` while `run` reads the rest; merge in file order.
+
+    `handle` stands just after the header. Gives the next record's number,
+    and a reason if the second part had to be read here after all.
+
+    An error in this half comes first in the file, so it wins; otherwise the
+    other half's row error is raised again. Any other failure there (a
+    UnicodeDecodeError, a killed child) makes this process read the second
+    half itself, from where `handle` stands, as a one-part read would.
+    """
+    lines, offset = split
+    by_name, policy, table, names, skipped = state
+    with run(partial(_tail, path, offset, lines + 1, by_name, policy)) as result:
+        _fill(csv.reader(islice(handle, lines - 1)), 2, *state)
+        try:
+            payload = marshal.loads(result())
+        except (EOFError, ValueError, TypeError):
+            payload = ("failed",)
+    if payload[0] == "error":
+        _, name, args = payload
+        raise _ROW_ERRORS[name](*args) from None
+    if payload[0] == "failed":
+        return _fill(csv.reader(handle), lines + 1, *state), "second part failed"
+    _, end, keys, counts, flat, tail_skipped = payload
+    values = array("d")
+    values.frombytes(flat)
+    values = values.tolist()
+    start = 0
+    get = table.get
+    for (learner, variable), count in zip(keys, counts):
+        stop = start + count
+        mine = get((learner, variable))
+        if mine is None:
+            key = (names.setdefault(learner, learner), names.setdefault(variable, variable))
+            table[key] = values[start:stop]
+        else:
+            mine.extend(values[start:stop])
+        start = stop
+    skipped.extend(tail_skipped)
+    return end, ""
+
+
+def _tail(path, offset, line, by_name, policy) -> bytes:
+    """Read `path` from byte `offset` on, numbering records from `line`: the second part.
+
+    Gives a marshal payload: ("ok", next record's number, keys, value
+    counts per key, every value as one array('d'), skipped unknowns),
+    ("error", error class name, arguments) for a row error, or ("failed",).
+    A row error is sent only if the rest of the file decodes: a one-part
+    read decodes ahead of the row it parses, so it would raise a
+    UnicodeDecodeError first if the bad bytes fell in the same chunk.
+    """
+    table: dict[tuple[str, str], list[float]] = {}
+    skipped: list[tuple[str, str]] = []
+    try:
+        with open(path, "rb") as raw:
+            raw.seek(offset)
+            with io.TextIOWrapper(raw, encoding="utf-8", newline="") as handle:
+                end = _fill(csv.reader(handle), line, by_name, policy, table, {}, skipped)
+    except IngestError as exc:
+        name = type(exc).__name__
+        if name not in _ROW_ERRORS or not _decodes(path, offset):
+            return marshal.dumps(("failed",))
+        args = (exc.line, exc.detail) if isinstance(exc, MalformedRowError) else exc.args
+        return marshal.dumps(("error", name, args))
+    except Exception:
+        return marshal.dumps(("failed",))
+    values = array("d")
+    for per_key in table.values():
+        values.extend(per_key)
+    counts = [len(per_key) for per_key in table.values()]
+    return marshal.dumps(("ok", end, list(table), counts, values, skipped))
+
+
+def _decodes(path, offset) -> bool:
+    """Whether the bytes of `path` from `offset` on are UTF-8."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    with open(path, "rb") as raw:
+        raw.seek(offset)
+        try:
+            while chunk := raw.read(_SCAN_CHUNK):
+                decoder.decode(chunk)
+            decoder.decode(b"", final=True)
+        except UnicodeDecodeError:
+            return False
+    return True
+
+
+@contextmanager
+def _forked(work: Callable[[], bytes]) -> Iterator[Callable[[], bytes]]:
+    """Run `work` in a forked child; give a function that waits for the bytes it returns.
+
+    That function gives b"" if the child could not start, or less than all
+    if it died first. On leaving, the child is killed if it still runs, and
+    reaped.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no child: the read end gives b"" once write_fd is closed
+        pid = None
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(work())
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            yield pipe.read
+    finally:
+        if pid is not None:
+            import signal  # kept out of start-up: only a fork needs it
+
+            os.kill(pid, signal.SIGKILL)  # an exited child is a zombie until reaped
+            os.waitpid(pid, 0)
 
 
 def load_questionnaire(path: str | Path) -> list[QuestionnaireRecord]:

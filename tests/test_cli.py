@@ -45,7 +45,11 @@ def _small_cohort_spec(tmp_path, with_scores=True):
 def test_validate_rules_bundled_base(capsys):
     assert main(["validate-rules"]) == 0
     captured = capsys.readouterr()
-    assert "0 errors" in captured.out
+    assert captured.out == "0 errors, 1 warnings\n"
+    assert captured.err == (
+        "warning unproduced-term [-] output term understanding_score 'global'"
+        " is concluded by no rule\n"
+    )
 
 
 def test_validate_rules_detects_conflict(tmp_path, capsys):
@@ -382,3 +386,34 @@ def test_console_script_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert "0 errors" in result.stdout
+
+
+def test_classify_logs_what_it_read_only_at_info(tmp_path):
+    """At STYLEGROUP_LOG=info, classify says how it read the behaviours; the files do not change."""
+    import filecmp
+    import os
+    import subprocess
+    import sys
+
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--cohort-spec", str(_small_cohort_spec(tmp_path)),
+                 "--seed", "5", "--out", str(sim)]) == 0
+    behaviors = sim / "behaviors.csv"
+    assert len(behaviors.read_text(encoding="utf-8").splitlines()) > 2
+    results = {}
+    for level in ("warning", "info"):
+        out = tmp_path / level
+        results[level] = subprocess.run(
+            [sys.executable, "-m", "stylegroup.cli", "classify",
+             "--behaviors", str(behaviors), "--out", str(out)],
+            capture_output=True, text=True, env={**os.environ, "STYLEGROUP_LOG": level},
+        )
+        assert results[level].returncode == 0, results[level].stderr
+    assert "INFO" not in results["warning"].stderr
+    (line,) = [line for line in results["info"].stderr.splitlines() if "stylegroup.ingest" in line]
+    assert line.startswith(f"INFO stylegroup.ingest: behaviours {behaviors}: ")
+    assert line.endswith(", parts=2")
+    assert results["info"].stdout == results["warning"].stdout
+    names = sorted(p.name for p in (tmp_path / "warning").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "info").iterdir())
+    assert filecmp.cmpfiles(tmp_path / "warning", tmp_path / "info", names, shallow=False)[0] == names

@@ -343,7 +343,32 @@ def test_validate_missing_output():
 def test_bundled_rulebase_is_clean(rb):
     diagnostics = validate(rb)
     assert error_count(diagnostics) == 0
-    assert diagnostics == []
+    assert diagnostics == [
+        Diagnostic(
+            "warning", "unproduced-term", (),
+            "output term understanding_score 'global' is concluded by no rule",
+        )
+    ]
+
+
+def test_validate_reports_unproduced_terms():
+    output = parse_variables(
+        "output perception_score dim=perception universe=[0,12]"
+        " { sensory=(0,0,6,8) sensory_intuitive=(6,7,8,8) intuitive=(6,8,12,12) }"
+    )
+    rb = RuleBase(
+        variables=tuple(VARS) + tuple(output),
+        rules=(
+            _rule("a", [("test_time", "low")], "reactive"),
+            _rule("b", [("test_time", "much")], "reflective"),
+            Rule("c", "perception", (("test_time", "much"),), ("perception_score", "intuitive")),
+        ),
+    )
+    unproduced = [d for d in validate(rb) if d.code == "unproduced-term"]
+    assert [(d.severity, d.rule_ids, d.message) for d in unproduced] == [
+        ("warning", (), "output term perception_score 'sensory' is concluded by no rule"),
+        ("warning", (), "output term perception_score 'sensory_intuitive' is concluded by no rule"),
+    ]
 
 
 def test_diagnostic_line_format():

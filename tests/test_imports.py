@@ -23,6 +23,16 @@ assert main(["validate-rules"]) == 0
 assert main(["evaluate", "--assignment", assignment, "--scores", scores, "--out", out]) == 0
 """
 
+# The modules a second process for reading behaviours could have pulled in.
+NO_PROCESS_POOL = """
+import sys
+from stylegroup.cli import main
+heavy = ("pickle", "multiprocessing", "concurrent.futures")
+assert not [name for name in heavy if name in sys.modules], sys.modules.keys() & set(heavy)
+assert main(["validate-rules"]) == 0
+assert not [name for name in heavy if name in sys.modules], sys.modules.keys() & set(heavy)
+"""
+
 CLASSIFY = """
 import sys
 from stylegroup.cli import main
@@ -79,6 +89,10 @@ def test_validate_rules_and_evaluate_run_without_numpy(tmp_path):
     )
     _run(WITHOUT_NUMPY, assignment, scores, tmp_path / "out")
     assert (tmp_path / "out" / "evaluation.json").exists()
+
+
+def test_start_up_loads_no_pickle_or_process_pool():
+    _run(NO_PROCESS_POOL)
 
 
 def test_classify_loads_numpy_on_its_first_array_call(tmp_path):

@@ -1,10 +1,14 @@
 import csv
+import logging
+import os
 import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import reference_load_behaviors
+from stylegroup import ingest
 from stylegroup.dsl import parse_variables
 from stylegroup.ingest import (
     DuplicateEntryError,
@@ -193,23 +197,23 @@ def _padded(text):
 
 
 @st.composite
-def _value_text(draw):
+def _value_text(draw, bad_values=_BAD_VALUES):
     if draw(st.integers(0, 11)) == 0:
-        return draw(_padded(_BAD_VALUES))
+        return draw(_padded(bad_values))
     value = draw(st.floats(-40.0, 120.0) | st.integers(-40, 120))
     return draw(_padded(st.just(repr(value))))
 
 
 @st.composite
-def _row(draw):
+def _row(draw, learners=_LEARNERS, bad_values=_BAD_VALUES):
     kind = draw(st.integers(0, 39))
     if kind < 5:  # blank: 0 to 4 whitespace-only cells
         return draw(st.lists(_PAD, min_size=kind, max_size=kind))
     if kind == 5:  # non-blank, wrong width
-        cells = [draw(_padded(_LEARNERS)), draw(_VARIABLES), draw(_value_text())]
+        cells = [draw(_padded(learners)), draw(_VARIABLES), draw(_value_text(bad_values))]
         return cells[: draw(st.integers(1, 2))] if draw(st.booleans()) else cells + ["x"]
-    learner = draw(_PAD) if kind == 6 else draw(_padded(_LEARNERS))
-    return [learner, draw(_padded(_VARIABLES)), draw(_value_text())]
+    learner = draw(_PAD) if kind == 6 else draw(_padded(learners))
+    return [learner, draw(_padded(_VARIABLES)), draw(_value_text(bad_values))]
 
 
 def _outcome(load, path, policy):
@@ -247,6 +251,199 @@ def test_load_behaviors_matches_reference_loader(
         writer.writerows(rows)
     expected = _outcome(reference_load_behaviors, path, policy)
     assert _outcome(load_behaviors, path, policy) == expected
+
+
+# -- reading in two parts ------------------------------------------------------
+
+
+@contextmanager
+def _in_process(work):
+    """Run a second part's work here, in place of `ingest._forked`."""
+    yield work
+
+
+def _splits(path):
+    """Every (records before, byte offset) split at a line end after the header."""
+    data = path.read_bytes()
+    header_end = data.index(b"\n") + 1
+    return [
+        (data.count(b"\n", 0, offset), offset)
+        for offset in range(header_end, len(data) + 1)
+        if data[offset - 1 : offset] == b"\n"
+    ]
+
+
+def _split_at(split, run=_in_process):
+    """A loader that splits the file at `split` and runs its second part with `run`."""
+    return lambda path, variables, policy: ingest._load(
+        path, variables, policy, lambda _: (split, ""), run
+    )
+
+
+def _write_rows(path, rows, terminator="\n"):
+    text = "".join(",".join(row) + terminator for row in [["learner_id", "variable", "value"], *rows])
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+@settings(max_examples=150, deadline=None)
+@example(
+    rows=[["L1", "test_time", "1"], ["L1", "test_time", "abc"], ["L2", "test_time", "inf"]],
+    policy="clamp", terminator="\n",
+)
+@example(
+    rows=[["L1", "mystery", "1"], ["L2", "test_time", "2"], ["L1", "mystery", "3"]],
+    policy="strict", terminator="\r\n",
+)
+@given(
+    rows=st.lists(
+        _row(learners=st.sampled_from(["L1", "L2", "L3"]), bad_values=_BAD_VALUES.filter(
+            lambda text: "," not in text)),
+        max_size=40,
+    ),
+    policy=st.sampled_from(["clamp", "strict"]),
+    terminator=st.sampled_from(["\n", "\r\n"]),
+)
+def test_every_split_matches_reference_loader(tmp_path_factory, rows, policy, terminator):
+    path = _write_rows(tmp_path_factory.mktemp("rows") / "b.csv", rows, terminator)
+    assert b'"' not in path.read_bytes()
+    expected = _outcome(reference_load_behaviors, path, policy)
+    for split in _splits(path):
+        assert _outcome(_split_at(split), path, policy) == expected, split
+
+
+_GOOD = [[f"L{i % 7}", "test_time", f"{i % 13}.5"] for i in range(40)]
+
+
+@pytest.mark.parametrize(
+    "rows, policy, error, line",
+    [
+        # both halves hold a bad row: the first half's comes first in the file
+        (_GOOD[:5] + [["L1", "test_time", "abc"]] + _GOOD[5:] + [["L2", "test_time", "x"]],
+         "clamp", MalformedRowError, 7),
+        (_GOOD[:5] + [["L1", "mystery", "1"]] + _GOOD[5:] + [["L2", "test_time", "x"]],
+         "strict", UndeclaredVariableError, None),
+        # only the second half's
+        (_GOOD + [["L2", "test_time", "x"]] + _GOOD, "clamp", MalformedRowError, 42),
+        (_GOOD + [["L2", "test_time"]] + _GOOD, "clamp", MalformedRowError, 42),
+        (_GOOD + [["", "test_time", "1"]] + _GOOD, "clamp", MalformedRowError, 42),
+        (_GOOD + [["L2", "test_time", "nan"]] + _GOOD, "clamp", NonFiniteValueError, None),
+        (_GOOD + [["L2", "mystery", "1"]] + _GOOD, "strict", UndeclaredVariableError, None),
+        (_GOOD + [["L2", "lesson_minutes", "999"]] + _GOOD, "strict", ValueOutOfUniverseError, None),
+    ],
+)
+def test_second_process_errors_match_reference_loader(tmp_path, rows, policy, error, line):
+    path = _write_rows(tmp_path / "b.csv", rows)
+    expected = _outcome(reference_load_behaviors, path, policy)
+    assert expected[0] is error and expected[2] == line
+    # records 1-30 here, records 31 on in the second process
+    (split,) = [split for split in _splits(path) if split[0] == 30]
+    assert _outcome(_split_at(split, ingest._forked), path, policy) == expected
+
+
+def _padded_row(size):
+    """A good row of exactly `size` bytes."""
+    return b"L1,test_time,1.25" + b" " * (size - 18) + b"\n"
+
+
+def test_undecodable_second_half_is_read_again_here(tmp_path):
+    """A row error the second process finds loses to bad UTF-8 that a one-part read decodes first.
+
+    Text is decoded 8 KiB at a time from where the reader starts. The split
+    sits half a chunk off the one-part read's chunk grid, and the bad row
+    ends the second process's first chunk: that process parses the row
+    before it reaches the bad byte, while a one-part read decodes both at
+    once and fails on the byte.
+    """
+    header = b"learner_id,variable,value\n"
+    bad_row, bad_byte = b"L2,test_time,abc\n", b"L3,test_time,\xff\n"
+    offset = 8192 * 2 + 4096
+    first = header + _padded_row(18) * 1135 + _padded_row(24)
+    second = _padded_row(18) * 453 + _padded_row(21) + bad_row
+    assert (len(first), len(first + second)) == (offset, offset + 8192)
+    path = tmp_path / "b.csv"
+    path.write_bytes(first + second + bad_byte + _padded_row(18) * 200)
+    expected = _exception(reference_load_behaviors, path)
+    assert type(expected) is UnicodeDecodeError
+    split = (first.count(b"\n"), offset)
+    for run in (_in_process, ingest._forked):
+        got = _exception(_split_at(split, run), path)
+        assert (type(got), str(got)) == (type(expected), str(expected))
+    # With the bad byte out of the way, the second process's row error stands.
+    path.write_bytes(first + second + _padded_row(18) * 200)
+    assert _exception(_split_at(split, ingest._forked), path).line == 1137 + 455
+
+
+def _exception(load, path):
+    with pytest.raises(Exception) as info:
+        load(path, VARS, policy="clamp")
+    return info.value
+
+
+def _parts(caplog):
+    (message,) = [r.getMessage() for r in caplog.records if r.name == "stylegroup.ingest"]
+    return message.split("parts=")[1]
+
+
+@pytest.mark.parametrize(
+    "first, parts",
+    [
+        ('"L1",test_time,1\n', "1 (quote in first half)"),
+        ("L1,test_time,1\r", "1 (CR in first half)"),
+        ("L1,test_time,1\r\n", "2"),
+        ("L1,test_time,1\n", "2"),
+    ],
+)
+def test_quote_or_lone_cr_in_first_half_reads_in_one_part(tmp_path, caplog, first, parts):
+    text = "learner_id,variable,value\n" + first + "".join(
+        f"L{i % 7},test_time,{i % 13}.5\n" for i in range(60)
+    )
+    path = tmp_path / "b.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with caplog.at_level(logging.INFO, logger="stylegroup.ingest"):
+        got = _outcome(load_behaviors, path, "clamp")
+    assert _parts(caplog) == parts
+    assert got == _outcome(reference_load_behaviors, path, "clamp")
+
+
+def test_info_line_counts_what_was_read(tmp_path, caplog):
+    path = _write_rows(
+        tmp_path / "b.csv",
+        [["L1", "test_time", "1"], ["L1", "mystery", "2"], [], ["L2", "discussion_participation", "99"],
+         ["L1", "test_time", "3"], ["L2", "test_time", "4"]],
+    )
+    with caplog.at_level(logging.INFO, logger="stylegroup.ingest"):
+        load_behaviors(path, VARS)
+    (message,) = [r.getMessage() for r in caplog.records if r.name == "stylegroup.ingest"]
+    assert message == (
+        f"behaviours {path}: 6 rows, 2 learners, 3 keys, 1 clamped, 1 skipped-unknown, parts=2"
+    )
+
+
+def test_no_second_process_is_left_behind(tmp_path, caplog):
+    forks = []
+
+    @contextmanager
+    def counted(work):
+        forks.append(work)
+        with ingest._forked(work) as result:
+            yield result
+
+    good = _write_rows(tmp_path / "good.csv", _GOOD * 3)
+    bad = _write_rows(tmp_path / "bad.csv", [["L1", "test_time", "x"]] + _GOOD * 3)
+    with caplog.at_level(logging.INFO, logger="stylegroup.ingest"):
+        assert _outcome(
+            lambda *args, policy: ingest._load(*args, policy, ingest._split_point, counted),
+            good, "clamp",
+        ) == _outcome(reference_load_behaviors, good, "clamp")
+    assert _parts(caplog) == "2"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    with pytest.raises(MalformedRowError):
+        ingest._load(bad, VARS, "clamp", ingest._split_point, counted)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(forks) == 2
 
 
 # -- questionnaire -----------------------------------------------------------
