@@ -21,8 +21,8 @@ import logging
 import marshal
 import math
 import os
+import stat
 import threading
-from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
@@ -211,13 +211,14 @@ def _load(
     path: str | Path,
     variables: Sequence[LinguisticVariable],
     policy: str,
-    plan: Callable[[str | Path], tuple[tuple[int, int] | None, str]],
+    plan: Callable[[int], tuple[tuple[int, int] | None, str]],
     run: Callable[[Callable[[], bytes]], ContextManager[Callable[[], bytes]]],
 ) -> tuple[list[BehaviorRecord], ClampReport]:
     """`load_behaviors`, given where to split the file and how to run its second half.
 
-    ``plan(path)`` gives ``((lines, offset), "")`` or ``(None, reason)`` as
-    `_split_point` does; ``run`` is a context manager like `_forked`.
+    ``plan(fd)``, given the open file's descriptor, gives ``((lines, offset),
+    "")`` or ``(None, reason)`` as `_split_point` does; ``run`` is a context
+    manager like `_forked`.
     """
     if policy not in ("clamp", "strict"):
         raise ValueError(f"policy must be 'clamp' or 'strict', got {policy!r}")
@@ -230,11 +231,11 @@ def _load(
     names: dict[str, str] = {}
     state = (by_name, policy, table, names, report.skipped_unknown)
     with _read_rows(path, ["learner_id", "variable", "value"]) as (handle, reader):
-        split, reason = plan(path)
+        split, reason = plan(handle.fileno())
         if split is None:
             end = _fill(reader, 2, *state)
         else:
-            end, reason = _read_in_two(handle, path, split, state, run)
+            end, reason = _read_in_two(handle, split, state, run)
 
     observations: dict[str, dict[str, list[float]]] = {}
     for (learner, variable), values in table.items():
@@ -322,8 +323,32 @@ def _fill(reader, line, by_name, policy, table, names, skipped) -> int:
 # Reading behaviours in two parts
 
 
-def _split_point(path: str | Path) -> tuple[tuple[int, int] | None, str]:
-    r"""Where a second process can start reading `path`, or why it cannot.
+class _FileRange(io.RawIOBase):
+    """Bytes `start` to `stop` (or the end) of the file open on `fd`.
+
+    They are read with os.pread, which leaves the descriptor's position
+    alone, so this reader and any other of the same open file, a forked
+    child's included, do not disturb each other.
+    """
+
+    def __init__(self, fd: int, start: int, stop: int | None = None):
+        self._fd, self._position, self._stop = fd, start, stop
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        size = len(buffer)
+        if self._stop is not None:
+            size = min(size, self._stop - self._position)
+        data = os.pread(self._fd, size, self._position)
+        buffer[: len(data)] = data
+        self._position += len(data)
+        return len(data)
+
+
+def _split_point(fd: int) -> tuple[tuple[int, int] | None, str]:
+    r"""Where a second process can start reading the file open on `fd`, or why it cannot.
 
     The split falls after the first "\n" at or after the byte midpoint. If
     the bytes before it hold no '"' and no "\r" outside a "\r\n", every
@@ -341,32 +366,30 @@ def _split_point(path: str | Path) -> tuple[tuple[int, int] | None, str]:
         return None, "one CPU"
     if threading.active_count() > 1:
         return None, "threads"
-    with open(path, "rb") as raw:
-        size = os.fstat(raw.fileno()).st_size
-        raw.seek(size // 2)
-        offset = size // 2 + len(raw.readline())
-        if offset == size:
-            return None, "no second half"
-        raw.seek(0)
-        lines, left, after_cr = 0, offset, False
-        while left:
-            chunk = raw.read(min(_SCAN_CHUNK, left))
-            left -= len(chunk)
-            if b'"' in chunk:
-                return None, "quote in first half"
-            # Every "\r" must start a "\r\n". The region ends with "\n", so a
-            # chunk that ends with "\r" has its "\n" at the next one's start.
-            if (after_cr and not chunk.startswith(b"\n")) or (
-                b"\r" in chunk
-                and chunk.count(b"\r") != chunk.count(b"\r\n") + chunk.endswith(b"\r")
-            ):
-                return None, "CR in first half"
-            after_cr = chunk.endswith(b"\r")
-            lines += chunk.count(b"\n")
+    status = os.fstat(fd)
+    if not stat.S_ISREG(status.st_mode):  # a pipe cannot be read from an offset
+        return None, "not a regular file"
+    middle = status.st_size // 2
+    offset = middle + len(io.BufferedReader(_FileRange(fd, middle)).readline())
+    if offset >= status.st_size:
+        return None, "no second half"
+    lines, after_cr, first_half = 0, False, _FileRange(fd, 0, offset)
+    while chunk := first_half.read(_SCAN_CHUNK):
+        if b'"' in chunk:
+            return None, "quote in first half"
+        # Every "\r" must start a "\r\n". The range ends with "\n", so a
+        # chunk that ends with "\r" has its "\n" at the next one's start.
+        if (after_cr and not chunk.startswith(b"\n")) or (
+            b"\r" in chunk
+            and chunk.count(b"\r") != chunk.count(b"\r\n") + chunk.endswith(b"\r")
+        ):
+            return None, "CR in first half"
+        after_cr = chunk.endswith(b"\r")
+        lines += chunk.count(b"\n")
     return (lines, offset), ""
 
 
-def _read_in_two(handle, path, split, state, run) -> tuple[int, str]:
+def _read_in_two(handle, split, state, run) -> tuple[int, str]:
     """Read records 2..lines from `handle` while `run` reads the rest; merge in file order.
 
     `handle` stands just after the header. Gives the next record's number,
@@ -379,7 +402,7 @@ def _read_in_two(handle, path, split, state, run) -> tuple[int, str]:
     """
     lines, offset = split
     by_name, policy, table, names, skipped = state
-    with run(partial(_tail, path, offset, lines + 1, by_name, policy)) as result:
+    with run(partial(_tail, handle.fileno(), offset, lines + 1, by_name, policy)) as result:
         _fill(csv.reader(islice(handle, lines - 1)), 2, *state)
         try:
             payload = marshal.loads(result())
@@ -390,68 +413,56 @@ def _read_in_two(handle, path, split, state, run) -> tuple[int, str]:
         raise _ROW_ERRORS[name](*args) from None
     if payload[0] == "failed":
         return _fill(csv.reader(handle), lines + 1, *state), "second part failed"
-    _, end, keys, counts, flat, tail_skipped = payload
-    values = array("d")
-    values.frombytes(flat)
-    values = values.tolist()
-    start = 0
+    _, end, tail_table, tail_skipped = payload
     get = table.get
-    for (learner, variable), count in zip(keys, counts):
-        stop = start + count
+    for (learner, variable), values in tail_table.items():
         mine = get((learner, variable))
         if mine is None:
             key = (names.setdefault(learner, learner), names.setdefault(variable, variable))
-            table[key] = values[start:stop]
+            table[key] = values
         else:
-            mine.extend(values[start:stop])
-        start = stop
+            mine.extend(values)
     skipped.extend(tail_skipped)
     return end, ""
 
 
-def _tail(path, offset, line, by_name, policy) -> bytes:
-    """Read `path` from byte `offset` on, numbering records from `line`: the second part.
+def _tail(fd, offset, line, by_name, policy) -> bytes:
+    """Read the file open on `fd` from byte `offset` on, numbering records from `line`.
 
-    Gives a marshal payload: ("ok", next record's number, keys, value
-    counts per key, every value as one array('d'), skipped unknowns),
-    ("error", error class name, arguments) for a row error, or ("failed",).
-    A row error is sent only if the rest of the file decodes: a one-part
-    read decodes ahead of the row it parses, so it would raise a
-    UnicodeDecodeError first if the bad bytes fell in the same chunk.
+    Gives a marshal payload: ("ok", next record's number, the table of
+    values per key, skipped unknowns), ("error", error class name,
+    arguments) for a row error, or ("failed",). A row error is sent only if
+    the rest of the file decodes: a one-part read decodes ahead of the row
+    it parses, so it would raise a UnicodeDecodeError first if the bad bytes
+    fell in the same chunk.
     """
     table: dict[tuple[str, str], list[float]] = {}
     skipped: list[tuple[str, str]] = []
     try:
-        with open(path, "rb") as raw:
-            raw.seek(offset)
-            with io.TextIOWrapper(raw, encoding="utf-8", newline="") as handle:
-                end = _fill(csv.reader(handle), line, by_name, policy, table, {}, skipped)
+        raw = io.BufferedReader(_FileRange(fd, offset))
+        with io.TextIOWrapper(raw, encoding="utf-8", newline="") as handle:
+            end = _fill(csv.reader(handle), line, by_name, policy, table, {}, skipped)
     except IngestError as exc:
         name = type(exc).__name__
-        if name not in _ROW_ERRORS or not _decodes(path, offset):
+        if name not in _ROW_ERRORS or not _decodes(fd, offset):
             return marshal.dumps(("failed",))
         args = (exc.line, exc.detail) if isinstance(exc, MalformedRowError) else exc.args
         return marshal.dumps(("error", name, args))
     except Exception:
         return marshal.dumps(("failed",))
-    values = array("d")
-    for per_key in table.values():
-        values.extend(per_key)
-    counts = [len(per_key) for per_key in table.values()]
-    return marshal.dumps(("ok", end, list(table), counts, values, skipped))
+    return marshal.dumps(("ok", end, table, skipped))
 
 
-def _decodes(path, offset) -> bool:
-    """Whether the bytes of `path` from `offset` on are UTF-8."""
+def _decodes(fd, offset) -> bool:
+    """Whether the bytes of the file open on `fd` from `offset` on are UTF-8."""
     decoder = codecs.getincrementaldecoder("utf-8")()
-    with open(path, "rb") as raw:
-        raw.seek(offset)
-        try:
-            while chunk := raw.read(_SCAN_CHUNK):
-                decoder.decode(chunk)
-            decoder.decode(b"", final=True)
-        except UnicodeDecodeError:
-            return False
+    raw = _FileRange(fd, offset)
+    try:
+        while chunk := raw.read(_SCAN_CHUNK):
+            decoder.decode(chunk)
+        decoder.decode(b"", final=True)
+    except UnicodeDecodeError:
+        return False
     return True
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from stylegroup.cli import main
 from stylegroup.dsl import default_rulebase, pretty_print
 
@@ -395,6 +397,14 @@ def test_classify_logs_what_it_read_only_at_info(tmp_path):
     import subprocess
     import sys
 
+    if not hasattr(os, "fork"):
+        pytest.skip("reading in two parts needs os.fork")
+    # The command as `python -m stylegroup.cli` runs it, on two usable CPUs
+    # whatever the host has, so that it reads in two parts.
+    command = (
+        "import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+        "from stylegroup.cli import main; sys.exit(main())"
+    )
     sim = tmp_path / "sim"
     assert main(["simulate", "--cohort-spec", str(_small_cohort_spec(tmp_path)),
                  "--seed", "5", "--out", str(sim)]) == 0
@@ -404,7 +414,7 @@ def test_classify_logs_what_it_read_only_at_info(tmp_path):
     for level in ("warning", "info"):
         out = tmp_path / level
         results[level] = subprocess.run(
-            [sys.executable, "-m", "stylegroup.cli", "classify",
+            [sys.executable, "-c", command, "classify",
              "--behaviors", str(behaviors), "--out", str(out)],
             capture_output=True, text=True, env={**os.environ, "STYLEGROUP_LOG": level},
         )

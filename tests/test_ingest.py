@@ -2,6 +2,7 @@ import csv
 import logging
 import os
 import random
+import threading
 from contextlib import contextmanager
 
 import pytest
@@ -256,6 +257,19 @@ def test_load_behaviors_matches_reference_loader(
 # -- reading in two parts ------------------------------------------------------
 
 
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Let `load_behaviors` read in two parts on any host: two usable CPUs, no other thread.
+
+    A one-CPU host, a CPU-pinned run or a test plugin's thread would
+    otherwise send every file down the one-part path.
+    """
+    if not hasattr(os, "fork"):
+        pytest.skip("reading in two parts needs os.fork")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(threading, "active_count", lambda: 1)
+
+
 @contextmanager
 def _in_process(work):
     """Run a second part's work here, in place of `ingest._forked`."""
@@ -394,7 +408,7 @@ def _parts(caplog):
         ("L1,test_time,1\n", "2"),
     ],
 )
-def test_quote_or_lone_cr_in_first_half_reads_in_one_part(tmp_path, caplog, first, parts):
+def test_quote_or_lone_cr_in_first_half_reads_in_one_part(tmp_path, caplog, two_cpus, first, parts):
     text = "learner_id,variable,value\n" + first + "".join(
         f"L{i % 7},test_time,{i % 13}.5\n" for i in range(60)
     )
@@ -406,7 +420,7 @@ def test_quote_or_lone_cr_in_first_half_reads_in_one_part(tmp_path, caplog, firs
     assert got == _outcome(reference_load_behaviors, path, "clamp")
 
 
-def test_info_line_counts_what_was_read(tmp_path, caplog):
+def test_info_line_counts_what_was_read(tmp_path, caplog, two_cpus):
     path = _write_rows(
         tmp_path / "b.csv",
         [["L1", "test_time", "1"], ["L1", "mystery", "2"], [], ["L2", "discussion_participation", "99"],
@@ -420,7 +434,7 @@ def test_info_line_counts_what_was_read(tmp_path, caplog):
     )
 
 
-def test_no_second_process_is_left_behind(tmp_path, caplog):
+def test_no_second_process_is_left_behind(tmp_path, caplog, two_cpus):
     forks = []
 
     @contextmanager
@@ -444,6 +458,61 @@ def test_no_second_process_is_left_behind(tmp_path, caplog):
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert len(forks) == 2
+
+
+@pytest.mark.parametrize(
+    "cpus, threads, parts",
+    [({0}, 1, "1 (one CPU)"), ({0, 1}, 2, "1 (threads)"), ({0, 1}, 1, "2")],
+)
+def test_one_cpu_or_another_thread_reads_in_one_part(
+    tmp_path, caplog, monkeypatch, cpus, threads, parts
+):
+    if not hasattr(os, "fork"):
+        pytest.skip("reading in two parts needs os.fork")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: len(cpus))
+    monkeypatch.setattr(threading, "active_count", lambda: threads)
+    path = _write_rows(tmp_path / "b.csv", _GOOD)
+    with caplog.at_level(logging.INFO, logger="stylegroup.ingest"):
+        got = _outcome(load_behaviors, path, "clamp")
+    assert _parts(caplog) == parts
+    assert got == _outcome(reference_load_behaviors, path, "clamp")
+
+
+def test_pipe_reads_in_one_part(tmp_path, caplog, two_cpus):
+    """A pipe (process substitution, /dev/stdin) has no offsets to split at; it reads as before."""
+    if not os.path.isdir("/dev/fd"):
+        pytest.skip("needs /dev/fd to name a pipe")
+    path = _write_rows(tmp_path / "b.csv", _GOOD * 3)
+    expected = _outcome(reference_load_behaviors, path, "clamp")
+    data = path.read_bytes()
+    read_fd, write_fd = os.pipe()
+    try:
+        assert os.write(write_fd, data) == len(data)  # fits the pipe's buffer
+        os.close(write_fd)
+        with caplog.at_level(logging.INFO, logger="stylegroup.ingest"):
+            assert _outcome(load_behaviors, f"/dev/fd/{read_fd}", "clamp") == expected
+    finally:
+        os.close(read_fd)
+    assert _parts(caplog) == "1 (not a regular file)"
+
+
+def test_second_process_reads_the_open_file_not_the_path(tmp_path, two_cpus):
+    """Replacing the file at `path` after it is opened changes neither half."""
+    path = _write_rows(tmp_path / "b.csv", _GOOD * 3)
+    expected = _outcome(reference_load_behaviors, path, "clamp")
+    replacement = _write_rows(tmp_path / "other.csv", [["L9", "test_time", "1"]] * 200)
+
+    def split_then_replace(fd):
+        split = ingest._split_point(fd)
+        assert split[0] is not None, split
+        os.replace(replacement, path)
+        return split
+
+    assert _outcome(
+        lambda *args, policy: ingest._load(*args, policy, split_then_replace, ingest._forked),
+        path, "clamp",
+    ) == expected
 
 
 # -- questionnaire -----------------------------------------------------------
