@@ -2,10 +2,12 @@
 
 Subcommands: validate-rules, classify, group, evaluate, simulate, pipeline.
 Flags override values from an optional ``--config`` JSON file (keys match
-the long flag names with underscores). Diagnostics go to standard error,
-data to files under ``--out`` or to standard output. Exit codes: 0 success,
-1 validation failure, 2 I/O or configuration error. ``STYLEGROUP_LOG``
-selects the log level.
+the long flag names with underscores; a key that is the long flag of no
+subcommand is an error, and ``seed``, ``target_k`` and ``min_size`` must be
+JSON integers). Diagnostics go to standard error, data to files under
+``--out`` or to standard output. Exit codes: 0 success, 1 validation
+failure, 2 I/O or configuration error. ``STYLEGROUP_LOG`` selects the log
+level.
 
 All randomness flows from ``--seed``; simulate, group, and pipeline refuse
 to run without one.
@@ -142,7 +144,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args: argparse.Namespace) -> dict:
+def _flag_keys(parser: argparse.ArgumentParser) -> set[str]:
+    """The long flags of every subcommand, as config keys.
+
+    One config file may serve several commands, so a key any command
+    knows is accepted by all of them.
+    """
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        action.dest
+        for command in sub.choices.values()
+        for action in command._actions
+        if action.option_strings and action.dest != "help"
+    }
+
+
+def _load_config(args: argparse.Namespace, keys: set[str]) -> dict:
     path = getattr(args, "config", None)
     if not path:
         return {}
@@ -150,6 +167,9 @@ def _load_config(args: argparse.Namespace) -> dict:
         config = json.load(handle)
     if not isinstance(config, dict):
         raise ConfigError("config file must hold a JSON object")
+    unknown = sorted(config.keys() - keys)
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r}: no subcommand has that flag")
     return config
 
 
@@ -166,6 +186,17 @@ def _require(args: argparse.Namespace, config: dict, key: str):
     value = _opt(args, config, key)
     if value is None:
         raise ConfigError(f"--{key.replace('_', '-')} is required")
+    return value
+
+
+def _int_setting(args: argparse.Namespace, config: dict, key: str, default=None) -> int:
+    """An integer flag, or a JSON integer (not a bool) from the config.
+
+    Without a default, the setting is required.
+    """
+    value = _require(args, config, key) if default is None else _opt(args, config, key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
     return value
 
 
@@ -264,9 +295,9 @@ def _grouping_params(args: argparse.Namespace, config: dict) -> GroupingParams:
         control_fraction=float(
             _opt(args, config, "control_fraction", DEFAULT_CONTROL_FRACTION)
         ),
-        seed=int(_require(args, config, "seed")),
-        target_k=int(_opt(args, config, "target_k", DEFAULT_TARGET_K)),
-        min_size=int(_opt(args, config, "min_size", DEFAULT_MIN_SIZE)),
+        seed=_int_setting(args, config, "seed"),
+        target_k=_int_setting(args, config, "target_k", DEFAULT_TARGET_K),
+        min_size=_int_setting(args, config, "min_size", DEFAULT_MIN_SIZE),
     )
 
 
@@ -352,7 +383,7 @@ def _cmd_evaluate(args: argparse.Namespace, config: dict) -> int:
 
 
 def _resolve_cohort_spec(args: argparse.Namespace, config: dict):
-    seed = int(_require(args, config, "seed"))
+    seed = _int_setting(args, config, "seed")
     spec_path = _opt(args, config, "cohort_spec")
     if spec_path:
         return dataclasses.replace(load_cohort_spec(spec_path), seed=seed)
@@ -414,7 +445,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args)
+        config = _load_config(args, _flag_keys(parser))
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -9,6 +9,7 @@ until at most ``target_k`` groups remain and every group reaches
 
 from __future__ import annotations
 
+import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -16,7 +17,9 @@ from typing import Sequence
 
 from .classify import StyleProfile
 from .ingest import IngestError, csv_rows, csv_text
-from .rng import STREAM_CONTROL, philox_rng
+from .rng import STREAM_CONTROL, choice_set
+
+log = logging.getLogger(__name__)
 
 StyleSignature = tuple[str, ...]
 
@@ -103,8 +106,10 @@ def split_control(
     """Draw the control group before any style-based grouping.
 
     Control size is round(fraction * n); sampling is uniform without
-    replacement and deterministic for a given seed. Both returned tuples
-    preserve the input order.
+    replacement and deterministic for a given seed: the control members are
+    those numpy's `philox_rng(seed, STREAM_CONTROL).choice` would draw, taken
+    from `rng.choice_set` without numpy. Both returned tuples preserve the
+    input order.
     """
     if not learner_ids:
         raise EmptyCohortError("cannot split an empty cohort")
@@ -116,8 +121,7 @@ def split_control(
         raise DegenerateFractionError(
             f"fraction {fraction} of {n} learners leaves an empty side"
         )
-    rng = philox_rng(seed, STREAM_CONTROL)
-    chosen = set(rng.choice(n, size=control_n, replace=False).tolist())
+    chosen = choice_set(seed, STREAM_CONTROL, n, control_n)
     control = tuple(learner_ids[i] for i in range(n) if i in chosen)
     treatment = tuple(learner_ids[i] for i in range(n) if i not in chosen)
     return treatment, control
@@ -216,6 +220,13 @@ def assign_groups(
     treatment_profiles = [p for p in profiles if p.learner_id in treatment_set]
     groups = homogeneous_partition(
         treatment_profiles, target_k=params.target_k, min_size=params.min_size
+    )
+    signatures_in = len({p.signature for p in treatment_profiles})
+    log.info(
+        "assignment: %d learners, %d control, %d signatures in, %d groups out, "
+        "%d merges, sizes %s",
+        len(profiles), len(control), signatures_in, len(groups),
+        signatures_in - len(groups), ",".join(str(len(g.members)) for g in groups),
     )
     return GroupAssignment(groups=groups, control=control, params=params)
 

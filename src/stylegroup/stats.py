@@ -499,8 +499,10 @@ def build_evaluation_report(
     weighted means, and optional satisfaction percentages.
 
     ``satisfaction_responses`` maps a sample label (or ``control``) to its
-    member response vectors.
+    member response vectors. ``alpha`` must lie in (0, 1).
     """
+    if not 0.0 < alpha < 1.0:
+        raise StatsError(f"alpha must lie in (0, 1), got {alpha}")
     if not group_samples:
         raise TooFewGroupsError("no treatment groups supplied")
 

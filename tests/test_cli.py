@@ -427,3 +427,122 @@ def test_classify_logs_what_it_read_only_at_info(tmp_path):
     names = sorted(p.name for p in (tmp_path / "warning").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "info").iterdir())
     assert filecmp.cmpfiles(tmp_path / "warning", tmp_path / "info", names, shallow=False)[0] == names
+
+
+def _evaluate_inputs(tmp_path):
+    assignment = tmp_path / "assignment.csv"
+    scores = tmp_path / "scores.csv"
+    members = [(f"g{g}_{i}", g, 0) for g in (1, 2) for i in range(4)]
+    members += [(f"c_{i}", "control", 1) for i in range(4)]
+    assignment.write_text(
+        "learner_id,group_id,is_control\n"
+        + "".join(f"{lid},{gid},{ctl}\n" for lid, gid, ctl in members),
+        encoding="utf-8",
+    )
+    scores.write_text(
+        "learner_id,score\n"
+        + "".join(f"{lid},{12.0 + n % 4 * 0.3}\n" for n, (lid, _, _) in enumerate(members)),
+        encoding="utf-8",
+    )
+    return ["--assignment", str(assignment), "--scores", str(scores)]
+
+
+@pytest.mark.parametrize("alpha", ["2", "nan", "0", "1", "-0.05"])
+def test_evaluate_rejects_alpha_outside_the_unit_interval(tmp_path, capsys, alpha):
+    argv = ["evaluate", *_evaluate_inputs(tmp_path), "--out", str(tmp_path / "out")]
+    assert main([*argv, "--alpha", "0.05"]) == 0
+    capsys.readouterr()
+    assert main([*argv, "--alpha", alpha]) == 1
+    assert f"alpha must lie in (0, 1), got {float(alpha)}" in capsys.readouterr().err
+    config = tmp_path / "config.json"
+    config.write_text(f'{{"alpha": {float(alpha)}}}'.replace("nan", "NaN"), encoding="utf-8")
+    assert main([*argv, "--config", str(config)]) == 1
+    assert "alpha must lie in (0, 1)" in capsys.readouterr().err
+
+
+def test_pipeline_rejects_alpha_outside_the_unit_interval(tmp_path, capsys):
+    argv = ["pipeline", "--cohort-spec", str(_small_cohort_spec(tmp_path)), "--seed", "5",
+            "--min-size", "2", "--out", str(tmp_path / "out")]
+    assert main([*argv, "--alpha", "2"]) == 1
+    assert "alpha must lie in (0, 1), got 2.0" in capsys.readouterr().err
+    config = tmp_path / "config.json"
+    config.write_text('{"alpha": NaN}', encoding="utf-8")
+    assert main([*argv, "--config", str(config)]) == 1
+    assert "alpha must lie in (0, 1), got nan" in capsys.readouterr().err
+
+
+def _profiles_csv(tmp_path, learners=40):
+    """Four signatures over two dimensions, ten learners each."""
+    profiles = tmp_path / "profiles.csv"
+    rows = [
+        f"L{i},{dimension},{score + i % 3 * 0.1},{label}"
+        for i in range(learners)
+        for dimension, score, label in (
+            ("processing", *((3.0, "reactive") if i % 2 else (9.0, "reflection"))),
+            ("entrance", *((3.0, "visual") if i % 4 < 2 else (10.0, "verbal"))),
+        )
+    ]
+    profiles.write_text("learner_id,dimension,crisp_score,label\n" + "\n".join(rows) + "\n")
+    return profiles
+
+
+@pytest.mark.parametrize(
+    "key, value", [("seed", 3.9), ("seed", True), ("target_k", 2.5), ("min_size", "10"),
+                   ("min_size", False), ("target_k", None)]
+)
+def test_integer_config_settings_must_be_json_integers(tmp_path, capsys, key, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 3, key: value}), encoding="utf-8")
+    argv = ["group", "--profiles", str(_profiles_csv(tmp_path)), "--config", str(config),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert f"config error: config key {key!r} must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "assignment.csv").exists()
+
+
+def test_unknown_config_key_is_a_config_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    argv = ["group", "--profiles", str(_profiles_csv(tmp_path)), "--config", str(config),
+            "--out", str(tmp_path / "out")]
+    config.write_text('{"seed": 3, "control_fracton": 0.5}', encoding="utf-8")
+    assert main(argv) == 2
+    assert "unknown config key 'control_fracton'" in capsys.readouterr().err
+    # A key of another command's flag is accepted, so one file serves several commands.
+    config.write_text('{"seed": 3, "alpha": 0.01, "behaviors": "b.csv"}', encoding="utf-8")
+    assert main(argv) == 0
+
+
+def test_group_logs_its_assignment_only_at_info(tmp_path):
+    """At STYLEGROUP_LOG=info, group says what it formed; the files do not change."""
+    import filecmp
+    import os
+    import subprocess
+    import sys
+
+    profiles = _profiles_csv(tmp_path)
+    results = {}
+    for level in ("warning", "info"):
+        results[level] = subprocess.run(
+            [sys.executable, "-m", "stylegroup.cli", "group", "--profiles", str(profiles),
+             "--seed", "3", "--out", str(tmp_path / level)],
+            capture_output=True, text=True, env={**os.environ, "STYLEGROUP_LOG": level},
+        )
+        assert results[level].returncode == 0, results[level].stderr
+    assert results["warning"].stderr == ""
+    (line,) = results["info"].stderr.splitlines()
+    sizes = {}
+    for row in (tmp_path / "info" / "assignment.csv").read_text().splitlines()[1:]:
+        group_id = row.split(",")[1]
+        if group_id != "control":
+            sizes[int(group_id)] = sizes.get(int(group_id), 0) + 1
+    merges = 4 - len(sizes)
+    assert line == (
+        f"INFO stylegroup.grouping: assignment: 40 learners, 4 control, 4 signatures in, "
+        f"{len(sizes)} groups out, {merges} merges, "
+        f"sizes {','.join(str(sizes[g]) for g in sorted(sizes))}"
+    )
+    assert merges > 0
+    assert results["info"].stdout == results["warning"].stdout
+    names = sorted(p.name for p in (tmp_path / "warning").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "info").iterdir())
+    assert filecmp.cmpfiles(tmp_path / "warning", tmp_path / "info", names, shallow=False)[0] == names
