@@ -3,11 +3,12 @@
 Subcommands: validate-rules, classify, group, evaluate, simulate, pipeline.
 Flags override values from an optional ``--config`` JSON file (keys match
 the long flag names with underscores; a key that is the long flag of no
-subcommand is an error, and ``seed``, ``target_k`` and ``min_size`` must be
-JSON integers). Diagnostics go to standard error, data to files under
-``--out`` or to standard output. Exit codes: 0 success, 1 validation
-failure, 2 I/O or configuration error. ``STYLEGROUP_LOG`` selects the log
-level.
+subcommand is an error, and each value must have its flag's JSON type: an
+integer for an integer flag, a number for a float flag, and for any other
+a string within its choices). Diagnostics go to standard error, data to
+files under ``--out`` or to standard output. Exit codes: 0 success, 1
+validation failure, 2 I/O or configuration error. ``STYLEGROUP_LOG``
+selects the log level.
 
 All randomness flows from ``--seed``; simulate, group, and pipeline refuse
 to run without one.
@@ -144,22 +145,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _flag_keys(parser: argparse.ArgumentParser) -> set[str]:
-    """The long flags of every subcommand, as config keys.
+def _flag_actions(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """The long flags of every subcommand, as config keys, each with its action.
 
     One config file may serve several commands, so a key any command
-    knows is accepted by all of them.
+    knows is accepted by all of them. A key's flags share one type and one
+    set of choices across commands.
     """
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     return {
-        action.dest
+        action.dest: action
         for command in sub.choices.values()
         for action in command._actions
         if action.option_strings and action.dest != "help"
     }
 
 
-def _load_config(args: argparse.Namespace, keys: set[str]) -> dict:
+def _load_config(args: argparse.Namespace, actions: dict[str, argparse.Action]) -> dict:
+    """The config file's settings, each a known key with its flag's JSON type."""
     path = getattr(args, "config", None)
     if not path:
         return {}
@@ -167,9 +170,22 @@ def _load_config(args: argparse.Namespace, keys: set[str]) -> dict:
         config = json.load(handle)
     if not isinstance(config, dict):
         raise ConfigError("config file must hold a JSON object")
-    unknown = sorted(config.keys() - keys)
+    unknown = sorted(config.keys() - actions.keys())
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]!r}: no subcommand has that flag")
+    for key, value in config.items():
+        action = actions[key]
+        if action.type is int:
+            ok, kind = type(value) is int, "an integer"
+        elif action.type is float:
+            ok, kind = type(value) in (int, float), "a number"
+        elif action.choices is not None:
+            ok = isinstance(value, str) and value in action.choices
+            kind = "one of " + ", ".join(map(repr, action.choices))
+        else:
+            ok, kind = isinstance(value, str), "a string"
+        if not ok:
+            raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
     return config
 
 
@@ -186,17 +202,6 @@ def _require(args: argparse.Namespace, config: dict, key: str):
     value = _opt(args, config, key)
     if value is None:
         raise ConfigError(f"--{key.replace('_', '-')} is required")
-    return value
-
-
-def _int_setting(args: argparse.Namespace, config: dict, key: str, default=None) -> int:
-    """An integer flag, or a JSON integer (not a bool) from the config.
-
-    Without a default, the setting is required.
-    """
-    value = _require(args, config, key) if default is None else _opt(args, config, key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
     return value
 
 
@@ -295,9 +300,9 @@ def _grouping_params(args: argparse.Namespace, config: dict) -> GroupingParams:
         control_fraction=float(
             _opt(args, config, "control_fraction", DEFAULT_CONTROL_FRACTION)
         ),
-        seed=_int_setting(args, config, "seed"),
-        target_k=_int_setting(args, config, "target_k", DEFAULT_TARGET_K),
-        min_size=_int_setting(args, config, "min_size", DEFAULT_MIN_SIZE),
+        seed=_require(args, config, "seed"),
+        target_k=_opt(args, config, "target_k", DEFAULT_TARGET_K),
+        min_size=_opt(args, config, "min_size", DEFAULT_MIN_SIZE),
     )
 
 
@@ -334,9 +339,9 @@ def _samples(
             control_values.append(scores[learner])
         else:
             grouped.setdefault(group_id, []).append(scores[learner])
+    # In file order: `GroupAssignment.to_csv` writes groups by group id.
     samples = [
-        Sample(label=f"group-{gid}", values=tuple(values))
-        for gid, values in sorted(grouped.items())
+        Sample(label=f"group-{gid}", values=tuple(values)) for gid, values in grouped.items()
     ]
     control = Sample(label="control", values=tuple(control_values)) if control_values else None
     return samples, control
@@ -383,7 +388,7 @@ def _cmd_evaluate(args: argparse.Namespace, config: dict) -> int:
 
 
 def _resolve_cohort_spec(args: argparse.Namespace, config: dict):
-    seed = _int_setting(args, config, "seed")
+    seed = _require(args, config, "seed")
     spec_path = _opt(args, config, "cohort_spec")
     if spec_path:
         return dataclasses.replace(load_cohort_spec(spec_path), seed=seed)
@@ -445,7 +450,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args, _flag_keys(parser))
+        config = _load_config(args, _flag_actions(parser))
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

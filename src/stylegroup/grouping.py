@@ -35,7 +35,7 @@ class EmptyCohortError(GroupingError):
 
 
 class DegenerateFractionError(GroupingError):
-    """The requested control fraction would empty one side of the split."""
+    """The requested control fraction would leave a side of the split below 2 learners."""
 
 
 class InfeasibleConstraintsError(GroupingError):
@@ -105,7 +105,8 @@ def split_control(
 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Draw the control group before any style-based grouping.
 
-    Control size is round(fraction * n); sampling is uniform without
+    Control size is round(fraction * n), and each side needs at least 2
+    learners, as a t-test between them does; sampling is uniform without
     replacement and deterministic for a given seed: the control members are
     those numpy's `philox_rng(seed, STREAM_CONTROL).choice` would draw, taken
     from `rng.choice_set` without numpy. Both returned tuples preserve the
@@ -117,9 +118,10 @@ def split_control(
         raise DegenerateFractionError(f"fraction must lie in (0, 1), got {fraction}")
     n = len(learner_ids)
     control_n = round(fraction * n)
-    if control_n == 0 or control_n == n:
+    if min(control_n, n - control_n) < 2:
         raise DegenerateFractionError(
-            f"fraction {fraction} of {n} learners leaves an empty side"
+            f"fraction {fraction} of {n} learners gives a control of {control_n} and a "
+            f"treated side of {n - control_n}; each needs at least 2"
         )
     chosen = choice_set(seed, STREAM_CONTROL, n, control_n)
     control = tuple(learner_ids[i] for i in range(n) if i in chosen)

@@ -14,7 +14,6 @@ checks. Blank rows are skipped in every file.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import io
 import logging
@@ -46,7 +45,6 @@ class MalformedRowError(IngestError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
-        self.detail = message
 
 
 class UndeclaredVariableError(IngestError):
@@ -73,10 +71,6 @@ class UnknownDimensionError(IngestError):
     pass
 
 
-# The errors a behaviours row can raise; a second part sends them back by name.
-_ROW_ERRORS = {
-    cls.__name__: cls for cls in (MalformedRowError, NonFiniteValueError, UndeclaredVariableError)
-}
 _SCAN_CHUNK = 1 << 20
 
 
@@ -202,7 +196,9 @@ def load_behaviors(
 
     Where `_split_point` allows, a forked child reads the second half of the
     file while this process reads the first, and the halves merge in file
-    order: records, report and errors are those of reading in one part.
+    order. If the child gives no result (a bad row, bad UTF-8, a killed
+    child), this process reads the second half itself, so records, report
+    and errors are those of reading in one part.
     """
     return _load(path, variables, policy, _split_point, _forked)
 
@@ -395,25 +391,20 @@ def _read_in_two(handle, split, state, run) -> tuple[int, str]:
     `handle` stands just after the header. Gives the next record's number,
     and a reason if the second part had to be read here after all.
 
-    An error in this half comes first in the file, so it wins; otherwise the
-    other half's row error is raised again. Any other failure there (a
-    UnicodeDecodeError, a killed child) makes this process read the second
-    half itself, from where `handle` stands, as a one-part read would.
+    An error in this half comes first in the file, so it wins. If the other
+    half gives no result, this process reads it from where `handle` stands,
+    as a one-part read would, so any error there is raised by the same code
+    at the same record.
     """
     lines, offset = split
     by_name, policy, table, names, skipped = state
     with run(partial(_tail, handle.fileno(), offset, lines + 1, by_name, policy)) as result:
         _fill(csv.reader(islice(handle, lines - 1)), 2, *state)
-        try:
-            payload = marshal.loads(result())
-        except (EOFError, ValueError, TypeError):
-            payload = ("failed",)
-    if payload[0] == "error":
-        _, name, args = payload
-        raise _ROW_ERRORS[name](*args) from None
-    if payload[0] == "failed":
+        payload = result()
+    try:
+        end, tail_table, tail_skipped = marshal.loads(payload)
+    except (EOFError, ValueError, TypeError):
         return _fill(csv.reader(handle), lines + 1, *state), "second part failed"
-    _, end, tail_table, tail_skipped = payload
     get = table.get
     for (learner, variable), values in tail_table.items():
         mine = get((learner, variable))
@@ -429,12 +420,8 @@ def _read_in_two(handle, split, state, run) -> tuple[int, str]:
 def _tail(fd, offset, line, by_name, policy) -> bytes:
     """Read the file open on `fd` from byte `offset` on, numbering records from `line`.
 
-    Gives a marshal payload: ("ok", next record's number, the table of
-    values per key, skipped unknowns), ("error", error class name,
-    arguments) for a row error, or ("failed",). A row error is sent only if
-    the rest of the file decodes: a one-part read decodes ahead of the row
-    it parses, so it would raise a UnicodeDecodeError first if the bad bytes
-    fell in the same chunk.
+    Gives the marshal'd (next record's number, the table of values per key,
+    skipped unknowns), or b"" if the read raised anything.
     """
     table: dict[tuple[str, str], list[float]] = {}
     skipped: list[tuple[str, str]] = []
@@ -442,28 +429,9 @@ def _tail(fd, offset, line, by_name, policy) -> bytes:
         raw = io.BufferedReader(_FileRange(fd, offset))
         with io.TextIOWrapper(raw, encoding="utf-8", newline="") as handle:
             end = _fill(csv.reader(handle), line, by_name, policy, table, {}, skipped)
-    except IngestError as exc:
-        name = type(exc).__name__
-        if name not in _ROW_ERRORS or not _decodes(fd, offset):
-            return marshal.dumps(("failed",))
-        args = (exc.line, exc.detail) if isinstance(exc, MalformedRowError) else exc.args
-        return marshal.dumps(("error", name, args))
     except Exception:
-        return marshal.dumps(("failed",))
-    return marshal.dumps(("ok", end, table, skipped))
-
-
-def _decodes(fd, offset) -> bool:
-    """Whether the bytes of the file open on `fd` from `offset` on are UTF-8."""
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    raw = _FileRange(fd, offset)
-    try:
-        while chunk := raw.read(_SCAN_CHUNK):
-            decoder.decode(chunk)
-        decoder.decode(b"", final=True)
-    except UnicodeDecodeError:
-        return False
-    return True
+        return b""
+    return marshal.dumps((end, table, skipped))
 
 
 @contextmanager

@@ -19,7 +19,7 @@ from stylegroup.dsl import (
     validate,
 )
 from stylegroup.fuzzy import Trapezoid
-from stylegroup.grouping import GroupingParams, assign_groups
+from stylegroup.grouping import DegenerateFractionError, GroupingParams, assign_groups
 from stylegroup.kernel import centroids
 from stylegroup.simulate import CohortSpec, ScoreModel, generate, generate_scores
 from stylegroup.stats import Sample, one_way_anova, pearson_r, two_sample_t
@@ -315,7 +315,7 @@ def _random_profiles(rng, n):
 def test_criterion_8_grouping_invariants_randomized():
     rng = np.random.default_rng(808)
     start = time.perf_counter()
-    bad = 0
+    bad = refused = 0
     for trial in range(1000):
         n = int(rng.integers(6, 60))
         profiles = _random_profiles(rng, n)
@@ -325,7 +325,18 @@ def test_criterion_8_grouping_invariants_randomized():
             target_k=int(rng.integers(1, 6)),
             min_size=int(rng.integers(1, 4)),
         )
-        first = assign_groups(profiles, params)
+        # Each side of the split needs at least 2 learners.
+        control_n = round(params.control_fraction * n)
+        degenerate = min(control_n, n - control_n) < 2
+        try:
+            first = assign_groups(profiles, params)
+        except DegenerateFractionError:
+            refused += 1
+            bad += not degenerate
+            continue
+        if degenerate:
+            bad += 1
+            continue
         second = assign_groups(profiles, params)
         if first != second or first.to_csv().encode() != second.to_csv().encode():
             bad += 1
@@ -343,7 +354,7 @@ def test_criterion_8_grouping_invariants_randomized():
         8,
         "grouping-invariants",
         bad == 0,
-        f"1000 cohorts, {bad} violations, {elapsed:.1f}s",
+        f"1000 cohorts, {refused} refused, {bad} violations, {elapsed:.1f}s",
     )
 
 

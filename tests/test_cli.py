@@ -546,3 +546,73 @@ def test_group_logs_its_assignment_only_at_info(tmp_path):
     names = sorted(p.name for p in (tmp_path / "warning").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "info").iterdir())
     assert filecmp.cmpfiles(tmp_path / "warning", tmp_path / "info", names, shallow=False)[0] == names
+
+
+@pytest.mark.parametrize(
+    "command, key, value, kind",
+    [
+        ("classify", "behaviors", 0, "a string"),
+        ("classify", "policy", "lenient", "one of 'clamp', 'strict'"),
+        ("evaluate", "alpha", None, "a number"),
+        ("group", "control_fraction", [0.1], "a number"),
+        ("group", "out", 7, "a string"),
+    ],
+)
+def test_config_values_must_have_their_flags_json_type(tmp_path, capsys, command, key, value, kind):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 3, key: value}), encoding="utf-8")
+    assert main([command, "--config", str(config)]) == 2
+    assert f"config error: config key {key!r} must be {kind}, got {value!r}" in (
+        capsys.readouterr().err
+    )
+
+
+def test_group_and_pipeline_refuse_a_side_below_two_learners(tmp_path, capsys):
+    """14 learners at the default fraction 0.1 would give a control of 1."""
+    out = tmp_path / "group"
+    argv = ["group", "--profiles", str(_profiles_csv(tmp_path, learners=14)), "--seed", "3"]
+    assert main([*argv, "--out", str(out)]) == 1
+    refusal = "fraction 0.1 of 14 learners gives a control of 1 and a treated side of 13"
+    assert refusal in capsys.readouterr().err
+    assert not (out / "assignment.csv").exists()
+    assert main([*argv, "--control-fraction", "0.9", "--out", str(out)]) == 1
+    assert "gives a control of 13 and a treated side of 1" in capsys.readouterr().err
+
+    spec = tmp_path / "cohort.json"
+    spec.write_text(json.dumps({
+        "cohort": [{"signature": ["reactive", "sensory", "visual", "consecutive"], "count": 14}],
+        "score_model": {"treated_mean": 17.65, "control_mean": 12.6, "sigma": 2.5},
+    }), encoding="utf-8")
+    out = tmp_path / "pipeline"
+    argv = ["pipeline", "--cohort-spec", str(spec), "--seed", "3", "--min-size", "2"]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert refusal in capsys.readouterr().err
+    assert not (out / "assignment.csv").exists()
+    assert not (out / "scores.csv").exists()
+
+
+def test_evaluate_keeps_the_group_order_of_the_assignment(tmp_path, capsys):
+    """Group 5 comes before group 37, as `group` writes them, though "37" < "5" as text."""
+    assignment = tmp_path / "assignment.csv"
+    scores = tmp_path / "scores.csv"
+    members = [(f"{gid}_{i}", gid, 0) for gid in ("5", "37") for i in range(4)]
+    members += [(f"c_{i}", "control", 1) for i in range(4)]
+    assignment.write_text(
+        "learner_id,group_id,is_control\n"
+        + "".join(f"{lid},{gid},{ctl}\n" for lid, gid, ctl in members),
+        encoding="utf-8",
+    )
+    base = {"5": 12.0, "37": 17.0, "control": 10.0}
+    scores.write_text(
+        "learner_id,score\n"
+        + "".join(f"{lid},{base[gid] + n % 4 * 0.3}\n" for n, (lid, gid, _) in enumerate(members)),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    argv = ["evaluate", "--assignment", str(assignment), "--scores", str(scores), "--out", str(out)]
+    assert main(argv) == 0
+    report = capsys.readouterr().out
+    assert report.index("group-5") < report.index("group-37")
+    evaluation = json.loads((out / "evaluation.json").read_text(encoding="utf-8"))
+    assert [g["label"] for g in evaluation["groups"]] == ["group-5", "group-37"]
+    assert ["group-5", "group-37"] in [p["pair"] for p in evaluation["posthoc"]]

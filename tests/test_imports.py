@@ -25,7 +25,8 @@ from stylegroup.cli import main
 assignment, scores, profiles, out = sys.argv[1:]
 assert main(["validate-rules"]) == 0
 assert main(["evaluate", "--assignment", assignment, "--scores", scores, "--out", out]) == 0
-assert main(["group", "--profiles", profiles, "--seed", "3", "--min-size", "2", "--out", out]) == 0
+assert main(["group", "--profiles", profiles, "--seed", "3", "--min-size", "2",
+             "--control-fraction", "0.25", "--out", out]) == 0
 """
 
 # The modules a second process for reading behaviours could have pulled in.

@@ -361,13 +361,14 @@ def _padded_row(size):
 
 
 def test_undecodable_second_half_is_read_again_here(tmp_path):
-    """A row error the second process finds loses to bad UTF-8 that a one-part read decodes first.
+    """A row error the second process meets first loses to bad UTF-8 that a one-part read decodes first.
 
     Text is decoded 8 KiB at a time from where the reader starts. The split
     sits half a chunk off the one-part read's chunk grid, and the bad row
     ends the second process's first chunk: that process parses the row
     before it reaches the bad byte, while a one-part read decodes both at
-    once and fails on the byte.
+    once and fails on the byte. The second process gives no result, and
+    this process reads the second half again on the one-part read's grid.
     """
     header = b"learner_id,variable,value\n"
     bad_row, bad_byte = b"L2,test_time,abc\n", b"L3,test_time,\xff\n"
@@ -383,9 +384,54 @@ def test_undecodable_second_half_is_read_again_here(tmp_path):
     for run in (_in_process, ingest._forked):
         got = _exception(_split_at(split, run), path)
         assert (type(got), str(got)) == (type(expected), str(expected))
-    # With the bad byte out of the way, the second process's row error stands.
+    # With the bad byte out of the way, the row error is raised at its record.
     path.write_bytes(first + second + _padded_row(18) * 200)
     assert _exception(_split_at(split, ingest._forked), path).line == 1137 + 455
+
+
+@contextmanager
+def _gives_nothing(work):
+    yield lambda: b""
+
+
+@contextmanager
+def _gives_half(work):
+    payload = work()
+    yield lambda: payload[: len(payload) // 2]
+
+
+@contextmanager
+def _child_exits_first(work):
+    with ingest._forked(lambda: os._exit(1)) as result:
+        yield result
+
+
+@pytest.mark.parametrize("run", [_gives_nothing, _gives_half, _child_exits_first])
+@pytest.mark.parametrize(
+    "rows, policy, error",
+    [
+        (_GOOD * 3, "clamp", None),
+        (_GOOD * 2 + [["L2", "test_time", "x"]] + _GOOD, "clamp", MalformedRowError),
+        (_GOOD * 2 + [["L2", "mystery", "1"]] + _GOOD, "strict", UndeclaredVariableError),
+    ],
+)
+def test_failed_second_part_is_read_here(tmp_path, caplog, two_cpus, run, rows, policy, error):
+    """A second part that gives nothing or a cut payload, or whose child dies, is read again here."""
+    path = _write_rows(tmp_path / "b.csv", rows)
+    with open(path, "rb") as handle:
+        (lines, _), _ = ingest._split_point(handle.fileno())
+    assert lines < len(_GOOD) * 2 + 2  # a bad row is in the second half
+    with caplog.at_level(logging.INFO, logger="stylegroup.ingest"):
+        got = _outcome(
+            lambda *args, policy: ingest._load(*args, policy, ingest._split_point, run),
+            path, policy,
+        )
+    expected = _outcome(reference_load_behaviors, path, policy)
+    assert got == expected
+    if error is None:
+        assert _parts(caplog) == "1 (second part failed)"
+    else:
+        assert expected[0] is error
 
 
 def _exception(load, path):

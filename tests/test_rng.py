@@ -57,7 +57,7 @@ def test_split_control_takes_numpys_members_on_both_branches():
 
 def test_bad_arguments_raise_value_error():
     with pytest.raises(ValueError, match="seed must be a non-negative integer"):
-        split_control(["L1", "L2", "L3"], 0.5, seed=-1)
+        split_control(["L1", "L2", "L3", "L4"], 0.5, seed=-1)
     with pytest.raises(ValueError, match="below 2\\*\\*32"):
         choice_set(1, STREAM_CONTROL, 2**32, 1)
     with pytest.raises(ValueError, match="cannot choose"):
