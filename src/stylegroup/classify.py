@@ -12,14 +12,18 @@ independent: cohort order never changes an individual profile.
 from __future__ import annotations
 
 import json
-import math
+import logging
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Sequence
 
 from .dsl import DIMENSIONS, RuleBase
 from .fuzzy import CompiledRules
-from .ingest import BehaviorRecord, IngestError, QuestionnaireRecord, csv_rows, csv_text
+from .ingest import BehaviorRecord, IngestError, QuestionnaireRecord, csv_text
+from .ingest import learner_rows, parse_float
 from .stats import pearson_r
+
+log = logging.getLogger(__name__)
 
 
 class ClassificationError(Exception):
@@ -196,6 +200,13 @@ def classify_cohort(
             else:
                 dimension = outcome.dimension if isinstance(outcome, NoRuleFiredError) else None
                 failures.append(ClassificationFailure(record.learner_id, dimension, str(outcome)))
+    missing = sum(failure.dimension is None for failure in failures)
+    log.info(
+        "cohort: %d learners, %d classified, %d missing-feature, %d no-rule-fired, "
+        "distinct crisp scores %s",
+        len(records), len(profiles), missing, len(failures) - missing,
+        ",".join(f"{dim.name}={len(dim.labels)}" for dim in dimensions),
+    )
     return profiles, failures
 
 
@@ -323,39 +334,12 @@ def profiles_to_csv(profiles: Sequence[StyleProfile]) -> str:
     )
 
 
-def profiles_from_csv(text: str) -> list[StyleProfile]:
+def profiles_from_csv(path: str | Path) -> list[StyleProfile]:
     """Rebuild profiles from the flat export (fired-rule detail is not kept there)."""
-    rows = csv_rows(text)
-    if not rows or rows[0] != PROFILE_HEADER:
-        raise IngestError("not a profile export: bad header")
     grouped: dict[str, list[DimensionResult]] = {}
-    for row in rows[1:]:
-        if len(row) != len(PROFILE_HEADER):
-            raise IngestError(
-                f"learner {row[0]!r}: profile row has {len(row)} fields, "
-                f"expected {len(PROFILE_HEADER)}"
-            )
-        learner_id, dimension, crisp, label = row
-        if not learner_id.strip():
-            raise IngestError(f"learner {learner_id!r}: empty learner id")
-        try:
-            score = float(crisp)
-        except ValueError:
-            score = math.nan
-        if not math.isfinite(score):
-            raise IngestError(
-                f"learner {learner_id!r}: crisp score {crisp!r} for {dimension!r} "
-                "is not a finite number"
-            )
-        grouped.setdefault(learner_id, []).append(
-            DimensionResult(
-                dimension=dimension,
-                crisp_score=score,
-                label=label,
-                term_memberships={},
-                fired_rules=(),
-            )
-        )
+    for line, (_, dimension, crisp, label), learner in learner_rows(path, PROFILE_HEADER):
+        score = parse_float(line, crisp, "crisp_score")
+        grouped.setdefault(learner, []).append(DimensionResult(dimension, score, label, {}, ()))
     profiles = [StyleProfile(learner_id=lid, results=tuple(r)) for lid, r in grouped.items()]
     # Grouping compares crisp-score vectors position by position.
     expected = [r.dimension for r in profiles[0].results] if profiles else []

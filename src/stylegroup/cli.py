@@ -316,7 +316,7 @@ def _cmd_group(args: argparse.Namespace, config: dict) -> int:
     profiles_path = _require(args, config, "profiles")
     params = _grouping_params(args, config)
     out = _out_dir(args, config)
-    profiles = profiles_from_csv(Path(profiles_path).read_text(encoding="utf-8"))
+    profiles = profiles_from_csv(profiles_path)
     assignment = assign_groups(profiles, params)
     _write_assignment(assignment, out)
     print(
@@ -371,7 +371,7 @@ def _cmd_evaluate(args: argparse.Namespace, config: dict) -> int:
     out = _out_dir(args, config)
 
     scores = load_scores(scores_path)
-    entries = assignment_from_csv(Path(assignment_path).read_text(encoding="utf-8"))
+    entries = assignment_from_csv(assignment_path)
     samples, control = _samples(entries, scores)
     satisfaction_path = _opt(args, config, "satisfaction")
     satisfaction = (

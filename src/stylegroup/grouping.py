@@ -13,10 +13,11 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 from .classify import StyleProfile
-from .ingest import IngestError, csv_rows, csv_text
+from .ingest import MalformedRowError, csv_text, learner_rows
 from .rng import STREAM_CONTROL, choice_set
 
 log = logging.getLogger(__name__)
@@ -70,31 +71,20 @@ class GroupAssignment:
         return csv_text(ASSIGNMENT_HEADER, rows)
 
 
-def assignment_from_csv(text: str) -> list[tuple[str, str, bool]]:
+def assignment_from_csv(path: str | Path) -> list[tuple[str, str, bool]]:
     """(learner id, group id, is control) per row of a `GroupAssignment.to_csv` export."""
-    rows = csv_rows(text)
-    if not rows or rows[0] != ASSIGNMENT_HEADER:
-        raise IngestError("not an assignment export: bad header")
     entries = {}
-    for row in rows[1:]:
-        if len(row) != len(ASSIGNMENT_HEADER):
-            raise IngestError(
-                f"learner {row[0]!r}: assignment row has {len(row)} fields, "
-                f"expected {len(ASSIGNMENT_HEADER)}"
-            )
-        learner, group_id, is_control = row
-        if not learner.strip():
-            raise IngestError(f"learner {learner!r}: empty learner id")
+    for line, (_, group_id, is_control), learner in learner_rows(path, ASSIGNMENT_HEADER):
         if learner in entries:
-            raise IngestError(f"learner {learner!r}: listed twice")
+            raise MalformedRowError(line, f"learner {learner!r} listed twice")
         if is_control not in ("0", "1"):
-            raise IngestError(f"learner {learner!r}: is_control {is_control!r} is not 0 or 1")
+            raise MalformedRowError(line, f"is_control {is_control!r} is not 0 or 1")
         if not group_id.strip():
-            raise IngestError(f"learner {learner!r}: empty group_id")
+            raise MalformedRowError(line, "empty group_id")
         # `to_csv` writes group "control" with 1, and a group id with 0.
         if (group_id == "control") != (is_control == "1"):
-            raise IngestError(
-                f"learner {learner!r}: group_id {group_id!r} disagrees with is_control {is_control}"
+            raise MalformedRowError(
+                line, f"group_id {group_id!r} disagrees with is_control {is_control}"
             )
         entries[learner] = (learner, group_id, is_control == "1")
     return list(entries.values())
@@ -215,6 +205,9 @@ def assign_groups(
     profiles: Sequence[StyleProfile], params: GroupingParams
 ) -> GroupAssignment:
     """Full assignment: control split first, then homogeneous grouping."""
+    # Each group meets the control in a t-test, which needs 2 values a side.
+    if params.min_size < 2:
+        raise InfeasibleConstraintsError(f"min_size must be >= 2, got {params.min_size}")
     treatment_ids, control = split_control(
         [p.learner_id for p in profiles], params.control_fraction, params.seed
     )

@@ -111,17 +111,17 @@ class ClampReport:
 
 
 def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """RFC-4180 text with "\n" line ends; a field is quoted only where it must be."""
+    """RFC-4180 text with "\\n" line ends; a field is quoted only where it must be."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    # csv.writer quotes only for its own line end's characters: with "\r\n",
+    # a field holding "\r" is quoted too. Outside quotes (after an even number
+    # of '"'), each "\r\n" ends a record and becomes "\n".
+    writer = csv.writer(buffer, lineterminator="\r\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buffer.getvalue()
-
-
-def csv_rows(text: str) -> list[list[str]]:
-    """The rows of RFC-4180 text, header included, skipping blank lines."""
-    return [row for row in csv.reader(io.StringIO(text)) if not _blank(row)]
+    parts = buffer.getvalue().split('"')
+    parts[::2] = [part.replace("\r\n", "\n") for part in parts[::2]]
+    return '"'.join(parts)
 
 
 def _blank(row: list[str]) -> bool:
@@ -151,12 +151,14 @@ def _read_rows(
         yield handle, reader
 
 
-def _learner_rows(
+def learner_rows(
     path: str | Path, expected_header: list[str]
 ) -> Iterator[tuple[int, list[str], str]]:
-    """Yield (line, row, stripped learner id) per non-blank row.
+    """Yield (line, row, stripped learner id) per non-blank row of a learner-keyed file.
 
-    A row of another width than the header, or with an empty id, raises.
+    Every CSV input but the behaviours log is read here, profiles and
+    assignments included. The header compares case-insensitively; a row of
+    another width than the header, or with an empty id, raises.
     """
     width = len(expected_header)
     with _read_rows(path, expected_header) as (_, reader):
@@ -173,7 +175,8 @@ def _learner_rows(
             yield line, row, learner
 
 
-def _parse_float(line: int, text: str, what: str) -> float:
+def parse_float(line: int, text: str, what: str) -> float:
+    """The finite number in a cell, or an error naming the line and the column `what`."""
     try:
         value = float(text)
     except ValueError:
@@ -300,7 +303,7 @@ def _fill(reader, line, by_name, policy, table, names, skipped) -> int:
         except ValueError:
             value = math.nan
         if not isfinite(value):
-            value = _parse_float(line, raw.strip(), "value")
+            value = parse_float(line, raw.strip(), "value")
         if values is None:
             if variable not in by_name:
                 if policy == "strict":
@@ -471,13 +474,13 @@ def load_questionnaire(path: str | Path) -> list[QuestionnaireRecord]:
     records = []
     seen = set()
     lo, hi = QUESTIONNAIRE_RANGE
-    for line, row, learner in _learner_rows(path, ["learner_id", "dimension", "score"]):
+    for line, row, learner in learner_rows(path, ["learner_id", "dimension", "score"]):
         dimension, raw_score = row[1].strip(), row[2].strip()
         if dimension not in DIMENSIONS:
             raise UnknownDimensionError(
                 f"line {line}: dimension {dimension!r} is not one of {', '.join(DIMENSIONS)}"
             )
-        score = _parse_float(line, raw_score, "score")
+        score = parse_float(line, raw_score, "score")
         if score < lo or score > hi:
             raise ScoreOutOfRangeError(
                 f"line {line}: score {score!r} outside [{lo}, {hi}]"
@@ -495,10 +498,10 @@ def load_questionnaire(path: str | Path) -> list[QuestionnaireRecord]:
 def load_scores(path: str | Path) -> dict[str, float]:
     """Load final test scores: header learner_id,score."""
     scores: dict[str, float] = {}
-    for line, row, learner in _learner_rows(path, ["learner_id", "score"]):
+    for line, row, learner in learner_rows(path, ["learner_id", "score"]):
         if learner in scores:
             raise DuplicateEntryError(f"line {line}: duplicate score for {learner!r}")
-        scores[learner] = _parse_float(line, row[1].strip(), "score")
+        scores[learner] = parse_float(line, row[1].strip(), "score")
     return scores
 
 
@@ -506,11 +509,11 @@ def load_satisfaction(path: str | Path) -> dict[str, tuple[float, ...]]:
     """Load 7-item satisfaction responses: header learner_id,q1,...,q7."""
     header = ["learner_id"] + [f"q{i}" for i in range(1, 8)]
     responses: dict[str, tuple[float, ...]] = {}
-    for line, row, learner in _learner_rows(path, header):
+    for line, row, learner in learner_rows(path, header):
         if learner in responses:
             raise DuplicateEntryError(f"line {line}: duplicate responses for {learner!r}")
         responses[learner] = tuple(
-            _parse_float(line, cell.strip(), f"q{i}") for i, cell in enumerate(row[1:], 1)
+            parse_float(line, cell.strip(), f"q{i}") for i, cell in enumerate(row[1:], 1)
         )
     return responses
 

@@ -19,7 +19,12 @@ from stylegroup.dsl import (
     validate,
 )
 from stylegroup.fuzzy import Trapezoid
-from stylegroup.grouping import DegenerateFractionError, GroupingParams, assign_groups
+from stylegroup.grouping import (
+    DegenerateFractionError,
+    GroupingParams,
+    InfeasibleConstraintsError,
+    assign_groups,
+)
 from stylegroup.kernel import centroids
 from stylegroup.simulate import CohortSpec, ScoreModel, generate, generate_scores
 from stylegroup.stats import Sample, one_way_anova, pearson_r, two_sample_t
@@ -325,16 +330,21 @@ def test_criterion_8_grouping_invariants_randomized():
             target_k=int(rng.integers(1, 6)),
             min_size=int(rng.integers(1, 4)),
         )
-        # Each side of the split needs at least 2 learners.
+        # Each side of the split needs at least 2 learners, and so does each group.
         control_n = round(params.control_fraction * n)
+        too_small = params.min_size < 2
         degenerate = min(control_n, n - control_n) < 2
         try:
             first = assign_groups(profiles, params)
+        except InfeasibleConstraintsError as exc:
+            refused += 1
+            bad += not too_small or "min_size" not in str(exc)
+            continue
         except DegenerateFractionError:
             refused += 1
-            bad += not degenerate
+            bad += too_small or not degenerate
             continue
-        if degenerate:
+        if too_small or degenerate:
             bad += 1
             continue
         second = assign_groups(profiles, params)
@@ -347,6 +357,7 @@ def test_criterion_8_grouping_invariants_randomized():
             len(members) != len(set(members))
             or set(members) & set(first.control)
             or set(members) | set(first.control) != cohort
+            or any(len(g.members) < 2 for g in first.groups)
         ):
             bad += 1
     elapsed = time.perf_counter() - start

@@ -1,3 +1,5 @@
+import logging
+
 import pytest
 
 from stylegroup.classify import (
@@ -162,6 +164,38 @@ def test_cohort_collects_failures(rb):
     assert [p.learner_id for p in profiles] == ["L1"]
     assert [f.learner_id for f in failures] == ["L2"]
     assert "audio_time" in failures[0].reason
+
+
+def test_cohort_logs_one_line_only_at_info(caplog):
+    rb = parse_rulebase(
+        """
+        input effort dim=processing universe=[0,12] { low=(0,0,2,4) high=(6,8,12,12) }
+        output processing_score dim=processing universe=[0,12] { calm=(0,0,6,8) busy=(4,6,12,12) }
+
+        RULE a: IF effort IS low THEN processing_score IS calm
+        RULE b: IF effort IS high THEN processing_score IS busy
+        """
+    )
+    records = [
+        BehaviorRecord("L1", {"effort": 1.0}),
+        BehaviorRecord("L2", {"effort": 1.0}),
+        BehaviorRecord("L3", {"effort": 10.0}),
+        BehaviorRecord("L4", {"effort": 5.0}),  # between the ramps: no rule fires
+        BehaviorRecord("L5", {}),
+    ]
+    with caplog.at_level(logging.WARNING, logger="stylegroup.classify"):
+        classify_cohort(records, rb)
+    assert caplog.records == []
+    with caplog.at_level(logging.INFO, logger="stylegroup.classify"):
+        classify_cohort(records, rb)
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        (
+            "stylegroup.classify",
+            logging.INFO,
+            "cohort: 5 learners, 3 classified, 1 missing-feature, 1 no-rule-fired, "
+            "distinct crisp scores processing=2",
+        )
+    ]
 
 
 def test_cohort_determinism_and_permutation_invariance(rb):
@@ -413,11 +447,12 @@ def test_low_noise_synthetic_cohort_correlates(rb):
 # -- export ----------------------------------------------------------------------
 
 
-def test_profiles_csv_round_trip(rb):
+def test_profiles_csv_round_trip(rb, tmp_path):
     records = [BehaviorRecord(f"L{i}", _full_features(rb)) for i in range(3)]
     profiles, _ = classify_cohort(records, rb)
-    text = profiles_to_csv(profiles)
-    rebuilt = profiles_from_csv(text)
+    path = tmp_path / "profiles.csv"
+    path.write_text(profiles_to_csv(profiles), encoding="utf-8")
+    rebuilt = profiles_from_csv(path)
     assert [p.learner_id for p in rebuilt] == [p.learner_id for p in profiles]
     for original, copy in zip(profiles, rebuilt):
         assert copy.signature == original.signature
@@ -427,41 +462,46 @@ def test_profiles_csv_round_trip(rb):
             ).crisp_score
 
 
+# (id, row after L1's, the reader's message)
+_CORRUPT_PROFILE_ROWS = [
+    ("L2,processing,nan,reactive-crisp score 'nan' for 'processing' is not a finite number",
+     "L2,processing,nan,reactive", "line 3: crisp_score 'nan' is not finite"),
+    ("L2,processing,-inf,reactive-crisp score '-inf' for 'processing' is not a finite number",
+     "L2,processing,-inf,reactive", "line 3: crisp_score '-inf' is not finite"),
+    ("L2,processing,high,reactive-crisp score 'high' for 'processing' is not a finite number",
+     "L2,processing,high,reactive", "line 3: crisp_score 'high' is not a number"),
+    ("L2,processing,7.5-profile row has 3 fields, expected 4",
+     "L2,processing,7.5", "line 3: expected 4 fields, got 3"),
+    ("L2,processing,7.5,reactive,x-profile row has 5 fields, expected 4",
+     "L2,processing,7.5,reactive,x", "line 3: expected 4 fields, got 5"),
+    ("L2,perception,7.5,intuitive-dimensions perception differ from the first learner's "
+     "processing",
+     "L2,perception,7.5,intuitive",
+     "learner 'L2': dimensions perception differ from the first learner's processing"),
+    ("L2,processing,7.5,reactive\nL2,processing,7.5,reactive-dimensions processing, processing "
+     "differ from the first learner's processing",
+     "L2,processing,7.5,reactive\nL2,processing,7.5,reactive",
+     "learner 'L2': dimensions processing, processing differ from the first learner's processing"),
+    ("empty-learner-id", ",processing,7.5,reactive", "line 3: empty learner_id"),
+    ("learner-dimension-listed-twice", "L1,processing,3.5,reactive",
+     "learner 'L1': dimension 'processing' listed twice"),
+]
+
+
 @pytest.mark.parametrize(
-    "row, problem",
-    [
-        ("L2,processing,nan,reactive", "crisp score 'nan' for 'processing' is not a finite number"),
-        ("L2,processing,-inf,reactive", "crisp score '-inf' for 'processing' is not a finite number"),
-        ("L2,processing,high,reactive", "crisp score 'high' for 'processing' is not a finite number"),
-        ("L2,processing,7.5", "profile row has 3 fields, expected 4"),
-        ("L2,processing,7.5,reactive,x", "profile row has 5 fields, expected 4"),
-        (
-            "L2,perception,7.5,intuitive",
-            "dimensions perception differ from the first learner's processing",
-        ),
-        (
-            "L2,processing,7.5,reactive\nL2,processing,7.5,reactive",
-            "dimensions processing, processing differ from the first learner's processing",
-        ),
-        # The next two name a learner other than L2, so they give the whole message.
-        pytest.param(
-            ",processing,7.5,reactive",
-            "learner '': empty learner id",
-            id="empty-learner-id",
-        ),
-        pytest.param(
-            "L1,processing,3.5,reactive",
-            "learner 'L1': dimension 'processing' listed twice",
-            id="learner-dimension-listed-twice",
-        ),
-    ],
+    "row, message",
+    [case[1:] for case in _CORRUPT_PROFILE_ROWS],
+    ids=[case[0] for case in _CORRUPT_PROFILE_ROWS],
 )
-def test_profiles_from_csv_rejects_corrupt_rows(row, problem):
-    text = f"learner_id,dimension,crisp_score,label\nL1,processing,3.5,reactive\n{row}\n"
+def test_profiles_from_csv_rejects_corrupt_rows(tmp_path, row, message):
+    path = tmp_path / "profiles.csv"
+    path.write_text(
+        f"learner_id,dimension,crisp_score,label\nL1,processing,3.5,reactive\n{row}\n",
+        encoding="utf-8",
+    )
     with pytest.raises(IngestError) as exc_info:
-        profiles_from_csv(text)
-    expected = problem if problem.startswith("learner ") else f"learner 'L2': {problem}"
-    assert str(exc_info.value) == expected
+        profiles_from_csv(path)
+    assert str(exc_info.value) == message
 
 
 def test_profiles_json_contains_fired_rules(rb):

@@ -251,7 +251,7 @@ def test_group_and_evaluate_reject_corrupt_rows(tmp_path, capsys):
     rows[5] = "L5,processing,nan,reactive"
     profiles.write_text("learner_id,dimension,crisp_score,label\n" + "\n".join(rows) + "\n")
     assert main(["group", "--profiles", str(profiles), "--seed", "1", "--out", str(tmp_path)]) == 1
-    assert "learner 'L5': crisp score 'nan'" in capsys.readouterr().err
+    assert "error: line 7: crisp_score 'nan' is not finite\n" in capsys.readouterr().err
 
     assignment = tmp_path / "assignment.csv"
     assignment.write_text("learner_id,group_id,is_control\nL1,1,0\nL2,control,true\n")
@@ -259,7 +259,36 @@ def test_group_and_evaluate_reject_corrupt_rows(tmp_path, capsys):
     scores.write_text("learner_id,score\nL1,10\nL2,12\n")
     argv = ["evaluate", "--assignment", str(assignment), "--scores", str(scores)]
     assert main([*argv, "--out", str(tmp_path)]) == 1
-    assert "learner 'L2': is_control 'true' is not 0 or 1" in capsys.readouterr().err
+    assert "error: line 3: is_control 'true' is not 0 or 1\n" in capsys.readouterr().err
+
+
+def test_evaluate_strips_assignment_ids_as_it_strips_score_ids(tmp_path, capsys):
+    assignment = tmp_path / "assignment.csv"
+    assignment.write_text(
+        "learner_id,group_id,is_control\n L1,1,0\nL2,1,0\nL3,control,1\nL4,control,1\n"
+    )
+    scores = tmp_path / "scores.csv"
+    scores.write_text("learner_id,score\nL1,10\nL2,12\nL3,9\nL4,11\n")
+    argv = ["evaluate", "--assignment", str(assignment), "--scores", str(scores)]
+    assert main([*argv, "--out", str(tmp_path)]) == 0, capsys.readouterr().err
+    evaluation = json.loads((tmp_path / "evaluation.json").read_text(encoding="utf-8"))
+    assert evaluation["groups"] == [{"label": "group-1", "mean": 11.0, "n": 2}]
+    assert evaluation["control"] == {"label": "control", "mean": 10.0, "n": 2}
+
+
+@pytest.mark.parametrize("command", ["group", "pipeline"])
+def test_min_size_below_two_is_refused_before_any_assignment(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    if command == "group":
+        profiles = tmp_path / "profiles.csv"
+        rows = [f"L{i},processing,{3.5 + i % 3},reactive" for i in range(30)]
+        profiles.write_text("learner_id,dimension,crisp_score,label\n" + "\n".join(rows) + "\n")
+        argv = ["group", "--profiles", str(profiles)]
+    else:
+        argv = ["pipeline", "--cohort-spec", str(_small_cohort_spec(tmp_path))]
+    assert main([*argv, "--seed", "3", "--min-size", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "error: min_size must be >= 2, got 1"
+    assert not (out / "assignment.csv").exists()
 
 
 def test_group_profiles_of_two_dimensions(tmp_path, capsys):

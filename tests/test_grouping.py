@@ -2,12 +2,15 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stylegroup.classify import DimensionResult, StyleProfile
+from stylegroup.classify import DimensionResult, StyleProfile, profiles_from_csv, profiles_to_csv
 from stylegroup.dsl import DIMENSIONS
 from stylegroup.grouping import (
     DegenerateFractionError,
     EmptyCohortError,
+    Group,
+    GroupAssignment,
     GroupingParams,
     InfeasibleConstraintsError,
     assign_groups,
@@ -16,7 +19,7 @@ from stylegroup.grouping import (
     homogeneous_partition,
     split_control,
 )
-from stylegroup.ingest import IngestError
+from stylegroup.ingest import MalformedRowError
 
 POLE_SCORE = {"low": 3.5, "high": 9.5, "mid": 7.2}
 
@@ -226,9 +229,19 @@ def test_assignment_partitions_and_is_deterministic():
     assert len(first.control) == 12
 
 
+@pytest.mark.parametrize("min_size", [1, 0, -3])
+def test_assign_groups_refuses_min_size_below_two(min_size):
+    # Each group faces the control in a t-test, which needs 2 values a side.
+    profiles = [_profile(f"L{i}", SIG_A) for i in range(29)] + [_profile("L29", SIG_B)]
+    params = GroupingParams(control_fraction=0.1, seed=1, target_k=2, min_size=min_size)
+    with pytest.raises(InfeasibleConstraintsError) as exc_info:
+        assign_groups(profiles, params)
+    assert str(exc_info.value) == f"min_size must be >= 2, got {min_size}"
+
+
 def test_assignment_csv_shape():
     profiles = [_profile(f"L{i}", SIG_A) for i in range(10)]
-    params = GroupingParams(control_fraction=0.2, seed=1, target_k=1, min_size=1)
+    params = GroupingParams(control_fraction=0.2, seed=1, target_k=1, min_size=2)
     assignment = assign_groups(profiles, params)
     lines = assignment.to_csv().splitlines()
     assert lines[0] == "learner_id,group_id,is_control"
@@ -236,42 +249,117 @@ def test_assignment_csv_shape():
     assert sum(1 for line in lines[1:] if line.endswith(",1")) == 2
 
 
-def test_assignment_csv_reads_back():
+def test_assignment_csv_reads_back(tmp_path):
     profiles = [_profile(f"L{i}", SIG_A) for i in range(10)]
-    params = GroupingParams(control_fraction=0.2, seed=1, target_k=1, min_size=1)
+    params = GroupingParams(control_fraction=0.2, seed=1, target_k=1, min_size=2)
     assignment = assign_groups(profiles, params)
-    entries = assignment_from_csv(assignment.to_csv())
+    path = tmp_path / "assignment.csv"
+    path.write_text(assignment.to_csv(), encoding="utf-8")
+    entries = assignment_from_csv(path)
     assert [e for e in entries if not e[2]] == [
         (m, str(g.group_id), False) for g in assignment.groups for m in g.members
     ]
     assert [e for e in entries if e[2]] == [(m, "control", True) for m in assignment.control]
 
 
+# (row after L1's, what is wrong with it, the reader's message); the id is the first two.
+_CORRUPT_ASSIGNMENT_ROWS = [
+    ("L2,1", "learner 'L2': assignment row has 2 fields, expected 3",
+     "line 3: expected 3 fields, got 2"),
+    ("L2,1,0,x", "learner 'L2': assignment row has 4 fields, expected 3",
+     "line 3: expected 3 fields, got 4"),
+    ("L2,control,yes", "learner 'L2': is_control 'yes' is not 0 or 1",
+     "line 3: is_control 'yes' is not 0 or 1"),
+    ("L2,1,", "learner 'L2': is_control '' is not 0 or 1", "line 3: is_control '' is not 0 or 1"),
+    ("L2,1,2", "learner 'L2': is_control '2' is not 0 or 1",
+     "line 3: is_control '2' is not 0 or 1"),
+    ("L1,2,0", "learner 'L1': listed twice", "line 3: learner 'L1' listed twice"),
+    (",1,0", "learner '': empty learner id", "line 3: empty learner_id"),
+    (" ,1,0", "learner ' ': empty learner id", "line 3: empty learner_id"),
+    ("L2,,0", "learner 'L2': empty group_id", "line 3: empty group_id"),
+    ("L2, ,1", "learner 'L2': empty group_id", "line 3: empty group_id"),
+    ("L2,control,0", "learner 'L2': group_id 'control' disagrees with is_control 0",
+     "line 3: group_id 'control' disagrees with is_control 0"),
+    ("L2,1,1", "learner 'L2': group_id '1' disagrees with is_control 1",
+     "line 3: group_id '1' disagrees with is_control 1"),
+]
+
+
 @pytest.mark.parametrize(
-    "row, problem",
-    [
-        ("L2,1", "learner 'L2': assignment row has 2 fields, expected 3"),
-        ("L2,1,0,x", "learner 'L2': assignment row has 4 fields, expected 3"),
-        ("L2,control,yes", "learner 'L2': is_control 'yes' is not 0 or 1"),
-        ("L2,1,", "learner 'L2': is_control '' is not 0 or 1"),
-        ("L2,1,2", "learner 'L2': is_control '2' is not 0 or 1"),
-        ("L1,2,0", "learner 'L1': listed twice"),
-        (",1,0", "learner '': empty learner id"),
-        (" ,1,0", "learner ' ': empty learner id"),
-        ("L2,,0", "learner 'L2': empty group_id"),
-        ("L2, ,1", "learner 'L2': empty group_id"),
-        ("L2,control,0", "learner 'L2': group_id 'control' disagrees with is_control 0"),
-        ("L2,1,1", "learner 'L2': group_id '1' disagrees with is_control 1"),
-    ],
+    "row, message",
+    [(row, message) for row, _, message in _CORRUPT_ASSIGNMENT_ROWS],
+    ids=[f"{row}-{fault}" for row, fault, _ in _CORRUPT_ASSIGNMENT_ROWS],
 )
-def test_assignment_from_csv_rejects_corrupt_rows(row, problem):
-    with pytest.raises(IngestError, match=f"^{problem}$"):
-        assignment_from_csv(f"learner_id,group_id,is_control\nL1,1,0\n{row}\n")
+def test_assignment_from_csv_rejects_corrupt_rows(tmp_path, row, message):
+    path = tmp_path / "assignment.csv"
+    path.write_text(f"learner_id,group_id,is_control\nL1,1,0\n{row}\n", encoding="utf-8")
+    with pytest.raises(MalformedRowError) as exc_info:
+        assignment_from_csv(path)
+    assert str(exc_info.value) == message
 
 
-def test_assignment_from_csv_rejects_other_header():
-    with pytest.raises(IngestError, match="bad header"):
-        assignment_from_csv("learner_id,score\nL1,3\n")
+def test_assignment_from_csv_rejects_other_header(tmp_path):
+    path = tmp_path / "assignment.csv"
+    path.write_text("learner_id,score\nL1,3\n", encoding="utf-8")
+    with pytest.raises(MalformedRowError) as exc_info:
+        assignment_from_csv(path)
+    assert str(exc_info.value) == (
+        "line 1: expected header 'learner_id,group_id,is_control', got 'learner_id,score'"
+    )
+
+
+# Ids as the readers give them back: stripped and non-empty.
+_IDS = st.text(
+    st.sampled_from(list("Lx0é 中,\"\r\n")) | st.characters(), min_size=1, max_size=12
+).map(str.strip).filter(bool)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_IDS, min_size=1, max_size=8, unique=True), st.data())
+def test_profile_and_assignment_csv_round_trip(tmp_path_factory, ids, data):
+    """What `profiles_to_csv` and `GroupAssignment.to_csv` write, their readers give back."""
+    dimensions = DIMENSIONS[: data.draw(st.integers(1, len(DIMENSIONS)))]
+    profiles = [
+        StyleProfile(
+            learner_id=learner,
+            results=tuple(
+                DimensionResult(
+                    dimension=dimension,
+                    crisp_score=data.draw(st.floats(allow_nan=False, allow_infinity=False)),
+                    label=data.draw(st.text(max_size=6)),
+                    term_memberships={},
+                    fired_rules=(),
+                )
+                for dimension in dimensions
+            ),
+        )
+        for learner in ids
+    ]
+    in_control = data.draw(st.lists(st.booleans(), min_size=len(ids), max_size=len(ids)))
+    treated = [learner for learner, control in zip(ids, in_control) if not control]
+    groups = tuple(
+        Group(group_id=gid, members=tuple(treated[gid - 1 :: 2]), centroid=(), signature_mode=())
+        for gid in (1, 2)
+        if treated[gid - 1 :: 2]
+    )
+    control = tuple(learner for learner, control in zip(ids, in_control) if control)
+    assignment = GroupAssignment(groups, control, GroupingParams(0.2, seed=0))
+    directory = tmp_path_factory.mktemp("round-trip")
+    (directory / "profiles.csv").write_text(profiles_to_csv(profiles), encoding="utf-8")
+    (directory / "assignment.csv").write_text(assignment.to_csv(), encoding="utf-8")
+
+    rebuilt = profiles_from_csv(directory / "profiles.csv")
+    assert [
+        (p.learner_id, [(r.dimension, r.label, r.crisp_score.hex()) for r in p.results])
+        for p in rebuilt
+    ] == [
+        (p.learner_id, [(r.dimension, r.label, r.crisp_score.hex()) for r in p.results])
+        for p in profiles
+    ]
+    assert assignment_from_csv(directory / "assignment.csv") == [
+        *((m, str(g.group_id), False) for g in groups for m in g.members),
+        *((m, "control", True) for m in control),
+    ]
 
 
 # -- content plans ------------------------------------------------------------------

@@ -182,3 +182,26 @@ def test_numpy_is_imported_only_by_the_kernel_and_philox_rng():
         elif isinstance(node, ast.ImportFrom) and node.module:
             named.update(node.module.split("."))
     assert not named & {"numpy", "philox_rng"}
+
+
+def test_csv_is_imported_only_by_ingest():
+    """One CSV layer: `ingest` writes with `csv_text` and reads with `learner_rows`."""
+    importers, names = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] if node.level == 0 else []
+            else:
+                modules = []
+            if any(module.split(".")[0] == "csv" for module in modules):
+                importers.add(path.name)
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.alias)):
+                names.add(node.name)
+    assert importers == {"ingest.py"}
+    assert "csv_rows" not in names

@@ -20,6 +20,7 @@ from stylegroup.ingest import (
     UndeclaredVariableError,
     UnknownDimensionError,
     ValueOutOfUniverseError,
+    csv_text,
     feature_coverage,
     load_behaviors,
     load_questionnaire,
@@ -95,6 +96,13 @@ def test_malformed_header(tmp_path):
     path = _write(tmp_path, "b.csv", "who,what,how\nL1,test_time,3\n")
     with pytest.raises(MalformedRowError):
         load_behaviors(path, VARS)
+
+
+def test_csv_text_ends_records_with_newline_and_quotes_carriage_returns():
+    # A "\r" in a field is quoted, as "\n" is; a quoted "\r\n" stays as it is.
+    assert csv_text(["learner_id", "note"], [("L\r1", 'a"\r\nb'), ("L2", ""), ("L,3", "x")]) == (
+        'learner_id,note\n"L\r1","a""\r\nb"\nL2,\n"L,3",x\n'
+    )
 
 
 def test_non_finite_value(tmp_path):
