@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .dsl import DIMENSIONS, RuleBase
 from .fuzzy import CompiledRules
@@ -54,8 +53,7 @@ class InsufficientPairsError(ClassificationError):
         self.dimension = dimension
 
 
-@dataclass(frozen=True)
-class DimensionResult:
+class DimensionResult(NamedTuple):
     dimension: str
     crisp_score: float
     label: str
@@ -63,8 +61,7 @@ class DimensionResult:
     fired_rules: tuple[tuple[str, float], ...]
 
 
-@dataclass(frozen=True)
-class StyleProfile:
+class StyleProfile(NamedTuple):
     """One learner's result per dimension, in fixed dimension order."""
 
     learner_id: str
@@ -81,8 +78,7 @@ class StyleProfile:
         return tuple(result.label for result in self.results)
 
 
-@dataclass(frozen=True)
-class ClassificationFailure:
+class ClassificationFailure(NamedTuple):
     learner_id: str
     dimension: str | None
     reason: str
@@ -93,8 +89,7 @@ class ClassificationFailure:
 _BLOCK = 256
 
 
-@dataclass(frozen=True)
-class _Dimension:
+class _Dimension(NamedTuple):
     """One dimension as a `classify_cohort` call runs it.
 
     `columns` index the call's feature matrix in `compiled.inputs` order;
@@ -214,16 +209,14 @@ def classify_cohort(
 # Validation against questionnaire ground truth
 
 
-@dataclass(frozen=True)
-class PairedRow:
+class PairedRow(NamedTuple):
     learner_id: str
     dimension: str
     crisp_score: float
     questionnaire_score: float
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Correlation between crisp scores and questionnaire scores.
 
     ``overall_r`` pools every paired (dimension, learner) row and is the

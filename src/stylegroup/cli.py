@@ -17,7 +17,6 @@ to run without one.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import os
@@ -40,6 +39,7 @@ from .grouping import (
     GroupingParams,
     assign_groups,
     assignment_from_csv,
+    check_params,
     content_plan,
 )
 from .ingest import (
@@ -61,7 +61,7 @@ from .simulate import (
     write_scores_csv,
     write_truth_csv,
 )
-from .stats import Sample, StatsError, build_evaluation_report
+from .stats import Sample, StatsError, build_evaluation_report, check_alpha
 
 log = logging.getLogger("stylegroup")
 
@@ -391,7 +391,7 @@ def _resolve_cohort_spec(args: argparse.Namespace, config: dict):
     seed = _require(args, config, "seed")
     spec_path = _opt(args, config, "cohort_spec")
     if spec_path:
-        return dataclasses.replace(load_cohort_spec(spec_path), seed=seed)
+        return load_cohort_spec(spec_path)._replace(seed=seed)
     return default_cohort_spec(seed=seed)
 
 
@@ -421,6 +421,11 @@ def _cmd_pipeline(args: argparse.Namespace, config: dict) -> int:
     spec = _resolve_cohort_spec(args, config)
     params = _grouping_params(args, config)
     alpha = float(_opt(args, config, "alpha", DEFAULT_ALPHA))
+    # Refuse now what grouping and evaluation would refuse after files are
+    # written: no stage sees more learners than the spec plants.
+    check_params(params, spec.total)
+    if spec.score_model is not None:
+        check_alpha(alpha)
     out = _out_dir(args, config)
 
     truth, records = _simulate(spec, rb, out)

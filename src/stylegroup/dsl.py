@@ -30,10 +30,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from importlib import resources
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .fuzzy import CompiledRules, EmptyAntecedentError, LinguisticVariable, Trapezoid
 
@@ -79,8 +78,7 @@ class DuplicateClauseVariableError(ParseError):
     """A variable appears twice within one rule antecedent."""
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """One IF/THEN rule; clauses are (variable name, term label) pairs."""
 
     rule_id: str
@@ -89,8 +87,7 @@ class Rule:
     consequent: tuple[str, str]
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str  # "error" | "warning"
     code: str
     rule_ids: tuple[str, ...]
@@ -101,8 +98,7 @@ class Diagnostic:
         return f"{self.severity} {self.code} [{ids}] {self.message}"
 
 
-@dataclass(frozen=True)
-class RuleBase:
+class RuleBase(NamedTuple):
     """Parsed variables plus rules, grouped by dimension on demand."""
 
     variables: tuple[LinguisticVariable, ...]
@@ -183,8 +179,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "number" | "ident" | "punct"
     text: str
     column: int

@@ -20,8 +20,7 @@ All types are immutable; every operation is a pure function of its inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 
 class FuzzyError(Exception):
@@ -48,8 +47,14 @@ class NoRuleFiredError(FuzzyError):
     """The aggregated output envelope is identically zero."""
 
 
-@dataclass(frozen=True)
-class Trapezoid:
+class _Corners(NamedTuple):
+    a: float
+    b: float
+    c: float
+    d: float
+
+
+class Trapezoid(_Corners):
     """Trapezoidal fuzzy number (a, b, c, d).
 
     Membership is 0 outside [a, d], 1 on the plateau [b, c], and linear on
@@ -57,17 +62,19 @@ class Trapezoid:
     behaves as a step.
     """
 
-    a: float
-    b: float
-    c: float
-    d: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.a <= self.b <= self.c <= self.d):
+    def __new__(cls, a: float, b: float, c: float, d: float):
+        if not (a <= b <= c <= d):
             raise ValueError(
                 f"trapezoid corners must satisfy a <= b <= c <= d, "
-                f"got ({self.a}, {self.b}, {self.c}, {self.d})"
+                f"got ({a}, {b}, {c}, {d})"
             )
+        return tuple.__new__(cls, (a, b, c, d))
+
+    @classmethod
+    def _make(cls, corners):  # `_replace` builds through here; check its corners too
+        return cls(*corners)
 
     def membership(self, x: float) -> float:
         """Degree of membership of x, exact at the corner points."""
@@ -87,39 +94,58 @@ class Trapezoid:
         return (self.a, self.b, self.c, self.d)
 
 
-@dataclass(frozen=True)
-class LinguisticVariable:
+class _Declaration(NamedTuple):
+    name: str
+    universe: tuple[float, float]
+    terms: tuple[tuple[str, Trapezoid], ...]
+    kind: str  # "input" | "output"
+    dimension: str | None
+    aggregation: str
+    max_expected: float | None
+
+
+class LinguisticVariable(_Declaration):
     """A named variable with a closed universe and ordered, labelled terms.
 
     The other fields hold the rest of its `.fvars` declaration (see `dsl`).
     """
 
-    name: str
-    universe: tuple[float, float]
-    terms: tuple[tuple[str, Trapezoid], ...]
-    kind: str = "input"  # "input" | "output"
-    dimension: str | None = None
-    aggregation: str = "sum"
-    max_expected: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "universe", tuple(self.universe))
-        object.__setattr__(self, "terms", tuple(tuple(t) for t in self.terms))
-        lo, hi = self.universe
+    def __new__(
+        cls,
+        name: str,
+        universe: tuple[float, float],
+        terms: tuple[tuple[str, Trapezoid], ...],
+        kind: str = "input",
+        dimension: str | None = None,
+        aggregation: str = "sum",
+        max_expected: float | None = None,
+    ):
+        universe = tuple(universe)
+        terms = tuple(tuple(t) for t in terms)
+        lo, hi = universe
         if not lo < hi:
-            raise ValueError(f"variable {self.name!r}: universe bounds must satisfy lo < hi")
-        if not self.terms:
-            raise ValueError(f"variable {self.name!r} declares no terms")
+            raise ValueError(f"variable {name!r}: universe bounds must satisfy lo < hi")
+        if not terms:
+            raise ValueError(f"variable {name!r} declares no terms")
         seen = set()
-        for label, trap in self.terms:
+        for label, trap in terms:
             if label in seen:
-                raise ValueError(f"variable {self.name!r}: duplicate term {label!r}")
+                raise ValueError(f"variable {name!r}: duplicate term {label!r}")
             seen.add(label)
             if trap.a < lo or trap.d > hi:
                 raise ValueError(
-                    f"variable {self.name!r}: term {label!r} extends outside "
+                    f"variable {name!r}: term {label!r} extends outside "
                     f"the universe [{lo}, {hi}]"
                 )
+        return tuple.__new__(
+            cls, (name, universe, terms, kind, dimension, aggregation, max_expected)
+        )
+
+    @classmethod
+    def _make(cls, fields):  # `_replace` builds through here; check its fields too
+        return cls(*fields)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.terms)
@@ -148,8 +174,7 @@ class LinguisticVariable:
         return max(memberships, key=memberships.__getitem__)
 
 
-@dataclass(frozen=True)
-class FuzzyOutput:
+class FuzzyOutput(NamedTuple):
     """Aggregated inference result over one output variable.
 
     The envelope is the pointwise max of the strength-scaled consequent
@@ -161,8 +186,7 @@ class FuzzyOutput:
     fired: tuple[tuple[str, float, Trapezoid], ...]
 
 
-@dataclass(frozen=True)
-class CompiledRules:
+class CompiledRules(NamedTuple):
     """One output variable's rules, resolved once for inference over many inputs.
 
     `inputs` names the feature columns in the order the rules and their

@@ -12,9 +12,8 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .classify import StyleProfile
 from .ingest import MalformedRowError, csv_text, learner_rows
@@ -43,24 +42,21 @@ class InfeasibleConstraintsError(GroupingError):
     pass
 
 
-@dataclass(frozen=True)
-class GroupingParams:
+class GroupingParams(NamedTuple):
     control_fraction: float
     seed: int
     target_k: int = 4
     min_size: int = 10
 
 
-@dataclass(frozen=True)
-class Group:
+class Group(NamedTuple):
     group_id: int
     members: tuple[str, ...]
     centroid: tuple[float, ...]
     signature_mode: StyleSignature
 
 
-@dataclass(frozen=True)
-class GroupAssignment:
+class GroupAssignment(NamedTuple):
     groups: tuple[Group, ...]
     control: tuple[str, ...]
     params: GroupingParams
@@ -90,6 +86,19 @@ def assignment_from_csv(path: str | Path) -> list[tuple[str, str, bool]]:
     return list(entries.values())
 
 
+def _control_size(n: int, fraction: float) -> int:
+    """round(fraction * n), refused where either side of the split gets fewer than 2 learners."""
+    if not 0.0 < fraction < 1.0:
+        raise DegenerateFractionError(f"fraction must lie in (0, 1), got {fraction}")
+    control_n = round(fraction * n)
+    if min(control_n, n - control_n) < 2:
+        raise DegenerateFractionError(
+            f"fraction {fraction} of {n} learners gives a control of {control_n} and a "
+            f"treated side of {n - control_n}; each needs at least 2"
+        )
+    return control_n
+
+
 def split_control(
     learner_ids: Sequence[str], fraction: float, seed: int
 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -104,15 +113,8 @@ def split_control(
     """
     if not learner_ids:
         raise EmptyCohortError("cannot split an empty cohort")
-    if not 0.0 < fraction < 1.0:
-        raise DegenerateFractionError(f"fraction must lie in (0, 1), got {fraction}")
     n = len(learner_ids)
-    control_n = round(fraction * n)
-    if min(control_n, n - control_n) < 2:
-        raise DegenerateFractionError(
-            f"fraction {fraction} of {n} learners gives a control of {control_n} and a "
-            f"treated side of {n - control_n}; each needs at least 2"
-        )
+    control_n = _control_size(n, fraction)
     chosen = choice_set(seed, STREAM_CONTROL, n, control_n)
     control = tuple(learner_ids[i] for i in range(n) if i in chosen)
     treatment = tuple(learner_ids[i] for i in range(n) if i not in chosen)
@@ -136,6 +138,11 @@ def _distance(a: tuple[float, ...], b: tuple[float, ...]) -> float:
     return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
 
 
+def _check_target_k(target_k: int) -> None:
+    if target_k < 1:
+        raise InfeasibleConstraintsError(f"target_k must be >= 1, got {target_k}")
+
+
 def homogeneous_partition(
     profiles: Sequence[StyleProfile], target_k: int = 4, min_size: int = 10
 ) -> tuple[Group, ...]:
@@ -149,8 +156,7 @@ def homogeneous_partition(
     """
     if not profiles:
         raise EmptyCohortError("cannot partition an empty cohort")
-    if target_k < 1:
-        raise InfeasibleConstraintsError(f"target_k must be >= 1, got {target_k}")
+    _check_target_k(target_k)
     if len(profiles) < target_k:
         raise InfeasibleConstraintsError(
             f"{len(profiles)} learners cannot form {target_k} groups"
@@ -201,13 +207,30 @@ def homogeneous_partition(
     )
 
 
+def _check_min_size(min_size: int) -> None:
+    # Each group meets the control in a t-test, which needs 2 values a side.
+    if min_size < 2:
+        raise InfeasibleConstraintsError(f"min_size must be >= 2, got {min_size}")
+
+
+def check_params(params: GroupingParams, learners: int) -> None:
+    """Refuse, in `assign_groups`' order, what it refuses for every cohort up to `learners`.
+
+    `min_size` and `target_k` do not depend on the cohort. Neither
+    round(f * n) nor n - round(f * n) falls as n grows, so a split that
+    leaves a side below 2 learners at `learners` does so at every smaller
+    count as well.
+    """
+    _check_min_size(params.min_size)
+    _control_size(learners, params.control_fraction)
+    _check_target_k(params.target_k)
+
+
 def assign_groups(
     profiles: Sequence[StyleProfile], params: GroupingParams
 ) -> GroupAssignment:
     """Full assignment: control split first, then homogeneous grouping."""
-    # Each group meets the control in a t-test, which needs 2 values a side.
-    if params.min_size < 2:
-        raise InfeasibleConstraintsError(f"min_size must be >= 2, got {params.min_size}")
+    _check_min_size(params.min_size)
     treatment_ids, control = split_control(
         [p.learner_id for p in profiles], params.control_fraction, params.seed
     )
@@ -273,8 +296,7 @@ PREFERENCE_NOTES = {
 }
 
 
-@dataclass(frozen=True)
-class ContentPlan:
+class ContentPlan(NamedTuple):
     """Educational preferences for one group, one descriptor per dimension."""
 
     group_id: int

@@ -23,11 +23,10 @@ import os
 import stat
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
 from pathlib import Path
-from typing import Callable, ContextManager, Iterable, Iterator, Sequence
+from typing import Callable, ContextManager, Iterable, Iterator, NamedTuple, Sequence
 
 from .dsl import DIMENSIONS, RuleBase
 from .fuzzy import LinguisticVariable
@@ -74,25 +73,38 @@ class UnknownDimensionError(IngestError):
 _SCAN_CHUNK = 1 << 20
 
 
-@dataclass(frozen=True)
-class BehaviorRecord:
+class BehaviorRecord(NamedTuple):
     learner_id: str
     features: dict[str, float]
 
 
-@dataclass(frozen=True)
-class QuestionnaireRecord:
+class QuestionnaireRecord(NamedTuple):
     learner_id: str
     dimension: str
     score: float
 
 
-@dataclass
 class ClampReport:
     """What the clamp policy changed or skipped while loading behaviours."""
 
-    clamped: list[tuple[str, str, float, float]] = field(default_factory=list)
-    skipped_unknown: list[tuple[str, str]] = field(default_factory=list)
+    __slots__ = ("clamped", "skipped_unknown")
+    __hash__ = None  # mutable: equal by value, so not hashable
+
+    def __init__(
+        self,
+        clamped: list[tuple[str, str, float, float]] | None = None,
+        skipped_unknown: list[tuple[str, str]] | None = None,
+    ):
+        self.clamped = [] if clamped is None else clamped
+        self.skipped_unknown = [] if skipped_unknown is None else skipped_unknown
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.clamped, self.skipped_unknown) == (other.clamped, other.skipped_unknown)
+
+    def __repr__(self) -> str:
+        return f"ClampReport(clamped={self.clamped!r}, skipped_unknown={self.skipped_unknown!r})"
 
     @property
     def clamp_count(self) -> int:
@@ -518,8 +530,7 @@ def load_satisfaction(path: str | Path) -> dict[str, tuple[float, ...]]:
     return responses
 
 
-@dataclass(frozen=True)
-class DimensionCoverage:
+class DimensionCoverage(NamedTuple):
     dimension: str
     required: tuple[str, ...]
     learners: int
@@ -531,8 +542,7 @@ class DimensionCoverage:
         return self.covered / self.learners if self.learners else 1.0
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(NamedTuple):
     total_learners: int
     dimensions: tuple[DimensionCoverage, ...]
 

@@ -11,9 +11,9 @@ coverage surfaces in testing rather than silently reading as zero.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import logging
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .dsl import Rule, RuleBase
 from .grouping import GroupAssignment, StyleSignature
@@ -22,6 +22,8 @@ from .rng import STREAM_BEHAVIOR, STREAM_SCORES, philox_rng
 from .stats import Sample
 
 SCORE_RANGE = (0.0, 20.0)
+
+log = logging.getLogger(__name__)
 
 
 class SimulationError(Exception):
@@ -32,8 +34,7 @@ class UnreachableLabelError(SimulationError):
     """A planted label that no rule in the base produces."""
 
 
-@dataclass(frozen=True)
-class ScoreModel:
+class ScoreModel(NamedTuple):
     """Exam-score distribution for treated and control populations."""
 
     treated_mean: float
@@ -72,21 +73,35 @@ class ScoreModel:
         )
 
 
-@dataclass(frozen=True)
-class CohortSpec:
+class _Cohort(NamedTuple):
+    counts: tuple[tuple[StyleSignature, int], ...]
+    noise_sigma: float
+    seed: int
+    score_model: ScoreModel | None
+
+
+class CohortSpec(_Cohort):
     """How to build a synthetic cohort: planted signatures, noise, seed."""
 
-    counts: tuple[tuple[StyleSignature, int], ...]
-    noise_sigma: float = 0.0
-    seed: int = 0
-    score_model: ScoreModel | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.noise_sigma < 0:
+    def __new__(
+        cls,
+        counts: tuple[tuple[StyleSignature, int], ...],
+        noise_sigma: float = 0.0,
+        seed: int = 0,
+        score_model: ScoreModel | None = None,
+    ):
+        if noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
-        for signature, count in self.counts:
+        for signature, count in counts:
             if count <= 0:
                 raise ValueError(f"count for signature {signature} must be positive")
+        return tuple.__new__(cls, (counts, noise_sigma, seed, score_model))
+
+    @classmethod
+    def _make(cls, fields):  # `_replace` builds through here; check its fields too
+        return cls(*fields)
 
     @property
     def total(self) -> int:
@@ -205,6 +220,11 @@ def generate(
                     features[var_name] = float(rng.uniform(lo, hi))
             truth.append((learner_id, signature))
             records.append(BehaviorRecord(learner_id=learner_id, features=features))
+    log.info(
+        "cohort: %d learners, %d signatures, noise %s, seed %d",
+        len(records), len({signature for signature, _ in spec.counts}), spec.noise_sigma,
+        spec.seed,
+    )
     return truth, records
 
 

@@ -8,12 +8,14 @@ All p-values are two-sided.
 
 from __future__ import annotations
 
+import logging
 import math
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 DEFAULT_ALPHA = 0.05
+
+log = logging.getLogger(__name__)
 
 
 class StatsError(Exception):
@@ -52,19 +54,27 @@ class WrongItemCountError(StatsError):
     pass
 
 
-@dataclass(frozen=True)
-class Sample:
-    """A labelled list of finite observations."""
-
+class _Observations(NamedTuple):
     label: str
     values: tuple[float, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if not self.values:
-            raise ValueError(f"sample {self.label!r} is empty")
-        if not all(math.isfinite(v) for v in self.values):
-            raise ValueError(f"sample {self.label!r} contains non-finite values")
+
+class Sample(_Observations):
+    """A labelled list of finite observations."""
+
+    __slots__ = ()
+
+    def __new__(cls, label: str, values: tuple[float, ...]):
+        values = tuple(float(v) for v in values)
+        if not values:
+            raise ValueError(f"sample {label!r} is empty")
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"sample {label!r} contains non-finite values")
+        return tuple.__new__(cls, (label, values))
+
+    @classmethod
+    def _make(cls, fields):  # `_replace` builds through here; check its fields too
+        return cls(*fields)
 
     @property
     def n(self) -> int:
@@ -85,8 +95,7 @@ class Sample:
         return sum((v - m) ** 2 for v in self.values) / (self.n - 1)
 
 
-@dataclass(frozen=True)
-class TestResult:
+class TestResult(NamedTuple):
     statistic: float
     df: float | tuple[float, float]
     p_value: float
@@ -223,8 +232,14 @@ def two_sample_t(
     return TestResult(statistic=t, df=df, p_value=p, alpha=alpha, significant=p < alpha)
 
 
-@dataclass(frozen=True)
-class AnovaResult(TestResult):
+class AnovaResult(NamedTuple):
+    """A `TestResult`'s fields, then each group's mean."""
+
+    statistic: float
+    df: float | tuple[float, float]
+    p_value: float
+    alpha: float
+    significant: bool
     group_means: tuple[tuple[str, float], ...] = ()
 
 
@@ -255,8 +270,7 @@ def one_way_anova(groups: Sequence[Sample], alpha: float = DEFAULT_ALPHA) -> Ano
     )
 
 
-@dataclass(frozen=True)
-class PairwiseComparison:
+class PairwiseComparison(NamedTuple):
     pair: tuple[str, str]
     result: TestResult
 
@@ -275,8 +289,7 @@ def posthoc_pairwise(
     return comparisons
 
 
-@dataclass(frozen=True)
-class NormalityResult:
+class NormalityResult(NamedTuple):
     statistic: float
     p_value: float
     advisory: bool  # True: prefer a non-parametric comparison
@@ -343,15 +356,13 @@ def satisfaction_score(responses: Sequence[Sequence[float]]) -> float:
 # Evaluation report
 
 
-@dataclass(frozen=True)
-class SatisfactionSummary:
+class SatisfactionSummary(NamedTuple):
     per_group: tuple[tuple[str, float], ...]
     treatment: float | None
     control: float | None
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
+class EvaluationReport(NamedTuple):
     """Group-vs-control comparisons plus cohort-level statistics."""
 
     alpha: float
@@ -488,6 +499,11 @@ class EvaluationReport:
         return "\n".join(lines) + "\n"
 
 
+def check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise StatsError(f"alpha must lie in (0, 1), got {alpha}")
+
+
 def build_evaluation_report(
     group_samples: Sequence[Sample],
     control_sample: Sample | None,
@@ -501,8 +517,7 @@ def build_evaluation_report(
     ``satisfaction_responses`` maps a sample label (or ``control``) to its
     member response vectors. ``alpha`` must lie in (0, 1).
     """
-    if not 0.0 < alpha < 1.0:
-        raise StatsError(f"alpha must lie in (0, 1), got {alpha}")
+    check_alpha(alpha)
     if not group_samples:
         raise TooFewGroupsError("no treatment groups supplied")
 
@@ -517,6 +532,11 @@ def build_evaluation_report(
             )
 
     all_samples = list(group_samples) + ([control_sample] if control_sample else [])
+    log.info(
+        "evaluation: %d samples, group sizes %s, control %s, alpha %s",
+        len(all_samples), ",".join(str(g.n) for g in group_samples),
+        control_sample.n if control_sample else "none", alpha,
+    )
     anova = None
     anova_note = None
     posthoc: tuple[PairwiseComparison, ...] = ()

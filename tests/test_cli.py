@@ -645,3 +645,23 @@ def test_evaluate_keeps_the_group_order_of_the_assignment(tmp_path, capsys):
     evaluation = json.loads((out / "evaluation.json").read_text(encoding="utf-8"))
     assert [g["label"] for g in evaluation["groups"]] == ["group-5", "group-37"]
     assert ["group-5", "group-37"] in [p["pair"] for p in evaluation["posthoc"]]
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--min-size", "1", "min_size must be >= 2, got 1"),
+        ("--control-fraction", "0.001",
+         "fraction 0.001 of 420 learners gives a control of 0 and a treated side of 420; "
+         "each needs at least 2"),
+        ("--target-k", "0", "target_k must be >= 1, got 0"),
+        ("--alpha", "2", "alpha must lie in (0, 1), got 2.0"),
+    ],
+)
+def test_pipeline_refuses_bad_settings_before_writing_anything(
+    tmp_path, capsys, flag, value, message
+):
+    out = tmp_path / "out"
+    assert main(["pipeline", "--seed", "3", flag, value, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+    assert not out.exists() or not any(out.iterdir())

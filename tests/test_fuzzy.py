@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -169,7 +168,7 @@ SINGLE_INPUT_RULES = (
 
 def _compile(*rules, variables=(DISCUSSION, CHAT), output=PERCEPTION):
     """Compile (rule id, ((input, term), ...), output term) rules of the perception dimension."""
-    output = replace(output, kind="output", dimension="perception")
+    output = output._replace(kind="output", dimension="perception")
     rb = RuleBase(
         variables=(*variables, output),
         rules=tuple(

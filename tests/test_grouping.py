@@ -308,9 +308,12 @@ def test_assignment_from_csv_rejects_other_header(tmp_path):
     )
 
 
-# Ids as the readers give them back: stripped and non-empty.
+# Ids as the readers give them back: stripped and non-empty. A lone surrogate
+# (category Cs) has no UTF-8 form, so no file holds one.
 _IDS = st.text(
-    st.sampled_from(list("Lx0é 中,\"\r\n")) | st.characters(), min_size=1, max_size=12
+    st.sampled_from(list("Lx0é 中,\"\r\n")) | st.characters(exclude_categories=("Cs",)),
+    min_size=1,
+    max_size=12,
 ).map(str.strip).filter(bool)
 
 

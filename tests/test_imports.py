@@ -39,6 +39,16 @@ assert main(["validate-rules"]) == 0
 assert not [name for name in heavy if name in sys.modules], sys.modules.keys() & set(heavy)
 """
 
+# What decorating records with `dataclasses` would load: it imports `inspect`.
+NO_DATACLASSES = """
+import sys
+from stylegroup.cli import main
+heavy = ("dataclasses", "inspect")
+assert not [name for name in heavy if name in sys.modules], sys.modules.keys() & set(heavy)
+assert main(["validate-rules"]) == 0
+assert not [name for name in heavy if name in sys.modules], sys.modules.keys() & set(heavy)
+"""
+
 CLASSIFY = """
 import sys
 from stylegroup.cli import main
@@ -111,6 +121,10 @@ def test_validate_rules_and_evaluate_run_without_numpy(tmp_path):
 
 def test_start_up_loads_no_pickle_or_process_pool():
     _run(NO_PROCESS_POOL)
+
+
+def test_start_up_loads_no_dataclasses_or_inspect():
+    _run(NO_DATACLASSES)
 
 
 def _cohort_spec(tmp_path, count):
@@ -205,3 +219,19 @@ def test_csv_is_imported_only_by_ingest():
                 names.add(node.name)
     assert importers == {"ingest.py"}
     assert "csv_rows" not in names
+
+
+def test_no_module_imports_dataclasses():
+    """Records are `NamedTuple`s or classes with `__slots__`: no class is generated at start-up."""
+    importers = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] if node.level == 0 else []
+            else:
+                modules = []
+            if any(module.split(".")[0] == "dataclasses" for module in modules):
+                importers.add(path.name)
+    assert importers == set()

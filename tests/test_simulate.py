@@ -1,3 +1,5 @@
+import logging
+
 import pytest
 
 from stylegroup.classify import classify_cohort
@@ -51,6 +53,22 @@ def test_zero_noise_recovery(rb):
     assert not failures
     truth_map = dict(truth)
     assert all(p.signature == truth_map[p.learner_id] for p in profiles)
+
+
+def test_generate_logs_one_line_only_at_info(rb, caplog):
+    spec = _spec(counts=3, noise=0.1, seed=7)
+    with caplog.at_level(logging.WARNING, logger="stylegroup.simulate"):
+        quiet = generate(spec, rb)
+    assert caplog.records == []
+    with caplog.at_level(logging.INFO, logger="stylegroup.simulate"):
+        assert generate(spec, rb) == quiet
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        (
+            "stylegroup.simulate",
+            logging.INFO,
+            "cohort: 12 learners, 4 signatures, noise 0.1, seed 7",
+        )
+    ]
 
 
 def test_generate_deterministic(rb, tmp_path):

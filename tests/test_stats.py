@@ -1,3 +1,4 @@
+import logging
 import math
 
 import pytest
@@ -418,3 +419,23 @@ def test_evaluation_report_end_to_end():
     text = report.to_text()
     assert "Positive" in text and "Significance" in text
     json.dumps(report.to_json_dict())  # serializable
+
+
+@pytest.mark.parametrize(
+    "with_control, message",
+    [
+        (True, "evaluation: 3 samples, group sizes 4,3, control 5, alpha 0.01"),
+        (False, "evaluation: 2 samples, group sizes 4,3, control none, alpha 0.01"),
+    ],
+)
+def test_evaluation_report_logs_one_line_only_at_info(caplog, with_control, message):
+    groups = [Sample("group-1", (17.0, 17.5, 18.0, 16.5)), Sample("group-2", (15.0, 15.5, 16.5))]
+    control = Sample("control", (12.0, 12.5, 13.0, 11.5, 12.0)) if with_control else None
+    with caplog.at_level(logging.WARNING, logger="stylegroup.stats"):
+        quiet = build_evaluation_report(groups, control, alpha=0.01)
+    assert caplog.records == []
+    with caplog.at_level(logging.INFO, logger="stylegroup.stats"):
+        assert build_evaluation_report(groups, control, alpha=0.01) == quiet
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("stylegroup.stats", logging.INFO, message)
+    ]
