@@ -46,6 +46,7 @@ from .simulate import CohortSpec, ScoreModel, generate, generate_scores
 from .stats import (
     Sample,
     build_evaluation_report,
+    evaluation_samples,
     normality_check,
     one_way_anova,
     pearson_r,

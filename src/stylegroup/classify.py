@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from .dsl import DIMENSIONS, RuleBase
-from .fuzzy import CompiledRules
+from .fuzzy import CompiledRules, strongest_term
 from .ingest import BehaviorRecord, IngestError, QuestionnaireRecord, csv_text
 from .ingest import learner_rows, parse_float
 from .stats import pearson_r
@@ -27,22 +27,6 @@ log = logging.getLogger(__name__)
 
 class ClassificationError(Exception):
     """Base class for per-learner classification failures."""
-
-
-class MissingFeatureError(ClassificationError):
-    def __init__(self, learner_id: str, variable: str):
-        super().__init__(f"learner {learner_id!r} has no value for {variable!r}")
-        self.learner_id = learner_id
-        self.variable = variable
-
-
-class NoRuleFiredError(ClassificationError):
-    def __init__(self, learner_id: str, dimension: str):
-        super().__init__(
-            f"no rule fired for learner {learner_id!r} in dimension {dimension!r}"
-        )
-        self.learner_id = learner_id
-        self.dimension = dimension
 
 
 class InsufficientPairsError(ClassificationError):
@@ -104,9 +88,13 @@ class _Dimension(NamedTuple):
 
 
 def _classify_block(
-    records: Sequence[BehaviorRecord], names: Sequence[str], dimensions: Sequence[_Dimension]
-) -> list[StyleProfile | ClassificationError]:
-    """One outcome per record: its profile, or the error of its first failing dimension.
+    records: Sequence[BehaviorRecord],
+    names: Sequence[str],
+    dimensions: Sequence[_Dimension],
+    profiles: list[StyleProfile],
+    failures: list[ClassificationFailure],
+) -> None:
+    """Append each record's profile, or the failure of its first failing dimension.
 
     Within a dimension a missing feature (the first in rule/clause order)
     is reported before an empty envelope.
@@ -123,41 +111,30 @@ def _classify_block(
         )
         for dim in dimensions
     ]
-
-    def result(n: int, learner_id: str, column) -> DimensionResult:
-        dim, first_missing, crisp, strengths = column
-        if first_missing[n] >= 0:
-            raise MissingFeatureError(learner_id, dim.compiled.inputs[first_missing[n]])
-        score = crisp[n]
-        if score != score:  # NaN: the envelope is empty
-            raise NoRuleFiredError(learner_id, dim.name)
-        key = score or score.hex()  # 0.0 and -0.0 are one float key, two hex strings
-        if key not in dim.labels:
-            memberships = dim.compiled.variable.fuzzify(score)
-            # as `LinguisticVariable.classify`: the first term of maximal membership
-            dim.labels[key] = (memberships, max(memberships, key=memberships.__getitem__))
-        memberships, label = dim.labels[key]
-        return DimensionResult(
-            dimension=dim.name,
-            crisp_score=score,
-            label=label,
-            term_memberships=dict(memberships),
-            fired_rules=tuple(
-                (rule_id, strength)
-                for rule_id, strength in zip(dim.compiled.rule_ids, strengths[n])
-                if strength > 0.0
-            ),
-        )
-
-    outcomes: list[StyleProfile | ClassificationError] = []
-    for n, record in enumerate(records):
-        try:
-            results = tuple(result(n, record.learner_id, column) for column in columns)
-        except ClassificationError as exc:
-            outcomes.append(exc)
-        else:
-            outcomes.append(StyleProfile(learner_id=record.learner_id, results=results))
-    return outcomes
+    for n, learner_id in enumerate(record.learner_id for record in records):
+        results = []
+        for dim, first_missing, crisp, strengths in columns:
+            if first_missing[n] >= 0:
+                variable = dim.compiled.inputs[first_missing[n]]
+                reason = f"learner {learner_id!r} has no value for {variable!r}"
+                failures.append(ClassificationFailure(learner_id, None, reason))
+                break
+            score = crisp[n]
+            if score != score:  # NaN: the envelope is empty
+                reason = f"no rule fired for learner {learner_id!r} in dimension {dim.name!r}"
+                failures.append(ClassificationFailure(learner_id, dim.name, reason))
+                break
+            key = score or score.hex()  # 0.0 and -0.0 are one float key, two hex strings
+            if key not in dim.labels:
+                memberships = dim.compiled.variable.fuzzify(score)
+                dim.labels[key] = (memberships, strongest_term(memberships))
+            memberships, label = dim.labels[key]
+            fired = tuple(
+                (rule_id, s) for rule_id, s in zip(dim.compiled.rule_ids, strengths[n]) if s > 0.0
+            )
+            results.append(DimensionResult(dim.name, score, label, dict(memberships), fired))
+        else:  # no dimension failed
+            profiles.append(StyleProfile(learner_id, tuple(results)))
 
 
 def classify_cohort(
@@ -185,16 +162,10 @@ def classify_cohort(
         )
         for d, c in compiled
     ]
-    profiles = []
-    failures = []
+    profiles: list[StyleProfile] = []
+    failures: list[ClassificationFailure] = []
     for start in range(0, len(records), _BLOCK):
-        block = records[start : start + _BLOCK]
-        for record, outcome in zip(block, _classify_block(block, names, dimensions)):
-            if isinstance(outcome, StyleProfile):
-                profiles.append(outcome)
-            else:
-                dimension = outcome.dimension if isinstance(outcome, NoRuleFiredError) else None
-                failures.append(ClassificationFailure(record.learner_id, dimension, str(outcome)))
+        _classify_block(records[start : start + _BLOCK], names, dimensions, profiles, failures)
     missing = sum(failure.dimension is None for failure in failures)
     log.info(
         "cohort: %d learners, %d classified, %d missing-feature, %d no-rule-fired, "

@@ -34,6 +34,8 @@ from .classify import (
 from .dsl import Diagnostic, DslError, RuleBase, default_rulebase, error_count, load_rulebase
 from .dsl import validate
 from .grouping import (
+    DEFAULT_MIN_SIZE,
+    DEFAULT_TARGET_K,
     GroupAssignment,
     GroupingError,
     GroupingParams,
@@ -61,13 +63,11 @@ from .simulate import (
     write_scores_csv,
     write_truth_csv,
 )
-from .stats import Sample, StatsError, build_evaluation_report, check_alpha
+from .stats import DEFAULT_ALPHA, StatsError, build_evaluation_report, check_alpha
+from .stats import evaluation_samples, values_by_label
 
 log = logging.getLogger("stylegroup")
 
-DEFAULT_ALPHA = 0.05
-DEFAULT_TARGET_K = 4
-DEFAULT_MIN_SIZE = 10
 DEFAULT_CONTROL_FRACTION = 0.1
 
 
@@ -327,38 +327,6 @@ def _cmd_group(args: argparse.Namespace, config: dict) -> int:
     return 0
 
 
-def _samples(
-    entries: list[tuple[str, str, bool]], scores: dict[str, float]
-) -> tuple[list[Sample], Sample | None]:
-    grouped: dict[str, list[float]] = {}
-    control_values: list[float] = []
-    for learner, group_id, is_control in entries:
-        if learner not in scores:
-            raise IngestError(f"no score for learner {learner!r}")
-        if is_control:
-            control_values.append(scores[learner])
-        else:
-            grouped.setdefault(group_id, []).append(scores[learner])
-    # In file order: `GroupAssignment.to_csv` writes groups by group id.
-    samples = [
-        Sample(label=f"group-{gid}", values=tuple(values)) for gid, values in grouped.items()
-    ]
-    control = Sample(label="control", values=tuple(control_values)) if control_values else None
-    return samples, control
-
-
-def _satisfaction_by_label(
-    entries: list[tuple[str, str, bool]], responses: dict[str, tuple[float, ...]]
-) -> dict[str, list[tuple[float, ...]]]:
-    by_label: dict[str, list[tuple[float, ...]]] = {}
-    for learner, group_id, is_control in entries:
-        if learner not in responses:
-            continue
-        label = "control" if is_control else f"group-{group_id}"
-        by_label.setdefault(label, []).append(responses[learner])
-    return by_label
-
-
 def _write_evaluation(report, out: Path) -> None:
     _dump_json(report.to_json_dict(), out / "evaluation.json")
     (out / "evaluation.txt").write_text(report.to_text(), encoding="utf-8")
@@ -372,10 +340,10 @@ def _cmd_evaluate(args: argparse.Namespace, config: dict) -> int:
 
     scores = load_scores(scores_path)
     entries = assignment_from_csv(assignment_path)
-    samples, control = _samples(entries, scores)
+    samples, control = evaluation_samples(entries, scores)
     satisfaction_path = _opt(args, config, "satisfaction")
     satisfaction = (
-        _satisfaction_by_label(entries, load_satisfaction(satisfaction_path))
+        values_by_label(entries, load_satisfaction(satisfaction_path))
         if satisfaction_path
         else None
     )
@@ -421,11 +389,10 @@ def _cmd_pipeline(args: argparse.Namespace, config: dict) -> int:
     spec = _resolve_cohort_spec(args, config)
     params = _grouping_params(args, config)
     alpha = float(_opt(args, config, "alpha", DEFAULT_ALPHA))
-    # Refuse now what grouping and evaluation would refuse after files are
-    # written: no stage sees more learners than the spec plants.
+    # Refuse before writing anything what grouping would refuse for the spec's
+    # cohort (no stage sees more learners), and an alpha `evaluate` refuses.
     check_params(params, spec.total)
-    if spec.score_model is not None:
-        check_alpha(alpha)
+    check_alpha(alpha)
     out = _out_dir(args, config)
 
     truth, records = _simulate(spec, rb, out)
@@ -436,8 +403,9 @@ def _cmd_pipeline(args: argparse.Namespace, config: dict) -> int:
     _write_assignment(assignment, out)
 
     if spec.score_model is not None:
-        samples, control = generate_scores(truth, assignment, spec.score_model, spec.seed)
-        write_scores_csv(samples, assignment, control, out / "scores.csv")
+        scores = generate_scores(truth, assignment, spec.score_model, spec.seed)
+        write_scores_csv(scores, out / "scores.csv")
+        samples, control = evaluation_samples(assignment.rows(), scores)
         _write_evaluation(build_evaluation_report(samples, control, alpha=alpha), out)
 
     print(

@@ -166,12 +166,13 @@ class LinguisticVariable(_Declaration):
         return {label: trap.membership(x) for label, trap in self.terms}
 
     def classify(self, score: float) -> str:
-        """Label of the term with maximal membership at the score.
+        """Label of the term with maximal membership at the score (`strongest_term`)."""
+        return strongest_term(self.fuzzify(score))
 
-        Ties break in favour of the earliest-declared term.
-        """
-        memberships = self.fuzzify(score)
-        return max(memberships, key=memberships.__getitem__)
+
+def strongest_term(memberships: dict[str, float]) -> str:
+    """The term of maximal membership; ties break in favour of the earliest-declared term."""
+    return max(memberships, key=memberships.__getitem__)
 
 
 class FuzzyOutput(NamedTuple):

@@ -25,6 +25,9 @@ StyleSignature = tuple[str, ...]
 
 ASSIGNMENT_HEADER = ["learner_id", "group_id", "is_control"]
 
+DEFAULT_TARGET_K = 4
+DEFAULT_MIN_SIZE = 10
+
 
 class GroupingError(Exception):
     """Base class for grouping failures."""
@@ -45,8 +48,8 @@ class InfeasibleConstraintsError(GroupingError):
 class GroupingParams(NamedTuple):
     control_fraction: float
     seed: int
-    target_k: int = 4
-    min_size: int = 10
+    target_k: int = DEFAULT_TARGET_K
+    min_size: int = DEFAULT_MIN_SIZE
 
 
 class Group(NamedTuple):
@@ -61,10 +64,17 @@ class GroupAssignment(NamedTuple):
     control: tuple[str, ...]
     params: GroupingParams
 
+    def rows(self) -> list[tuple[str, str, bool]]:
+        """(learner id, group id, is control) per learner: groups by group id, then the control.
+
+        The rows `assignment_from_csv` reads back from `to_csv`.
+        """
+        rows = [(m, str(group.group_id), False) for group in self.groups for m in group.members]
+        rows.extend((m, "control", True) for m in self.control)
+        return rows
+
     def to_csv(self) -> str:
-        rows = [(m, group.group_id, 0) for group in self.groups for m in group.members]
-        rows.extend((m, "control", 1) for m in self.control)
-        return csv_text(ASSIGNMENT_HEADER, rows)
+        return csv_text(ASSIGNMENT_HEADER, ((m, g, int(c)) for m, g, c in self.rows()))
 
 
 def assignment_from_csv(path: str | Path) -> list[tuple[str, str, bool]]:
@@ -144,7 +154,9 @@ def _check_target_k(target_k: int) -> None:
 
 
 def homogeneous_partition(
-    profiles: Sequence[StyleProfile], target_k: int = 4, min_size: int = 10
+    profiles: Sequence[StyleProfile],
+    target_k: int = DEFAULT_TARGET_K,
+    min_size: int = DEFAULT_MIN_SIZE,
 ) -> tuple[Group, ...]:
     """Partition by exact signature, then merge until the constraints hold.
 

@@ -19,7 +19,6 @@ from .dsl import Rule, RuleBase
 from .grouping import GroupAssignment, StyleSignature
 from .ingest import BehaviorRecord
 from .rng import STREAM_BEHAVIOR, STREAM_SCORES, philox_rng
-from .stats import Sample
 
 SCORE_RANGE = (0.0, 20.0)
 
@@ -233,11 +232,12 @@ def generate_scores(
     assignment: GroupAssignment,
     model: ScoreModel,
     seed: int,
-) -> tuple[list[Sample], Sample | None]:
-    """Gaussian exam scores per group and control, clamped to the score range.
+) -> dict[str, float]:
+    """One Gaussian exam score per learner, clamped to the score range.
 
-    Treated learners draw around their planted signature's mean (or the
-    treated default), control learners around the control mean.
+    Drawn in `assignment.rows()` order: group members by group id, then the
+    control. Treated learners draw around their planted signature's mean
+    (or the treated default), control learners around the control mean.
     """
     lo, hi = SCORE_RANGE
     signature_of = dict(truth)
@@ -246,17 +246,10 @@ def generate_scores(
     def draw(mean: float) -> float:
         return float(min(max(rng.normal(mean, model.sigma), lo), hi))
 
-    samples = []
-    for group in assignment.groups:
-        values = tuple(draw(model.mean_for(signature_of[m])) for m in group.members)
-        samples.append(Sample(label=f"group-{group.group_id}", values=values))
-    control = None
-    if assignment.control:
-        control = Sample(
-            label="control",
-            values=tuple(draw(model.control_mean) for _ in assignment.control),
-        )
-    return samples, control
+    return {
+        learner: draw(model.control_mean if is_control else model.mean_for(signature_of[learner]))
+        for learner, _, is_control in assignment.rows()
+    }
 
 
 # --------------------------------------------------------------------------
@@ -296,22 +289,10 @@ def write_truth_csv(
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_scores_csv(
-    samples: Sequence[Sample],
-    assignment: GroupAssignment,
-    control: Sample | None,
-    path: str | Path,
-) -> None:
+def write_scores_csv(scores: dict[str, float], path: str | Path) -> None:
+    """`learner_id,score`, one row per learner in the dict's order, scores as `repr`."""
     lines = ["learner_id,score"]
-    for group, sample in zip(assignment.groups, samples):
-        lines.extend(
-            f"{member},{value!r}" for member, value in zip(group.members, sample.values)
-        )
-    if control is not None:
-        lines.extend(
-            f"{member},{value!r}"
-            for member, value in zip(assignment.control, control.values)
-        )
+    lines.extend(f"{learner},{value!r}" for learner, value in scores.items())
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -15,6 +15,11 @@ from typing import Mapping, NamedTuple, Sequence
 
 DEFAULT_ALPHA = 0.05
 
+# The incomplete beta's continued fraction stops once a step changes it by
+# less than BETA_TOL, and fails after BETA_MAX_ITER steps.
+BETA_TOL = 1e-12
+BETA_MAX_ITER = 300
+
 log = logging.getLogger(__name__)
 
 
@@ -103,7 +108,7 @@ class TestResult(NamedTuple):
     significant: bool
 
 
-def _beta_cf(a: float, b: float, x: float, tol: float, max_iter: int) -> float:
+def _beta_cf(a: float, b: float, x: float) -> float:
     # Modified Lentz evaluation of the continued fraction for I_x(a, b).
     tiny = 1e-300
     qab, qap, qam = a + b, a + 1.0, a - 1.0
@@ -113,7 +118,7 @@ def _beta_cf(a: float, b: float, x: float, tol: float, max_iter: int) -> float:
         d = tiny
     d = 1.0 / d
     h = d
-    for m in range(1, max_iter + 1):
+    for m in range(1, BETA_MAX_ITER + 1):
         m2 = 2 * m
         coeff = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + coeff * d
@@ -134,16 +139,14 @@ def _beta_cf(a: float, b: float, x: float, tol: float, max_iter: int) -> float:
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < tol:
+        if abs(delta - 1.0) < BETA_TOL:
             return h
     raise NonConvergenceError(
         f"incomplete beta continued fraction did not converge for a={a}, b={b}, x={x}"
     )
 
 
-def reg_inc_beta(
-    a: float, b: float, x: float, tol: float = 1e-12, max_iter: int = 300
-) -> float:
+def reg_inc_beta(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta function I_x(a, b).
 
     Continued-fraction evaluation; the symmetry I_x(a,b) = 1 - I_(1-x)(b,a)
@@ -158,7 +161,7 @@ def reg_inc_beta(
     if x == 1.0:
         return 1.0
     if x > (a + 1.0) / (a + b + 2.0):
-        return 1.0 - reg_inc_beta(b, a, 1.0 - x, tol=tol, max_iter=max_iter)
+        return 1.0 - reg_inc_beta(b, a, 1.0 - x)
     ln_front = (
         a * math.log(x)
         + b * math.log1p(-x)
@@ -166,7 +169,7 @@ def reg_inc_beta(
         - math.lgamma(a)
         - math.lgamma(b)
     )
-    return math.exp(ln_front) * _beta_cf(a, b, x, tol, max_iter) / a
+    return math.exp(ln_front) * _beta_cf(a, b, x) / a
 
 
 def _t_p_value(t: float, df: float) -> float:
@@ -497,6 +500,38 @@ class EvaluationReport(NamedTuple):
             if self.satisfaction.control is not None:
                 lines.append(f"satisfaction, control group: {self.satisfaction.control:.1f}%")
         return "\n".join(lines) + "\n"
+
+
+def values_by_label(
+    rows: Sequence[tuple[str, str, bool]], values: Mapping[str, object]
+) -> dict[str, list]:
+    """Each (learner, group id, is control) row's value under its sample's label, in row order.
+
+    A group's label is ``group-<id>``, the control's ``control``. Learners
+    without a value are left out.
+    """
+    by_label: dict[str, list] = {}
+    for learner, group_id, is_control in rows:
+        if learner in values:
+            label = "control" if is_control else f"group-{group_id}"
+            by_label.setdefault(label, []).append(values[learner])
+    return by_label
+
+
+def evaluation_samples(
+    rows: Sequence[tuple[str, str, bool]], scores: Mapping[str, float]
+) -> tuple[list[Sample], Sample | None]:
+    """The group samples in order of first row, and the control sample or None.
+
+    Every learner of the rows needs a score.
+    """
+    for learner, _, _ in rows:
+        if learner not in scores:
+            raise StatsError(f"no score for learner {learner!r}")
+    by_label = values_by_label(rows, scores)
+    control = by_label.pop("control", None)
+    samples = [Sample(label, tuple(values)) for label, values in by_label.items()]
+    return samples, (Sample("control", tuple(control)) if control else None)
 
 
 def check_alpha(alpha: float) -> None:

@@ -27,7 +27,7 @@ from stylegroup.grouping import (
 )
 from stylegroup.kernel import centroids
 from stylegroup.simulate import CohortSpec, ScoreModel, generate, generate_scores
-from stylegroup.stats import Sample, one_way_anova, pearson_r, two_sample_t
+from stylegroup.stats import Sample, evaluation_samples, one_way_anova, pearson_r, two_sample_t
 
 from conftest import riemann_centroid, scaled_trap_envelope
 from test_stats import oracle_anova, oracle_student_t, oracle_welch_t
@@ -276,7 +276,8 @@ def test_criterion_7_significance_verdicts_across_seeds(rb):
         assignment = assign_groups(
             profiles, GroupingParams(seed=seed, **params_template)
         )
-        samples, control = generate_scores(truth, assignment, model, seed=seed)
+        scores = generate_scores(truth, assignment, model, seed=seed)
+        samples, control = evaluation_samples(assignment.rows(), scores)
         arms = [s.n for s in samples] + [control.n]
         arm_floor = min(arms) if arm_floor is None else min(arm_floor, *arms)
         verdicts = [

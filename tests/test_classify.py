@@ -5,8 +5,6 @@ import pytest
 from stylegroup.classify import (
     DimensionResult,
     InsufficientPairsError,
-    MissingFeatureError,
-    NoRuleFiredError,
     StyleProfile,
     classify_cohort,
     profiles_from_csv,
@@ -131,7 +129,7 @@ def test_missing_feature_error(rb):
     assert _classify_failure(BehaviorRecord("L1", features), rb) == (
         "L1",
         None,
-        str(MissingFeatureError("L1", "exam_time")),
+        "learner 'L1' has no value for 'exam_time'",
     )
 
 
@@ -147,7 +145,7 @@ def test_no_rule_fired_error():
     assert _classify_failure(BehaviorRecord("L1", {"effort": 10.0}), rb) == (
         "L1",
         "processing",
-        str(NoRuleFiredError("L1", "processing")),
+        "no rule fired for learner 'L1' in dimension 'processing'",
     )
 
 

@@ -665,3 +665,50 @@ def test_pipeline_refuses_bad_settings_before_writing_anything(
     assert main(["pipeline", "--seed", "3", flag, value, "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_pipeline_refuses_alpha_without_a_score_model(tmp_path, capsys):
+    """The alpha is refused as `evaluate` refuses it, though this spec evaluates nothing."""
+    spec = str(_small_cohort_spec(tmp_path, with_scores=False))
+    out = tmp_path / "out"
+    argv = ["pipeline", "--cohort-spec", spec, "--seed", "3", "--min-size", "2", "--out", str(out)]
+    assert main([*argv, "--alpha", "2"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "error: alpha must lie in (0, 1), got 2.0"
+    assert not out.exists()
+    assert main([*argv, "--alpha", "0.01"]) == 0
+    assert (out / "assignment.csv").exists()
+    assert not (out / "scores.csv").exists()
+
+
+@pytest.mark.parametrize("signature_means", [None, {"reactive|sensory|visual|consecutive": 19.0}])
+def test_pipeline_evaluation_is_evaluate_on_its_own_files(tmp_path, capsys, signature_means):
+    """Both commands build the samples from (assignment rows, scores) the same way."""
+    run = tmp_path / "run"
+    argv = ["pipeline", "--seed", "42", "--out", str(run)]
+    if signature_means is not None:
+        spec = json.loads(_small_cohort_spec(tmp_path).read_text(encoding="utf-8"))
+        spec["score_model"]["signature_means"] = signature_means
+        spec_path = tmp_path / "means.json"
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        argv += ["--cohort-spec", str(spec_path), "--control-fraction", "0.2", "--min-size", "2"]
+    assert main(argv) == 0
+    again = tmp_path / "again"
+    assert main(["evaluate", "--assignment", str(run / "assignment.csv"),
+                 "--scores", str(run / "scores.csv"), "--out", str(again)]) == 0
+    for name in ("evaluation.json", "evaluation.txt"):
+        assert (again / name).read_bytes() == (run / name).read_bytes()
+    assert capsys.readouterr().out.endswith((run / "evaluation.txt").read_text(encoding="utf-8"))
+
+
+def test_evaluate_refuses_a_learner_without_a_score(tmp_path, capsys):
+    assignment = tmp_path / "assignment.csv"
+    assignment.write_text(
+        "learner_id,group_id,is_control\nL1,1,0\nL2,1,0\nL3,control,1\nL4,control,1\n"
+    )
+    scores = tmp_path / "scores.csv"
+    scores.write_text("learner_id,score\nL1,10\nL2,12\nL4,11\n")
+    out = tmp_path / "out"
+    argv = ["evaluate", "--assignment", str(assignment), "--scores", str(scores), "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "error: no score for learner 'L3'"
+    assert not (out / "evaluation.json").exists()

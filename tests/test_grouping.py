@@ -260,6 +260,7 @@ def test_assignment_csv_reads_back(tmp_path):
         (m, str(g.group_id), False) for g in assignment.groups for m in g.members
     ]
     assert [e for e in entries if e[2]] == [(m, "control", True) for m in assignment.control]
+    assert entries == assignment.rows()
 
 
 # (row after L1's, what is wrong with it, the reader's message); the id is the first two.

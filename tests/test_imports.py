@@ -221,6 +221,26 @@ def test_csv_is_imported_only_by_ingest():
     assert "csv_rows" not in names
 
 
+def test_samples_are_built_only_by_stats():
+    """One path to the evaluation samples: `simulate` draws scores, `stats` labels them."""
+    builders, simulate_imports = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "Sample":
+                    builders.add(path.name)
+            if path.name != "simulate.py":
+                continue
+            if isinstance(node, ast.Import):
+                simulate_imports.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                simulate_imports.add(node.module or "")
+    assert builders == {"stats.py"}
+    assert not [m for m in simulate_imports if m.split(".")[-1] == "stats"]
+
+
 def test_no_module_imports_dataclasses():
     """Records are `NamedTuple`s or classes with `__slots__`: no class is generated at start-up."""
     importers = set()

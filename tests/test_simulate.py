@@ -15,7 +15,7 @@ from stylegroup.simulate import (
     generate_scores,
     write_behaviors_csv,
 )
-from stylegroup.stats import two_sample_t
+from stylegroup.stats import evaluation_samples, two_sample_t
 
 SIGNATURES = (
     ("reactive", "sensory", "visual", "consecutive"),
@@ -159,10 +159,15 @@ def _assignment(rb, spec):
     return truth, assign_groups(profiles, params)
 
 
+def _samples(truth, assignment, model, seed):
+    """The group samples and control sample of one score draw."""
+    return evaluation_samples(assignment.rows(), generate_scores(truth, assignment, model, seed))
+
+
 def test_scores_zero_sigma_hit_the_means(rb):
     model = ScoreModel(treated_mean=17.65, control_mean=12.6, sigma=0.0)
     truth, assignment = _assignment(rb, _spec(counts=8, seed=23))
-    samples, control = generate_scores(truth, assignment, model, seed=23)
+    samples, control = _samples(truth, assignment, model, seed=23)
     for sample in samples:
         assert all(v == 17.65 for v in sample.values)
     assert control is not None
@@ -178,17 +183,17 @@ def test_scores_signature_specific_means(rb):
     )
     truth, assignment = _assignment(rb, _spec(counts=8, seed=29))
     truth_map = dict(truth)
-    samples, _ = generate_scores(truth, assignment, model, seed=29)
-    for group, sample in zip(assignment.groups, samples):
-        for member, value in zip(group.members, sample.values):
+    scores = generate_scores(truth, assignment, model, seed=29)
+    for group in assignment.groups:
+        for member in group.members:
             expected = 19.0 if truth_map[member] == SIGNATURES[0] else 17.0
-            assert value == expected
+            assert scores[member] == expected
 
 
 def test_scores_clamped_to_range(rb):
     model = ScoreModel(treated_mean=19.5, control_mean=0.5, sigma=4.0)
     truth, assignment = _assignment(rb, _spec(counts=8, seed=37))
-    samples, control = generate_scores(truth, assignment, model, seed=37)
+    samples, control = _samples(truth, assignment, model, seed=37)
     values = [v for s in samples for v in s.values] + list(control.values)
     assert all(0.0 <= v <= 20.0 for v in values)
 
@@ -196,7 +201,7 @@ def test_scores_clamped_to_range(rb):
 def test_scores_paper_style_separation_is_significant(rb):
     model = ScoreModel(treated_mean=17.65, control_mean=12.6, sigma=2.5)
     truth, assignment = _assignment(rb, _spec(counts=50, seed=41))
-    samples, control = generate_scores(truth, assignment, model, seed=41)
+    samples, control = _samples(truth, assignment, model, seed=41)
     assert control.n >= 30
     for sample in samples:
         assert sample.n >= 30
@@ -210,6 +215,14 @@ def test_scores_empty_control_absent(rb):
     model = ScoreModel(treated_mean=17.0, control_mean=12.0, sigma=1.0)
     truth, assignment = _assignment(rb, _spec(counts=8, seed=43))
     no_control = GroupAssignment(groups=assignment.groups, control=(), params=assignment.params)
-    samples, control = generate_scores(truth, no_control, model, seed=43)
+    samples, control = _samples(truth, no_control, model, seed=43)
     assert control is None
     assert samples
+
+
+def test_scores_one_per_learner_in_row_order(rb):
+    """Group members by group id, then the control: the order `scores.csv` is written in."""
+    model = ScoreModel(treated_mean=17.0, control_mean=12.0, sigma=1.0)
+    truth, assignment = _assignment(rb, _spec(counts=8, seed=47))
+    scores = generate_scores(truth, assignment, model, seed=47)
+    assert list(scores) == [learner for learner, _, _ in assignment.rows()]
