@@ -2,8 +2,8 @@
 
 `classify_cohort` is the one classify entry point; one learner is
 `classify_cohort([record], rb)`. Each dimension compiles once
-(`RuleBase.compile_dimension`), then blocks of learners run through
-`kernel.score_block`: Mamdani firing strengths, the exact centroid of the
+(`RuleBase.compile_dimension`), then all learners run through one
+`kernel.score_block` call: Mamdani firing strengths, the exact centroid of the
 output envelope as the crisp score, and as label the term of maximal
 membership at that score. Classification is deterministic and per-learner
 independent: cohort order never changes an individual profile.
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -20,7 +21,7 @@ from .dsl import DIMENSIONS, RuleBase
 from .fuzzy import CompiledRules, strongest_term
 from .ingest import BehaviorRecord, IngestError, QuestionnaireRecord, csv_text
 from .ingest import learner_rows, parse_float
-from .stats import pearson_r
+from .stats import ZeroVarianceError, pearson_r
 
 log = logging.getLogger(__name__)
 
@@ -68,8 +69,9 @@ class ClassificationFailure(NamedTuple):
     reason: str
 
 
-# Learners per kernel pass: bounds the (learners x centroid nodes) arrays, so
-# peak memory stays flat in the cohort size.
+# Multi-term rows per `kernel.centroids` call: bounds the (rows x centroid
+# nodes) integration arrays, so their peak memory stays flat in the cohort
+# size. Everything else of a dimension runs over all learners in one pass.
 _BLOCK = 256
 
 
@@ -87,30 +89,52 @@ class _Dimension(NamedTuple):
     labels: dict[float | str, tuple[dict[str, float], str]]
 
 
-def _classify_block(
-    records: Sequence[BehaviorRecord],
-    names: Sequence[str],
-    dimensions: Sequence[_Dimension],
-    profiles: list[StyleProfile],
-    failures: list[ClassificationFailure],
-) -> None:
-    """Append each record's profile, or the failure of its first failing dimension.
+def classify_cohort(
+    records: Iterable[BehaviorRecord], rb: RuleBase
+) -> tuple[list[StyleProfile], list[ClassificationFailure]]:
+    """Classify every learner independently; failures are collected, not fatal.
 
-    Within a dimension a missing feature (the first in rule/clause order)
-    is reported before an empty envelope.
+    The rule base compiles once; each dimension then runs through the array
+    kernel in one pass over all learners. Work that depends only on the
+    rule base (each output term's centroid) or on a crisp score
+    (memberships and label) is done once per call. Cohort order never
+    changes a profile.
+
+    A learner gets a profile, or the failure of its first failing
+    dimension. Within a dimension a missing feature (the first in
+    rule/clause order) is reported before an empty envelope.
     """
     from . import kernel
 
+    records = list(records)
+    compiled = [(d, rb.compile_dimension(d)) for d in rb.dimensions()]
+    names = list(dict.fromkeys(name for _, c in compiled for name in c.inputs))
+    dimensions = [
+        _Dimension(
+            name=d,
+            compiled=c,
+            table=kernel.term_table(c.variable),
+            columns=[names.index(name) for name in c.inputs],
+            labels={},
+        )
+        for d, c in compiled
+    ]
     values, missing = kernel.feature_matrix(names, [record.features for record in records])
     columns = [
         (
             dim,
             *kernel.score_block(
-                dim.compiled, dim.table, values[:, dim.columns], missing[:, dim.columns]
+                dim.compiled,
+                dim.table,
+                values[:, dim.columns],
+                missing[:, dim.columns],
+                _BLOCK,
             ),
         )
         for dim in dimensions
     ]
+    profiles: list[StyleProfile] = []
+    failures: list[ClassificationFailure] = []
     for n, learner_id in enumerate(record.learner_id for record in records):
         results = []
         for dim, first_missing, crisp, strengths in columns:
@@ -129,48 +153,19 @@ def _classify_block(
                 memberships = dim.compiled.variable.fuzzify(score)
                 dim.labels[key] = (memberships, strongest_term(memberships))
             memberships, label = dim.labels[key]
-            fired = tuple(
-                (rule_id, s) for rule_id, s in zip(dim.compiled.rule_ids, strengths[n]) if s > 0.0
-            )
+            # One row at a time: the whole N x R matrix as lists of floats would
+            # outweigh the profiles. Strengths are products of memberships, so
+            # nonzero means positive.
+            row = strengths[n].tolist()
+            fired = tuple(compress(zip(dim.compiled.rule_ids, row), row))
             results.append(DimensionResult(dim.name, score, label, dict(memberships), fired))
         else:  # no dimension failed
             profiles.append(StyleProfile(learner_id, tuple(results)))
-
-
-def classify_cohort(
-    records: Iterable[BehaviorRecord], rb: RuleBase
-) -> tuple[list[StyleProfile], list[ClassificationFailure]]:
-    """Classify every learner independently; failures are collected, not fatal.
-
-    The rule base compiles once; learners then run through the array
-    kernel in fixed-size blocks. Work that depends only on the rule base
-    (each output term's centroid) or on a crisp score (memberships and
-    label) is done once per call. Cohort order never changes a profile.
-    """
-    from . import kernel
-
-    records = list(records)
-    compiled = [(d, rb.compile_dimension(d)) for d in rb.dimensions()]
-    names = list(dict.fromkeys(name for _, c in compiled for name in c.inputs))
-    dimensions = [
-        _Dimension(
-            name=d,
-            compiled=c,
-            table=kernel.term_table(c.variable),
-            columns=[names.index(name) for name in c.inputs],
-            labels={},
-        )
-        for d, c in compiled
-    ]
-    profiles: list[StyleProfile] = []
-    failures: list[ClassificationFailure] = []
-    for start in range(0, len(records), _BLOCK):
-        _classify_block(records[start : start + _BLOCK], names, dimensions, profiles, failures)
-    missing = sum(failure.dimension is None for failure in failures)
+    missing_count = sum(failure.dimension is None for failure in failures)
     log.info(
         "cohort: %d learners, %d classified, %d missing-feature, %d no-rule-fired, "
         "distinct crisp scores %s",
-        len(records), len(profiles), missing, len(failures) - missing,
+        len(records), len(profiles), missing_count, len(failures) - missing_count,
         ",".join(f"{dim.name}={len(dim.labels)}" for dim in dimensions),
     )
     return profiles, failures
@@ -191,14 +186,15 @@ class ValidationReport(NamedTuple):
     """Correlation between crisp scores and questionnaire scores.
 
     ``overall_r`` pools every paired (dimension, learner) row and is the
-    canonical overall figure; the mean of the per-dimension coefficients
-    is reported alongside. The saved rows make every coefficient
-    reproducible from the report alone.
+    canonical overall figure; the mean of the defined per-dimension
+    coefficients is reported alongside. A coefficient over a constant
+    sequence (a homogeneous cohort) is undefined and is None. The saved
+    rows make every coefficient reproducible from the report alone.
     """
 
-    per_dimension_r: dict[str, float]
-    overall_r: float
-    mean_dimension_r: float
+    per_dimension_r: dict[str, float | None]
+    overall_r: float | None
+    mean_dimension_r: float | None
     rows: tuple[PairedRow, ...]
     unmatched_profile_entries: int
     unmatched_questionnaire_entries: int
@@ -229,7 +225,10 @@ def validate_against_questionnaire(
     """Pearson correlation per dimension plus the pooled overall coefficient.
 
     Learners appearing in only one source are dropped (inner join) and
-    counted. Every dimension the profiles cover needs at least 3 pairs.
+    counted. Every dimension the profiles cover needs at least 3 pairs. A
+    dimension whose crisp or questionnaire scores are constant gets None
+    and a warning naming it, as does the pooled coefficient if its scores
+    are.
     """
     scores = {
         (record.learner_id, record.dimension): record.score for record in questionnaire
@@ -254,25 +253,29 @@ def validate_against_questionnaire(
                     )
                 )
 
+    def correlation(rows: list[PairedRow], scope: str) -> float | None:
+        try:
+            return pearson_r(
+                [row.crisp_score for row in rows], [row.questionnaire_score for row in rows]
+            )
+        except ZeroVarianceError as exc:
+            log.warning("validation: %s: %s; its coefficient is null", scope, exc)
+            return None
+
     per_dimension = {}
     for dimension in dimensions:
         dim_rows = [row for row in rows if row.dimension == dimension]
         if len(dim_rows) < 3:
             raise InsufficientPairsError(dimension, len(dim_rows))
-        per_dimension[dimension] = pearson_r(
-            [row.crisp_score for row in dim_rows],
-            [row.questionnaire_score for row in dim_rows],
-        )
+        per_dimension[dimension] = correlation(dim_rows, f"dimension {dimension!r}")
 
-    overall = pearson_r(
-        [row.crisp_score for row in rows],
-        [row.questionnaire_score for row in rows],
-    )
+    overall = correlation(rows, "all dimensions pooled")
+    defined = [r for r in per_dimension.values() if r is not None]
     total_profile_entries = sum(len(p.results) for p in profiles)
     return ValidationReport(
         per_dimension_r=per_dimension,
         overall_r=overall,
-        mean_dimension_r=sum(per_dimension.values()) / len(per_dimension),
+        mean_dimension_r=sum(defined) / len(defined) if defined else None,
         rows=tuple(rows),
         unmatched_profile_entries=total_profile_entries - len(rows),
         unmatched_questionnaire_entries=len(scores) - len(matched_keys),
@@ -323,29 +326,51 @@ def profiles_from_csv(path: str | Path) -> list[StyleProfile]:
     return profiles
 
 
-def profiles_to_json(profiles: Sequence[StyleProfile]) -> str:
+# How `json.dumps` writes the non-finite floats; `repr` writes every other one.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def profiles_to_json(
+    profiles: Sequence[StyleProfile], fragments: dict | None = None
+) -> str:
     """Detailed export including fired rules and term memberships.
 
-    A JSON array with one learner per line: compact objects keep the C
-    encoder in use and the file diffable line by line.
+    A JSON array with one learner per line, each line what
+    `json.dumps(..., sort_keys=True)` writes for
+    `{"learner_id", "results": [{"crisp_score", "dimension", "fired_rules":
+    [{"rule_id", "strength"}], "label", "term_memberships"}]}`.
+
+    A result is written as a head (up to the fired rules) and a tail (after
+    them), each formatted once per distinct (dimension, crisp score, label,
+    memberships) and kept in `fragments`; pass a dict to see or reuse them.
+    Per learner only the id and the fired strengths are formatted.
     """
-    payload = (
-        {
-            "learner_id": profile.learner_id,
-            "results": [
-                {
-                    "dimension": result.dimension,
-                    "crisp_score": result.crisp_score,
-                    "label": result.label,
-                    "term_memberships": result.term_memberships,
-                    "fired_rules": [
-                        {"rule_id": rule_id, "strength": strength}
-                        for rule_id, strength in result.fired_rules
-                    ],
-                }
-                for result in profile.results
-            ],
-        }
-        for profile in profiles
-    )
-    return "[\n" + ",\n".join(json.dumps(item, sort_keys=True) for item in payload) + "\n]\n"
+    if fragments is None:
+        fragments = {}
+    prefixes: dict[str, str] = {}
+    dumps = json.dumps
+    lines = []
+    for profile in profiles:
+        parts = []
+        for dimension, score, label, memberships, fired in profile.results:
+            # 0.0 and -0.0 are one float key, two hex strings.
+            key = (dimension, score or score.hex(), label, tuple(memberships.items()))
+            ends = fragments.get(key)
+            if ends is None:
+                ends = fragments[key] = (
+                    f'{{"crisp_score": {dumps(score)}, "dimension": {dumps(dimension)}, '
+                    '"fired_rules": [',
+                    f'], "label": {dumps(label)}, '
+                    f'"term_memberships": {dumps(memberships, sort_keys=True)}}}',
+                )
+            rules = []
+            for rule_id, strength in fired:
+                prefix = prefixes.get(rule_id)
+                if prefix is None:
+                    prefix = prefixes[rule_id] = f'{{"rule_id": {dumps(rule_id)}, "strength": '
+                text = repr(strength)
+                rules.append(prefix + _NON_FINITE.get(text, text) + "}")
+            parts.append(ends[0] + ", ".join(rules) + ends[1])
+        learner = dumps(profile.learner_id)
+        lines.append(f'{{"learner_id": {learner}, "results": [{", ".join(parts)}]}}')
+    return "[\n" + ",\n".join(lines) + "\n]\n"

@@ -255,10 +255,19 @@ def _cmd_validate_rules(args: argparse.Namespace, config: dict) -> int:
 
 def _write_classification(profiles, failures, out: Path) -> None:
     (out / "profiles.csv").write_text(profiles_to_csv(profiles), encoding="utf-8")
-    (out / "profiles.json").write_text(profiles_to_json(profiles), encoding="utf-8")
+    fragments: dict = {}
+    detail = profiles_to_json(profiles, fragments)
+    (out / "profiles.json").write_text(detail, encoding="utf-8")
     rows = ((f.learner_id, f.dimension or "", f.reason) for f in failures)
     (out / "failures.csv").write_text(
         csv_text(["learner_id", "dimension", "reason"], rows), encoding="utf-8"
+    )
+    # profiles.json is ASCII (JSON escapes the rest): its length is its size in bytes.
+    log.info(
+        "classification: profiles.csv %d rows, failures.csv %d rows, "
+        "profiles.json %d learners %d bytes, %d distinct result fragments",
+        sum(len(p.results) for p in profiles), len(failures),
+        len(profiles), len(detail), len(fragments),
     )
 
 

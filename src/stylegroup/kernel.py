@@ -1,8 +1,8 @@
-"""Array kernel: memberships, firing strengths and exact centroids over blocks of inputs.
+"""Array kernel: memberships, firing strengths and exact centroids over arrays of inputs.
 
 This is the one module of the package that imports numpy when it loads.
 Its callers import it when first called: `classify_cohort`, which runs
-every block of learners through `score_block`, and `fuzzy.infer` and
+every learner of a dimension through one `score_block` call, and `fuzzy.infer` and
 `fuzzy.defuzzify_centroid`, which wrap it for one input. So the commands
 that compute no arrays (`validate-rules`, `evaluate`) start without numpy.
 The rules come compiled by `RuleBase.compile_dimension` (`dsl`).
@@ -10,6 +10,7 @@ The rules come compiled by `RuleBase.compile_dimension` (`dsl`).
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -152,7 +153,14 @@ def feature_matrix(
     names: Sequence[str], features: Sequence[Mapping[str, float]]
 ) -> tuple[np.ndarray, np.ndarray]:
     """N x len(names) feature values (NaN where absent) and the mask of absent names."""
-    values = np.array([[f.get(name, np.nan) for name in names] for f in features], dtype=float)
+    pick = itemgetter(*names) if len(names) > 1 else lambda f: [f[name] for name in names]
+    rows = []
+    for f in features:
+        try:
+            rows.append(pick(f))
+        except KeyError:  # only a row that lacks a name pays for the lookups one by one
+            rows.append([f.get(name, np.nan) for name in names])
+    values = np.array(rows, dtype=float).reshape(len(rows), len(names))
     missing = np.isnan(values)
     for n in np.flatnonzero(missing.any(axis=1)):  # a NaN value is present, not missing
         missing[n] = [name not in features[n] for name in names]
@@ -164,15 +172,19 @@ def score_block(
     table: tuple[np.ndarray, np.ndarray],
     values: np.ndarray,
     missing: np.ndarray,
-) -> tuple[list[int], list[float], list[list[float]]]:
-    """One dimension over a block of learners, as plain lists.
+    chunk: int,
+) -> tuple[list[int], list[float], np.ndarray]:
+    """One dimension over every row of a feature matrix.
 
     `values` and `missing` come from `feature_matrix` over `compiled.inputs`;
-    `table` is `term_table(compiled.variable)`. Per learner: the index into
-    `compiled.inputs` of its first missing feature (-1 if none), its crisp
-    score and its strength per rule. The crisp score is NaN when the
-    envelope's area is below ZERO_AREA_TOL. A row with one active output
-    term takes that term's centroid; only rows with several are integrated.
+    `table` is `term_table(compiled.variable)`. Per learner, as lists: the
+    index into `compiled.inputs` of its first missing feature (-1 if none)
+    and its crisp score; and the N x R array of its strength per rule. The
+    crisp score is NaN when the envelope's area is below ZERO_AREA_TOL. A
+    row with one active output term takes that term's centroid; only rows
+    with several are integrated, `chunk` rows per `centroids` call. Rows
+    integrate independently, so the chunk size bounds memory and changes
+    no bit.
     """
     strengths = firing_strengths(compiled, values)
     scales = term_strengths(compiled, strengths)
@@ -184,11 +196,9 @@ def score_block(
     fired = scales[single, term] * area[term] >= ZERO_AREA_TOL
     crisp[single[fired]] = centroid[term[fired]]
     several = np.flatnonzero(active > 1)
-    if several.size:
-        crisp[several] = centroids(
-            compiled.variable.universe,
-            [trap for _, trap in compiled.variable.terms],
-            scales[several],
-        )
+    terms = [trap for _, trap in compiled.variable.terms]
+    for start in range(0, several.size, chunk):
+        rows = several[start : start + chunk]
+        crisp[rows] = centroids(compiled.variable.universe, terms, scales[rows])
     first_missing = np.where(missing.any(axis=1), missing.argmax(axis=1), -1)
-    return first_missing.tolist(), crisp.tolist(), strengths.tolist()
+    return first_missing.tolist(), crisp.tolist(), strengths

@@ -159,6 +159,20 @@ def _rules_by_consequent(rb: RuleBase) -> dict[tuple[str, str], list[Rule]]:
     return index
 
 
+def _place(features: dict[str, float], clauses: list, rng, noisy: bool) -> None:
+    """Set each clause's variable to its prototype value plus noise, clamped to its universe.
+
+    One `standard_normal(n)` call draws what n scalar calls would, in order,
+    and sd * z has the bits of `rng.normal(0.0, sd)`.
+    """
+    noise = rng.standard_normal(len(clauses)).tolist() if noisy else ()
+    for n, (var_name, value, lo, hi, sd) in enumerate(clauses):
+        if noisy:
+            value += sd * noise[n]
+        # min(max(value, lo), hi), without the two calls
+        features[var_name] = lo if value < lo else hi if value > hi else value
+
+
 def generate(
     spec: CohortSpec, rb: RuleBase
 ) -> tuple[list[tuple[str, StyleSignature]], list[BehaviorRecord]]:
@@ -209,11 +223,15 @@ def generate(
             index += 1
             learner_id = f"L{index:0{width}d}"
             features: dict[str, float] = {}
+            clauses: list = []  # chosen, with their noise still to draw
             for rules in candidates:
-                for var_name, value, lo, hi, sd in rules[int(rng.integers(0, len(rules)))]:
-                    if noisy:
-                        value += rng.normal(0.0, sd)
-                    features[var_name] = min(max(value, lo), hi)
+                # rng.integers(0, 1) draws no bits, so a sole producer needs no call.
+                if len(rules) > 1:
+                    _place(features, clauses, rng, noisy)
+                    clauses = list(rules[int(rng.integers(0, len(rules)))])
+                else:
+                    clauses += rules[0]
+            _place(features, clauses, rng, noisy)
             for var_name, lo, hi in uniform:
                 if var_name not in features:
                     features[var_name] = float(rng.uniform(lo, hi))

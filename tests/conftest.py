@@ -153,3 +153,68 @@ def reference_load_behaviors(path, variables, policy="clamp"):
             features[variable] = value
         records.append(BehaviorRecord(learner_id=learner, features=features))
     return records, report
+
+
+def reference_profiles_to_json(profiles) -> str:
+    """One `json.dumps` per learner: the oracle for `classify.profiles_to_json`."""
+    import json
+
+    payload = (
+        {
+            "learner_id": profile.learner_id,
+            "results": [
+                {
+                    "dimension": result.dimension,
+                    "crisp_score": result.crisp_score,
+                    "label": result.label,
+                    "term_memberships": result.term_memberships,
+                    "fired_rules": [
+                        {"rule_id": rule_id, "strength": strength}
+                        for rule_id, strength in result.fired_rules
+                    ],
+                }
+                for result in profile.results
+            ],
+        }
+        for profile in profiles
+    )
+    return "[\n" + ",\n".join(json.dumps(item, sort_keys=True) for item in payload) + "\n]\n"
+
+
+def reference_generate(spec, rb):
+    """Scalar draw loop: the oracle for the stream `simulate.generate` consumes.
+
+    Every dimension draws its producing rule with `rng.integers`, even a
+    sole producer, every clause draws `rng.normal(0.0, sd)` when noisy, and
+    every input no chosen rule set gets `float(rng.uniform(lo, hi))`.
+    Returns (truth, features per learner).
+    """
+    from stylegroup.rng import STREAM_BEHAVIOR, philox_rng
+
+    dimensions = rb.dimensions()
+    variables = {v.name: v for v in rb.variables}
+    rng = philox_rng(spec.seed, STREAM_BEHAVIOR)
+    width = max(4, len(str(spec.total)))
+    truth, features = [], []
+    for signature, count in spec.counts:
+        for _ in range(count):
+            learner_id = f"L{len(truth) + 1:0{width}d}"
+            values = {}
+            for dimension, label in zip(dimensions, signature):
+                rules = [
+                    rule for rule in rb.rules
+                    if rule.dimension == dimension and rule.consequent[1] == label
+                ]
+                rule = rules[int(rng.integers(0, len(rules)))]
+                for name, term in rule.antecedent:
+                    lo, hi = variables[name].universe
+                    value = variables[name].term(term).plateau_midpoint
+                    if spec.noise_sigma > 0:
+                        value += rng.normal(0.0, spec.noise_sigma * (hi - lo))
+                    values[name] = min(max(value, lo), hi)
+            for variable in rb.variables:
+                if variable.kind == "input" and variable.name not in values:
+                    values[variable.name] = float(rng.uniform(*variable.universe))
+            truth.append((learner_id, signature))
+            features.append((learner_id, values))
+    return truth, features

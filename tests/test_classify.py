@@ -1,6 +1,7 @@
 import logging
 
 import pytest
+from hypothesis import given, strategies as st
 
 from stylegroup.classify import (
     DimensionResult,
@@ -16,7 +17,8 @@ from stylegroup.dsl import DIMENSIONS, parse_rulebase
 from stylegroup.ingest import BehaviorRecord, IngestError, QuestionnaireRecord
 from stylegroup.stats import pearson_r
 
-from conftest import riemann_centroid, rule_strength, scaled_trap_envelope
+from conftest import reference_profiles_to_json, riemann_centroid, rule_strength
+from conftest import scaled_trap_envelope
 
 
 def _classify_one(record, rb):
@@ -211,13 +213,17 @@ def test_cohort_determinism_and_permutation_invariance(rb):
     assert [p.learner_id for p in reversed_profiles] == [f"L{5 - i}" for i in range(6)]
 
 
-def test_cohort_matches_learner_by_learner(rb):
-    # A noisy cohort over every producible signature, spanning several
-    # kernel blocks, with a feature dropped from every 23rd learner.
+def test_cohort_matches_learner_by_learner(rb, monkeypatch):
+    # A noisy cohort over every producible signature, with a feature dropped
+    # from every 23rd learner. Multi-term rows integrate _BLOCK at a time;
+    # at 7 they span several chunks.
     import itertools
 
-    from stylegroup.classify import _BLOCK
+    from stylegroup import classify
     from stylegroup.simulate import CohortSpec, generate
+
+    monkeypatch.setattr(classify, "_BLOCK", 7)
+    _BLOCK = classify._BLOCK
 
     labels = [sorted({r.consequent[1] for r in rb.rules_for(d)}) for d in DIMENSIONS]
     spec = CohortSpec(
@@ -233,6 +239,13 @@ def test_cohort_matches_learner_by_learner(rb):
     assert len(records) > _BLOCK
 
     profiles, failures = classify_cohort(records, rb)
+    term_of = {rule.rule_id: rule.consequent[1] for rule in rb.rules}
+    multi = [
+        sum(len({term_of[rule_id] for rule_id, _ in p.result(d).fired_rules}) > 1
+            for p in profiles)
+        for d in DIMENSIONS
+    ]
+    assert max(multi) > 2 * _BLOCK  # multi-term rows of one dimension span several chunks
 
     expected_profiles, expected_failures = [], []
     for record in records:
@@ -264,31 +277,36 @@ def test_cohort_matches_learner_by_learner(rb):
             assert result.fired_rules == tuple(expected)
 
 
-def test_cohort_equals_integrating_every_row(rb):
-    # Over two kernel blocks, every envelope is integrated here, the
-    # single-term ones included, and labelled by `LinguisticVariable.classify`.
+def test_cohort_equals_integrating_every_row(rb, monkeypatch):
+    # Every envelope is integrated here in one call, the single-term ones
+    # included, and labelled by `LinguisticVariable.classify`. The cohort
+    # integrates its multi-term rows _BLOCK (here 7) at a time.
     import itertools
     import math
 
-    from stylegroup import kernel
-    from stylegroup.classify import _BLOCK
+    from stylegroup import classify, kernel
     from stylegroup.simulate import CohortSpec, generate
+
+    monkeypatch.setattr(classify, "_BLOCK", 7)
+    _BLOCK = classify._BLOCK
 
     labels = [sorted({r.consequent[1] for r in rb.rules_for(d)}) for d in DIMENSIONS]
     spec = CohortSpec(
         counts=tuple((sig, 2) for sig in itertools.product(*labels)), noise_sigma=0.15, seed=11
     )
     records = generate(spec, rb)[1][:400]
-    assert _BLOCK < len(records) < 2 * _BLOCK  # a full block and a part one
+    assert len(records) > _BLOCK
 
     expected = {r.learner_id: [] for r in records}  # (dimension, crisp, label) until a failure
     active_terms = set()
+    multi = []  # multi-term rows per dimension, as the cohort integrates them
     for dimension in DIMENSIONS:
         compiled = rb.compile_dimension(dimension)
         variable = compiled.variable
         values = [[r.features[name] for name in compiled.inputs] for r in records]
         scales = kernel.term_strengths(compiled, kernel.firing_strengths(compiled, values))
         active_terms.update((scales > 0.0).sum(axis=1).tolist())
+        multi.append(int(((scales > 0.0).sum(axis=1) > 1).sum()))
         crisp = kernel.centroids(variable.universe, [t for _, t in variable.terms], scales)
         for record, score in zip(records, crisp.tolist()):
             outcome = expected[record.learner_id]
@@ -297,6 +315,7 @@ def test_cohort_equals_integrating_every_row(rb):
             label = None if math.isnan(score) else variable.classify(score)
             outcome.append((dimension, None if label is None else score, label))
     assert {0, 1, 2} <= active_terms  # zero-, single- and multi-term envelopes
+    assert any(m > 2 * _BLOCK and m % _BLOCK for m in multi)  # full chunks and a part one
 
     profiles, failures = classify_cohort(records, rb)
     assert [(f.learner_id, f.dimension) for f in failures] == [
@@ -513,3 +532,58 @@ def test_profiles_json_contains_fired_rules(rb):
     assert {"dimension", "crisp_score", "label", "term_memberships", "fired_rules"} <= set(
         first
     )
+
+
+# Ids and names with JSON escapes, CSV specials and non-ASCII characters.
+_ODD_TEXT = st.text(alphabet='ab"\\,\r\n é中😀', min_size=1, max_size=5)
+_TERMS = st.sampled_from(["calm", "busy", 'o"dd'])
+_RESULTS = st.builds(
+    DimensionResult,
+    dimension=st.sampled_from(["processing", "perception"]) | _ODD_TEXT,
+    # Few distinct scores, so equal scores meet different labels and memberships.
+    crisp_score=st.sampled_from([0.0, -0.0, 3.5, 1e-300]) | st.floats(),
+    label=_TERMS,
+    term_memberships=st.dictionaries(_TERMS, st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0, 1)),
+    fired_rules=st.lists(
+        st.tuples(st.sampled_from(["r1", "r2"]) | _ODD_TEXT, st.floats()), max_size=3
+    ).map(tuple),
+)
+
+
+@given(
+    st.lists(
+        st.builds(
+            StyleProfile,
+            learner_id=_ODD_TEXT,
+            results=st.lists(_RESULTS, max_size=4).map(tuple),
+        ),
+        max_size=6,
+    )
+)
+def test_profiles_json_equals_one_dumps_per_learner(profiles):
+    # Non-finite scores and strengths, no fired rules and no results included.
+    assert profiles_to_json(profiles) == reference_profiles_to_json(profiles)
+
+
+def test_profiles_json_of_a_cohort_equals_one_dumps_per_learner(rb):
+    import itertools
+
+    from stylegroup.simulate import CohortSpec, generate
+
+    labels = [sorted({r.consequent[1] for r in rb.rules_for(d)}) for d in DIMENSIONS]
+    spec = CohortSpec(
+        counts=tuple((sig, 2) for sig in itertools.product(*labels)), noise_sigma=0.1, seed=4
+    )
+    profiles, _ = classify_cohort(generate(spec, rb)[1], rb)
+    fragments = {}
+    text = profiles_to_json(profiles, fragments)
+    assert text == reference_profiles_to_json(profiles)
+    results = [r for p in profiles for r in p.results]
+    # one head and tail per distinct result, far fewer than results
+    assert len(fragments) == len(
+        {(r.dimension, r.crisp_score, r.label) for r in results}
+    ) < len(results) / 2
+    # a caller's edit of one result's memberships reaches that result only
+    memberships = profiles[0].results[0].term_memberships
+    memberships[next(iter(memberships))] = 0.25
+    assert profiles_to_json(profiles, fragments) == reference_profiles_to_json(profiles)

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -347,6 +348,74 @@ def test_classify_with_questionnaire_validation(tmp_path):
     }
     assert all(r > 0.8 for r in report["per_dimension_r"].values())
     assert report["overall_r"] > 0.8
+
+
+def test_classify_validation_of_a_homogeneous_cohort(tmp_path, capsys, caplog):
+    # One signature at noise 0: every learner has the same crisp scores, so
+    # no dimension has a correlation; the pooled one still does.
+    spec = tmp_path / "cohort.json"
+    spec.write_text(json.dumps({
+        "cohort": [{"signature": ["reactive", "sensory", "visual", "consecutive"], "count": 12}],
+        "noise_sigma": 0.0,
+    }), encoding="utf-8")
+    simulate = ["simulate", "--cohort-spec", str(spec), "--seed", "1", "--out", str(tmp_path)]
+    assert main(simulate) == 0
+    capsys.readouterr()
+    dimensions = ["processing", "perception", "entrance", "understanding"]
+    questionnaire = tmp_path / "questionnaire.csv"
+    questionnaire.write_text("learner_id,dimension,score\n" + "".join(
+        f"L{i:04d},{d},{i * 7 % 11}.5\n" for i in range(1, 13) for d in dimensions
+    ), encoding="utf-8")
+    out = tmp_path / "out"
+    command = ["classify", "--behaviors", str(tmp_path / "behaviors.csv"),
+               "--questionnaire", str(questionnaire), "--out", str(out)]
+    with caplog.at_level(logging.WARNING, logger="stylegroup.classify"):
+        assert main(command) == 0
+    assert capsys.readouterr().out == "classified 12 learners, 0 failures\n"
+    assert [r.getMessage() for r in caplog.records if r.name == "stylegroup.classify"] == [
+        f"validation: dimension {d!r}: correlation is undefined for a constant sequence; "
+        "its coefficient is null"
+        for d in dimensions
+    ]
+    report = json.loads((out / "validation.json").read_text(encoding="utf-8"))
+    assert report["per_dimension_r"] == dict.fromkeys(dimensions)
+    assert report["mean_dimension_r"] is None
+    assert isinstance(report["overall_r"], float)
+    assert len(report["rows"]) == 48
+
+
+def test_classify_logs_what_it_wrote_only_at_info(tmp_path, capsys, caplog):
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--cohort-spec", str(_small_cohort_spec(tmp_path)),
+                 "--seed", "5", "--out", str(sim)]) == 0
+    rows = (sim / "behaviors.csv").read_text(encoding="utf-8").splitlines()
+    dropped = rows[1].split(",")[0]  # its first variable goes, so it fails
+    (sim / "behaviors.csv").write_text("\n".join(rows[:1] + rows[2:]) + "\n", encoding="utf-8")
+    command = ["classify", "--behaviors", str(sim / "behaviors.csv")]
+    with caplog.at_level(logging.WARNING, logger="stylegroup"):
+        assert main([*command, "--out", str(tmp_path / "warning")]) == 0
+    assert [r for r in caplog.records if r.name == "stylegroup"] == []
+    with caplog.at_level(logging.INFO, logger="stylegroup"):
+        assert main([*command, "--out", str(tmp_path / "info")]) == 0
+    (message,) = [r.getMessage() for r in caplog.records if r.name == "stylegroup"]
+    out = tmp_path / "info"
+    detail = (out / "profiles.json").read_bytes()
+    learners = len(json.loads(detail))
+    assert learners == 119
+    assert message == (
+        f"classification: profiles.csv {4 * learners} rows, failures.csv 1 rows, "
+        f"profiles.json {learners} learners {len(detail)} bytes, "
+        f"{_distinct_results(out / 'profiles.csv')} distinct result fragments"
+    )
+    assert f"{dropped!r}" in (out / "failures.csv").read_text(encoding="utf-8")
+    names = sorted(p.name for p in out.iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "warning").iterdir())
+    assert all((out / n).read_bytes() == (tmp_path / "warning" / n).read_bytes() for n in names)
+
+
+def _distinct_results(profiles_csv):
+    """Distinct (dimension, crisp score, label) rows of a profiles.csv."""
+    return len({tuple(row.split(",")[1:]) for row in profiles_csv.read_text().splitlines()[1:]})
 
 
 def test_pipeline_deterministic_output_tree(tmp_path):

@@ -17,6 +17,8 @@ from stylegroup.simulate import (
 )
 from stylegroup.stats import evaluation_samples, two_sample_t
 
+from conftest import reference_generate
+
 SIGNATURES = (
     ("reactive", "sensory", "visual", "consecutive"),
     ("reflection", "intuitive", "verbal", "sequential_global"),
@@ -79,6 +81,55 @@ def test_generate_deterministic(rb, tmp_path):
     write_behaviors_csv(first[1], rb, tmp_path / "a.csv")
     write_behaviors_csv(second[1], rb, tmp_path / "b.csv")
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def _pins_the_stream(spec, rb):
+    truth, records = generate(spec, rb)
+    expected_truth, expected_features = reference_generate(spec, rb)
+    assert truth == expected_truth
+    assert [(r.learner_id, r.features) for r in records] == expected_features
+
+
+@pytest.mark.parametrize("noise, seed", [(0.0, 3), (0.1, 5), (0.35, 9)])
+def test_generate_draws_the_scalar_reference_stream(rb, noise, seed):
+    # Every signature the bundled base can plant; visual_verbal has two
+    # producers (ent2, ent3), so the rule draw runs for it alone.
+    import itertools
+
+    labels = [sorted({r.consequent[1] for r in rb.rules_for(d)}) for d in rb.dimensions()]
+    producers = [r.rule_id for r in rb.rules if r.consequent[1] == "visual_verbal"]
+    assert producers == ["ent2", "ent3"]
+    spec = CohortSpec(
+        counts=tuple((sig, 2) for sig in itertools.product(*labels)), noise_sigma=noise, seed=seed
+    )
+    _pins_the_stream(spec, rb)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.2])
+def test_generate_draws_the_reference_stream_with_an_unreferenced_input(noise):
+    rb = parse_rulebase(
+        """
+        input effort dim=processing universe=[0,12] { low=(0,0,4,8) high=(4,8,12,12) }
+        input spare dim=processing universe=[2,9] { low=(2,2,4,6) high=(4,6,9,9) }
+        input pace dim=perception universe=[0,10] { low=(0,0,3,6) high=(3,6,10,10) }
+        output processing_score dim=processing universe=[0,12] { calm=(0,0,6,8) busy=(6,8,12,12) }
+        output perception_score dim=perception universe=[0,12] { slow=(0,0,6,8) fast=(6,8,12,12) }
+
+        RULE p1: IF effort IS low THEN processing_score IS calm
+        RULE p2: IF effort IS high THEN processing_score IS busy
+        RULE p3: IF effort IS high AND pace IS high THEN processing_score IS busy
+        RULE q1: IF pace IS low THEN perception_score IS slow
+        RULE q2: IF pace IS high THEN perception_score IS fast
+        """
+    )
+    spec = CohortSpec(
+        counts=((("calm", "slow"), 5), (("busy", "fast"), 7), (("busy", "slow"), 4)),
+        noise_sigma=noise,
+        seed=12,
+    )
+    _, records = generate(spec, rb)
+    assert all("spare" in r.features for r in records)  # the uniform draw ran
+    _pins_the_stream(spec, rb)
 
 
 def test_generate_unreachable_label(rb):
