@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+import marshal
 from itertools import compress
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -69,12 +70,6 @@ class ClassificationFailure(NamedTuple):
     reason: str
 
 
-# Multi-term rows per `kernel.centroids` call: bounds the (rows x centroid
-# nodes) integration arrays, so their peak memory stays flat in the cohort
-# size. Everything else of a dimension runs over all learners in one pass.
-_BLOCK = 256
-
-
 class _Dimension(NamedTuple):
     """One dimension as a `classify_cohort` call runs it.
 
@@ -128,7 +123,6 @@ def classify_cohort(
                 dim.table,
                 values[:, dim.columns],
                 missing[:, dim.columns],
-                _BLOCK,
             ),
         )
         for dim in dimensions
@@ -330,9 +324,17 @@ def profiles_from_csv(path: str | Path) -> list[StyleProfile]:
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def profiles_to_json(
-    profiles: Sequence[StyleProfile], fragments: dict | None = None
-) -> str:
+def _result_ends(dimension, score, label, memberships) -> tuple[str, str]:
+    """A result object's text before and after its fired rules."""
+    dumps = json.dumps
+    return (
+        f'{{"crisp_score": {dumps(score)}, "dimension": {dumps(dimension)}, "fired_rules": [',
+        f'], "label": {dumps(label)}, '
+        f'"term_memberships": {dumps(memberships, sort_keys=True)}}}',
+    )
+
+
+def profiles_to_json(profiles: Sequence[StyleProfile]) -> str:
     """Detailed export including fired rules and term memberships.
 
     A JSON array with one learner per line, each line what
@@ -341,36 +343,39 @@ def profiles_to_json(
     [{"rule_id", "strength"}], "label", "term_memberships"}]}`.
 
     A result is written as a head (up to the fired rules) and a tail (after
-    them), each formatted once per distinct (dimension, crisp score, label,
-    memberships) and kept in `fragments`; pass a dict to see or reuse them.
-    Per learner only the id and the fired strengths are formatted.
+    them), formatted once per distinct (dimension, crisp score, label,
+    memberships) of the call. Per learner only the id and the fired
+    strengths are formatted.
     """
-    if fragments is None:
-        fragments = {}
+    fragments: dict[bytes, tuple[str, str]] = {}
     prefixes: dict[str, str] = {}
     dumps = json.dumps
     lines = []
     for profile in profiles:
         parts = []
-        for dimension, score, label, memberships, fired in profile.results:
-            # 0.0 and -0.0 are one float key, two hex strings.
-            key = (dimension, score or score.hex(), label, tuple(memberships.items()))
-            ends = fragments.get(key)
-            if ends is None:
-                ends = fragments[key] = (
-                    f'{{"crisp_score": {dumps(score)}, "dimension": {dumps(dimension)}, '
-                    '"fired_rules": [',
-                    f'], "label": {dumps(label)}, '
-                    f'"term_memberships": {dumps(memberships, sort_keys=True)}}}',
-                )
+        for result in profile.results:
+            try:
+                # marshal writes each value's type and exact bits, so 0.0 and
+                # -0.0, or 1 and 1.0, are two keys.
+                key = marshal.dumps(result[:4], 2)
+            except ValueError:  # a value marshal cannot write: format it here
+                ends = _result_ends(*result[:4])
+            else:
+                ends = fragments.get(key)
+                if ends is None:
+                    ends = fragments[key] = _result_ends(*result[:4])
             rules = []
-            for rule_id, strength in fired:
+            for rule_id, strength in result.fired_rules:
                 prefix = prefixes.get(rule_id)
                 if prefix is None:
                     prefix = prefixes[rule_id] = f'{{"rule_id": {dumps(rule_id)}, "strength": '
-                text = repr(strength)
+                text = repr(strength) if type(strength) is float else dumps(strength)
                 rules.append(prefix + _NON_FINITE.get(text, text) + "}")
             parts.append(ends[0] + ", ".join(rules) + ends[1])
         learner = dumps(profile.learner_id)
         lines.append(f'{{"learner_id": {learner}, "results": [{", ".join(parts)}]}}')
+    log.info(
+        "JSON export: %d learners, %d distinct results formatted",
+        len(profiles), len(fragments),
+    )
     return "[\n" + ",\n".join(lines) + "\n]\n"

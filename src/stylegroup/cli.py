@@ -255,8 +255,7 @@ def _cmd_validate_rules(args: argparse.Namespace, config: dict) -> int:
 
 def _write_classification(profiles, failures, out: Path) -> None:
     (out / "profiles.csv").write_text(profiles_to_csv(profiles), encoding="utf-8")
-    fragments: dict = {}
-    detail = profiles_to_json(profiles, fragments)
+    detail = profiles_to_json(profiles)
     (out / "profiles.json").write_text(detail, encoding="utf-8")
     rows = ((f.learner_id, f.dimension or "", f.reason) for f in failures)
     (out / "failures.csv").write_text(
@@ -265,9 +264,8 @@ def _write_classification(profiles, failures, out: Path) -> None:
     # profiles.json is ASCII (JSON escapes the rest): its length is its size in bytes.
     log.info(
         "classification: profiles.csv %d rows, failures.csv %d rows, "
-        "profiles.json %d learners %d bytes, %d distinct result fragments",
-        sum(len(p.results) for p in profiles), len(failures),
-        len(profiles), len(detail), len(fragments),
+        "profiles.json %d learners %d bytes",
+        sum(len(p.results) for p in profiles), len(failures), len(profiles), len(detail),
     )
 
 

@@ -21,6 +21,11 @@ if TYPE_CHECKING:
 # Integrated envelope area below this is treated as "no rule fired".
 ZERO_AREA_TOL = 1e-12
 
+# Multi-term rows per `centroids` call in `score_block`: bounds the (rows x
+# centroid nodes) integration arrays, so their peak memory stays flat in the
+# cohort size.
+_CHUNK = 256
+
 
 def membership_grid(trap: Trapezoid, xs) -> np.ndarray:
     """Membership of every point of an array in one trapezoid, equal to `Trapezoid.membership`."""
@@ -172,7 +177,6 @@ def score_block(
     table: tuple[np.ndarray, np.ndarray],
     values: np.ndarray,
     missing: np.ndarray,
-    chunk: int,
 ) -> tuple[list[int], list[float], np.ndarray]:
     """One dimension over every row of a feature matrix.
 
@@ -182,7 +186,7 @@ def score_block(
     and its crisp score; and the N x R array of its strength per rule. The
     crisp score is NaN when the envelope's area is below ZERO_AREA_TOL. A
     row with one active output term takes that term's centroid; only rows
-    with several are integrated, `chunk` rows per `centroids` call. Rows
+    with several are integrated, `_CHUNK` rows per `centroids` call. Rows
     integrate independently, so the chunk size bounds memory and changes
     no bit.
     """
@@ -197,8 +201,8 @@ def score_block(
     crisp[single[fired]] = centroid[term[fired]]
     several = np.flatnonzero(active > 1)
     terms = [trap for _, trap in compiled.variable.terms]
-    for start in range(0, several.size, chunk):
-        rows = several[start : start + chunk]
+    for start in range(0, several.size, _CHUNK):
+        rows = several[start : start + _CHUNK]
         crisp[rows] = centroids(compiled.variable.universe, terms, scales[rows])
     first_missing = np.where(missing.any(axis=1), missing.argmax(axis=1), -1)
     return first_missing.tolist(), crisp.tolist(), strengths

@@ -1,5 +1,7 @@
 import logging
+from collections import OrderedDict
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -215,15 +217,15 @@ def test_cohort_determinism_and_permutation_invariance(rb):
 
 def test_cohort_matches_learner_by_learner(rb, monkeypatch):
     # A noisy cohort over every producible signature, with a feature dropped
-    # from every 23rd learner. Multi-term rows integrate _BLOCK at a time;
-    # at 7 they span several chunks.
+    # from every 23rd learner. Multi-term rows integrate kernel._CHUNK at a
+    # time; at 7 they span several chunks.
     import itertools
 
-    from stylegroup import classify
+    from stylegroup import kernel
     from stylegroup.simulate import CohortSpec, generate
 
-    monkeypatch.setattr(classify, "_BLOCK", 7)
-    _BLOCK = classify._BLOCK
+    monkeypatch.setattr(kernel, "_CHUNK", 7)
+    _CHUNK = kernel._CHUNK
 
     labels = [sorted({r.consequent[1] for r in rb.rules_for(d)}) for d in DIMENSIONS]
     spec = CohortSpec(
@@ -236,7 +238,7 @@ def test_cohort_matches_learner_by_learner(rb, monkeypatch):
         if i % 23 == 0:
             del features[sorted(features)[i % len(features)]]
         records.append(BehaviorRecord(record.learner_id, features))
-    assert len(records) > _BLOCK
+    assert len(records) > _CHUNK
 
     profiles, failures = classify_cohort(records, rb)
     term_of = {rule.rule_id: rule.consequent[1] for rule in rb.rules}
@@ -245,7 +247,7 @@ def test_cohort_matches_learner_by_learner(rb, monkeypatch):
             for p in profiles)
         for d in DIMENSIONS
     ]
-    assert max(multi) > 2 * _BLOCK  # multi-term rows of one dimension span several chunks
+    assert max(multi) > 2 * _CHUNK  # multi-term rows of one dimension span several chunks
 
     expected_profiles, expected_failures = [], []
     for record in records:
@@ -280,22 +282,22 @@ def test_cohort_matches_learner_by_learner(rb, monkeypatch):
 def test_cohort_equals_integrating_every_row(rb, monkeypatch):
     # Every envelope is integrated here in one call, the single-term ones
     # included, and labelled by `LinguisticVariable.classify`. The cohort
-    # integrates its multi-term rows _BLOCK (here 7) at a time.
+    # integrates its multi-term rows kernel._CHUNK (here 7) at a time.
     import itertools
     import math
 
-    from stylegroup import classify, kernel
+    from stylegroup import kernel
     from stylegroup.simulate import CohortSpec, generate
 
-    monkeypatch.setattr(classify, "_BLOCK", 7)
-    _BLOCK = classify._BLOCK
+    monkeypatch.setattr(kernel, "_CHUNK", 7)
+    _CHUNK = kernel._CHUNK
 
     labels = [sorted({r.consequent[1] for r in rb.rules_for(d)}) for d in DIMENSIONS]
     spec = CohortSpec(
         counts=tuple((sig, 2) for sig in itertools.product(*labels)), noise_sigma=0.15, seed=11
     )
     records = generate(spec, rb)[1][:400]
-    assert len(records) > _BLOCK
+    assert len(records) > _CHUNK
 
     expected = {r.learner_id: [] for r in records}  # (dimension, crisp, label) until a failure
     active_terms = set()
@@ -315,7 +317,7 @@ def test_cohort_equals_integrating_every_row(rb, monkeypatch):
             label = None if math.isnan(score) else variable.classify(score)
             outcome.append((dimension, None if label is None else score, label))
     assert {0, 1, 2} <= active_terms  # zero-, single- and multi-term envelopes
-    assert any(m > 2 * _BLOCK and m % _BLOCK for m in multi)  # full chunks and a part one
+    assert any(m > 2 * _CHUNK and m % _CHUNK for m in multi)  # full chunks and a part one
 
     profiles, failures = classify_cohort(records, rb)
     assert [(f.learner_id, f.dimension) for f in failures] == [
@@ -537,16 +539,41 @@ def test_profiles_json_contains_fired_rules(rb):
 # Ids and names with JSON escapes, CSV specials and non-ASCII characters.
 _ODD_TEXT = st.text(alphabet='ab"\\,\r\n é中😀', min_size=1, max_size=5)
 _TERMS = st.sampled_from(["calm", "busy", 'o"dd'])
+# A library caller's numbers: ints, bools and numpy floats besides floats.
+# Values that compare equal but are written differently (0.0 and -0.0, 1
+# and 1.0, 1 and True) must not share a formatted fragment.
+_EQUAL_BUT_WRITTEN_APART = st.sampled_from(
+    [0.0, -0.0, 0, False, np.float64(-0.0), 1.0, 1, True, np.float64(1.0)]
+)
+
+
+def _numbers(floats):
+    return floats | floats.map(np.float64) | _EQUAL_BUT_WRITTEN_APART
+
+
 _RESULTS = st.builds(
     DimensionResult,
     dimension=st.sampled_from(["processing", "perception"]) | _ODD_TEXT,
     # Few distinct scores, so equal scores meet different labels and memberships.
-    crisp_score=st.sampled_from([0.0, -0.0, 3.5, 1e-300]) | st.floats(),
+    crisp_score=st.sampled_from([3.5, 1e-300]) | _numbers(st.floats()),
     label=_TERMS,
-    term_memberships=st.dictionaries(_TERMS, st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0, 1)),
+    # An OrderedDict is written as a dict is, though marshal cannot write it.
+    term_memberships=st.dictionaries(
+        _TERMS, st.sampled_from([0.5]) | _numbers(st.floats(0, 1))
+    ).flatmap(lambda d: st.sampled_from([d, OrderedDict(d)])),
     fired_rules=st.lists(
-        st.tuples(st.sampled_from(["r1", "r2"]) | _ODD_TEXT, st.floats()), max_size=3
+        st.tuples(st.sampled_from(["r1", "r2"]) | _ODD_TEXT, _numbers(st.floats())),
+        max_size=3,
     ).map(tuple),
+) | st.builds(  # results that are equal to one another but written apart
+    DimensionResult,
+    dimension=st.just("processing"),
+    crisp_score=_EQUAL_BUT_WRITTEN_APART,
+    label=st.just("calm"),
+    term_memberships=st.fixed_dictionaries(
+        {"calm": _EQUAL_BUT_WRITTEN_APART, "busy": _EQUAL_BUT_WRITTEN_APART}
+    ),
+    fired_rules=st.just(()),
 )
 
 
@@ -565,7 +592,7 @@ def test_profiles_json_equals_one_dumps_per_learner(profiles):
     assert profiles_to_json(profiles) == reference_profiles_to_json(profiles)
 
 
-def test_profiles_json_of_a_cohort_equals_one_dumps_per_learner(rb):
+def test_profiles_json_of_a_cohort_equals_one_dumps_per_learner(rb, caplog):
     import itertools
 
     from stylegroup.simulate import CohortSpec, generate
@@ -575,15 +602,17 @@ def test_profiles_json_of_a_cohort_equals_one_dumps_per_learner(rb):
         counts=tuple((sig, 2) for sig in itertools.product(*labels)), noise_sigma=0.1, seed=4
     )
     profiles, _ = classify_cohort(generate(spec, rb)[1], rb)
-    fragments = {}
-    text = profiles_to_json(profiles, fragments)
+    with caplog.at_level(logging.INFO, logger="stylegroup.classify"):
+        text = profiles_to_json(profiles)
     assert text == reference_profiles_to_json(profiles)
     results = [r for p in profiles for r in p.results]
     # one head and tail per distinct result, far fewer than results
-    assert len(fragments) == len(
-        {(r.dimension, r.crisp_score, r.label) for r in results}
-    ) < len(results) / 2
+    distinct = len({(r.dimension, r.crisp_score, r.label) for r in results})
+    assert distinct < len(results) / 2
+    assert caplog.messages == [
+        f"JSON export: {len(profiles)} learners, {distinct} distinct results formatted"
+    ]
     # a caller's edit of one result's memberships reaches that result only
     memberships = profiles[0].results[0].term_memberships
     memberships[next(iter(memberships))] = 0.25
-    assert profiles_to_json(profiles, fragments) == reference_profiles_to_json(profiles)
+    assert profiles_to_json(profiles) == reference_profiles_to_json(profiles)

@@ -394,19 +394,21 @@ def test_classify_logs_what_it_wrote_only_at_info(tmp_path, capsys, caplog):
     command = ["classify", "--behaviors", str(sim / "behaviors.csv")]
     with caplog.at_level(logging.WARNING, logger="stylegroup"):
         assert main([*command, "--out", str(tmp_path / "warning")]) == 0
-    assert [r for r in caplog.records if r.name == "stylegroup"] == []
+    writers = ("stylegroup", "stylegroup.classify")
+    assert [r for r in caplog.records if r.name in writers] == []
     with caplog.at_level(logging.INFO, logger="stylegroup"):
         assert main([*command, "--out", str(tmp_path / "info")]) == 0
-    (message,) = [r.getMessage() for r in caplog.records if r.name == "stylegroup"]
+    messages = [r.getMessage() for r in caplog.records if r.name in writers]
     out = tmp_path / "info"
     detail = (out / "profiles.json").read_bytes()
     learners = len(json.loads(detail))
     assert learners == 119
-    assert message == (
+    assert messages[-2:] == [  # after classify_cohort's own line
+        f"JSON export: {learners} learners, "
+        f"{_distinct_results(out / 'profiles.csv')} distinct results formatted",
         f"classification: profiles.csv {4 * learners} rows, failures.csv 1 rows, "
-        f"profiles.json {learners} learners {len(detail)} bytes, "
-        f"{_distinct_results(out / 'profiles.csv')} distinct result fragments"
-    )
+        f"profiles.json {learners} learners {len(detail)} bytes",
+    ]
     assert f"{dropped!r}" in (out / "failures.csv").read_text(encoding="utf-8")
     names = sorted(p.name for p in out.iterdir())
     assert names == sorted(p.name for p in (tmp_path / "warning").iterdir())

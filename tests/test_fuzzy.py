@@ -221,11 +221,8 @@ def test_rule_strength_commutative_and_bounded(degrees, rnd):
 
 def _score_block(compiled, rows):
     """`kernel.score_block` over input dicts, as `classify_cohort` calls it."""
-    from stylegroup.classify import _BLOCK
-
     values, missing = kernel.feature_matrix(compiled.inputs, rows)
-    table = kernel.term_table(compiled.variable)
-    return kernel.score_block(compiled, table, values, missing, _BLOCK)
+    return kernel.score_block(compiled, kernel.term_table(compiled.variable), values, missing)
 
 
 def _scales(compiled, inputs):
