@@ -5,6 +5,7 @@ homogeneous groups -> per-group content plans -> statistical evaluation.
 """
 
 from .classify import (
+    CohortTable,
     StyleProfile,
     classify_cohort,
     validate_against_questionnaire,

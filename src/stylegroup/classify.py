@@ -13,18 +13,22 @@ from __future__ import annotations
 
 import json
 import logging
-import marshal
-from itertools import compress
+from collections.abc import Sequence
+from itertools import compress, repeat
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .dsl import DIMENSIONS, RuleBase
-from .fuzzy import CompiledRules, strongest_term
-from .ingest import BehaviorRecord, IngestError, QuestionnaireRecord, csv_text
+from .fuzzy import strongest_term
+from .ingest import BehaviorRecord, IngestError, QuestionnaireRecord, csv_field, csv_line
 from .ingest import learner_rows, parse_float
 from .stats import ZeroVarianceError, pearson_r
 
 log = logging.getLogger(__name__)
+
+# What `json.dumps` writes for a str, and with `sort_keys=True` for anything.
+_JSON_STR = json.encoder.encode_basestring_ascii
+_SORTED_JSON = json.JSONEncoder(sort_keys=True).encode
 
 
 class ClassificationError(Exception):
@@ -70,30 +74,109 @@ class ClassificationFailure(NamedTuple):
     reason: str
 
 
-class _Dimension(NamedTuple):
-    """One dimension as a `classify_cohort` call runs it.
+class _Column(NamedTuple):
+    results: list[tuple]  # (dimension, crisp_score, label, term_memberships)
+    codes: list[int]  # per row: its index into `results`
+    rule_ids: tuple[str, ...] | None
+    strengths: Sequence  # per row: kernel strengths, or (rule id, strength) pairs
 
-    `columns` index the call's feature matrix in `compiled.inputs` order;
-    `labels` memoises (memberships, label) per crisp score for this call.
+
+# The cells of a missing result in a row shorter than its table.
+_ABSENT = (("", 0.0, "", {}, ()),)
+
+
+class CohortTable(Sequence):
+    """Classified learners by columns, read as a `Sequence[StyleProfile]`.
+
+    It holds the learner ids and one column per result position, which is
+    per dimension as `classify_cohort` and `profiles_from_csv` build it.
+    Rows may share a result of a column. Row n's fired rules are
+    `strengths[n]`: the kernel's strength per rule of `rule_ids` (zero
+    where a rule did not fire), or, where `rule_ids` is None, the pairs
+    themselves. `lengths` gives each row's number of results where rows
+    differ in it. A profile is built when it is read, with its own
+    memberships dicts, so a caller may change them without changing the
+    table.
     """
 
-    name: str
-    compiled: CompiledRules
-    table: tuple  # kernel.term_table(compiled.variable)
-    columns: list[int]
-    labels: dict[float | str, tuple[dict[str, float], str]]
+    __slots__ = ("ids", "columns", "lengths")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, ids: list[str], columns: list[_Column], lengths: list[int] | None = None):
+        self.ids, self.columns, self.lengths = ids, columns, lengths
+
+    @classmethod
+    def of(cls, profiles: Sequence[StyleProfile]) -> CohortTable:
+        """The table of any sequence of profiles; a table is returned as it is."""
+        if isinstance(profiles, CohortTable):
+            return profiles
+        profiles = list(profiles)
+        lengths = [len(profile.results) for profile in profiles]
+        width = max(lengths, default=0)
+        padded = zip(*(tuple(p.results) + _ABSENT * (width - len(p.results)) for p in profiles))
+        codes = list(range(len(profiles)))
+        columns = [_Column([r[:4] for r in c], codes, None, [r[4] for r in c]) for c in padded]
+        ragged = any(length != width for length in lengths)
+        return cls([p.learner_id for p in profiles], columns, lengths if ragged else None)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, n):
+        if isinstance(n, slice):
+            return [self[i] for i in range(*n.indices(len(self)))]
+        results = []
+        for column in self.columns[: None if self.lengths is None else self.lengths[n]]:
+            dimension, score, label, memberships = column.results[column.codes[n]]
+            fired = column.strengths[n]
+            if column.rule_ids is not None:  # strengths are products of memberships
+                row = fired.tolist()
+                fired = tuple(compress(zip(column.rule_ids, row), row))
+            results.append(DimensionResult(dimension, score, label, dict(memberships), fired))
+        return StyleProfile(self.ids[n], tuple(results))
+
+    def __eq__(self, other) -> bool:  # equal to a list or tuple of equal profiles
+        if isinstance(other, (CohortTable, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def rows(self, k: int) -> Iterator[tuple]:
+        """Per row, field k of each of its results: 0 dimension, 1 crisp score, 2 label."""
+        cells = [map([r[k] for r in c.results].__getitem__, c.codes) for c in self.columns]
+        rows = zip(*cells) if cells else repeat((), len(self))
+        if self.lengths is None:
+            return rows
+        return map(tuple.__getitem__, rows, map(slice, self.lengths))
+
+    def templates(self, template: Callable[[int], str]) -> Iterator[str]:
+        """Per row, `template(n)` for its number of results n."""
+        if self.lengths is None:
+            return repeat(template(len(self.columns)), len(self))
+        return map({n: template(n) for n in set(self.lengths)}.__getitem__, self.lengths)
+
+    def take(self, rows: list[int]) -> CohortTable:
+        """The table of the given rows, in that order."""
+        columns = []
+        for c in self.columns:
+            strengths = [c.strengths[n] for n in rows] if c.rule_ids is None else c.strengths[rows]
+            columns.append(c._replace(codes=[c.codes[n] for n in rows], strengths=strengths))
+        lengths = None if self.lengths is None else [self.lengths[n] for n in rows]
+        return CohortTable([self.ids[n] for n in rows], columns, lengths)
+
+    def result_count(self) -> int:
+        return len(self) * len(self.columns) if self.lengths is None else sum(self.lengths)
 
 
 def classify_cohort(
     records: Iterable[BehaviorRecord], rb: RuleBase
-) -> tuple[list[StyleProfile], list[ClassificationFailure]]:
+) -> tuple[CohortTable, list[ClassificationFailure]]:
     """Classify every learner independently; failures are collected, not fatal.
 
     The rule base compiles once; each dimension then runs through the array
-    kernel in one pass over all learners. Work that depends only on the
-    rule base (each output term's centroid) or on a crisp score
-    (memberships and label) is done once per call. Cohort order never
-    changes a profile.
+    kernel in one pass over all learners. The classified learners come
+    back as one `CohortTable`, with per dimension the crisp scores, the
+    kernel's strength matrix and, once per distinct crisp score, the
+    memberships and the label. Cohort order never changes a profile.
 
     A learner gets a profile, or the failure of its first failing
     dimension. Within a dimension a missing feature (the first in
@@ -102,67 +185,51 @@ def classify_cohort(
     from . import kernel
 
     records = list(records)
+    ids = [record.learner_id for record in records]
     compiled = [(d, rb.compile_dimension(d)) for d in rb.dimensions()]
     names = list(dict.fromkeys(name for _, c in compiled for name in c.inputs))
-    dimensions = [
-        _Dimension(
-            name=d,
-            compiled=c,
-            table=kernel.term_table(c.variable),
-            columns=[names.index(name) for name in c.inputs],
-            labels={},
-        )
-        for d, c in compiled
-    ]
     values, missing = kernel.feature_matrix(names, [record.features for record in records])
-    columns = [
-        (
-            dim,
-            *kernel.score_block(
-                dim.compiled,
-                dim.table,
-                values[:, dim.columns],
-                missing[:, dim.columns],
-            ),
+    blocks = []
+    failed: dict[int, ClassificationFailure] = {}  # by row, for the first failing dimension
+    for dimension, c in compiled:
+        columns = [names.index(name) for name in c.inputs]
+        first_missing, crisp, strengths = kernel.score_block(
+            c, kernel.term_table(c.variable), values[:, columns], missing[:, columns]
         )
-        for dim in dimensions
-    ]
-    profiles: list[StyleProfile] = []
-    failures: list[ClassificationFailure] = []
-    for n, learner_id in enumerate(record.learner_id for record in records):
-        results = []
-        for dim, first_missing, crisp, strengths in columns:
+        for n in ((first_missing >= 0) | (crisp != crisp)).nonzero()[0].tolist():
+            if n in failed:
+                continue
+            learner_id = ids[n]
             if first_missing[n] >= 0:
-                variable = dim.compiled.inputs[first_missing[n]]
-                reason = f"learner {learner_id!r} has no value for {variable!r}"
-                failures.append(ClassificationFailure(learner_id, None, reason))
-                break
-            score = crisp[n]
-            if score != score:  # NaN: the envelope is empty
-                reason = f"no rule fired for learner {learner_id!r} in dimension {dim.name!r}"
-                failures.append(ClassificationFailure(learner_id, dim.name, reason))
-                break
-            key = score or score.hex()  # 0.0 and -0.0 are one float key, two hex strings
-            if key not in dim.labels:
-                memberships = dim.compiled.variable.fuzzify(score)
-                dim.labels[key] = (memberships, strongest_term(memberships))
-            memberships, label = dim.labels[key]
-            # One row at a time: the whole N x R matrix as lists of floats would
-            # outweigh the profiles. Strengths are products of memberships, so
-            # nonzero means positive.
-            row = strengths[n].tolist()
-            fired = tuple(compress(zip(dim.compiled.rule_ids, row), row))
-            results.append(DimensionResult(dim.name, score, label, dict(memberships), fired))
-        else:  # no dimension failed
-            profiles.append(StyleProfile(learner_id, tuple(results)))
+                reason = f"learner {learner_id!r} has no value for {c.inputs[first_missing[n]]!r}"
+                failed[n] = ClassificationFailure(learner_id, None, reason)
+            else:  # a NaN crisp score: the envelope is empty
+                reason = f"no rule fired for learner {learner_id!r} in dimension {dimension!r}"
+                failed[n] = ClassificationFailure(learner_id, dimension, reason)
+        blocks.append((dimension, c, crisp, strengths))
+    rows = [n for n in range(len(records)) if n not in failed]
+    columns = []
+    for dimension, c, crisp, strengths in blocks:
+        # Memberships and label once per distinct crisp score; the bits key keeps -0.0 from 0.0
+        crisp = crisp[rows]
+        bits = crisp.view("int64").tolist()
+        score_of = dict(zip(bits, crisp.tolist()))
+        codes = list(map({key: code for code, key in enumerate(score_of)}.__getitem__, bits))
+        results = []
+        for score in score_of.values():
+            memberships = c.variable.fuzzify(score)
+            results.append((dimension, score, strongest_term(memberships), memberships))
+        columns.append(_Column(results, codes, c.rule_ids, strengths[rows]))
+    table = CohortTable([ids[n] for n in rows], columns)
+    failures = [failed[n] for n in sorted(failed)]
     missing_count = sum(failure.dimension is None for failure in failures)
     log.info(
         "cohort: %d learners, %d classified, %d missing-feature, %d no-rule-fired, "
         "distinct crisp scores %s",
-        len(records), len(profiles), missing_count, len(failures) - missing_count,
-        ",".join(f"{dim.name}={len(dim.labels)}" for dim in dimensions),
+        len(records), len(table), missing_count, len(failures) - missing_count,
+        ",".join(f"{d}={len(column.results)}" for (d, *_), column in zip(blocks, table.columns)),
     )
-    return profiles, failures
+    return table, failures
 
 
 # --------------------------------------------------------------------------
@@ -200,15 +267,7 @@ class ValidationReport(NamedTuple):
             "mean_dimension_r": self.mean_dimension_r,
             "unmatched_profile_entries": self.unmatched_profile_entries,
             "unmatched_questionnaire_entries": self.unmatched_questionnaire_entries,
-            "rows": [
-                {
-                    "learner_id": row.learner_id,
-                    "dimension": row.dimension,
-                    "crisp_score": row.crisp_score,
-                    "questionnaire_score": row.questionnaire_score,
-                }
-                for row in self.rows
-            ],
+            "rows": [row._asdict() for row in self.rows],
         }
 
 
@@ -224,28 +283,21 @@ def validate_against_questionnaire(
     and a warning naming it, as does the pooled coefficient if its scores
     are.
     """
-    scores = {
-        (record.learner_id, record.dimension): record.score for record in questionnaire
-    }
-    dimensions = [
-        d for d in DIMENSIONS if any(r.dimension == d for p in profiles for r in p.results)
-    ]
-
+    table = CohortTable.of(profiles)
+    scores = {(record.learner_id, record.dimension): record.score for record in questionnaire}
+    present = {result[0] for column in table.columns for result in column.results}
+    dimensions = [d for d in DIMENSIONS if d in present]
+    learners = list(zip(table.ids, table.rows(0), table.rows(1)))
     rows = []
     matched_keys = set()
     for dimension in dimensions:
-        for profile in profiles:
-            key = (profile.learner_id, dimension)
+        for learner_id, row_dimensions, row_scores in learners:
+            key = (learner_id, dimension)
             if key in scores:
                 matched_keys.add(key)
-                rows.append(
-                    PairedRow(
-                        learner_id=profile.learner_id,
-                        dimension=dimension,
-                        crisp_score=profile.result(dimension).crisp_score,
-                        questionnaire_score=scores[key],
-                    )
-                )
+                # a learner's first result in the dimension, as `StyleProfile.result`
+                score = row_scores[row_dimensions.index(dimension)]
+                rows.append(PairedRow(learner_id, dimension, score, scores[key]))
 
     def correlation(rows: list[PairedRow], scope: str) -> float | None:
         try:
@@ -265,13 +317,12 @@ def validate_against_questionnaire(
 
     overall = correlation(rows, "all dimensions pooled")
     defined = [r for r in per_dimension.values() if r is not None]
-    total_profile_entries = sum(len(p.results) for p in profiles)
     return ValidationReport(
         per_dimension_r=per_dimension,
         overall_r=overall,
         mean_dimension_r=sum(defined) / len(defined) if defined else None,
         rows=tuple(rows),
-        unmatched_profile_entries=total_profile_entries - len(rows),
+        unmatched_profile_entries=table.result_count() - len(rows),
         unmatched_questionnaire_entries=len(scores) - len(matched_keys),
     )
 
@@ -284,44 +335,49 @@ PROFILE_HEADER = ["learner_id", "dimension", "crisp_score", "label"]
 
 
 def profiles_to_csv(profiles: Sequence[StyleProfile]) -> str:
-    """Flat export: one row per (learner, dimension)."""
-    return csv_text(
-        PROFILE_HEADER,
-        (
-            (profile.learner_id, result.dimension, repr(result.crisp_score), result.label)
-            for profile in profiles
-            for result in profile.results
-        ),
-    )
+    """Flat export: one row per (learner, dimension).
+
+    Each result's `,dimension,crisp_score,label` text is formatted once per
+    column; per learner only the id is.
+    """
+    table = CohortTable.of(profiles)
+    ids = list(map(csv_field, table.ids))
+    cells: list[Iterable[str]] = []
+    for column in table.columns:
+        ends = [csv_line(("", d, repr(score), label)) for d, score, label, _ in column.results]
+        cells += [ids, map(ends.__getitem__, column.codes)]
+
+    def template(n: int) -> str:  # "%.0s" writes nothing: the cells of a missing result
+        return "%s%s" * n + "%.0s%.0s" * (len(table.columns) - n)
+
+    rows = map(str.__mod__, table.templates(template), zip(*cells))
+    return csv_line(PROFILE_HEADER) + "".join(rows)
 
 
-def profiles_from_csv(path: str | Path) -> list[StyleProfile]:
-    """Rebuild profiles from the flat export (fired-rule detail is not kept there)."""
-    grouped: dict[str, list[DimensionResult]] = {}
+def profiles_from_csv(path: str | Path) -> CohortTable:
+    """Rebuild the table from the flat export (memberships and fired rules are not kept there)."""
+    grouped: dict[str, list[tuple]] = {}
+    memberships: dict[str, float] = {}  # shared: a profile read from the table copies it
     for line, (_, dimension, crisp, label), learner in learner_rows(path, PROFILE_HEADER):
         score = parse_float(line, crisp, "crisp_score")
-        grouped.setdefault(learner, []).append(DimensionResult(dimension, score, label, {}, ()))
-    profiles = [StyleProfile(learner_id=lid, results=tuple(r)) for lid, r in grouped.items()]
+        grouped.setdefault(learner, []).append((dimension, score, label, memberships))
     # Grouping compares crisp-score vectors position by position.
-    expected = [r.dimension for r in profiles[0].results] if profiles else []
-    for profile in profiles:
-        found = [r.dimension for r in profile.results]
+    first = next(iter(grouped), None)
+    expected = [result[0] for result in grouped[first]] if grouped else []
+    for learner, results in grouped.items():
+        found = [result[0] for result in results]
         if found != expected:
             raise IngestError(
-                f"learner {profile.learner_id!r}: dimensions {', '.join(found)} "
+                f"learner {learner!r}: dimensions {', '.join(found)} "
                 f"differ from the first learner's {', '.join(expected)}"
             )
     # Every learner lists the first one's dimensions, so a repeat shows there.
     repeated = [d for n, d in enumerate(expected) if d in expected[:n]]
     if repeated:
-        raise IngestError(
-            f"learner {profiles[0].learner_id!r}: dimension {repeated[0]!r} listed twice"
-        )
-    return profiles
-
-
-# How `json.dumps` writes the non-finite floats; `repr` writes every other one.
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+        raise IngestError(f"learner {first!r}: dimension {repeated[0]!r} listed twice")
+    codes, no_rules = list(range(len(grouped))), [()] * len(grouped)
+    columns = [_Column(list(c), codes, None, no_rules) for c in zip(*grouped.values())]
+    return CohortTable(list(grouped), columns)
 
 
 def _result_ends(dimension, score, label, memberships) -> tuple[str, str]:
@@ -329,9 +385,36 @@ def _result_ends(dimension, score, label, memberships) -> tuple[str, str]:
     dumps = json.dumps
     return (
         f'{{"crisp_score": {dumps(score)}, "dimension": {dumps(dimension)}, "fired_rules": [',
-        f'], "label": {dumps(label)}, '
-        f'"term_memberships": {dumps(memberships, sort_keys=True)}}}',
+        f'], "label": {dumps(label)}, "term_memberships": {_SORTED_JSON(memberships)}}}',
     )
+
+
+def _fired_json(column: _Column) -> list[str]:
+    """Each row's fired rules as `profiles_to_json` writes them, without the brackets.
+
+    Kernel rows go by groups that fired the same rules, one template a group.
+    """
+    dumps = json.dumps
+    if column.rule_ids is None:
+        return [
+            ", ".join(f'{{"rule_id": {dumps(r)}, "strength": {dumps(s)}}}' for r, s in fired)
+            for fired in column.strengths
+        ]
+    strengths = column.strengths
+    groups: dict[tuple[bool, ...], list[int]] = {}  # rows by the rules that fired in them
+    for n, fired in enumerate((strengths > 0.0).tolist()):
+        groups.setdefault(tuple(fired), []).append(n)
+    distinct = list(dict.fromkeys(strengths[strengths > 0.0].tolist()))
+    text_of = dict(zip(distinct, map(repr, distinct)))
+    texts = [""] * len(column.codes)
+    for fired, rows in groups.items():
+        rules = list(compress(range(len(fired)), fired))
+        prefixes = (dumps(column.rule_ids[r]).replace("%", "%%") for r in rules)
+        template = ", ".join(f'{{"rule_id": {p}, "strength": %s}}' for p in prefixes)
+        values = map(text_of.__getitem__, strengths[rows][:, rules].ravel().tolist())
+        for row, text in zip(rows, map(template.__mod__, zip(*[values] * len(rules)))):
+            texts[row] = text
+    return texts
 
 
 def profiles_to_json(profiles: Sequence[StyleProfile]) -> str:
@@ -340,42 +423,27 @@ def profiles_to_json(profiles: Sequence[StyleProfile]) -> str:
     A JSON array with one learner per line, each line what
     `json.dumps(..., sort_keys=True)` writes for
     `{"learner_id", "results": [{"crisp_score", "dimension", "fired_rules":
-    [{"rule_id", "strength"}], "label", "term_memberships"}]}`.
-
-    A result is written as a head (up to the fired rules) and a tail (after
-    them), formatted once per distinct (dimension, crisp score, label,
-    memberships) of the call. Per learner only the id and the fired
-    strengths are formatted.
+    [{"rule_id", "strength"}], "label", "term_memberships"}]}`. A result's
+    text before and after its fired rules is formatted once per entry of its
+    column; per learner only the id and the fired strengths are.
     """
-    fragments: dict[bytes, tuple[str, str]] = {}
-    prefixes: dict[str, str] = {}
-    dumps = json.dumps
-    lines = []
-    for profile in profiles:
-        parts = []
-        for result in profile.results:
-            try:
-                # marshal writes each value's type and exact bits, so 0.0 and
-                # -0.0, or 1 and 1.0, are two keys.
-                key = marshal.dumps(result[:4], 2)
-            except ValueError:  # a value marshal cannot write: format it here
-                ends = _result_ends(*result[:4])
-            else:
-                ends = fragments.get(key)
-                if ends is None:
-                    ends = fragments[key] = _result_ends(*result[:4])
-            rules = []
-            for rule_id, strength in result.fired_rules:
-                prefix = prefixes.get(rule_id)
-                if prefix is None:
-                    prefix = prefixes[rule_id] = f'{{"rule_id": {dumps(rule_id)}, "strength": '
-                text = repr(strength) if type(strength) is float else dumps(strength)
-                rules.append(prefix + _NON_FINITE.get(text, text) + "}")
-            parts.append(ends[0] + ", ".join(rules) + ends[1])
-        learner = dumps(profile.learner_id)
-        lines.append(f'{{"learner_id": {learner}, "results": [{", ".join(parts)}]}}')
+    table = CohortTable.of(profiles)
+    ids = [_JSON_STR(i) if type(i) is str else json.dumps(i) for i in table.ids]
+    cells: list[Iterable[str]] = [ids]
+    for c in table.columns:
+        ends = [_result_ends(*result) for result in c.results]
+        heads, tails = [head for head, _ in ends], [tail for _, tail in ends]
+        cells += [map(heads.__getitem__, c.codes), _fired_json(c), map(tails.__getitem__, c.codes)]
+
+    def template(n: int) -> str:  # "%.0s" writes nothing: the cells of a missing result
+        results = ", ".join(["%s%s%s"] * n) + "%.0s" * 3 * (len(table.columns) - n)
+        return '{"learner_id": %s, "results": [' + results + "]}"
+
+    lines = list(map(str.__mod__, table.templates(template), zip(*cells))) or [""]
+    lines[0] = "[\n" + lines[0]
+    lines[-1] += "\n]\n"
     log.info(
         "JSON export: %d learners, %d distinct results formatted",
-        len(profiles), len(fragments),
+        len(table), sum(len(column.results) for column in table.columns),
     )
-    return "[\n" + ",\n".join(lines) + "\n]\n"
+    return ",\n".join(lines)

@@ -253,9 +253,9 @@ def _cmd_validate_rules(args: argparse.Namespace, config: dict) -> int:
     return 1 if errors else 0
 
 
-def _write_classification(profiles, failures, out: Path) -> None:
-    (out / "profiles.csv").write_text(profiles_to_csv(profiles), encoding="utf-8")
-    detail = profiles_to_json(profiles)
+def _write_classification(table, failures, out: Path) -> None:
+    (out / "profiles.csv").write_text(profiles_to_csv(table), encoding="utf-8")
+    detail = profiles_to_json(table)
     (out / "profiles.json").write_text(detail, encoding="utf-8")
     rows = ((f.learner_id, f.dimension or "", f.reason) for f in failures)
     (out / "failures.csv").write_text(
@@ -265,7 +265,7 @@ def _write_classification(profiles, failures, out: Path) -> None:
     log.info(
         "classification: profiles.csv %d rows, failures.csv %d rows, "
         "profiles.json %d learners %d bytes",
-        sum(len(p.results) for p in profiles), len(failures), len(profiles), len(detail),
+        table.result_count(), len(failures), len(table), len(detail),
     )
 
 

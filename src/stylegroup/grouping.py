@@ -15,7 +15,7 @@ from collections import Counter
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .classify import StyleProfile
+from .classify import CohortTable, StyleProfile
 from .ingest import MalformedRowError, csv_text, learner_rows
 from .rng import STREAM_CONTROL, choice_set
 
@@ -74,7 +74,7 @@ class GroupAssignment(NamedTuple):
         return rows
 
     def to_csv(self) -> str:
-        return csv_text(ASSIGNMENT_HEADER, ((m, g, int(c)) for m, g, c in self.rows()))
+        return csv_text(ASSIGNMENT_HEADER, ((m, g, str(int(c))) for m, g, c in self.rows()))
 
 
 def assignment_from_csv(path: str | Path) -> list[tuple[str, str, bool]]:
@@ -138,10 +138,7 @@ def _mode_signature(signatures: Sequence[StyleSignature]) -> StyleSignature:
 
 
 def _centroid(score_rows: Sequence[tuple[float, ...]]) -> tuple[float, ...]:
-    dims = len(score_rows[0])
-    return tuple(
-        sum(row[k] for row in score_rows) / len(score_rows) for k in range(dims)
-    )
+    return tuple(sum(column) / len(score_rows) for column in zip(*score_rows))
 
 
 def _distance(a: tuple[float, ...], b: tuple[float, ...]) -> float:
@@ -166,22 +163,19 @@ def homogeneous_partition(
     ``target_k`` is a ceiling, not a forced count: one homogeneous group
     stays one group.
     """
-    if not profiles:
+    table = CohortTable.of(profiles)
+    if not table:
         raise EmptyCohortError("cannot partition an empty cohort")
     _check_target_k(target_k)
-    if len(profiles) < target_k:
-        raise InfeasibleConstraintsError(
-            f"{len(profiles)} learners cannot form {target_k} groups"
-        )
+    if len(table) < target_k:
+        raise InfeasibleConstraintsError(f"{len(table)} learners cannot form {target_k} groups")
 
-    scores = {
-        p.learner_id: tuple(result.crisp_score for result in p.results) for p in profiles
-    }
+    scores = dict(zip(table.ids, table.rows(1)))
+    learners = list(zip(table.ids, table.rows(2)))
+    signatures = dict(learners)
     by_signature: dict[StyleSignature, list[str]] = {}
-    signatures: dict[str, StyleSignature] = {}
-    for profile in profiles:
-        signatures[profile.learner_id] = profile.signature
-        by_signature.setdefault(profile.signature, []).append(profile.learner_id)
+    for learner_id, signature in learners:
+        by_signature.setdefault(signature, []).append(learner_id)
 
     # Mutable group state: id -> member learner ids; ids follow the
     # lexicographic order of the initial signatures.
@@ -243,19 +237,16 @@ def assign_groups(
 ) -> GroupAssignment:
     """Full assignment: control split first, then homogeneous grouping."""
     _check_min_size(params.min_size)
-    treatment_ids, control = split_control(
-        [p.learner_id for p in profiles], params.control_fraction, params.seed
-    )
+    table = CohortTable.of(profiles)
+    treatment_ids, control = split_control(table.ids, params.control_fraction, params.seed)
     treatment_set = set(treatment_ids)
-    treatment_profiles = [p for p in profiles if p.learner_id in treatment_set]
-    groups = homogeneous_partition(
-        treatment_profiles, target_k=params.target_k, min_size=params.min_size
-    )
-    signatures_in = len({p.signature for p in treatment_profiles})
+    treated = table.take([n for n, lid in enumerate(table.ids) if lid in treatment_set])
+    groups = homogeneous_partition(treated, target_k=params.target_k, min_size=params.min_size)
+    signatures_in = len(set(treated.rows(2)))
     log.info(
         "assignment: %d learners, %d control, %d signatures in, %d groups out, "
         "%d merges, sizes %s",
-        len(profiles), len(control), signatures_in, len(groups),
+        len(table), len(control), signatures_in, len(groups),
         signatures_in - len(groups), ",".join(str(len(g.members)) for g in groups),
     )
     return GroupAssignment(groups=groups, control=control, params=params)

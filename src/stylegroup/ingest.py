@@ -20,11 +20,12 @@ import logging
 import marshal
 import math
 import os
+import re
 import stat
 import threading
 from contextlib import contextmanager
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, ContextManager, Iterable, Iterator, NamedTuple, Sequence
 
@@ -122,18 +123,22 @@ class ClampReport:
         return lines
 
 
-def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+# A field that holds one of these is quoted, and a quote in it doubled.
+_QUOTED = re.compile('[,"\r\n]')
+
+
+def csv_field(text: str) -> str:
+    return '"' + text.replace('"', '""') + '"' if _QUOTED.search(text) else text
+
+
+def csv_line(fields: Iterable[str]) -> str:
+    """One record of `csv_text`."""
+    return ",".join(map(csv_field, fields)) + "\n"
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     """RFC-4180 text with "\\n" line ends; a field is quoted only where it must be."""
-    buffer = io.StringIO()
-    # csv.writer quotes only for its own line end's characters: with "\r\n",
-    # a field holding "\r" is quoted too. Outside quotes (after an even number
-    # of '"'), each "\r\n" ends a record and becomes "\n".
-    writer = csv.writer(buffer, lineterminator="\r\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    parts = buffer.getvalue().split('"')
-    parts[::2] = [part.replace("\r\n", "\n") for part in parts[::2]]
-    return '"'.join(parts)
+    return "".join(map(csv_line, chain([header], rows)))
 
 
 def _blank(row: list[str]) -> bool:

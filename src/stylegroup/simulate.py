@@ -279,20 +279,16 @@ def write_behaviors_csv(
 ) -> None:
     """Long-format behaviours CSV; max_expected scaling is inverted so a
     round trip through ingestion reproduces the generated features."""
-    ceilings = {
-        v.name: v.max_expected for v in rb.variables if v.kind == "input"
-    }
-    order = [v.name for v in rb.variables if v.kind == "input"]
+    inputs = [(v.name, f",{v.name},", v.max_expected) for v in rb.variables if v.kind == "input"]
     lines = ["learner_id,variable,value"]
     for record in records:
-        for name in order:
-            if name not in record.features:
-                continue
-            value = record.features[name]
-            ceiling = ceilings.get(name)
-            if ceiling is not None:
-                value = value * ceiling / 100.0
-            lines.append(f"{record.learner_id},{name},{value!r}")
+        features = record.features
+        for name, text, ceiling in inputs:
+            if name in features:
+                value = features[name]
+                if ceiling is not None:
+                    value = value * ceiling / 100.0
+                lines.append(record.learner_id + text + repr(value))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -111,34 +111,25 @@ class TestResult(NamedTuple):
 def _beta_cf(a: float, b: float, x: float) -> float:
     # Modified Lentz evaluation of the continued fraction for I_x(a, b).
     tiny = 1e-300
+
+    def floor(value: float) -> float:  # keeps a denominator away from zero
+        return tiny if abs(value) < tiny else value
+
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
+    d = 1.0 / floor(1.0 - qab * x / qap)
     h = d
     for m in range(1, BETA_MAX_ITER + 1):
         m2 = 2 * m
-        coeff = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + coeff * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + coeff / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        coeff = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + coeff * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + coeff / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # The even step of the fraction, then the odd one.
+        for coeff in (
+            m * (b - m) * x / ((qam + m2) * (a + m2)),
+            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
+        ):
+            d = 1.0 / floor(1.0 + coeff * d)
+            c = floor(1.0 + coeff / c)
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < BETA_TOL:
             return h
     raise NonConvergenceError(
@@ -255,8 +246,9 @@ def one_way_anova(groups: Sequence[Sample], alpha: float = DEFAULT_ALPHA) -> Ano
             raise TooFewObservationsError(f"group {group.label!r} needs n >= 2")
     total_n = sum(g.n for g in groups)
     grand_mean = sum(sum(g.values) for g in groups) / total_n
-    ss_between = sum(g.n * (g.mean - grand_mean) ** 2 for g in groups)
-    ss_within = sum(sum((v - g.mean) ** 2 for v in g.values) for g in groups)
+    means = [g.mean for g in groups]  # each a sum over its group: read once
+    ss_between = sum(g.n * (m - grand_mean) ** 2 for g, m in zip(groups, means))
+    ss_within = sum(sum((v - m) ** 2 for v in g.values) for g, m in zip(groups, means))
     df1 = len(groups) - 1
     df2 = total_n - len(groups)
     if ss_within == 0.0:
@@ -269,7 +261,7 @@ def one_way_anova(groups: Sequence[Sample], alpha: float = DEFAULT_ALPHA) -> Ano
         p_value=p,
         alpha=alpha,
         significant=p < alpha,
-        group_means=tuple((g.label, g.mean) for g in groups),
+        group_means=tuple((g.label, m) for g, m in zip(groups, means)),
     )
 
 

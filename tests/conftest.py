@@ -155,6 +155,37 @@ def reference_load_behaviors(path, variables, policy="clamp"):
     return records, report
 
 
+def reference_csv_text(header, rows) -> str:
+    """`csv.writer` quoting with "\\n" line ends: the oracle for `ingest.csv_text`.
+
+    csv.writer quotes only for its own line end's characters: with "\\r\\n",
+    a field holding "\\r" is quoted too. Outside quotes (after an even number
+    of '"'), each "\\r\\n" ends a record and becomes "\\n".
+    """
+    import csv
+    import io
+
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    parts = buffer.getvalue().split('"')
+    parts[::2] = [part.replace("\r\n", "\n") for part in parts[::2]]
+    return '"'.join(parts)
+
+
+def reference_profiles_csv(profiles) -> str:
+    """One `csv.writer` row per (learner, result): the oracle for `classify.profiles_to_csv`."""
+    return reference_csv_text(
+        ["learner_id", "dimension", "crisp_score", "label"],
+        (
+            (profile.learner_id, result.dimension, repr(result.crisp_score), result.label)
+            for profile in profiles
+            for result in profile.results
+        ),
+    )
+
+
 def reference_profiles_to_json(profiles) -> str:
     """One `json.dumps` per learner: the oracle for `classify.profiles_to_json`."""
     import json

@@ -1,4 +1,5 @@
 import logging
+import math
 from collections import OrderedDict
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stylegroup.classify import (
+    CohortTable,
     DimensionResult,
     InsufficientPairsError,
     StyleProfile,
@@ -16,10 +18,11 @@ from stylegroup.classify import (
     validate_against_questionnaire,
 )
 from stylegroup.dsl import DIMENSIONS, parse_rulebase
-from stylegroup.ingest import BehaviorRecord, IngestError, QuestionnaireRecord
+from stylegroup.ingest import BehaviorRecord, IngestError, QuestionnaireRecord, csv_text
 from stylegroup.stats import pearson_r
 
-from conftest import reference_profiles_to_json, riemann_centroid, rule_strength
+from conftest import reference_csv_text, reference_profiles_csv, reference_profiles_to_json
+from conftest import riemann_centroid, rule_strength
 from conftest import scaled_trap_envelope
 
 
@@ -200,6 +203,40 @@ def test_cohort_logs_one_line_only_at_info(caplog):
     ]
 
 
+def test_cohort_keeps_zero_and_negative_zero_apart(monkeypatch):
+    # Results sharing a crisp score share memberships and label; 0.0 and
+    # -0.0 compare equal but are written apart, so they are two results.
+    from stylegroup import kernel
+
+    rb = parse_rulebase(
+        """
+        input effort dim=processing universe=[0,12] { low=(0,0,2,4) high=(6,8,12,12) }
+        output processing_score dim=processing universe=[0,12] { calm=(0,0,6,8) busy=(4,6,12,12) }
+
+        RULE a: IF effort IS low THEN processing_score IS calm
+        RULE b: IF effort IS high THEN processing_score IS busy
+        """
+    )
+    crisp = np.array([0.0, -0.0, 0.0, -0.0, 7.0])
+
+    def score_block(compiled, table, values, missing):
+        strengths = np.tile([1.0, 0.0], (len(values), 1))
+        return np.full(len(values), -1), crisp[: len(values)], strengths
+
+    monkeypatch.setattr(kernel, "score_block", score_block)
+    records = [BehaviorRecord(f"L{i}", {"effort": 1.0}) for i in range(5)]
+    table, failures = classify_cohort(records, rb)
+    assert not failures
+    scores = [p.results[0].crisp_score for p in table]
+    assert [math.copysign(1.0, s) for s in scores] == [1.0, -1.0, 1.0, -1.0, 1.0]
+    assert len(table.columns[0].results) == 3
+    assert profiles_to_csv(table).splitlines()[1:] == [
+        "L0,processing,0.0,calm", "L1,processing,-0.0,calm", "L2,processing,0.0,calm",
+        "L3,processing,-0.0,calm", "L4,processing,7.0,busy",
+    ]
+    assert profiles_to_json(table) == reference_profiles_to_json(list(table))
+
+
 def test_cohort_determinism_and_permutation_invariance(rb):
     # audio_time walks down the "low" ramp so each learner differs slightly
     records = [
@@ -332,7 +369,7 @@ def test_cohort_equals_integrating_every_row(rb, monkeypatch):
 
 
 def test_results_do_not_share_membership_dicts(rb):
-    # Identical learners share one memoised label; each result owns its dict.
+    # Identical learners share one memoised label; each result read owns its dict.
     records = [BehaviorRecord(f"L{i}", _full_features(rb)) for i in range(3)]
     profiles, _ = classify_cohort(records, rb)
     dicts = [r.term_memberships for p in profiles for r in p.results]
@@ -340,6 +377,31 @@ def test_results_do_not_share_membership_dicts(rb):
     before = dict(profiles[1].results[0].term_memberships)
     profiles[0].results[0].term_memberships.clear()
     assert profiles[1].results[0].term_memberships == before
+    # a profile is a view: changing what was read leaves the table as it was
+    dicts[0].clear()
+    assert profiles[0].results[0].term_memberships == before
+
+
+def test_cohort_table_is_a_sequence_of_profiles(rb):
+    records = [
+        BehaviorRecord(f"L{i}", _full_features(rb, {"audio_time": 20.0 + 3.0 * i}))
+        for i in range(4)
+    ]
+    table, _ = classify_cohort(records, rb)
+    assert isinstance(table, CohortTable)
+    profiles = [table[n] for n in range(len(table))]
+    assert list(table) == profiles == table[:] and table == profiles
+    assert table[-1] == profiles[-1] and table[1:3] == profiles[1:3]
+    assert CohortTable.of(table) is table
+    assert CohortTable.of(profiles) == table
+    assert table != profiles[:-1] and table != "L0"
+    with pytest.raises(IndexError):
+        table[len(table)]
+    assert list(table.rows(2)) == [p.signature for p in profiles]
+    assert list(table.take([2, 0])) == [profiles[2], profiles[0]]
+    assert list(table.take([2, 0]).rows(1)) == [
+        tuple(r.crisp_score for r in profiles[n].results) for n in (2, 0)
+    ]
 
 
 # -- questionnaire validation --------------------------------------------------
@@ -590,6 +652,12 @@ _RESULTS = st.builds(
 def test_profiles_json_equals_one_dumps_per_learner(profiles):
     # Non-finite scores and strengths, no fired rules and no results included.
     assert profiles_to_json(profiles) == reference_profiles_to_json(profiles)
+    # A list is exported through its table, which reads back as the list.
+    table = CohortTable.of(profiles)
+    assert list(table) == profiles and table.result_count() == sum(len(p.results) for p in profiles)
+    assert list(table.rows(2)) == [p.signature for p in profiles]
+    assert profiles_to_csv(profiles) == profiles_to_csv(table) == reference_profiles_csv(profiles)
+    assert profiles_to_json(table) == reference_profiles_to_json(profiles)
 
 
 def test_profiles_json_of_a_cohort_equals_one_dumps_per_learner(rb, caplog):
@@ -612,7 +680,49 @@ def test_profiles_json_of_a_cohort_equals_one_dumps_per_learner(rb, caplog):
     assert caplog.messages == [
         f"JSON export: {len(profiles)} learners, {distinct} distinct results formatted"
     ]
-    # a caller's edit of one result's memberships reaches that result only
+    # a caller's edit of the memberships it read leaves the table as it was
     memberships = profiles[0].results[0].term_memberships
     memberships[next(iter(memberships))] = 0.25
-    assert profiles_to_json(profiles) == reference_profiles_to_json(profiles)
+    assert profiles_to_json(profiles) == text
+
+
+def test_cohort_exports_equal_row_by_row_references(rb):
+    # Ids with CSV and JSON specials; some learners lack a feature or fire no rule.
+    import itertools
+
+    from stylegroup.grouping import GroupingParams, assign_groups
+    from stylegroup.simulate import CohortSpec, generate
+
+    labels = [sorted({r.consequent[1] for r in rb.rules_for(d)}) for d in DIMENSIONS]
+    spec = CohortSpec(
+        counts=tuple((sig, 2) for sig in itertools.product(*labels)), noise_sigma=0.15, seed=9
+    )
+    odd = [",", '"', "\r", "\n", "\r\n", 'a,"b"', "é"]
+    records = []
+    for i, record in enumerate(generate(spec, rb)[1]):
+        features = dict(record.features)
+        if i % 17 == 0:
+            del features[sorted(features)[0]]
+        records.append(BehaviorRecord(f"L{i}{odd[i % len(odd)]}", features))
+    table, failures = classify_cohort(records, rb)
+    assert any(f.dimension is None for f in failures)
+    assert any(f.dimension is not None for f in failures)
+    profiles = list(table)
+    assert profiles_to_csv(table) == reference_profiles_csv(profiles)
+    assert profiles_to_json(table) == reference_profiles_to_json(profiles)
+    header = ["learner_id", "dimension", "reason"]
+    rows = [(f.learner_id, f.dimension or "", f.reason) for f in failures]
+    assert csv_text(header, rows) == reference_csv_text(header, rows)
+    # The list of profiles takes the same paths as the table they were read from.
+    assert profiles_to_csv(profiles) == profiles_to_csv(table)
+    assert profiles_to_json(profiles) == profiles_to_json(table)
+    params = GroupingParams(control_fraction=0.2, seed=3, min_size=5)
+    assert assign_groups(profiles, params) == assign_groups(table, params)
+    questionnaire = [
+        QuestionnaireRecord(p.learner_id, r.dimension, r.crisp_score)
+        for p in profiles[::2]
+        for r in p.results
+    ]
+    report = validate_against_questionnaire(table, questionnaire)
+    assert report == validate_against_questionnaire(profiles, questionnaire)
+    assert report.overall_r == pytest.approx(1.0)

@@ -771,6 +771,36 @@ def test_pipeline_evaluation_is_evaluate_on_its_own_files(tmp_path, capsys, sign
     assert capsys.readouterr().out.endswith((run / "evaluation.txt").read_text(encoding="utf-8"))
 
 
+def test_group_on_profiles_csv_is_the_pipelines_assignment(tmp_path, capsys):
+    """`group` reads back the crisp scores `pipeline` grouped in process: the same groups."""
+    import itertools
+
+    from stylegroup.classify import classify_cohort
+    from stylegroup.grouping import GroupingParams, assign_groups
+    from stylegroup.simulate import generate, load_cohort_spec
+
+    labels = (("reactive", "reflection"), ("sensory", "intuitive"), ("visual", "verbal"))
+    spec = {
+        "cohort": [{"signature": [*sig, "consecutive"], "count": 12}
+                   for sig in itertools.product(*labels)],
+        "noise_sigma": 0.1,
+    }
+    spec_path = tmp_path / "cohort.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    run, again = tmp_path / "run", tmp_path / "again"
+    settings = ["--seed", "8", "--control-fraction", "0.2", "--target-k", "3"]
+    assert main(["pipeline", "--cohort-spec", str(spec_path), *settings, "--out", str(run)]) == 0
+    assert main(["group", "--profiles", str(run / "profiles.csv"), *settings,
+                 "--out", str(again)]) == 0
+    for name in ("assignment.csv", "content_plans.json"):
+        assert (again / name).read_bytes() == (run / name).read_bytes()
+    rb = default_rulebase()
+    table, _ = classify_cohort(generate(load_cohort_spec(spec_path)._replace(seed=8), rb)[1], rb)
+    assignment = assign_groups(table, GroupingParams(control_fraction=0.2, seed=8, target_k=3))
+    assert len(assignment.groups) == 3 and len({g.signature_mode for g in assignment.groups}) > 1
+    assert assignment.to_csv() == (run / "assignment.csv").read_text(encoding="utf-8")
+
+
 def test_evaluate_refuses_a_learner_without_a_score(tmp_path, capsys):
     assignment = tmp_path / "assignment.csv"
     assignment.write_text(

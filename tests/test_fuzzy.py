@@ -417,6 +417,21 @@ def test_single_term_rows_take_the_term_centroid(corners, data):
             assert score == reference or math.isnan(score)  # the same integration, bit for bit
 
 
+@given(
+    st.lists(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 12.0]) | st.floats(-20, 20),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_unique_sorted_is_np_unique(values):
+    # Repeated corners, and 0.0 and -0.0 in either order: the same values and zero.
+    values = np.array(values)
+    found, expected = kernel.unique_sorted(values), np.unique(values)
+    assert found.tolist() == expected.tolist()
+    assert np.signbit(found).tolist() == np.signbit(expected).tolist()
+
+
 def test_centroid_within_fired_support():
     rng = np.random.default_rng(7)
     terms = [PERCEPTION.term(label) for label in PERCEPTION.labels()]

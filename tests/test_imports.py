@@ -56,6 +56,7 @@ behaviors, out = sys.argv[1:]
 assert "numpy" not in sys.modules
 assert main(["classify", "--behaviors", behaviors, "--out", out]) == 0
 assert "numpy" in sys.modules
+assert "numpy.ma" not in sys.modules  # `np.unique` would load it, for about 10 ms
 """
 
 TRACE_TARGETS = """

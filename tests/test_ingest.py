@@ -8,7 +8,7 @@ from contextlib import contextmanager
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import reference_load_behaviors
+from conftest import reference_csv_text, reference_load_behaviors
 from stylegroup import ingest
 from stylegroup.dsl import parse_variables
 from stylegroup.ingest import (
@@ -103,6 +103,15 @@ def test_csv_text_ends_records_with_newline_and_quotes_carriage_returns():
     assert csv_text(["learner_id", "note"], [("L\r1", 'a"\r\nb'), ("L2", ""), ("L,3", "x")]) == (
         'learner_id,note\n"L\r1","a""\r\nb"\nL2,\n"L,3",x\n'
     )
+
+
+_FIELDS = st.text(alphabet=',"\r\n ab\té\x00', max_size=4)
+
+
+@given(st.lists(st.lists(_FIELDS, min_size=2, max_size=4), max_size=5))
+def test_csv_text_quotes_as_csv_writer_does(rows):
+    header = ["learner_id", "note"]
+    assert csv_text(header, rows) == reference_csv_text(header, rows)
 
 
 def test_non_finite_value(tmp_path):

@@ -279,6 +279,27 @@ def test_anova_shift_and_scale_invariance(shift, scale):
     assert moved.p_value == pytest.approx(base.p_value, rel=1e-9)
 
 
+class _CountingSample(Sample):
+    """A sample that counts how often its mean is read."""
+
+    __slots__ = ()
+    reads: dict = {}
+
+    @property
+    def mean(self) -> float:
+        _CountingSample.reads[self.label] = _CountingSample.reads.get(self.label, 0) + 1
+        return Sample.mean.fget(self)
+
+
+def test_anova_reads_each_group_mean_once():
+    # The mean sums its whole sample, so a read per value is quadratic work.
+    groups = [tuple(float(v % 7 + i) for v in range(40)) for i in range(3)]
+    _CountingSample.reads.clear()
+    counted = one_way_anova([_CountingSample(f"g{i}", g) for i, g in enumerate(groups)])
+    assert _CountingSample.reads == {"g0": 1, "g1": 1, "g2": 1}
+    assert counted == one_way_anova([Sample(f"g{i}", g) for i, g in enumerate(groups)])
+
+
 def test_anova_errors():
     with pytest.raises(TooFewGroupsError):
         one_way_anova([Sample("a", (1.0, 2.0))])
