@@ -16,7 +16,7 @@ import logging
 from collections.abc import Sequence
 from itertools import compress, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .dsl import DIMENSIONS, RuleBase
 from .fuzzy import strongest_term
@@ -80,44 +80,57 @@ class _Column(NamedTuple):
     rule_ids: tuple[str, ...] | None
     strengths: Sequence  # per row: kernel strengths, or (rule id, strength) pairs
 
+    def cells(self, k: int) -> Iterator:
+        """Per row, field k of its result: 0 dimension, 1 crisp score, 2 label."""
+        return map([result[k] for result in self.results].__getitem__, self.codes)
 
-# The cells of a missing result in a row shorter than its table.
-_ABSENT = (("", 0.0, "", {}, ()),)
+
+# Grouping compares crisp-score vectors by position, so every row lists the same dimensions.
+def _check_dimensions(learners: Iterable[tuple[str, list[str]]]) -> None:
+    """Refuse (learner id, dimensions) pairs unless all list the first one's, once each."""
+    learners = iter(learners)
+    first, expected = next(learners, (None, []))
+    for learner, found in learners:
+        if found != expected:
+            raise IngestError(
+                f"learner {learner!r}: dimensions {', '.join(found)} "
+                f"differ from the first learner's {', '.join(expected)}"
+            )
+    # Every learner lists the first one's dimensions, so a repeat shows there.
+    repeated = [d for n, d in enumerate(expected) if d in expected[:n]]
+    if repeated:
+        raise IngestError(f"learner {first!r}: dimension {repeated[0]!r} listed twice")
 
 
 class CohortTable(Sequence):
     """Classified learners by columns, read as a `Sequence[StyleProfile]`.
 
-    It holds the learner ids and one column per result position, which is
-    per dimension as `classify_cohort` and `profiles_from_csv` build it.
-    Rows may share a result of a column. Row n's fired rules are
-    `strengths[n]`: the kernel's strength per rule of `rule_ids` (zero
-    where a rule did not fire), or, where `rule_ids` is None, the pairs
-    themselves. `lengths` gives each row's number of results where rows
-    differ in it. A profile is built when it is read, with its own
+    It holds the learner ids and one column per dimension; every row has a
+    result in each. Rows may share a result of a column. Row n's fired
+    rules are `strengths[n]`: the kernel's strength per rule of `rule_ids`
+    (zero where a rule did not fire), or, where `rule_ids` is None, the
+    pairs themselves. A profile is built when it is read, with its own
     memberships dicts, so a caller may change them without changing the
     table.
     """
 
-    __slots__ = ("ids", "columns", "lengths")
+    __slots__ = ("ids", "columns")
     __hash__ = None  # type: ignore[assignment]
 
-    def __init__(self, ids: list[str], columns: list[_Column], lengths: list[int] | None = None):
-        self.ids, self.columns, self.lengths = ids, columns, lengths
+    def __init__(self, ids: list[str], columns: list[_Column]):
+        self.ids, self.columns = ids, columns
 
     @classmethod
     def of(cls, profiles: Sequence[StyleProfile]) -> CohortTable:
-        """The table of any sequence of profiles; a table is returned as it is."""
+        """The table of profiles that list the same dimensions; a table is returned as it is."""
         if isinstance(profiles, CohortTable):
             return profiles
         profiles = list(profiles)
-        lengths = [len(profile.results) for profile in profiles]
-        width = max(lengths, default=0)
-        padded = zip(*(tuple(p.results) + _ABSENT * (width - len(p.results)) for p in profiles))
+        _check_dimensions((p.learner_id, [r.dimension for r in p.results]) for p in profiles)
         codes = list(range(len(profiles)))
-        columns = [_Column([r[:4] for r in c], codes, None, [r[4] for r in c]) for c in padded]
-        ragged = any(length != width for length in lengths)
-        return cls([p.learner_id for p in profiles], columns, lengths if ragged else None)
+        by_column = zip(*(p.results for p in profiles))
+        columns = [_Column([r[:4] for r in c], codes, None, [r[4] for r in c]) for c in by_column]
+        return cls([p.learner_id for p in profiles], columns)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -126,7 +139,7 @@ class CohortTable(Sequence):
         if isinstance(n, slice):
             return [self[i] for i in range(*n.indices(len(self)))]
         results = []
-        for column in self.columns[: None if self.lengths is None else self.lengths[n]]:
+        for column in self.columns:
             dimension, score, label, memberships = column.results[column.codes[n]]
             fired = column.strengths[n]
             if column.rule_ids is not None:  # strengths are products of memberships
@@ -141,18 +154,9 @@ class CohortTable(Sequence):
         return NotImplemented
 
     def rows(self, k: int) -> Iterator[tuple]:
-        """Per row, field k of each of its results: 0 dimension, 1 crisp score, 2 label."""
-        cells = [map([r[k] for r in c.results].__getitem__, c.codes) for c in self.columns]
-        rows = zip(*cells) if cells else repeat((), len(self))
-        if self.lengths is None:
-            return rows
-        return map(tuple.__getitem__, rows, map(slice, self.lengths))
-
-    def templates(self, template: Callable[[int], str]) -> Iterator[str]:
-        """Per row, `template(n)` for its number of results n."""
-        if self.lengths is None:
-            return repeat(template(len(self.columns)), len(self))
-        return map({n: template(n) for n in set(self.lengths)}.__getitem__, self.lengths)
+        """Per row, field k of each of its results, as `_Column.cells`."""
+        cells = [column.cells(k) for column in self.columns]
+        return zip(*cells) if cells else repeat((), len(self))
 
     def take(self, rows: list[int]) -> CohortTable:
         """The table of the given rows, in that order."""
@@ -160,11 +164,10 @@ class CohortTable(Sequence):
         for c in self.columns:
             strengths = [c.strengths[n] for n in rows] if c.rule_ids is None else c.strengths[rows]
             columns.append(c._replace(codes=[c.codes[n] for n in rows], strengths=strengths))
-        lengths = None if self.lengths is None else [self.lengths[n] for n in rows]
-        return CohortTable([self.ids[n] for n in rows], columns, lengths)
+        return CohortTable([self.ids[n] for n in rows], columns)
 
     def result_count(self) -> int:
-        return len(self) * len(self.columns) if self.lengths is None else sum(self.lengths)
+        return len(self) * len(self.columns)
 
 
 def classify_cohort(
@@ -285,18 +288,15 @@ def validate_against_questionnaire(
     """
     table = CohortTable.of(profiles)
     scores = {(record.learner_id, record.dimension): record.score for record in questionnaire}
-    present = {result[0] for column in table.columns for result in column.results}
-    dimensions = [d for d in DIMENSIONS if d in present]
-    learners = list(zip(table.ids, table.rows(0), table.rows(1)))
+    columns = {column.results[0][0]: column for column in table.columns if column.results}
+    dimensions = [d for d in DIMENSIONS if d in columns]
     rows = []
     matched_keys = set()
     for dimension in dimensions:
-        for learner_id, row_dimensions, row_scores in learners:
+        for learner_id, score in zip(table.ids, columns[dimension].cells(1)):
             key = (learner_id, dimension)
             if key in scores:
                 matched_keys.add(key)
-                # a learner's first result in the dimension, as `StyleProfile.result`
-                score = row_scores[row_dimensions.index(dimension)]
                 rows.append(PairedRow(learner_id, dimension, score, scores[key]))
 
     def correlation(rows: list[PairedRow], scope: str) -> float | None:
@@ -346,11 +346,7 @@ def profiles_to_csv(profiles: Sequence[StyleProfile]) -> str:
     for column in table.columns:
         ends = [csv_line(("", d, repr(score), label)) for d, score, label, _ in column.results]
         cells += [ids, map(ends.__getitem__, column.codes)]
-
-    def template(n: int) -> str:  # "%.0s" writes nothing: the cells of a missing result
-        return "%s%s" * n + "%.0s%.0s" * (len(table.columns) - n)
-
-    rows = map(str.__mod__, table.templates(template), zip(*cells))
+    rows = map(("%s%s" * len(table.columns)).__mod__, zip(*cells))
     return csv_line(PROFILE_HEADER) + "".join(rows)
 
 
@@ -361,20 +357,7 @@ def profiles_from_csv(path: str | Path) -> CohortTable:
     for line, (_, dimension, crisp, label), learner in learner_rows(path, PROFILE_HEADER):
         score = parse_float(line, crisp, "crisp_score")
         grouped.setdefault(learner, []).append((dimension, score, label, memberships))
-    # Grouping compares crisp-score vectors position by position.
-    first = next(iter(grouped), None)
-    expected = [result[0] for result in grouped[first]] if grouped else []
-    for learner, results in grouped.items():
-        found = [result[0] for result in results]
-        if found != expected:
-            raise IngestError(
-                f"learner {learner!r}: dimensions {', '.join(found)} "
-                f"differ from the first learner's {', '.join(expected)}"
-            )
-    # Every learner lists the first one's dimensions, so a repeat shows there.
-    repeated = [d for n, d in enumerate(expected) if d in expected[:n]]
-    if repeated:
-        raise IngestError(f"learner {first!r}: dimension {repeated[0]!r} listed twice")
+    _check_dimensions((learner, [r[0] for r in results]) for learner, results in grouped.items())
     codes, no_rules = list(range(len(grouped))), [()] * len(grouped)
     columns = [_Column(list(c), codes, None, no_rules) for c in zip(*grouped.values())]
     return CohortTable(list(grouped), columns)
@@ -434,12 +417,8 @@ def profiles_to_json(profiles: Sequence[StyleProfile]) -> str:
         ends = [_result_ends(*result) for result in c.results]
         heads, tails = [head for head, _ in ends], [tail for _, tail in ends]
         cells += [map(heads.__getitem__, c.codes), _fired_json(c), map(tails.__getitem__, c.codes)]
-
-    def template(n: int) -> str:  # "%.0s" writes nothing: the cells of a missing result
-        results = ", ".join(["%s%s%s"] * n) + "%.0s" * 3 * (len(table.columns) - n)
-        return '{"learner_id": %s, "results": [' + results + "]}"
-
-    lines = list(map(str.__mod__, table.templates(template), zip(*cells))) or [""]
+    template = '{"learner_id": %s, "results": [' + ", ".join(["%s%s%s"] * len(table.columns)) + "]}"
+    lines = list(map(template.__mod__, zip(*cells))) or [""]
     lines[0] = "[\n" + lines[0]
     lines[-1] += "\n]\n"
     log.info(

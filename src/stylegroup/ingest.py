@@ -25,7 +25,7 @@ import stat
 import threading
 from contextlib import contextmanager
 from functools import partial
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 from typing import Callable, ContextManager, Iterable, Iterator, NamedTuple, Sequence
 
@@ -33,6 +33,9 @@ from .dsl import DIMENSIONS, RuleBase
 from .fuzzy import LinguisticVariable
 
 QUESTIONNAIRE_RANGE = (0.0, 11.0)
+# The headers of the files `simulate` writes and these readers take.
+BEHAVIORS_HEADER = ["learner_id", "variable", "value"]
+SCORES_HEADER = ["learner_id", "score"]
 
 log = logging.getLogger(__name__)
 
@@ -137,8 +140,16 @@ def csv_line(fields: Iterable[str]) -> str:
 
 
 def csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
-    """RFC-4180 text with "\\n" line ends; a field is quoted only where it must be."""
-    return "".join(map(csv_line, chain([header], rows)))
+    """RFC-4180 text with "\\n" line ends; a field is quoted only where it must be.
+
+    The records are joined once. If that text holds no '"' or "\\r" and one ","
+    or "\\n" per field, the separator after it, no field needs quoting.
+    """
+    records = [header, *rows]
+    text = "\n".join(map(",".join, records)) + "\n"
+    if '"' in text or "\r" in text or text.count(",") + text.count("\n") != sum(map(len, records)):
+        return "".join(map(csv_line, records))
+    return text
 
 
 def _blank(row: list[str]) -> bool:
@@ -246,7 +257,7 @@ def _load(
     table: dict[tuple[str, str], list[float]] = {}
     names: dict[str, str] = {}
     state = (by_name, policy, table, names, report.skipped_unknown)
-    with _read_rows(path, ["learner_id", "variable", "value"]) as (handle, reader):
+    with _read_rows(path, BEHAVIORS_HEADER) as (handle, reader):
         split, reason = plan(handle.fileno())
         if split is None:
             end = _fill(reader, 2, *state)
@@ -515,7 +526,7 @@ def load_questionnaire(path: str | Path) -> list[QuestionnaireRecord]:
 def load_scores(path: str | Path) -> dict[str, float]:
     """Load final test scores: header learner_id,score."""
     scores: dict[str, float] = {}
-    for line, row, learner in learner_rows(path, ["learner_id", "score"]):
+    for line, row, learner in learner_rows(path, SCORES_HEADER):
         if learner in scores:
             raise DuplicateEntryError(f"line {line}: duplicate score for {learner!r}")
         scores[learner] = parse_float(line, row[1].strip(), "score")

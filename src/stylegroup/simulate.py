@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 from .dsl import Rule, RuleBase
 from .grouping import GroupAssignment, StyleSignature
-from .ingest import BehaviorRecord
+from .ingest import BEHAVIORS_HEADER, SCORES_HEADER, BehaviorRecord, csv_field, csv_text
 from .rng import STREAM_BEHAVIOR, STREAM_SCORES, philox_rng
 
 SCORE_RANGE = (0.0, 20.0)
@@ -274,40 +274,37 @@ def generate_scores(
 # File emission (the exact formats behaviour ingestion consumes)
 
 
-def write_behaviors_csv(
-    records: Sequence[BehaviorRecord], rb: RuleBase, path: str | Path
-) -> None:
-    """Long-format behaviours CSV; max_expected scaling is inverted so a
-    round trip through ingestion reproduces the generated features."""
+def write_behaviors_csv(records: Sequence[BehaviorRecord], rb: RuleBase, path: str | Path) -> None:
+    """Long-format behaviours CSV; each learner id is quoted once, by `csv_field`.
+
+    A max_expected variable's value is written as value * max_expected / 100,
+    which ingestion scales back, not always to the same bits: with ceilings 7
+    and 45, up to 421 of 2,000 values came back changed in their last bits.
+    """
     inputs = [(v.name, f",{v.name},", v.max_expected) for v in rb.variables if v.kind == "input"]
-    lines = ["learner_id,variable,value"]
+    lines = [",".join(BEHAVIORS_HEADER)]
     for record in records:
-        features = record.features
+        learner, features = csv_field(record.learner_id), record.features
         for name, text, ceiling in inputs:
             if name in features:
                 value = features[name]
                 if ceiling is not None:
                     value = value * ceiling / 100.0
-                lines.append(record.learner_id + text + repr(value))
+                lines.append(learner + text + repr(value))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_truth_csv(
-    truth: Sequence[tuple[str, StyleSignature]],
-    dimensions: Sequence[str],
-    path: str | Path,
+    truth: Sequence[tuple[str, StyleSignature]], dimensions: Sequence[str], path: str | Path
 ) -> None:
-    lines = ["learner_id," + ",".join(dimensions)]
-    for learner_id, signature in truth:
-        lines.append(learner_id + "," + ",".join(signature))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [(learner_id, *signature) for learner_id, signature in truth]
+    Path(path).write_text(csv_text(["learner_id", *dimensions], rows), encoding="utf-8")
 
 
 def write_scores_csv(scores: dict[str, float], path: str | Path) -> None:
     """`learner_id,score`, one row per learner in the dict's order, scores as `repr`."""
-    lines = ["learner_id,score"]
-    lines.extend(f"{learner},{value!r}" for learner, value in scores.items())
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = zip(scores, map(repr, scores.values()))
+    Path(path).write_text(csv_text(SCORES_HEADER, rows), encoding="utf-8")
 
 
 def load_cohort_spec(path: str | Path) -> CohortSpec:

@@ -585,6 +585,58 @@ def test_profiles_from_csv_rejects_corrupt_rows(tmp_path, row, message):
     assert str(exc_info.value) == message
 
 
+def _profile(learner_id, *dimensions):
+    """A profile scoring 1, 2, ... in the given dimensions, in that order."""
+    scores = enumerate(dimensions, 1)
+    results = (DimensionResult(d, float(n), "calm", {"calm": 1.0}, ()) for n, d in scores)
+    return StyleProfile(learner_id, tuple(results))
+
+
+# Lists of profiles whose learners do not all list the first learner's dimensions once each.
+_FIRST = _profile("L1", "processing", "perception")
+_TWICE = ("processing", "processing")
+_UNSHAPED_LISTS = [
+    ("ragged", [_FIRST, _profile("L2", "processing")],
+     "learner 'L2': dimensions processing differ from the first learner's processing, perception"),
+    ("reordered", [_FIRST, _profile("L2", "perception", "processing")],
+     "learner 'L2': dimensions perception, processing differ from the first learner's "
+     "processing, perception"),
+    ("repeated", [_profile("L1", *_TWICE), _profile("L2", *_TWICE)],
+     "learner 'L1': dimension 'processing' listed twice"),
+]
+
+
+@pytest.mark.parametrize(
+    "profiles, message",
+    [case[1:] for case in _UNSHAPED_LISTS],
+    ids=[case[0] for case in _UNSHAPED_LISTS],
+)
+def test_profile_lists_are_refused_as_their_profiles_csv_is(tmp_path, profiles, message):
+    from stylegroup.grouping import GroupingParams, assign_groups, homogeneous_partition
+
+    path = tmp_path / "profiles.csv"
+    rows = (f"{p.learner_id},{r.dimension},{r.crisp_score!r},{r.label}\n"
+            for p in profiles for r in p.results)
+    path.write_text("learner_id,dimension,crisp_score,label\n" + "".join(rows), encoding="utf-8")
+    with pytest.raises(IngestError) as from_csv:
+        profiles_from_csv(path)
+    assert str(from_csv.value) == message
+    # Averaging position by position would mix dimensions, or lengths, into a centroid.
+    params = GroupingParams(control_fraction=0.5, seed=1, target_k=1, min_size=2)
+    for call in (
+        CohortTable.of,
+        profiles_to_csv,
+        profiles_to_json,
+        lambda profiles: assign_groups(profiles, params),
+        lambda profiles: homogeneous_partition(profiles, target_k=1, min_size=1),
+        lambda profiles: validate_against_questionnaire(profiles, []),
+    ):
+        with pytest.raises(IngestError) as exc_info:
+            call(profiles)
+        assert type(exc_info.value) is type(from_csv.value)
+        assert str(exc_info.value) == message
+
+
 def test_profiles_json_contains_fired_rules(rb):
     import json
 
@@ -613,41 +665,47 @@ def _numbers(floats):
     return floats | floats.map(np.float64) | _EQUAL_BUT_WRITTEN_APART
 
 
-_RESULTS = st.builds(
-    DimensionResult,
-    dimension=st.sampled_from(["processing", "perception"]) | _ODD_TEXT,
-    # Few distinct scores, so equal scores meet different labels and memberships.
-    crisp_score=st.sampled_from([3.5, 1e-300]) | _numbers(st.floats()),
-    label=_TERMS,
-    # An OrderedDict is written as a dict is, though marshal cannot write it.
-    term_memberships=st.dictionaries(
-        _TERMS, st.sampled_from([0.5]) | _numbers(st.floats(0, 1))
-    ).flatmap(lambda d: st.sampled_from([d, OrderedDict(d)])),
-    fired_rules=st.lists(
-        st.tuples(st.sampled_from(["r1", "r2"]) | _ODD_TEXT, _numbers(st.floats())),
-        max_size=3,
-    ).map(tuple),
-) | st.builds(  # results that are equal to one another but written apart
-    DimensionResult,
-    dimension=st.just("processing"),
-    crisp_score=_EQUAL_BUT_WRITTEN_APART,
-    label=st.just("calm"),
-    term_memberships=st.fixed_dictionaries(
-        {"calm": _EQUAL_BUT_WRITTEN_APART, "busy": _EQUAL_BUT_WRITTEN_APART}
-    ),
-    fired_rules=st.just(()),
-)
+def _results(dimension):
+    """A result in the given dimension."""
+    return st.builds(
+        DimensionResult,
+        dimension=st.just(dimension),
+        # Few distinct scores, so equal scores meet different labels and memberships.
+        crisp_score=st.sampled_from([3.5, 1e-300]) | _numbers(st.floats()),
+        label=_TERMS,
+        # An OrderedDict is written as a dict is, though marshal cannot write it.
+        term_memberships=st.dictionaries(
+            _TERMS, st.sampled_from([0.5]) | _numbers(st.floats(0, 1))
+        ).flatmap(lambda d: st.sampled_from([d, OrderedDict(d)])),
+        fired_rules=st.lists(
+            st.tuples(st.sampled_from(["r1", "r2"]) | _ODD_TEXT, _numbers(st.floats())),
+            max_size=3,
+        ).map(tuple),
+    ) | st.builds(  # results that are equal to one another but written apart
+        DimensionResult,
+        dimension=st.just(dimension),
+        crisp_score=_EQUAL_BUT_WRITTEN_APART,
+        label=st.just("calm"),
+        term_memberships=st.fixed_dictionaries(
+            {"calm": _EQUAL_BUT_WRITTEN_APART, "busy": _EQUAL_BUT_WRITTEN_APART}
+        ),
+        fired_rules=st.just(()),
+    )
 
 
+def _cohorts(dimensions):
+    """Lists of profiles that all list `dimensions`, in that order."""
+    profile = st.builds(
+        StyleProfile, learner_id=_ODD_TEXT, results=st.tuples(*map(_results, dimensions))
+    )
+    return st.lists(profile, max_size=6)
+
+
+# Every learner lists one drawn sequence of 0 to 4 distinct dimensions.
 @given(
     st.lists(
-        st.builds(
-            StyleProfile,
-            learner_id=_ODD_TEXT,
-            results=st.lists(_RESULTS, max_size=4).map(tuple),
-        ),
-        max_size=6,
-    )
+        st.sampled_from(["processing", "perception"]) | _ODD_TEXT, max_size=4, unique=True
+    ).flatmap(_cohorts)
 )
 def test_profiles_json_equals_one_dumps_per_learner(profiles):
     # Non-finite scores and strengths, no fired rules and no results included.

@@ -1,11 +1,13 @@
+import csv
 import logging
 
 import pytest
 
 from stylegroup.classify import classify_cohort
 from stylegroup.dsl import parse_rulebase
-from stylegroup.grouping import GroupingParams, assign_groups
-from stylegroup.ingest import load_behaviors
+from stylegroup.grouping import Group, GroupAssignment, GroupingParams, assign_groups
+from stylegroup.grouping import assignment_from_csv
+from stylegroup.ingest import BehaviorRecord, load_behaviors, load_scores
 from stylegroup.simulate import (
     CohortSpec,
     ScoreModel,
@@ -14,6 +16,8 @@ from stylegroup.simulate import (
     generate,
     generate_scores,
     write_behaviors_csv,
+    write_scores_csv,
+    write_truth_csv,
 )
 from stylegroup.stats import evaluation_samples, two_sample_t
 
@@ -179,6 +183,34 @@ def test_behaviors_csv_round_trip_through_ingest(rb, tmp_path):
     assert {r.learner_id: r.features for r in loaded} == {
         r.learner_id: r.features for r in records
     }
+
+
+# Ids the readers take as they are: stripped and non-empty, with CSV specials or non-ASCII.
+_ODD_IDS = ["a,b", 'say "hi"', "L\r1", "L\n2", "L\r\n3", 'x,"y",\r\nz', "é中😀", "L4"]
+
+
+def test_every_simulate_and_group_file_reads_back_odd_ids(rb, tmp_path):
+    truth, records = generate(_spec(counts=2, noise=0.1, seed=3), rb)
+    truth = [(learner, signature) for learner, (_, signature) in zip(_ODD_IDS, truth)]
+    records = [BehaviorRecord(learner, r.features) for learner, r in zip(_ODD_IDS, records)]
+    write_behaviors_csv(records, rb, tmp_path / "behaviors.csv")
+    loaded, _ = load_behaviors(tmp_path / "behaviors.csv", list(rb.variables), policy="strict")
+    assert [(r.learner_id, r.features) for r in loaded] == [tuple(r) for r in records]
+
+    scores = {learner: 10.0 + n / 3 for n, learner in enumerate(_ODD_IDS)}
+    write_scores_csv(scores, tmp_path / "scores.csv")
+    assert load_scores(tmp_path / "scores.csv") == scores
+
+    write_truth_csv(truth, rb.dimensions(), tmp_path / "truth.csv")
+    with open(tmp_path / "truth.csv", encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows == [["learner_id", *rb.dimensions()]] + [[i, *s] for i, s in truth]
+
+    params = GroupingParams(control_fraction=0.25, seed=1, min_size=2)
+    group = Group(1, tuple(_ODD_IDS[:6]), (1.0,), ("calm",))
+    assignment = GroupAssignment((group,), tuple(_ODD_IDS[6:]), params)
+    (tmp_path / "assignment.csv").write_text(assignment.to_csv(), encoding="utf-8")
+    assert assignment_from_csv(tmp_path / "assignment.csv") == assignment.rows()
 
 
 def test_behaviors_csv_inverts_max_expected_scaling(tmp_path):
