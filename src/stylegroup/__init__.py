@@ -21,13 +21,7 @@ from .dsl import (
     pretty_print,
     validate,
 )
-from .fuzzy import (
-    FuzzyOutput,
-    LinguisticVariable,
-    Trapezoid,
-    defuzzify_centroid,
-    infer,
-)
+from .fuzzy import LinguisticVariable, Trapezoid
 from .grouping import (
     GroupAssignment,
     GroupingParams,

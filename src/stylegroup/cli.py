@@ -403,6 +403,9 @@ def _cmd_pipeline(args: argparse.Namespace, config: dict) -> int:
     out = _out_dir(args, config)
 
     truth, records = _simulate(spec, rb, out)
+    if any(v.max_expected is not None for v in rb.variables):
+        # A ceiling's raw value reads back to other bits: classify what `classify` reads.
+        records, _ = load_behaviors(out / "behaviors.csv", list(rb.variables))
     profiles, failures = classify_cohort(records, rb)
     _write_classification(profiles, failures, out)
 

@@ -1,4 +1,4 @@
-"""Trapezoidal fuzzy sets, Mamdani product inference, centroid defuzzification.
+"""Trapezoidal fuzzy sets, linguistic variables and compiled rules for Mamdani inference.
 
 A linguistic variable is a named variable over a closed universe whose values
 ("low", "medium", "much", ...) are trapezoidal fuzzy sets. Inference follows
@@ -7,20 +7,18 @@ antecedent membership degrees, implication scales the consequent term by the
 strength, and the per-rule outputs aggregate into one envelope by pointwise
 max. The envelope collapses to a crisp score through its centre of gravity.
 
-Inference runs on arrays. `RuleBase.compile_dimension` (`dsl`) resolves one
-dimension's rules once into `CompiledRules`; `kernel.firing_strengths`,
-`kernel.term_strengths` and `kernel.centroids` then handle a whole block of
-inputs per call. `infer` and `defuzzify_centroid` wrap the same kernel for
-one input and import it when called, so loading this module does not load
-numpy.
+This module declares the types; inference itself runs on arrays, and only
+through `classify.classify_cohort`. `RuleBase.compile_dimension` (`dsl`)
+resolves one dimension's rules once into `CompiledRules`, and
+`kernel.score_block` scores a whole block of inputs per call. Loading this
+module does not load numpy.
 
 All types are immutable; every operation is a pure function of its inputs.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 
 class FuzzyError(Exception):
@@ -33,18 +31,6 @@ class OutOfUniverseError(FuzzyError):
 
 class EmptyAntecedentError(FuzzyError):
     """A rule has no antecedent clauses, so it would fire for every input."""
-
-
-class MissingInputError(FuzzyError):
-    """A rule references an input variable with no supplied value."""
-
-    def __init__(self, variable: str):
-        super().__init__(f"no value supplied for input variable {variable!r}")
-        self.variable = variable
-
-
-class NoRuleFiredError(FuzzyError):
-    """The aggregated output envelope is identically zero."""
 
 
 class _Corners(NamedTuple):
@@ -175,18 +161,6 @@ def strongest_term(memberships: dict[str, float]) -> str:
     return max(memberships, key=memberships.__getitem__)
 
 
-class FuzzyOutput(NamedTuple):
-    """Aggregated inference result over one output variable.
-
-    The envelope is the pointwise max of the strength-scaled consequent
-    terms of every rule that fired; `fired` keeps (rule id, strength,
-    consequent trapezoid) for strengths > 0.
-    """
-
-    variable: LinguisticVariable
-    fired: tuple[tuple[str, float, Trapezoid], ...]
-
-
 class CompiledRules(NamedTuple):
     """One output variable's rules, resolved once for inference over many inputs.
 
@@ -201,44 +175,3 @@ class CompiledRules(NamedTuple):
     consequents: tuple[int, ...]  # per rule: index into variable.terms
     variable: LinguisticVariable
 
-
-def infer(compiled: CompiledRules, inputs: Mapping[str, float]) -> FuzzyOutput:
-    """Mamdani product inference of one input: one row of `kernel.firing_strengths`.
-
-    An identically-zero envelope (no rule fired) is a valid result here;
-    defuzzification reports it.
-    """
-    for name in compiled.inputs:
-        if name not in inputs:
-            raise MissingInputError(name)
-    from . import kernel
-
-    features = [[inputs[name] for name in compiled.inputs]]
-    strengths = kernel.firing_strengths(compiled, features)[0].tolist()
-    terms = compiled.variable.terms
-    return FuzzyOutput(
-        variable=compiled.variable,
-        fired=tuple(
-            (rule_id, strength, terms[t][1])
-            for rule_id, strength, t in zip(compiled.rule_ids, strengths, compiled.consequents)
-            if strength > 0.0
-        ),
-    )
-
-
-def defuzzify_centroid(out: FuzzyOutput) -> float:
-    """Centre-of-gravity of the output envelope over the variable's universe.
-
-    Computes integral(x * env(x)) / integral(env(x)) exactly, with no
-    sampling grid (see `kernel.centroids`).
-    """
-    from . import kernel
-
-    terms = [trap for _, _, trap in out.fired]
-    scales = [[strength for _, strength, _ in out.fired]]
-    crisp = float(kernel.centroids(out.variable.universe, terms, scales)[0])
-    if math.isnan(crisp):
-        raise NoRuleFiredError(
-            f"output envelope of {out.variable.name!r} is identically zero"
-        )
-    return crisp

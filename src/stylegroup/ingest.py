@@ -152,6 +152,16 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     return text
 
 
+def written_value(value: float, ceiling: float) -> float:
+    """What a behaviours file holds for a value in percent of its `max_expected` ceiling."""
+    return value * ceiling / 100.0
+
+
+def read_value(raw: float, ceiling: float) -> float:
+    """A raw behaviours value in percent of its ceiling: `written_value` undone, up to rounding."""
+    return raw * 100.0 / ceiling
+
+
 def _blank(row: list[str]) -> bool:
     return not row or all(not cell.strip() for cell in row)
 
@@ -280,7 +290,7 @@ def _load(
             else:
                 value = max(values)
             if spec.max_expected is not None:
-                value = value * 100.0 / spec.max_expected
+                value = read_value(value, spec.max_expected)
             lo, hi = spec.universe
             if value < lo or value > hi:
                 if policy == "strict":

@@ -1,9 +1,8 @@
 """Array kernel: memberships, firing strengths and exact centroids over arrays of inputs.
 
 This is the one module of the package that imports numpy when it loads.
-Its callers import it when first called: `classify_cohort`, which runs
-every learner of a dimension through one `score_block` call, and `fuzzy.infer` and
-`fuzzy.defuzzify_centroid`, which wrap it for one input. So the commands
+Its one caller, `classify_cohort`, imports it when first called and runs
+every learner of a dimension through one `score_block` call. So the commands
 that compute no arrays (`validate-rules`, `evaluate`) start without numpy.
 The rules come compiled by `RuleBase.compile_dimension` (`dsl`).
 """

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .dsl import Rule, RuleBase
 from .grouping import GroupAssignment, StyleSignature
 from .ingest import BEHAVIORS_HEADER, SCORES_HEADER, BehaviorRecord, csv_field, csv_text
+from .ingest import written_value
 from .rng import STREAM_BEHAVIOR, STREAM_SCORES, philox_rng
 
 SCORE_RANGE = (0.0, 20.0)
@@ -61,13 +63,16 @@ class ScoreModel(NamedTuple):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ScoreModel":
+        means = data.get("signature_means", {}) if isinstance(data, dict) else None
+        if not isinstance(means, dict):
+            raise SimulationError("'score_model' and its 'signature_means' must be objects")
         return cls(
-            treated_mean=float(data["treated_mean"]),
-            control_mean=float(data["control_mean"]),
-            sigma=float(data["sigma"]),
+            treated_mean=_number(data, "treated_mean", "score_model"),
+            control_mean=_number(data, "control_mean", "score_model"),
+            sigma=_number(data, "sigma", "score_model", low=0.0),
             signature_means=tuple(
-                (tuple(key.split("|")), float(mean))
-                for key, mean in data.get("signature_means", {}).items()
+                (tuple(key.split("|")), _number(means, key, "score_model.signature_means"))
+                for key in means
             ),
         )
 
@@ -121,19 +126,41 @@ class CohortSpec(_Cohort):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CohortSpec":
+        """The spec a JSON object holds (README, "Cohort spec"), or a `SimulationError`."""
+        cohort = data.get("cohort") if isinstance(data, dict) else None
+        if not isinstance(cohort, list) or not all(isinstance(entry, dict) for entry in cohort):
+            raise SimulationError("cohort spec: 'cohort' must be a list of objects")
+        for n, entry in enumerate(cohort):
+            signature = entry.get("signature")
+            if not isinstance(signature, list) or not all(isinstance(x, str) for x in signature):
+                raise _refused(f"cohort[{n}]", entry, "signature", "a list of strings")
+            if type(entry.get("count")) is not int or entry["count"] <= 0:
+                raise _refused(f"cohort[{n}]", entry, "count", "a positive integer")
+        if type(data.get("seed", 0)) is not int:
+            raise _refused("cohort spec", data, "seed", "an integer")
+        noise = _number(data, "noise_sigma", "cohort spec", 0.0) if "noise_sigma" in data else 0.0
+        model = data.get("score_model")
         return cls(
-            counts=tuple(
-                (tuple(entry["signature"]), int(entry["count"]))
-                for entry in data["cohort"]
-            ),
-            noise_sigma=float(data.get("noise_sigma", 0.0)),
-            seed=int(data.get("seed", 0)),
-            score_model=(
-                ScoreModel.from_json_dict(data["score_model"])
-                if data.get("score_model")
-                else None
-            ),
+            counts=tuple((tuple(entry["signature"]), entry["count"]) for entry in cohort),
+            noise_sigma=noise,
+            seed=data.get("seed", 0),
+            score_model=ScoreModel.from_json_dict(model) if model else None,
         )
+
+
+def _refused(where: str, data: dict, key: str, need: str) -> SimulationError:
+    got = f", got {data[key]!r}" if key in data else ", and is missing"
+    return SimulationError(f"{where}: {key!r} must be {need}{got}")
+
+
+def _number(data: dict, key: str, where: str, low: float | None = None) -> float:
+    """`data[key]` as a float if it is a finite JSON number (>= `low`), else `_refused`."""
+    value = data.get(key)
+    finite = type(value) in (int, float) and abs(value) <= sys.float_info.max
+    if not finite or (low is not None and value < low):
+        bound = "" if low is None else f" >= {low:g}"
+        raise _refused(where, data, key, f"a finite number{bound}")
+    return float(value)
 
 
 def default_cohort_spec(seed: int = 0) -> CohortSpec:
@@ -277,9 +304,8 @@ def generate_scores(
 def write_behaviors_csv(records: Sequence[BehaviorRecord], rb: RuleBase, path: str | Path) -> None:
     """Long-format behaviours CSV; each learner id is quoted once, by `csv_field`.
 
-    A max_expected variable's value is written as value * max_expected / 100,
-    which ingestion scales back, not always to the same bits: with ceilings 7
-    and 45, up to 421 of 2,000 values came back changed in their last bits.
+    A max_expected variable's value is written as its `ingest.written_value`,
+    which `ingest.read_value` scales back, not always to the same bits.
     """
     inputs = [(v.name, f",{v.name},", v.max_expected) for v in rb.variables if v.kind == "input"]
     lines = [",".join(BEHAVIORS_HEADER)]
@@ -289,7 +315,7 @@ def write_behaviors_csv(records: Sequence[BehaviorRecord], rb: RuleBase, path: s
             if name in features:
                 value = features[name]
                 if ceiling is not None:
-                    value = value * ceiling / 100.0
+                    value = written_value(value, ceiling)
                 lines.append(learner + text + repr(value))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

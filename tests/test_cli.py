@@ -751,6 +751,54 @@ def test_pipeline_refuses_alpha_without_a_score_model(tmp_path, capsys):
     assert not (out / "scores.csv").exists()
 
 
+def _spec(*, entry=None, **fields):
+    """A cohort spec of one 30-learner signature, with some entry or field replaced."""
+    signature = ["reactive", "sensory", "visual", "consecutive"]
+    return {"cohort": [{"signature": signature, "count": 30, **(entry or {})}],
+            "noise_sigma": 0.05, **fields}
+
+
+_MODEL = {"treated_mean": 17.65, "control_mean": 12.6, "sigma": 2.5}
+
+
+@pytest.mark.parametrize("command", ["simulate", "pipeline"])
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"noise_sigma": 0.1}, "cohort spec: 'cohort' must be a list of objects"),
+        (_spec()["cohort"], "cohort spec: 'cohort' must be a list of objects"),
+        ({"cohort": ["reactive"]}, "cohort spec: 'cohort' must be a list of objects"),
+        (_spec(score_model={"treated_mean": 17.65, "sigma": 2.5}),
+         "score_model: 'control_mean' must be a finite number, and is missing"),
+        (_spec(entry={"count": 2.7}), "cohort[0]: 'count' must be a positive integer, got 2.7"),
+        (_spec(entry={"count": True}), "cohort[0]: 'count' must be a positive integer, got True"),
+        (_spec(entry={"signature": "reactive"}),
+         "cohort[0]: 'signature' must be a list of strings, got 'reactive'"),
+        (_spec(noise_sigma=float("nan")),
+         "cohort spec: 'noise_sigma' must be a finite number >= 0, got nan"),
+        (_spec(score_model={**_MODEL, "sigma": float("nan")}),
+         "score_model: 'sigma' must be a finite number >= 0, got nan"),
+        (_spec(score_model={**_MODEL, "sigma": -1}),
+         "score_model: 'sigma' must be a finite number >= 0, got -1"),
+        (_spec(score_model={**_MODEL, "signature_means": {"reactive": float("inf")}}),
+         "score_model.signature_means: 'reactive' must be a finite number, got inf"),
+    ],
+    ids=["no-cohort", "array", "entry-not-object", "no-control-mean", "float-count",
+         "bool-count", "string-signature", "nan-noise", "nan-sigma", "negative-sigma",
+         "infinite-mean"],
+)
+def test_malformed_cohort_spec_is_refused_before_writing_anything(
+    tmp_path, capsys, command, spec, message
+):
+    path = tmp_path / "cohort.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")  # NaN and Infinity as `json` writes them
+    out = tmp_path / "out"
+    argv = [command, "--cohort-spec", str(path), "--seed", "3", "--out", str(out)]
+    assert main([*argv, "--min-size", "2"] if command == "pipeline" else argv) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("signature_means", [None, {"reactive|sensory|visual|consecutive": 19.0}])
 def test_pipeline_evaluation_is_evaluate_on_its_own_files(tmp_path, capsys, signature_means):
     """Both commands build the samples from (assignment rows, scores) the same way."""
@@ -799,6 +847,47 @@ def test_group_on_profiles_csv_is_the_pipelines_assignment(tmp_path, capsys):
     assignment = assign_groups(table, GroupingParams(control_fraction=0.2, seed=8, target_k=3))
     assert len(assignment.groups) == 3 and len({g.signature_mode for g in assignment.groups}) > 1
     assert assignment.to_csv() == (run / "assignment.csv").read_text(encoding="utf-8")
+
+
+def test_pipeline_classifies_what_classify_reads_with_max_expected(tmp_path, capsys, monkeypatch):
+    """A ceiling's raw value reads back to other bits; `pipeline` classifies the read value.
+
+    Without a ceiling it reads nothing back.
+    """
+    import itertools
+    import re
+    from pathlib import Path
+
+    import stylegroup
+    from stylegroup import cli
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "load_behaviors", None)  # calling it would raise TypeError
+        assert main(["pipeline", "--seed", "8", "--out", str(tmp_path / "bundled")]) == 0
+
+    data = Path(stylegroup.__file__).parent / "data"
+    text = (data / "default.fvars").read_text(encoding="utf-8")
+    for name, ceiling in (("test_time", 7), ("theory_time", 45), ("audio_time", 7)):
+        text, found = re.subn(rf"^(input {name} dim=\w+)$", rf"\1 max_expected={ceiling}", text,
+                              flags=re.M)
+        assert found == 1
+    base = tmp_path / "base.fvars"
+    base.write_text(text, encoding="utf-8")
+    labels = (("reactive", "reactive_reflective", "reflection"),
+              ("sensory", "sensory_intuitive", "intuitive"),
+              ("visual", "visual_verbal", "verbal"), ("consecutive", "sequential_global"))
+    spec = {"cohort": [{"signature": list(sig), "count": 20} for sig in itertools.product(*labels)],
+            "noise_sigma": 0.1}
+    spec_path = tmp_path / "cohort.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    rules = ["--vars", str(base), "--rules", str(data / "default.frules")]
+    run, again = tmp_path / "run", tmp_path / "again"
+    assert main(["pipeline", *rules, "--cohort-spec", str(spec_path), "--seed", "8",
+                 "--out", str(run)]) == 0
+    assert main(["classify", *rules, "--behaviors", str(run / "behaviors.csv"),
+                 "--out", str(again)]) == 0
+    for name in ("profiles.csv", "profiles.json", "failures.csv"):
+        assert (again / name).read_bytes() == (run / name).read_bytes()
 
 
 def test_evaluate_refuses_a_learner_without_a_score(tmp_path, capsys):

@@ -18,7 +18,7 @@ from stylegroup.classify import (
     ValidationReport,
 )
 from stylegroup.dsl import Diagnostic, Rule, RuleBase
-from stylegroup.fuzzy import CompiledRules, FuzzyOutput, LinguisticVariable, Trapezoid
+from stylegroup.fuzzy import CompiledRules, LinguisticVariable, Trapezoid
 from stylegroup.grouping import ContentPlan, Group, GroupAssignment, GroupingParams
 from stylegroup.ingest import (
     BehaviorRecord,
@@ -116,13 +116,6 @@ TEST = "TestResult(statistic=2.0, df=10.0, p_value=0.07, alpha=0.05, significant
 RECORDS = [
     (_trap, lambda: Trapezoid(0.0, 1.0, 2.0, 5.0), "a", TRAP, True),
     (_variable, lambda: _variable(kind="output"), "kind", VARIABLE, True),
-    (
-        lambda: FuzzyOutput(_variable(), (("r1", 0.5, _trap()),)),
-        lambda: FuzzyOutput(_variable(), ()),
-        "fired",
-        f"FuzzyOutput(variable={VARIABLE}, fired=(('r1', 0.5, {TRAP}),))",
-        True,
-    ),
     (
         lambda: CompiledRules(("r1",), ("effort",), (((0, _trap()),),), (0,), _variable()),
         lambda: CompiledRules(("r2",), ("effort",), (((0, _trap()),),), (0,), _variable()),
