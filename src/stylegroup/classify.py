@@ -197,7 +197,7 @@ def classify_cohort(
     for dimension, c in compiled:
         columns = [names.index(name) for name in c.inputs]
         first_missing, crisp, strengths = kernel.score_block(
-            c, kernel.term_table(c.variable), values[:, columns], missing[:, columns]
+            c, values[:, columns], missing[:, columns]
         )
         for n in ((first_missing >= 0) | (crisp != crisp)).nonzero()[0].tolist():
             if n in failed:
@@ -373,31 +373,18 @@ def _result_ends(dimension, score, label, memberships) -> tuple[str, str]:
 
 
 def _fired_json(column: _Column) -> list[str]:
-    """Each row's fired rules as `profiles_to_json` writes them, without the brackets.
-
-    Kernel rows go by groups that fired the same rules, one template a group.
-    """
+    """Each row's fired rules as `profiles_to_json` writes them, without the brackets."""
     dumps = json.dumps
     if column.rule_ids is None:
         return [
             ", ".join(f'{{"rule_id": {dumps(r)}, "strength": {dumps(s)}}}' for r, s in fired)
             for fired in column.strengths
         ]
-    strengths = column.strengths
-    groups: dict[tuple[bool, ...], list[int]] = {}  # rows by the rules that fired in them
-    for n, fired in enumerate((strengths > 0.0).tolist()):
-        groups.setdefault(tuple(fired), []).append(n)
-    distinct = list(dict.fromkeys(strengths[strengths > 0.0].tolist()))
-    text_of = dict(zip(distinct, map(repr, distinct)))
-    texts = [""] * len(column.codes)
-    for fired, rows in groups.items():
-        rules = list(compress(range(len(fired)), fired))
-        prefixes = (dumps(column.rule_ids[r]).replace("%", "%%") for r in rules)
-        template = ", ".join(f'{{"rule_id": {p}, "strength": %s}}' for p in prefixes)
-        values = map(text_of.__getitem__, strengths[rows][:, rules].ravel().tolist())
-        for row, text in zip(rows, map(template.__mod__, zip(*[values] * len(rules)))):
-            texts[row] = text
-    return texts
+    ids = list(map(dumps, column.rule_ids))
+    return [
+        ", ".join([f'{{"rule_id": {i}, "strength": {s!r}}}' for i, s in zip(ids, row) if s > 0.0])
+        for row in column.strengths.tolist()
+    ]
 
 
 def profiles_to_json(profiles: Sequence[StyleProfile]) -> str:

@@ -52,6 +52,7 @@ from .ingest import (
     load_questionnaire,
     load_satisfaction,
     load_scores,
+    read_json,
 )
 from .simulate import (
     SimulationError,
@@ -166,8 +167,7 @@ def _load_config(args: argparse.Namespace, actions: dict[str, argparse.Action]) 
     path = getattr(args, "config", None)
     if not path:
         return {}
-    with open(path, encoding="utf-8") as handle:
-        config = json.load(handle)
+    config = read_json(path)
     if not isinstance(config, dict):
         raise ConfigError("config file must hold a JSON object")
     unknown = sorted(config.keys() - actions.keys())
@@ -288,9 +288,16 @@ def _cmd_classify(args: argparse.Namespace, config: dict) -> int:
     )
 
     profiles, failures = classify_cohort(records, rb)
-    _write_classification(profiles, failures, out)
     for failure in failures:
-        print(f"classification failed: {failure.reason}", file=sys.stderr)
+        log.info("classification failed: %s", failure.reason)
+    _write_classification(profiles, failures, out)
+    if failures:  # one line; failures.csv and the info log list each
+        missing = sum(failure.dimension is None for failure in failures)
+        print(
+            f"classification failed for {len(failures)} of {len(records)} learners "
+            f"({missing} missing a feature, {len(failures) - missing} with no rule fired), "
+            f"first: {failures[0].reason}; failures.csv lists each", file=sys.stderr,
+        )
 
     questionnaire_path = _opt(args, config, "questionnaire")
     if questionnaire_path:
@@ -434,7 +441,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_config(args, _flag_actions(parser))
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
+    except (OSError, ValueError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:

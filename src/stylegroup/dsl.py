@@ -132,14 +132,10 @@ class RuleBase(NamedTuple):
             )
         return outputs[0]
 
-    def referenced_inputs(self, dimension: str) -> tuple[str, ...]:
-        """Input variables referenced by this dimension's rules, in declaration order."""
-        used = {name for rule in self.rules_for(dimension) for name, _ in rule.antecedent}
-        return tuple(v.name for v in self.variables if v.name in used)
-
     def compile_dimension(self, dimension: str) -> CompiledRules:
         """Resolve one dimension's rules into feature columns, clause terms and term indices.
 
+        The one resolved form that `simulate`, coverage and `classify` read.
         Columns are numbered in the order the rules and their clauses first
         reference them. A rule with no clause would fire at strength 1 for
         every input, so it raises `EmptyAntecedentError`.

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import logging
 import marshal
 import math
@@ -556,12 +557,30 @@ def load_satisfaction(path: str | Path) -> dict[str, tuple[float, ...]]:
     return responses
 
 
+def read_json(path: str | Path):
+    """A JSON file's value; bad syntax or a repeated key raises a `ValueError` naming the path."""
+
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        obj: dict = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValueError(f"repeated key {key!r}")
+            obj[key] = value
+        return obj
+
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return json.load(handle, object_pairs_hook=unique_keys)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
 class DimensionCoverage(NamedTuple):
     dimension: str
-    required: tuple[str, ...]
+    required: tuple[str, ...]  # `CompiledRules.inputs`: in the order the rules reference them
     learners: int
     covered: int
-    flagged: tuple[tuple[str, tuple[str, ...]], ...]  # (learner, missing variables)
+    flagged: tuple[tuple[str, tuple[str, ...]], ...]  # (learner, missing variables in that order)
 
     @property
     def fraction(self) -> float:
@@ -591,21 +610,18 @@ def feature_coverage(records: Sequence[BehaviorRecord], rb: RuleBase) -> Coverag
     """
     coverages = []
     for dimension in rb.dimensions():
-        required = rb.referenced_inputs(dimension)
+        required = rb.compile_dimension(dimension).inputs
         flagged = []
-        covered = 0
         for record in records:
             missing = tuple(v for v in required if v not in record.features)
             if missing:
                 flagged.append((record.learner_id, missing))
-            else:
-                covered += 1
         coverages.append(
             DimensionCoverage(
                 dimension=dimension,
                 required=required,
                 learners=len(records),
-                covered=covered,
+                covered=len(records) - len(flagged),
                 flagged=tuple(flagged),
             )
         )

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 if TYPE_CHECKING:
-    from .fuzzy import CompiledRules, LinguisticVariable, Trapezoid
+    from .fuzzy import CompiledRules, Trapezoid
 
 # Integrated envelope area below this is treated as "no rule fired".
 ZERO_AREA_TOL = 1e-12
@@ -73,20 +73,6 @@ def centroids(universe: tuple[float, float], terms: Sequence[Trapezoid], scales)
     Rows whose envelope area is below ZERO_AREA_TOL come back as NaN.
     """
     return _centre(*_moments(universe, terms, np.asarray(scales, dtype=float)))
-
-
-def term_table(variable: LinguisticVariable) -> tuple[np.ndarray, np.ndarray]:
-    """Area and centroid of each output term, integrated as one-hot scale rows.
-
-    For any s > 0 the envelope s * T has T's centroid and s times its area,
-    so a row with one active term needs no integration of its own. The
-    rows integrated here are the ones `centroids` integrates for s = 1, so
-    such a row gets the same bits from either. A term of area below
-    ZERO_AREA_TOL has a NaN centroid.
-    """
-    terms = [trap for _, trap in variable.terms]
-    area, first_moment = _moments(variable.universe, terms, np.eye(len(terms)))
-    return area, _centre(area, first_moment)
 
 
 def _centre(area: np.ndarray, first_moment: np.ndarray) -> np.ndarray:
@@ -181,26 +167,26 @@ def feature_matrix(
 
 
 def score_block(
-    compiled: CompiledRules,
-    table: tuple[np.ndarray, np.ndarray],
-    values: np.ndarray,
-    missing: np.ndarray,
+    compiled: CompiledRules, values: np.ndarray, missing: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One dimension over every row of a feature matrix.
 
-    `values` and `missing` come from `feature_matrix` over `compiled.inputs`;
-    `table` is `term_table(compiled.variable)`. Per learner, as arrays: the
-    index into `compiled.inputs` of its first missing feature (-1 if none),
-    its crisp score, and its strength per rule (N x R). The
-    crisp score is NaN when the envelope's area is below ZERO_AREA_TOL. A
-    row with one active output term takes that term's centroid; only rows
-    with several are integrated, `_CHUNK` rows per `centroids` call. Rows
-    integrate independently, so the chunk size bounds memory and changes
-    no bit.
+    `values` and `missing` come from `feature_matrix` over `compiled.inputs`.
+    Per learner, as arrays: the index into `compiled.inputs` of its first
+    missing feature (-1 if none), its crisp score (NaN when the envelope's
+    area is below ZERO_AREA_TOL), and its strength per rule (N x R). A row
+    with one active output term takes that term's centroid; only rows with
+    several are integrated, `_CHUNK` rows per `centroids` call. Rows
+    integrate independently, so the chunk size bounds memory and changes no bit.
     """
     strengths = firing_strengths(compiled, values)
     scales = term_strengths(compiled, strengths)
-    area, centroid = table
+    universe, terms = compiled.variable.universe, [trap for _, trap in compiled.variable.terms]
+    # For s > 0, s * T has T's centroid and s times its area. So each term is
+    # integrated once, as the one-hot row `centroids` would integrate for s = 1,
+    # and a row with one active term gets the same bits as from `centroids`.
+    area, first_moment = _moments(universe, terms, np.eye(len(terms)))
+    centroid = _centre(area, first_moment)  # NaN for a term of area below ZERO_AREA_TOL
     active = np.count_nonzero(scales > 0.0, axis=1)
     crisp = np.full(len(scales), np.nan)
     single = np.flatnonzero(active == 1)
@@ -208,9 +194,8 @@ def score_block(
     fired = scales[single, term] * area[term] >= ZERO_AREA_TOL
     crisp[single[fired]] = centroid[term[fired]]
     several = np.flatnonzero(active > 1)
-    terms = [trap for _, trap in compiled.variable.terms]
     for start in range(0, several.size, _CHUNK):
         rows = several[start : start + _CHUNK]
-        crisp[rows] = centroids(compiled.variable.universe, terms, scales[rows])
+        crisp[rows] = centroids(universe, terms, scales[rows])
     first_missing = np.where(missing.any(axis=1), missing.argmax(axis=1), -1)
     return first_missing, crisp, strengths

@@ -10,16 +10,15 @@ coverage surfaces in testing rather than silently reading as zero.
 
 from __future__ import annotations
 
-import json
 import logging
 import sys
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .dsl import Rule, RuleBase
+from .dsl import RuleBase
 from .grouping import GroupAssignment, StyleSignature
 from .ingest import BEHAVIORS_HEADER, SCORES_HEADER, BehaviorRecord, csv_field, csv_text
-from .ingest import written_value
+from .ingest import read_json, written_value
 from .rng import STREAM_BEHAVIOR, STREAM_SCORES, philox_rng
 
 SCORE_RANGE = (0.0, 20.0)
@@ -179,13 +178,6 @@ def default_cohort_spec(seed: int = 0) -> CohortSpec:
     )
 
 
-def _rules_by_consequent(rb: RuleBase) -> dict[tuple[str, str], list[Rule]]:
-    index: dict[tuple[str, str], list[Rule]] = {}
-    for rule in rb.rules:
-        index.setdefault((rule.dimension, rule.consequent[1]), []).append(rule)
-    return index
-
-
 def _place(features: dict[str, float], clauses: list, rng, noisy: bool) -> None:
     """Set each clause's variable to its prototype value plus noise, clamped to its universe.
 
@@ -209,7 +201,17 @@ def generate(
     from one stream seeded by the cohort description.
     """
     dimensions = rb.dimensions()
-    producers = _rules_by_consequent(rb)
+    bounds = {v.name: (lo, hi, spec.noise_sigma * (hi - lo)) for v in rb.variables
+              for lo, hi in [v.universe]}
+    # Per (dimension, label), in rule order, the compiled clauses of each rule
+    # producing it, as (variable, plateau midpoint, lo, hi, noise sd).
+    prototypes: dict[tuple[str, str], list[list[tuple]]] = {}
+    for dimension in dimensions:
+        c = rb.compile_dimension(dimension)
+        for clauses, t in zip(c.clauses, c.consequents):
+            prototypes.setdefault((dimension, c.variable.terms[t][0]), []).append(
+                [(c.inputs[k], term.plateau_midpoint, *bounds[c.inputs[k]]) for k, term in clauses]
+            )
     for signature, _ in spec.counts:
         if len(signature) != len(dimensions):
             raise SimulationError(
@@ -217,25 +219,11 @@ def generate(
                 f"rule base covers {len(dimensions)} dimensions"
             )
         for dimension, label in zip(dimensions, signature):
-            if (dimension, label) not in producers:
+            if (dimension, label) not in prototypes:
                 raise UnreachableLabelError(
                     f"no rule produces {label!r} in dimension {dimension!r}"
                 )
 
-    variables = {v.name: v for v in rb.variables}
-
-    def prototype(rule: Rule) -> list[tuple[str, float, float, float, float]]:
-        """(variable, plateau midpoint, lo, hi, noise sd) per clause of a rule."""
-        clauses = []
-        for var_name, term_label in rule.antecedent:
-            variable = variables[var_name]
-            lo, hi = variable.universe
-            midpoint = variable.term(term_label).plateau_midpoint
-            clauses.append((var_name, midpoint, lo, hi, spec.noise_sigma * (hi - lo)))
-        return clauses
-
-    # Resolved once: the producing rules' prototypes per (dimension, label).
-    prototypes = {key: [prototype(rule) for rule in rules] for key, rules in producers.items()}
     uniform = [(v.name, *v.universe) for v in rb.variables if v.kind == "input"]
     noisy = spec.noise_sigma > 0
 
@@ -334,5 +322,4 @@ def write_scores_csv(scores: dict[str, float], path: str | Path) -> None:
 
 
 def load_cohort_spec(path: str | Path) -> CohortSpec:
-    with open(path, encoding="utf-8") as handle:
-        return CohortSpec.from_json_dict(json.load(handle))
+    return CohortSpec.from_json_dict(read_json(path))

@@ -219,7 +219,7 @@ def test_cohort_keeps_zero_and_negative_zero_apart(monkeypatch):
     )
     crisp = np.array([0.0, -0.0, 0.0, -0.0, 7.0])
 
-    def score_block(compiled, table, values, missing):
+    def score_block(compiled, values, missing):
         strengths = np.tile([1.0, 0.0], (len(values), 1))
         return np.full(len(values), -1), crisp[: len(values)], strengths
 

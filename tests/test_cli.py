@@ -902,3 +902,142 @@ def test_evaluate_refuses_a_learner_without_a_score(tmp_path, capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err.splitlines()[-1] == "error: no score for learner 'L3'"
     assert not (out / "evaluation.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, text, code, message",
+    [
+        ("--cohort-spec", '{"cohort": [', 1,
+         "error: {path}: Expecting value: line 1 column 13 (char 12)"),
+        ("--cohort-spec", json.dumps(_spec())[:-1] + ', "noise_sigma": 0.2}', 1,
+         "error: {path}: repeated key 'noise_sigma'"),
+        ("--cohort-spec", json.dumps(_spec()).replace('"count": 30', '"count": 30, "count": 5'),
+         1, "error: {path}: repeated key 'count'"),
+        ("--config", '{"min_size": 2 "seed": 3}', 2,
+         "config error: {path}: Expecting ',' delimiter: line 1 column 16 (char 15)"),
+        ("--config", '{"min_size": 2, "min_size": 3}', 2,
+         "config error: {path}: repeated key 'min_size'"),
+    ],
+    ids=["spec-syntax", "spec-repeat", "spec-nested-repeat", "config-syntax", "config-repeat"],
+)
+def test_json_inputs_name_their_file_and_refuse_repeated_keys(
+    tmp_path, capsys, flag, text, code, message
+):
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["pipeline", flag, str(path), "--seed", "3", "--min-size", "2", "--out", str(out)]
+    if flag == "--config":
+        argv += ["--cohort-spec", str(_small_cohort_spec(tmp_path))]
+    assert main(argv) == code
+    assert capsys.readouterr().err.splitlines()[-1] == message.format(path=path)
+    assert not out.exists()
+
+
+# Inputs a, b, c are declared in that order; the rules reference b first.
+_REORDERED_VARS = """
+input a dim=processing universe=[0,100]
+input b dim=processing universe=[0,100]
+input c dim=processing universe=[0,100]
+output processing_score dim=processing universe=[0,12] { calm=(0,0,4,6) busy=(6,8,12,12) }
+"""
+_REORDERED_RULES = """
+RULE r1: IF b IS low AND a IS low THEN processing_score IS calm
+RULE r2: IF b IS much THEN processing_score IS busy
+"""
+
+
+def _classify_reordered(tmp_path, rows):
+    """Classify behaviour rows on the a/b/c base; (exit code, out directory)."""
+    (tmp_path / "base.fvars").write_text(_REORDERED_VARS, encoding="utf-8")
+    (tmp_path / "base.frules").write_text(_REORDERED_RULES, encoding="utf-8")
+    behaviors = tmp_path / "behaviors.csv"
+    behaviors.write_text("learner_id,variable,value\n" + rows, encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["classify", "--vars", str(tmp_path / "base.fvars"),
+                 "--rules", str(tmp_path / "base.frules"),
+                 "--behaviors", str(behaviors), "--out", str(out)])
+    return code, out
+
+
+def test_coverage_lists_missing_inputs_in_rule_order(tmp_path, capsys):
+    code, out = _classify_reordered(tmp_path, "L1,c,50\n")
+    assert code == 0
+    assert "  missing L1: b, a" in (out / "coverage.txt").read_text().splitlines()
+    assert (out / "failures.csv").read_text().splitlines()[1:] == [
+        "L1,,learner 'L1' has no value for 'b'"
+    ]
+
+
+def test_classify_reports_failures_as_one_line_of_counts(tmp_path, capsys, caplog):
+    rows = "L1,c,50\nL2,a,50\nL2,b,50\nL3,a,10\nL3,b,10\nL4,c,7\n"
+    with caplog.at_level(logging.WARNING, logger="stylegroup"):
+        code, out = _classify_reordered(tmp_path, rows)
+    assert code == 0
+    failed = [line for line in capsys.readouterr().err.splitlines() if "failed" in line]
+    assert failed == [
+        "classification failed for 3 of 4 learners (2 missing a feature, "
+        "1 with no rule fired), first: learner 'L1' has no value for 'b'; "
+        "failures.csv lists each"
+    ]
+    assert len((out / "failures.csv").read_text().splitlines()) == 1 + 3
+    with caplog.at_level(logging.INFO, logger="stylegroup"):
+        _classify_reordered(tmp_path, rows)
+    assert [m for m in caplog.messages if m.startswith("classification failed")] == [
+        "classification failed: learner 'L1' has no value for 'b'",
+        "classification failed: no rule fired for learner 'L2' in dimension 'processing'",
+        "classification failed: learner 'L4' has no value for 'b'",
+    ]
+
+
+def test_simulate_then_classify_recovers_a_non_bundled_base(tmp_path, capsys):
+    # The rules reference inputs out of declaration order, `calm` and `right`
+    # have two producers each, and no two output terms share a shape.
+    (tmp_path / "base.fvars").write_text(
+        """
+input x dim=processing universe=[0,10] { low=(0,0,2,4) mid=(3,4,6,7) high=(6,8,10,10) }
+input y dim=processing universe=[0,10] { low=(0,0,2,4) high=(6,8,10,10) }
+input z dim=processing universe=[0,10] { low=(0,0,2,4) high=(6,8,10,10) }
+input u dim=perception universe=[0,20] { low=(0,0,5,8) high=(12,15,20,20) }
+input v dim=perception universe=[0,20] { low=(0,0,5,8) high=(12,15,20,20) }
+output processing_score dim=processing universe=[0,12] { calm=(0,0,4,6) busy=(6,8,12,12) }
+output perception_score dim=perception universe=[0,10] { left=(0,0,3,5) right=(5,7,10,10) }
+""", encoding="utf-8")
+    (tmp_path / "base.frules").write_text(
+        """
+RULE p1: IF y IS low AND x IS low THEN processing_score IS calm
+RULE p2: IF z IS high AND y IS low AND x IS mid THEN processing_score IS calm
+RULE p3: IF y IS high THEN processing_score IS busy
+RULE q1: IF v IS low THEN perception_score IS left
+RULE q2: IF v IS high AND u IS low THEN perception_score IS right
+RULE q3: IF v IS high AND u IS high THEN perception_score IS right
+""", encoding="utf-8")
+    spec = {"cohort": [{"signature": [p, q], "count": 6}
+                       for p in ("calm", "busy") for q in ("left", "right")],
+            "noise_sigma": 0.0}
+    spec_path = tmp_path / "cohort.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    base = ["--vars", str(tmp_path / "base.fvars"), "--rules", str(tmp_path / "base.frules")]
+    trees = []
+    for run in ("run", "again"):
+        sim, out = tmp_path / run / "sim", tmp_path / run / "out"
+        assert main(["simulate", *base, "--cohort-spec", str(spec_path), "--seed", "4",
+                     "--out", str(sim)]) == 0
+        assert main(["classify", *base, "--behaviors", str(sim / "behaviors.csv"),
+                     "--out", str(out)]) == 0
+        trees.append({p.relative_to(tmp_path / run): p.read_bytes()
+                      for p in sorted((tmp_path / run).rglob("*")) if p.is_file()})
+    assert trees[0] == trees[1]
+    run = tmp_path / "run"
+    truth = {row[0]: row[1:] for row in
+             (line.split(",") for line in (run / "sim" / "truth.csv").read_text().splitlines()[1:])}
+    labels: dict[str, list[str]] = {}
+    for line in (run / "out" / "profiles.csv").read_text().splitlines()[1:]:
+        learner, _, _, label = line.split(",")
+        labels.setdefault(learner, []).append(label)
+    assert len(truth) == 24
+    assert labels == truth
+    fired = {rule["rule_id"] for learner in json.loads((run / "out" / "profiles.json").read_text())
+             for result in learner["results"] for rule in result["fired_rules"]}
+    assert fired == {"p1", "p2", "p3", "q1", "q2", "q3"}  # both producers of a label planted
+    assert (run / "out" / "failures.csv").read_text() == "learner_id,dimension,reason\n"

@@ -218,7 +218,7 @@ def test_rule_strength_commutative_and_bounded(degrees, rnd):
 def _score_block(compiled, rows):
     """`kernel.score_block` over input dicts, as `classify_cohort` calls it."""
     values, missing = kernel.feature_matrix(compiled.inputs, rows)
-    return kernel.score_block(compiled, kernel.term_table(compiled.variable), values, missing)
+    return kernel.score_block(compiled, values, missing)
 
 
 def _scales(compiled, inputs):
