@@ -3,12 +3,12 @@
 Subcommands: validate-rules, classify, group, evaluate, simulate, pipeline.
 Flags override values from an optional ``--config`` JSON file (keys match
 the long flag names with underscores; a key that is the long flag of no
-subcommand is an error, and each value must have its flag's JSON type: an
-integer for an integer flag, a number for a float flag, and for any other
-a string within its choices). Diagnostics go to standard error, data to
-files under ``--out`` or to standard output. Exit codes: 0 success, 1
-validation failure, 2 I/O or configuration error. ``STYLEGROUP_LOG``
-selects the log level.
+subcommand, or ``config`` itself, is an error, and each value must have its
+flag's JSON type: an integer for an integer flag, a number for a float
+flag, and for any other a string within its choices); ``DEFAULTS`` fills
+the rest. Diagnostics go to standard error, data to files under ``--out``
+or to standard output. Exit codes: 0 success, 1 validation failure, 2 I/O
+or configuration error. ``STYLEGROUP_LOG`` selects the log level.
 
 All randomness flows from ``--seed``; simulate, group, and pipeline refuse
 to run without one.
@@ -69,7 +69,9 @@ from .stats import evaluation_samples, values_by_label
 
 log = logging.getLogger("stylegroup")
 
-DEFAULT_CONTROL_FRACTION = 0.1
+# What each setting is when neither its flag nor the config file gives it.
+DEFAULTS = {"out": "out", "policy": "clamp", "control_fraction": 0.1,
+            "target_k": DEFAULT_TARGET_K, "min_size": DEFAULT_MIN_SIZE, "alpha": DEFAULT_ALPHA}
 
 
 class ConfigError(Exception):
@@ -98,9 +100,13 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--vars", help="variables file (.fvars); bundled base when omitted")
             p.add_argument("--rules", help="rules file (.frules); bundled base when omitted")
         if out:
-            p.add_argument("--out", help="output directory (default: out)")
+            p.add_argument("--out", help=f"output directory (default: {DEFAULTS['out']})")
         if seed:
             p.add_argument("--seed", type=int, help="random seed (required; no ambient entropy)")
+
+    def add_grouping(p: argparse.ArgumentParser):
+        for flag, kind in (("--control-fraction", float), ("--target-k", int), ("--min-size", int)):
+            p.add_argument(flag, type=kind, help=f"default {DEFAULTS[flag[2:].replace('-', '_')]}")
 
     p = sub.add_parser("validate-rules", help="parse and validate a rule base")
     add_common(p, rules=True)
@@ -110,15 +116,14 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p, rules=True, out=True)
     p.add_argument("--behaviors", help="long-format behaviours CSV")
     p.add_argument("--questionnaire", help="questionnaire CSV for validation")
-    p.add_argument("--policy", choices=["clamp", "strict"], help="ingest policy (default clamp)")
+    p.add_argument("--policy", choices=["clamp", "strict"],
+                   help=f"ingest policy (default {DEFAULTS['policy']})")
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("group", help="split control and form homogeneous groups")
     add_common(p, out=True, seed=True)
     p.add_argument("--profiles", help="profiles CSV produced by classify")
-    p.add_argument("--control-fraction", type=float, dest="control_fraction")
-    p.add_argument("--target-k", type=int, dest="target_k")
-    p.add_argument("--min-size", type=int, dest="min_size")
+    add_grouping(p)
     p.set_defaults(handler=_cmd_group)
 
     p = sub.add_parser("evaluate", help="statistical evaluation of group scores")
@@ -126,21 +131,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assignment", help="assignment CSV produced by group")
     p.add_argument("--scores", help="scores CSV: learner_id,score")
     p.add_argument("--satisfaction", help="satisfaction CSV: learner_id,q1..q7")
-    p.add_argument("--alpha", type=float, help="significance level (default 0.05)")
+    p.add_argument("--alpha", type=float, help=f"significance level (default {DEFAULTS['alpha']})")
     p.set_defaults(handler=_cmd_evaluate)
 
     p = sub.add_parser("simulate", help="generate a synthetic cohort")
     add_common(p, rules=True, out=True, seed=True)
-    p.add_argument("--cohort-spec", dest="cohort_spec", help="cohort spec JSON")
+    p.add_argument("--cohort-spec", help="cohort spec JSON")
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("pipeline", help="simulate, classify, group, and evaluate")
     add_common(p, rules=True, out=True, seed=True)
-    p.add_argument("--cohort-spec", dest="cohort_spec", help="cohort spec JSON")
-    p.add_argument("--control-fraction", type=float, dest="control_fraction")
-    p.add_argument("--target-k", type=int, dest="target_k")
-    p.add_argument("--min-size", type=int, dest="min_size")
-    p.add_argument("--alpha", type=float, help="significance level (default 0.05)")
+    p.add_argument("--cohort-spec", help="cohort spec JSON")
+    add_grouping(p)
+    p.add_argument("--alpha", type=float, help=f"significance level (default {DEFAULTS['alpha']})")
     p.set_defaults(handler=_cmd_pipeline)
 
     return parser
@@ -162,14 +165,16 @@ def _flag_actions(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]
     }
 
 
-def _load_config(args: argparse.Namespace, actions: dict[str, argparse.Action]) -> dict:
-    """The config file's settings, each a known key with its flag's JSON type."""
-    path = getattr(args, "config", None)
-    if not path:
-        return {}
-    config = read_json(path)
+def _resolve_settings(args: argparse.Namespace, actions: dict[str, argparse.Action]) -> None:
+    """Set each flag the command line left unset from the config file, else from `DEFAULTS`.
+
+    Each config key must be some subcommand's long flag, with that flag's JSON type.
+    """
+    config = read_json(args.config) if args.config else {}
     if not isinstance(config, dict):
         raise ConfigError("config file must hold a JSON object")
+    if "config" in config:
+        raise ConfigError("config key 'config' is not allowed: a config file cannot name another")
     unknown = sorted(config.keys() - actions.keys())
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]!r}: no subcommand has that flag")
@@ -186,51 +191,43 @@ def _load_config(args: argparse.Namespace, actions: dict[str, argparse.Action]) 
             ok, kind = isinstance(value, str), "a string"
         if not ok:
             raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
-    return config
+    for key, value in list(vars(args).items()):
+        if value is None:
+            value = config.get(key, DEFAULTS.get(key))
+            if value is not None and actions[key].type is float:
+                value = float(value)
+            setattr(args, key, value)
 
 
-def _opt(args: argparse.Namespace, config: dict, key: str, default=None):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
-
-
-def _require(args: argparse.Namespace, config: dict, key: str):
-    value = _opt(args, config, key)
+def _require(args: argparse.Namespace, key: str):
+    value = getattr(args, key)
     if value is None:
         raise ConfigError(f"--{key.replace('_', '-')} is required")
     return value
 
 
-def _load_rulebase(args: argparse.Namespace, config: dict) -> RuleBase:
-    vars_path = _opt(args, config, "vars")
-    rules_path = _opt(args, config, "rules")
-    if vars_path is None and rules_path is None:
+def _load_rulebase(args: argparse.Namespace) -> RuleBase:
+    if args.vars is None and args.rules is None:
         return default_rulebase()
-    if vars_path is None or rules_path is None:
+    if args.vars is None or args.rules is None:
         raise ConfigError("--vars and --rules must be given together")
     return load_rulebase(
-        Path(vars_path).read_text(encoding="utf-8"),
-        Path(rules_path).read_text(encoding="utf-8"),
+        Path(args.vars).read_text(encoding="utf-8"),
+        Path(args.rules).read_text(encoding="utf-8"),
     )
 
 
-def _checked_rulebase(
-    args: argparse.Namespace, config: dict
-) -> tuple[RuleBase, list[Diagnostic]]:
+def _checked_rulebase(args: argparse.Namespace) -> tuple[RuleBase, list[Diagnostic]]:
     """Load and validate; print the diagnostics to stderr."""
-    rb = _load_rulebase(args, config)
+    rb = _load_rulebase(args)
     diagnostics = validate(rb)
     for diagnostic in diagnostics:
         print(diagnostic.format(), file=sys.stderr)
     return rb, diagnostics
 
 
-def _out_dir(args: argparse.Namespace, config: dict) -> Path:
-    out = Path(_opt(args, config, "out", "out"))
+def _out_dir(args: argparse.Namespace) -> Path:
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -242,18 +239,21 @@ def _dump_json(payload, path: Path) -> None:
 
 
 # --------------------------------------------------------------------------
-# Subcommands
+# Stages: each writes its files into `out`, for a staged command and `pipeline` alike.
 
 
-def _cmd_validate_rules(args: argparse.Namespace, config: dict) -> int:
-    _, diagnostics = _checked_rulebase(args, config)
-    errors = error_count(diagnostics)
-    warnings = len(diagnostics) - errors
-    print(f"{errors} errors, {warnings} warnings")
-    return 1 if errors else 0
+def _write_cohort(spec, rb: RuleBase, truth, records, out: Path) -> None:
+    """Write a generated cohort's spec, behaviours and planted truth."""
+    _dump_json(spec.to_json_dict(), out / "cohort_spec.json")
+    write_behaviors_csv(records, rb, out / "behaviors.csv")
+    write_truth_csv(truth, rb.dimensions(), out / "truth.csv")
 
 
-def _write_classification(table, failures, out: Path) -> None:
+def _classify(records, rb: RuleBase, out: Path):
+    """Classify, write the profiles and the failures, and print a line on the failures."""
+    table, failures = classify_cohort(records, rb)
+    for failure in failures:
+        log.info("classification failed: %s", failure.reason)
     (out / "profiles.csv").write_text(profiles_to_csv(table), encoding="utf-8")
     detail = profiles_to_json(table)
     (out / "profiles.json").write_text(detail, encoding="utf-8")
@@ -267,17 +267,57 @@ def _write_classification(table, failures, out: Path) -> None:
         "profiles.json %d learners %d bytes",
         table.result_count(), len(failures), len(table), len(detail),
     )
+    if failures:  # one line; failures.csv and the info log list each
+        missing = sum(failure.dimension is None for failure in failures)
+        print(
+            f"classification failed for {len(failures)} of {len(records)} learners "
+            f"({missing} missing a feature, {len(failures) - missing} with no rule fired), "
+            f"first: {failures[0].reason}; failures.csv lists each", file=sys.stderr,
+        )
+    return table, failures
 
 
-def _cmd_classify(args: argparse.Namespace, config: dict) -> int:
-    rb, diagnostics = _checked_rulebase(args, config)
+def _group(table, params: GroupingParams, out: Path) -> GroupAssignment:
+    """Split off the control, form the groups, and write the assignment and content plans."""
+    assignment = assign_groups(table, params)
+    (out / "assignment.csv").write_text(assignment.to_csv(), encoding="utf-8")
+    plans = [content_plan(group).to_json_dict() for group in assignment.groups]
+    _dump_json(plans, out / "content_plans.json")
+    return assignment
+
+
+def _evaluate(rows, scores, alpha: float, satisfaction, out: Path):
+    """Evaluate the scores of the assignment rows, and write the report as JSON and text."""
+    samples, control = evaluation_samples(rows, scores)
+    responses = None if satisfaction is None else values_by_label(rows, satisfaction)
+    report = build_evaluation_report(
+        samples, control, alpha=alpha, satisfaction_responses=responses
+    )
+    _dump_json(report.to_json_dict(), out / "evaluation.json")
+    (out / "evaluation.txt").write_text(report.to_text(), encoding="utf-8")
+    return report
+
+
+# --------------------------------------------------------------------------
+# Subcommands
+
+
+def _cmd_validate_rules(args: argparse.Namespace) -> int:
+    _, diagnostics = _checked_rulebase(args)
+    errors = error_count(diagnostics)
+    warnings = len(diagnostics) - errors
+    print(f"{errors} errors, {warnings} warnings")
+    return 1 if errors else 0
+
+
+def _cmd_classify(args: argparse.Namespace) -> int:
+    rb, diagnostics = _checked_rulebase(args)
     if error_count(diagnostics):
         return 1
-    behaviors_path = _require(args, config, "behaviors")
-    policy = _opt(args, config, "policy", "clamp")
-    out = _out_dir(args, config)
+    behaviors_path = _require(args, "behaviors")
+    records, clamp_report = load_behaviors(behaviors_path, list(rb.variables), policy=args.policy)
+    out = _out_dir(args)
 
-    records, clamp_report = load_behaviors(behaviors_path, list(rb.variables), policy=policy)
     clamp_lines = clamp_report.format_lines()
     (out / "clamp_report.txt").write_text(
         "".join(line + "\n" for line in clamp_lines), encoding="utf-8"
@@ -286,22 +326,10 @@ def _cmd_classify(args: argparse.Namespace, config: dict) -> int:
     (out / "coverage.txt").write_text(
         "\n".join(coverage.format_lines()) + "\n", encoding="utf-8"
     )
+    profiles, failures = _classify(records, rb, out)
 
-    profiles, failures = classify_cohort(records, rb)
-    for failure in failures:
-        log.info("classification failed: %s", failure.reason)
-    _write_classification(profiles, failures, out)
-    if failures:  # one line; failures.csv and the info log list each
-        missing = sum(failure.dimension is None for failure in failures)
-        print(
-            f"classification failed for {len(failures)} of {len(records)} learners "
-            f"({missing} missing a feature, {len(failures) - missing} with no rule fired), "
-            f"first: {failures[0].reason}; failures.csv lists each", file=sys.stderr,
-        )
-
-    questionnaire_path = _opt(args, config, "questionnaire")
-    if questionnaire_path:
-        questionnaire = load_questionnaire(questionnaire_path)
+    if args.questionnaire:
+        questionnaire = load_questionnaire(args.questionnaire)
         report = validate_against_questionnaire(profiles, questionnaire)
         _dump_json(report.to_json_dict(), out / "validation.json")
 
@@ -309,30 +337,21 @@ def _cmd_classify(args: argparse.Namespace, config: dict) -> int:
     return 0
 
 
-def _grouping_params(args: argparse.Namespace, config: dict) -> GroupingParams:
+def _grouping_params(args: argparse.Namespace) -> GroupingParams:
     return GroupingParams(
-        control_fraction=float(
-            _opt(args, config, "control_fraction", DEFAULT_CONTROL_FRACTION)
-        ),
-        seed=_require(args, config, "seed"),
-        target_k=_opt(args, config, "target_k", DEFAULT_TARGET_K),
-        min_size=_opt(args, config, "min_size", DEFAULT_MIN_SIZE),
+        control_fraction=args.control_fraction,
+        seed=_require(args, "seed"),
+        target_k=args.target_k,
+        min_size=args.min_size,
     )
 
 
-def _write_assignment(assignment: GroupAssignment, out: Path) -> None:
-    (out / "assignment.csv").write_text(assignment.to_csv(), encoding="utf-8")
-    plans = [content_plan(group).to_json_dict() for group in assignment.groups]
-    _dump_json(plans, out / "content_plans.json")
-
-
-def _cmd_group(args: argparse.Namespace, config: dict) -> int:
-    profiles_path = _require(args, config, "profiles")
-    params = _grouping_params(args, config)
-    out = _out_dir(args, config)
+def _cmd_group(args: argparse.Namespace) -> int:
+    profiles_path = _require(args, "profiles")
+    params = _grouping_params(args)
     profiles = profiles_from_csv(profiles_path)
-    assignment = assign_groups(profiles, params)
-    _write_assignment(assignment, out)
+    check_params(params, len(profiles))
+    assignment = _group(profiles, params, _out_dir(args))
     print(
         f"{len(assignment.groups)} groups "
         f"({', '.join(str(len(g.members)) for g in assignment.groups)} members), "
@@ -341,89 +360,59 @@ def _cmd_group(args: argparse.Namespace, config: dict) -> int:
     return 0
 
 
-def _write_evaluation(report, out: Path) -> None:
-    _dump_json(report.to_json_dict(), out / "evaluation.json")
-    (out / "evaluation.txt").write_text(report.to_text(), encoding="utf-8")
-
-
-def _cmd_evaluate(args: argparse.Namespace, config: dict) -> int:
-    assignment_path = _require(args, config, "assignment")
-    scores_path = _require(args, config, "scores")
-    alpha = float(_opt(args, config, "alpha", DEFAULT_ALPHA))
-    out = _out_dir(args, config)
-
+def _cmd_evaluate(args: argparse.Namespace) -> int:
+    assignment_path = _require(args, "assignment")
+    scores_path = _require(args, "scores")
+    check_alpha(args.alpha)
     scores = load_scores(scores_path)
     entries = assignment_from_csv(assignment_path)
-    samples, control = evaluation_samples(entries, scores)
-    satisfaction_path = _opt(args, config, "satisfaction")
-    satisfaction = (
-        values_by_label(entries, load_satisfaction(satisfaction_path))
-        if satisfaction_path
-        else None
-    )
-    report = build_evaluation_report(
-        samples, control, alpha=alpha, satisfaction_responses=satisfaction
-    )
-    _write_evaluation(report, out)
+    satisfaction = load_satisfaction(args.satisfaction) if args.satisfaction else None
+    report = _evaluate(entries, scores, args.alpha, satisfaction, _out_dir(args))
     print(report.to_text(), end="")
     return 0
 
 
-def _resolve_cohort_spec(args: argparse.Namespace, config: dict):
-    seed = _require(args, config, "seed")
-    spec_path = _opt(args, config, "cohort_spec")
-    if spec_path:
-        return load_cohort_spec(spec_path)._replace(seed=seed)
+def _resolve_cohort_spec(args: argparse.Namespace):
+    seed = _require(args, "seed")
+    if args.cohort_spec:
+        return load_cohort_spec(args.cohort_spec)._replace(seed=seed)
     return default_cohort_spec(seed=seed)
 
 
-def _simulate(spec, rb: RuleBase, out: Path):
-    """Generate the cohort and write its spec, behaviours and planted truth."""
-    truth, records = generate(spec, rb)
-    _dump_json(spec.to_json_dict(), out / "cohort_spec.json")
-    write_behaviors_csv(records, rb, out / "behaviors.csv")
-    write_truth_csv(truth, rb.dimensions(), out / "truth.csv")
-    return truth, records
-
-
-def _cmd_simulate(args: argparse.Namespace, config: dict) -> int:
-    rb, diagnostics = _checked_rulebase(args, config)
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    rb, diagnostics = _checked_rulebase(args)
     if error_count(diagnostics):
         return 1
-    spec = _resolve_cohort_spec(args, config)
-    _, records = _simulate(spec, rb, _out_dir(args, config))
+    spec = _resolve_cohort_spec(args)
+    truth, records = generate(spec, rb)
+    _write_cohort(spec, rb, truth, records, _out_dir(args))
     print(f"simulated {len(records)} learners")
     return 0
 
 
-def _cmd_pipeline(args: argparse.Namespace, config: dict) -> int:
-    rb, diagnostics = _checked_rulebase(args, config)
+def _cmd_pipeline(args: argparse.Namespace) -> int:
+    rb, diagnostics = _checked_rulebase(args)
     if error_count(diagnostics):
         return 1
-    spec = _resolve_cohort_spec(args, config)
-    params = _grouping_params(args, config)
-    alpha = float(_opt(args, config, "alpha", DEFAULT_ALPHA))
+    spec = _resolve_cohort_spec(args)
+    params = _grouping_params(args)
     # Refuse before writing anything what grouping would refuse for the spec's
     # cohort (no stage sees more learners), and an alpha `evaluate` refuses.
     check_params(params, spec.total)
-    check_alpha(alpha)
-    out = _out_dir(args, config)
+    check_alpha(args.alpha)
+    truth, records = generate(spec, rb)
+    out = _out_dir(args)
 
-    truth, records = _simulate(spec, rb, out)
+    _write_cohort(spec, rb, truth, records, out)
     if any(v.max_expected is not None for v in rb.variables):
         # A ceiling's raw value reads back to other bits: classify what `classify` reads.
         records, _ = load_behaviors(out / "behaviors.csv", list(rb.variables))
-    profiles, failures = classify_cohort(records, rb)
-    _write_classification(profiles, failures, out)
-
-    assignment = assign_groups(profiles, params)
-    _write_assignment(assignment, out)
-
+    profiles, _ = _classify(records, rb, out)
+    assignment = _group(profiles, params, out)
     if spec.score_model is not None:
         scores = generate_scores(truth, assignment, spec.score_model, spec.seed)
         write_scores_csv(scores, out / "scores.csv")
-        samples, control = evaluation_samples(assignment.rows(), scores)
-        _write_evaluation(build_evaluation_report(samples, control, alpha=alpha), out)
+        _evaluate(assignment.rows(), scores, args.alpha, None, out)
 
     print(
         f"pipeline complete: {len(records)} learners, "
@@ -440,12 +429,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args, _flag_actions(parser))
+        _resolve_settings(args, _flag_actions(parser))
     except (OSError, ValueError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        return args.handler(args, config)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 from .classify import CohortTable, StyleProfile
 from .ingest import MalformedRowError, csv_text, learner_rows
-from .rng import STREAM_CONTROL, choice_set
+from .rng import STREAM_CONTROL, choice_set, philox_key
 
 log = logging.getLogger(__name__)
 
@@ -222,13 +222,14 @@ def _check_min_size(min_size: int) -> None:
 def check_params(params: GroupingParams, learners: int) -> None:
     """Refuse, in `assign_groups`' order, what it refuses for every cohort up to `learners`.
 
-    `min_size` and `target_k` do not depend on the cohort. Neither
+    `min_size`, the seed and `target_k` do not depend on the cohort. Neither
     round(f * n) nor n - round(f * n) falls as n grows, so a split that
     leaves a side below 2 learners at `learners` does so at every smaller
     count as well.
     """
     _check_min_size(params.min_size)
     _control_size(learners, params.control_fraction)
+    philox_key(params.seed, STREAM_CONTROL)  # refuses a negative seed as the split's draw does
     _check_target_k(params.target_k)
 
 

@@ -1,10 +1,20 @@
+import contextlib
+import io
+import itertools
 import json
 import logging
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
 
 import pytest
+from hypothesis import example, given, seed, settings, strategies as st
 
+from stylegroup.classify import classify_cohort
 from stylegroup.cli import main
-from stylegroup.dsl import default_rulebase, pretty_print
+from stylegroup.dsl import default_rulebase, load_rulebase, pretty_print
+from stylegroup.grouping import GroupingParams, assign_groups
+from stylegroup.simulate import generate, load_cohort_spec
 
 CONFLICTING_VARS = """
 input test_time dim=processing
@@ -612,6 +622,15 @@ def test_unknown_config_key_is_a_config_error(tmp_path, capsys):
     assert main(argv) == 0
 
 
+def test_a_config_file_may_not_set_config(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"config": "other.json", "min_size": 2}', encoding="utf-8")
+    assert main(["validate-rules", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "config error: config key 'config' is not allowed: a config file cannot name another"
+    )
+
+
 def test_group_logs_its_assignment_only_at_info(tmp_path):
     """At STYLEGROUP_LOG=info, group says what it formed; the files do not change."""
     import filecmp
@@ -718,6 +737,9 @@ def test_evaluate_keeps_the_group_order_of_the_assignment(tmp_path, capsys):
     assert ["group-5", "group-37"] in [p["pair"] for p in evaluation["posthoc"]]
 
 
+_GLOBAL = ["reactive", "sensory", "visual", "global"]  # no rule concludes 'global'
+
+
 @pytest.mark.parametrize(
     "flag, value, message",
     [
@@ -727,15 +749,50 @@ def test_evaluate_keeps_the_group_order_of_the_assignment(tmp_path, capsys):
          "each needs at least 2"),
         ("--target-k", "0", "target_k must be >= 1, got 0"),
         ("--alpha", "2", "alpha must lie in (0, 1), got 2.0"),
+        ("--seed", "-1", "seed must be a non-negative integer"),
+        ("--cohort-spec", "global.json", "no rule produces 'global' in dimension 'understanding'"),
     ],
 )
 def test_pipeline_refuses_bad_settings_before_writing_anything(
     tmp_path, capsys, flag, value, message
 ):
+    if flag == "--cohort-spec":
+        value = str(tmp_path / value)
+        Path(value).write_text(json.dumps(_spec(entry={"signature": _GLOBAL})), encoding="utf-8")
     out = tmp_path / "out"
     assert main(["pipeline", "--seed", "3", flag, value, "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["simulate", "--seed", "-1"], 1, "error: seed must be a non-negative integer"),
+        (["simulate", "--cohort-spec", "{global}", "--seed", "3"], 1,
+         "error: no rule produces 'global' in dimension 'understanding'"),
+        (["group", "--profiles", "{profiles}", "--seed", "-1"], 1,
+         "error: seed must be a non-negative integer"),
+        (["group", "--profiles", "{profiles}", "--seed", "3", "--min-size", "1"], 1,
+         "error: min_size must be >= 2, got 1"),
+        (["group", "--profiles", "{missing}", "--seed", "3"], 2,
+         "i/o error: [Errno 2] No such file or directory: '{missing}'"),
+        (["evaluate", "--assignment", "{assignment}", "--scores", "{scores}", "--alpha", "1.5"],
+         1, "error: alpha must lie in (0, 1), got 1.5"),
+    ],
+    ids=["simulate-seed", "simulate-global", "group-seed", "group-min-size", "group-missing",
+         "evaluate-alpha"],
+)
+def test_staged_commands_refuse_before_creating_out(tmp_path, capsys, argv, code, message):
+    spec = tmp_path / "global.json"
+    spec.write_text(json.dumps(_spec(entry={"signature": _GLOBAL})), encoding="utf-8")
+    assignment, scores = _evaluate_inputs(tmp_path)[1::2]
+    paths = {"global": spec, "profiles": _profiles_csv(tmp_path), "assignment": assignment,
+             "scores": scores, "missing": tmp_path / "missing.csv"}
+    out = tmp_path / "out"
+    assert main([arg.format(**paths) for arg in argv] + ["--out", str(out)]) == code
+    assert capsys.readouterr().err.splitlines()[-1] == message.format(**paths)
+    assert not out.exists()
 
 
 def test_pipeline_refuses_alpha_without_a_score_model(tmp_path, capsys):
@@ -799,6 +856,188 @@ def test_malformed_cohort_spec_is_refused_before_writing_anything(
     assert not out.exists()
 
 
+class _Case(NamedTuple):
+    """A rule base, a cohort spec and the grouping settings of one pipeline run."""
+
+    fvars: str
+    frules: str
+    spec: dict
+    seed: int
+    control_fraction: float
+    target_k: int
+    min_size: int
+
+
+def _corners(draw, top: int) -> str:
+    """A trapezoid on [0, top] of positive width."""
+    a, b, c, d = sorted(draw(st.lists(st.integers(0, top), min_size=4, max_size=4)))
+    if a == d:
+        a, d = (a - 1, d) if d == top else (a, d + 1)
+    return f"({a},{b},{c},{d})"
+
+
+@st.composite
+def _cases(draw) -> _Case:
+    """1-3 dimensions of 1-4 inputs, 2-4 output terms and 1-5 rules each; a spec planting
+    labels that rules produce."""
+    order = ("processing", "perception", "entrance", "understanding")
+    dims = sorted(draw(st.sets(st.sampled_from(order), min_size=1, max_size=3)), key=order.index)
+    fvars, frules, produced = [], [], []
+    for dim in dims:
+        inputs = []
+        for k in range(draw(st.integers(1, 4))):
+            name, line = f"{dim[:4]}_in{k}", f"input {dim[:4]}_in{k} dim={dim}"
+            terms, custom = ["low", "medium", "much"], draw(st.booleans())
+            if custom:
+                top = draw(st.integers(4, 20))
+                terms = [f"t{i}" for i in range(draw(st.integers(1, 3)))]
+                line += f" universe=[0,{top}]"
+            if draw(st.integers(0, 3)) == 3:
+                line += f" max_expected={draw(st.sampled_from(['3.5', '7', '45']))}"
+            if custom:
+                line += " { " + " ".join(f"{t}={_corners(draw, top)}" for t in terms) + " }"
+            fvars.append(line)
+            inputs.append((name, terms))
+        top = draw(st.integers(4, 20))
+        labels = [f"{dim[:4]}{i}" for i in range(draw(st.integers(2, 4)))]
+        block = " ".join(f"{label}={_corners(draw, top)}" for label in labels)
+        fvars.append(f"output {dim}_score dim={dim} universe=[0,{top}] {{ {block} }}")
+        antecedents, concluded = set(), set()
+        for r in range(draw(st.integers(1, 5))):
+            chosen = draw(st.permutations(inputs))[: draw(st.integers(1, len(inputs)))]
+            clauses = [(name, draw(st.sampled_from(terms))) for name, terms in chosen]
+            if frozenset(clauses) in antecedents:  # equal antecedents would conflict
+                continue
+            antecedents.add(frozenset(clauses))
+            label = draw(st.sampled_from(labels))
+            concluded.add(label)
+            frules.append(f"RULE {dim[:4]}{r}: IF "
+                          + " AND ".join(f"{name} IS {term}" for name, term in clauses)
+                          + f" THEN {dim}_score IS {label}")
+        produced.append(sorted(concluded))
+    signatures = draw(st.lists(st.tuples(*map(st.sampled_from, produced)), min_size=1, max_size=4))
+    spec = {"cohort": [{"signature": list(sig), "count": draw(st.integers(6, 12))}
+                       for sig in signatures],
+            "noise_sigma": draw(st.sampled_from([0.0, 0.05, 0.2]))}
+    if draw(st.booleans()):
+        spec["score_model"] = {"treated_mean": 15.0, "control_mean": 12.0, "sigma": 2.0}
+        if draw(st.booleans()):
+            spec["score_model"]["signature_means"] = {"|".join(signatures[0]): 19.0}
+    return _Case("\n".join(fvars) + "\n", "\n".join(frules) + "\n", spec,
+                 draw(st.integers(0, 99)), draw(st.sampled_from([0.3, 0.2, 0.5, 0.1])),
+                 draw(st.integers(1, 4)), draw(st.integers(2, 3)))
+
+
+def _bundled_case() -> _Case:
+    """The bundled base over 8 signatures: three groups of more than one signature mode."""
+    text = pretty_print(default_rulebase()).splitlines()
+    labels = (("reactive", "reflection"), ("sensory", "intuitive"), ("visual", "verbal"))
+    spec = {"cohort": [{"signature": [*sig, "consecutive"], "count": 12}
+                       for sig in itertools.product(*labels)],
+            "noise_sigma": 0.1, "score_model": {**_MODEL, "signature_means": {
+                "reactive|sensory|visual|consecutive": 19.0}}}
+    return _Case("\n".join(l for l in text if l.startswith(("input", "output"))) + "\n",
+                 "\n".join(l for l in text if l.startswith("RULE")) + "\n", spec, 8, 0.2, 3, 10)
+
+
+_BUNDLED_CASE = _bundled_case()
+
+# Each stage's own files, in the order `pipeline` runs the stages.
+_STAGE_FILES = (
+    {"cohort_spec.json", "behaviors.csv", "truth.csv"},
+    {"profiles.csv", "profiles.json", "failures.csv"},
+    {"assignment.csv", "content_plans.json"},
+    {"scores.csv", "evaluation.json", "evaluation.txt"},
+)
+
+
+def _run(*argv) -> tuple[int, str, str]:
+    """`main` on the arguments: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(arg) for arg in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _files(directory: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in directory.iterdir()} if directory.exists() else {}
+
+
+def _failure_lines(stderr: str) -> list[str]:
+    return [line for line in stderr.splitlines() if line.startswith("classification failed")]
+
+
+@seed(20)
+@settings(max_examples=40, deadline=None)
+@example(_BUNDLED_CASE)
+@given(_cases())
+def test_pipeline_is_the_staged_commands_on_random_rule_bases(case):
+    """`pipeline` writes what simulate -> classify -> group -> evaluate write.
+
+    So each file one stage writes is read back by the next with the same
+    result, on random rule bases, with and without `max_expected` ceilings.
+    """
+    from unittest import mock
+
+    from stylegroup import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "base.fvars").write_text(case.fvars, encoding="utf-8")
+        (root / "base.frules").write_text(case.frules, encoding="utf-8")
+        (root / "cohort.json").write_text(json.dumps(case.spec), encoding="utf-8")
+        base = ["--vars", root / "base.fvars", "--rules", root / "base.frules"]
+        spec = ["--cohort-spec", root / "cohort.json", "--seed", case.seed]
+        grouping = ["--seed", case.seed, "--control-fraction", case.control_fraction,
+                    "--target-k", case.target_k, "--min-size", case.min_size]
+        pipeline = ["pipeline", *base, *spec, *grouping]
+        ceiling = "max_expected" in case.fvars
+        # Without a ceiling `pipeline` classifies the generated features and reads nothing back.
+        with mock.patch.object(cli, "load_behaviors", None) if not ceiling else contextlib.nullcontext():
+            code, stdout, stderr = _run(*pipeline, "--out", root / "run")
+        written = _files(root / "run")
+        assert (code, stdout, stderr) == _run(*pipeline, "--out", root / "again")
+        assert _files(root / "again") == written
+        if code:
+            # Refused before the failing stage wrote any of its own files.
+            assert code == 1 and stderr.splitlines()[-1].startswith("error: ")
+            done = 0
+            while done < len(_STAGE_FILES) and _STAGE_FILES[done] <= written.keys():
+                done += 1
+            assert written.keys() == set().union(*_STAGE_FILES[:done])
+            return
+
+        staged = root / "staged"
+        assert _run("simulate", *base, *spec, "--out", staged)[0] == 0
+        code, _, classify_stderr = _run("classify", *base, "--behaviors", staged / "behaviors.csv",
+                                        "--out", staged)
+        assert code == 0
+        assert _failure_lines(stderr) == _failure_lines(classify_stderr)
+        assert _run("group", "--profiles", staged / "profiles.csv", *grouping,
+                    "--out", staged)[0] == 0
+        if "score_model" in case.spec:
+            code, report, _ = _run("evaluate", "--assignment", staged / "assignment.csv",
+                                   "--scores", root / "run" / "scores.csv", "--out", staged)
+            assert code == 0 and report == written["evaluation.txt"].decode()
+        mine = _files(staged)
+        assert mine.keys() - written.keys() == {"clamp_report.txt", "coverage.txt"}
+        assert written.keys() - mine.keys() == ({"scores.csv"} if "score_model" in case.spec
+                                                else set())
+        assert all(mine[name] == written[name] for name in mine.keys() & written.keys())
+
+        if not ceiling:  # the library in process groups as `pipeline` did
+            rb = load_rulebase(case.fvars, case.frules)
+            records = generate(load_cohort_spec(root / "cohort.json")._replace(seed=case.seed),
+                               rb)[1]
+            params = GroupingParams(case.control_fraction, case.seed, case.target_k,
+                                    case.min_size)
+            assignment = assign_groups(classify_cohort(records, rb)[0], params)
+            assert assignment.to_csv() == written["assignment.csv"].decode()
+            if case is _BUNDLED_CASE:
+                assert len(assignment.groups) == 3
+                assert len({g.signature_mode for g in assignment.groups}) > 1
+
+
 @pytest.mark.parametrize("signature_means", [None, {"reactive|sensory|visual|consecutive": 19.0}])
 def test_pipeline_evaluation_is_evaluate_on_its_own_files(tmp_path, capsys, signature_means):
     """Both commands build the samples from (assignment rows, scores) the same way."""
@@ -821,12 +1060,6 @@ def test_pipeline_evaluation_is_evaluate_on_its_own_files(tmp_path, capsys, sign
 
 def test_group_on_profiles_csv_is_the_pipelines_assignment(tmp_path, capsys):
     """`group` reads back the crisp scores `pipeline` grouped in process: the same groups."""
-    import itertools
-
-    from stylegroup.classify import classify_cohort
-    from stylegroup.grouping import GroupingParams, assign_groups
-    from stylegroup.simulate import generate, load_cohort_spec
-
     labels = (("reactive", "reflection"), ("sensory", "intuitive"), ("visual", "verbal"))
     spec = {
         "cohort": [{"signature": [*sig, "consecutive"], "count": 12}
@@ -854,9 +1087,7 @@ def test_pipeline_classifies_what_classify_reads_with_max_expected(tmp_path, cap
 
     Without a ceiling it reads nothing back.
     """
-    import itertools
     import re
-    from pathlib import Path
 
     import stylegroup
     from stylegroup import cli
