@@ -31,7 +31,7 @@ from .grouping import (
     split_control,
 )
 from .ingest import (
-    BehaviorRecord,
+    BehaviorTable,
     QuestionnaireRecord,
     feature_coverage,
     load_behaviors,

@@ -1,11 +1,11 @@
 """Per-dimension fuzzy classification of learners and questionnaire validation.
 
-`classify_cohort` is the one classify entry point; one learner is
-`classify_cohort([record], rb)`. Each dimension compiles once
-(`RuleBase.compile_dimension`), then all learners run through one
-`kernel.score_block` call: Mamdani firing strengths, the exact centroid of the
-output envelope as the crisp score, and as label the term of maximal
-membership at that score. Classification is deterministic and per-learner
+`classify_cohort(behaviors, rb)`, over an `ingest.BehaviorTable`, is the one
+classify entry point. Each dimension compiles once
+(`RuleBase.compile_dimension`), then the matrix of its input columns runs
+through one `kernel.score_block` call: Mamdani firing strengths, the exact
+centroid of the output envelope as the crisp score, and as label the term of
+maximal membership at that score. Classification is deterministic and per-learner
 independent: cohort order never changes an individual profile.
 """
 
@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .dsl import DIMENSIONS, RuleBase
 from .fuzzy import strongest_term
-from .ingest import BehaviorRecord, IngestError, QuestionnaireRecord, csv_field, csv_line
+from .ingest import BehaviorTable, IngestError, QuestionnaireRecord, csv_field, csv_line
 from .ingest import learner_rows, parse_float
 from .stats import ZeroVarianceError, pearson_r
 
@@ -171,7 +171,7 @@ class CohortTable(Sequence):
 
 
 def classify_cohort(
-    records: Iterable[BehaviorRecord], rb: RuleBase
+    behaviors: BehaviorTable, rb: RuleBase
 ) -> tuple[CohortTable, list[ClassificationFailure]]:
     """Classify every learner independently; failures are collected, not fatal.
 
@@ -183,22 +183,20 @@ def classify_cohort(
 
     A learner gets a profile, or the failure of its first failing
     dimension. Within a dimension a missing feature (the first in
-    rule/clause order) is reported before an empty envelope.
+    rule/clause order; NaN, or a column the table lacks) is reported before
+    an empty envelope.
     """
     from . import kernel
 
-    records = list(records)
-    ids = [record.learner_id for record in records]
+    np = kernel.np  # numpy through the kernel, the one module that imports it
+    ids = behaviors.ids
     compiled = [(d, rb.compile_dimension(d)) for d in rb.dimensions()]
-    names = list(dict.fromkeys(name for _, c in compiled for name in c.inputs))
-    values, missing = kernel.feature_matrix(names, [record.features for record in records])
     blocks = []
     failed: dict[int, ClassificationFailure] = {}  # by row, for the first failing dimension
     for dimension, c in compiled:
-        columns = [names.index(name) for name in c.inputs]
-        first_missing, crisp, strengths = kernel.score_block(
-            c, values[:, columns], missing[:, columns]
-        )
+        # N x len(c.inputs) (never 0: a rule has clauses); `fromiter` converts faster than `array`
+        columns = [np.fromiter(behaviors.column(name), float, len(ids)) for name in c.inputs]
+        first_missing, crisp, strengths = kernel.score_block(c, np.array(columns).T)
         for n in ((first_missing >= 0) | (crisp != crisp)).nonzero()[0].tolist():
             if n in failed:
                 continue
@@ -210,7 +208,7 @@ def classify_cohort(
                 reason = f"no rule fired for learner {learner_id!r} in dimension {dimension!r}"
                 failed[n] = ClassificationFailure(learner_id, dimension, reason)
         blocks.append((dimension, c, crisp, strengths))
-    rows = [n for n in range(len(records)) if n not in failed]
+    rows = [n for n in range(len(ids)) if n not in failed]
     columns = []
     for dimension, c, crisp, strengths in blocks:
         # Memberships and label once per distinct crisp score; the bits key keeps -0.0 from 0.0
@@ -229,7 +227,7 @@ def classify_cohort(
     log.info(
         "cohort: %d learners, %d classified, %d missing-feature, %d no-rule-fired, "
         "distinct crisp scores %s",
-        len(records), len(table), missing_count, len(failures) - missing_count,
+        len(ids), len(table), missing_count, len(failures) - missing_count,
         ",".join(f"{d}={len(column.results)}" for (d, *_), column in zip(blocks, table.columns)),
     )
     return table, failures

@@ -242,16 +242,16 @@ def _dump_json(payload, path: Path) -> None:
 # Stages: each writes its files into `out`, for a staged command and `pipeline` alike.
 
 
-def _write_cohort(spec, rb: RuleBase, truth, records, out: Path) -> None:
+def _write_cohort(spec, rb: RuleBase, truth, behaviors, out: Path) -> None:
     """Write a generated cohort's spec, behaviours and planted truth."""
     _dump_json(spec.to_json_dict(), out / "cohort_spec.json")
-    write_behaviors_csv(records, rb, out / "behaviors.csv")
+    write_behaviors_csv(behaviors, rb, out / "behaviors.csv")
     write_truth_csv(truth, rb.dimensions(), out / "truth.csv")
 
 
-def _classify(records, rb: RuleBase, out: Path):
+def _classify(behaviors, rb: RuleBase, out: Path):
     """Classify, write the profiles and the failures, and print a line on the failures."""
-    table, failures = classify_cohort(records, rb)
+    table, failures = classify_cohort(behaviors, rb)
     for failure in failures:
         log.info("classification failed: %s", failure.reason)
     (out / "profiles.csv").write_text(profiles_to_csv(table), encoding="utf-8")
@@ -270,7 +270,7 @@ def _classify(records, rb: RuleBase, out: Path):
     if failures:  # one line; failures.csv and the info log list each
         missing = sum(failure.dimension is None for failure in failures)
         print(
-            f"classification failed for {len(failures)} of {len(records)} learners "
+            f"classification failed for {len(failures)} of {len(behaviors.ids)} learners "
             f"({missing} missing a feature, {len(failures) - missing} with no rule fired), "
             f"first: {failures[0].reason}; failures.csv lists each", file=sys.stderr,
         )
@@ -287,12 +287,13 @@ def _group(table, params: GroupingParams, out: Path) -> GroupAssignment:
 
 
 def _evaluate(rows, scores, alpha: float, satisfaction, out: Path):
-    """Evaluate the scores of the assignment rows, and write the report as JSON and text."""
+    """Evaluate the scores of the assignment rows; only then create `out` and write the report."""
     samples, control = evaluation_samples(rows, scores)
     responses = None if satisfaction is None else values_by_label(rows, satisfaction)
     report = build_evaluation_report(
         samples, control, alpha=alpha, satisfaction_responses=responses
     )
+    out.mkdir(parents=True, exist_ok=True)
     _dump_json(report.to_json_dict(), out / "evaluation.json")
     (out / "evaluation.txt").write_text(report.to_text(), encoding="utf-8")
     return report
@@ -315,18 +316,18 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     if error_count(diagnostics):
         return 1
     behaviors_path = _require(args, "behaviors")
-    records, clamp_report = load_behaviors(behaviors_path, list(rb.variables), policy=args.policy)
+    behaviors, clamp_report = load_behaviors(behaviors_path, list(rb.variables), policy=args.policy)
     out = _out_dir(args)
 
     clamp_lines = clamp_report.format_lines()
     (out / "clamp_report.txt").write_text(
         "".join(line + "\n" for line in clamp_lines), encoding="utf-8"
     )
-    coverage = feature_coverage(records, rb)
+    coverage = feature_coverage(behaviors, rb)
     (out / "coverage.txt").write_text(
         "\n".join(coverage.format_lines()) + "\n", encoding="utf-8"
     )
-    profiles, failures = _classify(records, rb, out)
+    profiles, failures = _classify(behaviors, rb, out)
 
     if args.questionnaire:
         questionnaire = load_questionnaire(args.questionnaire)
@@ -367,7 +368,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     scores = load_scores(scores_path)
     entries = assignment_from_csv(assignment_path)
     satisfaction = load_satisfaction(args.satisfaction) if args.satisfaction else None
-    report = _evaluate(entries, scores, args.alpha, satisfaction, _out_dir(args))
+    report = _evaluate(entries, scores, args.alpha, satisfaction, Path(args.out))
     print(report.to_text(), end="")
     return 0
 
@@ -384,9 +385,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if error_count(diagnostics):
         return 1
     spec = _resolve_cohort_spec(args)
-    truth, records = generate(spec, rb)
-    _write_cohort(spec, rb, truth, records, _out_dir(args))
-    print(f"simulated {len(records)} learners")
+    truth, behaviors = generate(spec, rb)
+    _write_cohort(spec, rb, truth, behaviors, _out_dir(args))
+    print(f"simulated {len(truth)} learners")
     return 0
 
 
@@ -400,14 +401,14 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     # cohort (no stage sees more learners), and an alpha `evaluate` refuses.
     check_params(params, spec.total)
     check_alpha(args.alpha)
-    truth, records = generate(spec, rb)
+    truth, behaviors = generate(spec, rb)
     out = _out_dir(args)
 
-    _write_cohort(spec, rb, truth, records, out)
+    _write_cohort(spec, rb, truth, behaviors, out)
     if any(v.max_expected is not None for v in rb.variables):
         # A ceiling's raw value reads back to other bits: classify what `classify` reads.
-        records, _ = load_behaviors(out / "behaviors.csv", list(rb.variables))
-    profiles, _ = _classify(records, rb, out)
+        behaviors, _ = load_behaviors(out / "behaviors.csv", list(rb.variables))
+    profiles, _ = _classify(behaviors, rb, out)
     assignment = _group(profiles, params, out)
     if spec.score_model is not None:
         scores = generate_scores(truth, assignment, spec.score_model, spec.seed)
@@ -415,7 +416,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         _evaluate(assignment.rows(), scores, args.alpha, None, out)
 
     print(
-        f"pipeline complete: {len(records)} learners, "
+        f"pipeline complete: {len(truth)} learners, "
         f"{len(assignment.groups)} groups, {len(assignment.control)} in control"
     )
     return 0

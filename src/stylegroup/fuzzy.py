@@ -151,10 +151,6 @@ class LinguisticVariable(_Declaration):
             )
         return {label: trap.membership(x) for label, trap in self.terms}
 
-    def classify(self, score: float) -> str:
-        """Label of the term with maximal membership at the score (`strongest_term`)."""
-        return strongest_term(self.fuzzify(score))
-
 
 def strongest_term(memberships: dict[str, float]) -> str:
     """The term of maximal membership; ties break in favour of the earliest-declared term."""

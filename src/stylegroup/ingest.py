@@ -28,7 +28,8 @@ from contextlib import contextmanager
 from functools import partial
 from itertools import islice
 from pathlib import Path
-from typing import Callable, ContextManager, Iterable, Iterator, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Callable, ContextManager, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .dsl import DIMENSIONS, RuleBase
 from .fuzzy import LinguisticVariable
@@ -78,9 +79,31 @@ class UnknownDimensionError(IngestError):
 _SCAN_CHUNK = 1 << 20
 
 
-class BehaviorRecord(NamedTuple):
-    learner_id: str
-    features: dict[str, float]
+class BehaviorTable(NamedTuple):
+    """Behaviour values by column: `columns[name][n]` is learner `ids[n]`'s value of `name`.
+
+    NaN marks an absent value, and only that: readers refuse non-finite values.
+    """
+
+    ids: list[str]
+    columns: dict[str, list[float]]
+
+    @classmethod
+    def of(cls, learners: Iterable[tuple[str, Mapping[str, float]]]) -> BehaviorTable:
+        """The table of (learner id, {variable: value}) pairs, a column per variable named."""
+        learners = list(learners)
+        columns: dict[str, list[float]] = {}
+        for n, (learner, features) in enumerate(learners):
+            for name, value in features.items():
+                if not math.isfinite(value):
+                    raise ValueError(f"learner {learner!r}: {name} value {value!r} is not finite")
+                columns.setdefault(name, [math.nan] * len(learners))[n] = float(value)
+        return cls([learner for learner, _ in learners], columns)
+
+    def column(self, name: str) -> list[float]:
+        """The values of `name`, all NaN if the table has no such column."""
+        column = self.columns.get(name)
+        return [math.nan] * len(self.ids) if column is None else column
 
 
 class QuestionnaireRecord(NamedTuple):
@@ -229,8 +252,8 @@ def load_behaviors(
     path: str | Path,
     variables: Sequence[LinguisticVariable],
     policy: str = "clamp",
-) -> tuple[list[BehaviorRecord], ClampReport]:
-    """Load long-format behaviour observations into one record per learner.
+) -> tuple[BehaviorTable, ClampReport]:
+    """Load long-format behaviour observations: learners by first declared row, a column per input.
 
     Under the ``clamp`` policy, values outside a variable's universe move to
     the nearer bound and unknown variables are skipped; both are tallied in
@@ -239,7 +262,7 @@ def load_behaviors(
     Where `_split_point` allows, a forked child reads the second half of the
     file while this process reads the first, and the halves merge in file
     order. If the child gives no result (a bad row, bad UTF-8, a killed
-    child), this process reads the second half itself, so records, report
+    child), this process reads the second half itself, so table, report
     and errors are those of reading in one part.
     """
     return _load(path, variables, policy, _split_point, _forked)
@@ -251,7 +274,7 @@ def _load(
     policy: str,
     plan: Callable[[int], tuple[tuple[int, int] | None, str]],
     run: Callable[[Callable[[], bytes]], ContextManager[Callable[[], bytes]]],
-) -> tuple[list[BehaviorRecord], ClampReport]:
+) -> tuple[BehaviorTable, ClampReport]:
     """`load_behaviors`, given where to split the file and how to run its second half.
 
     ``plan(fd)``, given the open file's descriptor, gives ``((lines, offset),
@@ -275,40 +298,38 @@ def _load(
         else:
             end, reason = _read_in_two(handle, split, state, run)
 
-    observations: dict[str, dict[str, list[float]]] = {}
+    ids = list(dict.fromkeys(map(itemgetter(0), table)))
+    row = dict(zip(ids, range(len(ids))))
+    columns = {name: [math.nan] * len(ids) for name in by_name}
+    outside = []  # (row, learner, variable, value, lo, hi) in table order
     for (learner, variable), values in table.items():
-        observations.setdefault(learner, {})[variable] = values
-
-    records = []
-    for learner, per_variable in observations.items():
-        features = {}
-        for variable, values in per_variable.items():
-            spec = by_name[variable]
-            if spec.aggregation == "sum":
-                value = sum(values)
-            elif spec.aggregation == "mean":
-                value = sum(values) / len(values)
-            else:
-                value = max(values)
-            if spec.max_expected is not None:
-                value = read_value(value, spec.max_expected)
-            lo, hi = spec.universe
-            if value < lo or value > hi:
-                if policy == "strict":
-                    raise ValueOutOfUniverseError(
-                        f"{learner}: {variable}={value!r} outside its universe [{lo}, {hi}]"
-                    )
-                clamped = min(max(value, lo), hi)
-                report.clamped.append((learner, variable, value, clamped))
-                value = clamped
-            features[variable] = value
-        records.append(BehaviorRecord(learner_id=learner, features=features))
+        spec = by_name[variable]
+        if spec.aggregation == "sum":
+            value = sum(values)
+        elif spec.aggregation == "mean":
+            value = sum(values) / len(values)
+        else:
+            value = max(values)
+        if spec.max_expected is not None:
+            value = read_value(value, spec.max_expected)
+        lo, hi = spec.universe
+        if value < lo or value > hi:
+            outside.append((row[learner], learner, variable, value, lo, hi))
+            value = min(max(value, lo), hi)
+        columns[variable][row[learner]] = value
+    outside.sort(key=itemgetter(0))  # learner by learner, each one's variables by first row
+    for _, learner, variable, value, lo, hi in outside:
+        if policy == "strict":
+            raise ValueOutOfUniverseError(
+                f"{learner}: {variable}={value!r} outside its universe [{lo}, {hi}]"
+            )
+        report.clamped.append((learner, variable, value, min(max(value, lo), hi)))
     log.info(
         "behaviours %s: %d rows, %d learners, %d keys, %d clamped, %d skipped-unknown, parts=%s",
-        path, end - 2, len(records), len(table), report.clamp_count,
+        path, end - 2, len(ids), len(table), report.clamp_count,
         len(report.skipped_unknown), f"1 ({reason})" if reason else "2",
     )
-    return records, report
+    return BehaviorTable(ids, columns), report
 
 
 def _fill(reader, line, by_name, policy, table, names, skipped) -> int:
@@ -603,26 +624,27 @@ class CoverageReport(NamedTuple):
         return lines
 
 
-def feature_coverage(records: Sequence[BehaviorRecord], rb: RuleBase) -> CoverageReport:
+def feature_coverage(table: BehaviorTable, rb: RuleBase) -> CoverageReport:
     """Per dimension, the fraction of learners carrying every variable its rules use.
 
     Learners below full coverage are flagged; the classifier will error on them.
     """
     coverages = []
+    learners = len(table.ids)
     for dimension in rb.dimensions():
         required = rb.compile_dimension(dimension).inputs
-        flagged = []
-        for record in records:
-            missing = tuple(v for v in required if v not in record.features)
-            if missing:
-                flagged.append((record.learner_id, missing))
+        missing: dict[int, list[str]] = {}
+        for name in required:
+            for n in [n for n, value in enumerate(table.column(name)) if value != value]:
+                missing.setdefault(n, []).append(name)
+        flagged = tuple((table.ids[n], tuple(missing[n])) for n in sorted(missing))
         coverages.append(
             DimensionCoverage(
                 dimension=dimension,
                 required=required,
-                learners=len(records),
-                covered=len(records) - len(flagged),
-                flagged=tuple(flagged),
+                learners=learners,
+                covered=learners - len(flagged),
+                flagged=flagged,
             )
         )
-    return CoverageReport(total_learners=len(records), dimensions=tuple(coverages))
+    return CoverageReport(total_learners=learners, dimensions=tuple(coverages))

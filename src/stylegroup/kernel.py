@@ -2,15 +2,16 @@
 
 This is the one module of the package that imports numpy when it loads.
 Its one caller, `classify_cohort`, imports it when first called and runs
-every learner of a dimension through one `score_block` call. So the commands
-that compute no arrays (`validate-rules`, `evaluate`) start without numpy.
-The rules come compiled by `RuleBase.compile_dimension` (`dsl`).
+every learner of a dimension through one `score_block` call, on the matrix
+of that dimension's columns of an `ingest.BehaviorTable`, where NaN marks an
+absent value. So the commands that compute no arrays (`validate-rules`,
+`evaluate`) start without numpy. The rules come compiled by
+`RuleBase.compile_dimension` (`dsl`).
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -148,33 +149,15 @@ def _envelope(terms: Sequence[Trapezoid], scales: np.ndarray, xs: np.ndarray) ->
     return env
 
 
-def feature_matrix(
-    names: Sequence[str], features: Sequence[Mapping[str, float]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """N x len(names) feature values (NaN where absent) and the mask of absent names."""
-    pick = itemgetter(*names) if len(names) > 1 else lambda f: [f[name] for name in names]
-    rows = []
-    for f in features:
-        try:
-            rows.append(pick(f))
-        except KeyError:  # only a row that lacks a name pays for the lookups one by one
-            rows.append([f.get(name, np.nan) for name in names])
-    values = np.array(rows, dtype=float).reshape(len(rows), len(names))
-    missing = np.isnan(values)
-    for n in np.flatnonzero(missing.any(axis=1)):  # a NaN value is present, not missing
-        missing[n] = [name not in features[n] for name in names]
-    return values, missing
-
-
 def score_block(
-    compiled: CompiledRules, values: np.ndarray, missing: np.ndarray
+    compiled: CompiledRules, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One dimension over every row of a feature matrix.
+    """One dimension over every row of an N x len(compiled.inputs) feature matrix.
 
-    `values` and `missing` come from `feature_matrix` over `compiled.inputs`.
-    Per learner, as arrays: the index into `compiled.inputs` of its first
-    missing feature (-1 if none), its crisp score (NaN when the envelope's
-    area is below ZERO_AREA_TOL), and its strength per rule (N x R). A row
+    A NaN value is an absent one, and has membership 0 in every term. Per
+    learner, as arrays: the index into `compiled.inputs` of its first absent
+    feature (-1 if none), its crisp score (NaN when the envelope's area is
+    below ZERO_AREA_TOL), and its strength per rule (N x R). A row
     with one active output term takes that term's centroid; only rows with
     several are integrated, `_CHUNK` rows per `centroids` call. Rows
     integrate independently, so the chunk size bounds memory and changes no bit.
@@ -197,5 +180,6 @@ def score_block(
     for start in range(0, several.size, _CHUNK):
         rows = several[start : start + _CHUNK]
         crisp[rows] = centroids(universe, terms, scales[rows])
+    missing = np.isnan(values)
     first_missing = np.where(missing.any(axis=1), missing.argmax(axis=1), -1)
     return first_missing, crisp, strengths

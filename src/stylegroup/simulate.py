@@ -11,13 +11,14 @@ coverage surfaces in testing rather than silently reading as zero.
 from __future__ import annotations
 
 import logging
+import math
 import sys
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .dsl import RuleBase
 from .grouping import GroupAssignment, StyleSignature
-from .ingest import BEHAVIORS_HEADER, SCORES_HEADER, BehaviorRecord, csv_field, csv_text
+from .ingest import BEHAVIORS_HEADER, SCORES_HEADER, BehaviorTable, csv_field, csv_text
 from .ingest import read_json, written_value
 from .rng import STREAM_BEHAVIOR, STREAM_SCORES, philox_rng
 
@@ -178,27 +179,28 @@ def default_cohort_spec(seed: int = 0) -> CohortSpec:
     )
 
 
-def _place(features: dict[str, float], clauses: list, rng, noisy: bool) -> None:
-    """Set each clause's variable to its prototype value plus noise, clamped to its universe.
+def _place(columns: dict[str, list[float]], n: int, clauses: list, rng, noisy: bool) -> None:
+    """Set row n of each clause's column to its prototype value plus noise, clamped to its universe.
 
-    One `standard_normal(n)` call draws what n scalar calls would, in order,
+    One `standard_normal(k)` call draws what k scalar calls would, in order,
     and sd * z has the bits of `rng.normal(0.0, sd)`.
     """
     noise = rng.standard_normal(len(clauses)).tolist() if noisy else ()
-    for n, (var_name, value, lo, hi, sd) in enumerate(clauses):
+    for k, (var_name, value, lo, hi, sd) in enumerate(clauses):
         if noisy:
-            value += sd * noise[n]
+            value += sd * noise[k]
         # min(max(value, lo), hi), without the two calls
-        features[var_name] = lo if value < lo else hi if value > hi else value
+        columns[var_name][n] = lo if value < lo else hi if value > hi else value
 
 
 def generate(
     spec: CohortSpec, rb: RuleBase
-) -> tuple[list[tuple[str, StyleSignature]], list[BehaviorRecord]]:
+) -> tuple[list[tuple[str, StyleSignature]], BehaviorTable]:
     """Build (truth, behaviours) for the requested planted cohort.
 
     Deterministic: learners are numbered in block order and all draws come
-    from one stream seeded by the cohort description.
+    from one stream seeded by the cohort description. The table has a column
+    per input variable; a cell no chosen clause sets gets a uniform draw.
     """
     dimensions = rb.dimensions()
     bounds = {v.name: (lo, hi, spec.noise_sigma * (hi - lo)) for v in rb.variables
@@ -230,34 +232,30 @@ def generate(
     rng = philox_rng(spec.seed, STREAM_BEHAVIOR)
     width = max(4, len(str(spec.total)))
     truth = []
-    records = []
-    index = 0
+    columns = {var_name: [math.nan] * spec.total for var_name, _, _ in uniform}
+    n = 0
     for signature, count in spec.counts:
         candidates = [prototypes[key] for key in zip(dimensions, signature)]
         for _ in range(count):
-            index += 1
-            learner_id = f"L{index:0{width}d}"
-            features: dict[str, float] = {}
             clauses: list = []  # chosen, with their noise still to draw
             for rules in candidates:
                 # rng.integers(0, 1) draws no bits, so a sole producer needs no call.
                 if len(rules) > 1:
-                    _place(features, clauses, rng, noisy)
+                    _place(columns, n, clauses, rng, noisy)
                     clauses = list(rules[int(rng.integers(0, len(rules)))])
                 else:
                     clauses += rules[0]
-            _place(features, clauses, rng, noisy)
+            _place(columns, n, clauses, rng, noisy)
             for var_name, lo, hi in uniform:
-                if var_name not in features:
-                    features[var_name] = float(rng.uniform(lo, hi))
-            truth.append((learner_id, signature))
-            records.append(BehaviorRecord(learner_id=learner_id, features=features))
+                if math.isnan(columns[var_name][n]):
+                    columns[var_name][n] = float(rng.uniform(lo, hi))
+            n += 1
+            truth.append((f"L{n:0{width}d}", signature))
     log.info(
         "cohort: %d learners, %d signatures, noise %s, seed %d",
-        len(records), len({signature for signature, _ in spec.counts}), spec.noise_sigma,
-        spec.seed,
+        n, len({signature for signature, _ in spec.counts}), spec.noise_sigma, spec.seed,
     )
-    return truth, records
+    return truth, BehaviorTable([learner_id for learner_id, _ in truth], columns)
 
 
 def generate_scores(
@@ -289,19 +287,19 @@ def generate_scores(
 # File emission (the exact formats behaviour ingestion consumes)
 
 
-def write_behaviors_csv(records: Sequence[BehaviorRecord], rb: RuleBase, path: str | Path) -> None:
-    """Long-format behaviours CSV; each learner id is quoted once, by `csv_field`.
+def write_behaviors_csv(table: BehaviorTable, rb: RuleBase, path: str | Path) -> None:
+    """Long-format behaviours CSV: per learner, a row per input it has, in declaration order.
 
-    A max_expected variable's value is written as its `ingest.written_value`,
+    Ids are quoted by `csv_field`. A max_expected value is written as its `ingest.written_value`,
     which `ingest.read_value` scales back, not always to the same bits.
     """
-    inputs = [(v.name, f",{v.name},", v.max_expected) for v in rb.variables if v.kind == "input"]
+    inputs = [(f",{v.name},", v.max_expected, table.column(v.name))
+              for v in rb.variables if v.kind == "input"]
     lines = [",".join(BEHAVIORS_HEADER)]
-    for record in records:
-        learner, features = csv_field(record.learner_id), record.features
-        for name, text, ceiling in inputs:
-            if name in features:
-                value = features[name]
+    for n, learner in enumerate(map(csv_field, table.ids)):
+        for text, ceiling, column in inputs:
+            value = column[n]
+            if value == value:  # NaN: no value
                 if ceiling is not None:
                     value = written_value(value, ceiling)
                 lines.append(learner + text + repr(value))

@@ -80,7 +80,7 @@ def reference_load_behaviors(path, variables, policy="clamp"):
     import math
 
     from stylegroup.ingest import (
-        BehaviorRecord,
+        BehaviorTable,
         ClampReport,
         MalformedRowError,
         NonFiniteValueError,
@@ -128,7 +128,7 @@ def reference_load_behaviors(path, variables, policy="clamp"):
                 continue
             observations.setdefault(learner, {}).setdefault(variable, []).append(value)
 
-    records = []
+    learners = []
     for learner, per_variable in observations.items():
         features = {}
         for variable, values in per_variable.items():
@@ -151,8 +151,17 @@ def reference_load_behaviors(path, variables, policy="clamp"):
                 report.clamped.append((learner, variable, value, clamped))
                 value = clamped
             features[variable] = value
-        records.append(BehaviorRecord(learner_id=learner, features=features))
-    return records, report
+        learners.append((learner, features))
+    return BehaviorTable.of(learners), report
+
+
+def learner_values(table):
+    """Each learner of a `BehaviorTable` with the values it has: [(id, {variable: value})]."""
+    return [
+        (learner, {name: column[n] for name, column in table.columns.items()
+                   if column[n] == column[n]})
+        for n, learner in enumerate(table.ids)
+    ]
 
 
 def reference_csv_text(header, rows) -> str:

@@ -148,8 +148,8 @@ def test_criterion_4_zero_noise_recovery(rb):
         counts=tuple((sig, 100) for sig in PLANTED_SIGNATURES), noise_sigma=0.0, seed=404
     )
     start = time.perf_counter()
-    truth, records = generate(spec, rb)
-    profiles, failures = classify_cohort(records, rb)
+    truth, behaviors = generate(spec, rb)
+    profiles, failures = classify_cohort(behaviors, rb)
     elapsed = time.perf_counter() - start
     truth_map = dict(truth)
     recovered = sum(p.signature == truth_map[p.learner_id] for p in profiles)
@@ -177,8 +177,8 @@ def test_criterion_5_noisy_recovery_correlation(rb):
             noise_sigma=0.05,
             seed=seed,
         )
-        truth, records = generate(spec, rb)
-        profiles, failures = classify_cohort(records, rb)
+        truth, behaviors = generate(spec, rb)
+        profiles, failures = classify_cohort(behaviors, rb)
         assert not failures
         truth_map = dict(truth)
         for i, dimension in enumerate(DIMENSIONS):
@@ -270,8 +270,8 @@ def test_criterion_7_significance_verdicts_across_seeds(rb):
             seed=seed,
             score_model=model,
         )
-        truth, records = generate(spec, rb)
-        profiles, failures = classify_cohort(records, rb)
+        truth, behaviors = generate(spec, rb)
+        profiles, failures = classify_cohort(behaviors, rb)
         assert not failures
         assignment = assign_groups(
             profiles, GroupingParams(seed=seed, **params_template)

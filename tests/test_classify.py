@@ -18,24 +18,27 @@ from stylegroup.classify import (
     validate_against_questionnaire,
 )
 from stylegroup.dsl import DIMENSIONS, parse_rulebase
-from stylegroup.ingest import BehaviorRecord, IngestError, QuestionnaireRecord, csv_text
+from stylegroup.fuzzy import strongest_term
+from stylegroup.ingest import BehaviorTable, IngestError, QuestionnaireRecord, csv_text
+from stylegroup.ingest import feature_coverage
 from stylegroup.stats import pearson_r
 
-from conftest import reference_csv_text, reference_profiles_csv, reference_profiles_to_json
+from conftest import learner_values, reference_csv_text, reference_profiles_csv
+from conftest import reference_profiles_to_json
 from conftest import riemann_centroid, rule_strength
 from conftest import scaled_trap_envelope
 
 
-def _classify_one(record, rb):
-    """One learner's profile, through the one classify entry point."""
-    profiles, failures = classify_cohort([record], rb)
+def _classify_one(learner, rb):
+    """One (id, features) learner's profile, through the one classify entry point."""
+    profiles, failures = classify_cohort(BehaviorTable.of([learner]), rb)
     assert not failures, failures
     return profiles[0]
 
 
-def _classify_failure(record, rb):
+def _classify_failure(learner, rb):
     """The (learner, dimension, reason) failure of one learner that cannot be classified."""
-    profiles, failures = classify_cohort([record], rb)
+    profiles, failures = classify_cohort(BehaviorTable.of([learner]), rb)
     assert not profiles
     return (failures[0].learner_id, failures[0].dimension, failures[0].reason)
 
@@ -69,7 +72,7 @@ def _prototype_features(rb, rule):
 
 def test_reactive_prototype_classifies_reactive(rb):
     rule = next(r for r in rb.rules if r.rule_id == "proc1")
-    record = BehaviorRecord("L1", _full_features(rb, _prototype_features(rb, rule)))
+    record = ("L1", _full_features(rb, _prototype_features(rb, rule)))
     profile = _classify_one(record, rb)
     result = profile.result("processing")
     assert result.label == "reactive"
@@ -84,13 +87,13 @@ def test_reactive_prototype_classifies_reactive(rb):
 
 def test_reflection_prototype_classifies_reflection(rb):
     rule = next(r for r in rb.rules if r.rule_id == "proc5")
-    record = BehaviorRecord("L1", _full_features(rb, _prototype_features(rb, rule)))
+    record = ("L1", _full_features(rb, _prototype_features(rb, rule)))
     profile = _classify_one(record, rb)
     assert profile.result("processing").label == "reflection"
 
 
 def test_profile_covers_all_dimensions_in_order(rb):
-    record = BehaviorRecord("L1", _full_features(rb))
+    record = ("L1", _full_features(rb))
     profile = _classify_one(record, rb)
     assert tuple(r.dimension for r in profile.results) == DIMENSIONS
     assert len(profile.signature) == 4
@@ -99,7 +102,7 @@ def test_profile_covers_all_dimensions_in_order(rb):
 def test_balanced_inputs_fire_competing_rules_equally(mini_rulebase):
     # effort 6 gives both terms membership 0.5, so both rules fire at 0.5
     # and the crisp score is the centroid of the symmetric max-envelope.
-    record = BehaviorRecord("L1", {"effort": 6.0})
+    record = ("L1", {"effort": 6.0})
     profile = _classify_one(record, mini_rulebase)
     result = profile.result("processing")
     assert dict(result.fired_rules) == {"r_low": 0.5, "r_high": 0.5}
@@ -121,8 +124,8 @@ def test_single_rule_strength_does_not_move_centroid():
         RULE only: IF effort IS low THEN processing_score IS calm
         """
     )
-    weak = _classify_one(BehaviorRecord("L1", {"effort": 6.8}), rb)
-    strong = _classify_one(BehaviorRecord("L2", {"effort": 4.4}), rb)
+    weak = _classify_one(("L1", {"effort": 6.8}), rb)
+    strong = _classify_one(("L2", {"effort": 4.4}), rb)
     weak_result = weak.result("processing")
     strong_result = strong.result("processing")
     assert dict(weak_result.fired_rules) == {"only": pytest.approx(0.3)}
@@ -133,11 +136,29 @@ def test_single_rule_strength_does_not_move_centroid():
 def test_missing_feature_error(rb):
     features = _full_features(rb)
     del features["exam_time"]
-    assert _classify_failure(BehaviorRecord("L1", features), rb) == (
+    assert _classify_failure(("L1", features), rb) == (
         "L1",
         None,
         "learner 'L1' has no value for 'exam_time'",
     )
+
+
+def test_an_absent_column_and_a_nan_cell_fail_alike_in_rule_order(rb):
+    # Rule proc1 reads discussion, chat, troubleshooting, test_time, ...: of
+    # the two absent inputs, chat_participation comes first.
+    features = _full_features(rb)
+    lacking = {k: v for k, v in features.items() if k not in ("test_time", "chat_participation")}
+    reason = "learner 'L1' has no value for 'chat_participation'"
+    alone = BehaviorTable.of([("L1", lacking)])  # no such columns at all
+    assert "chat_participation" not in alone.columns
+    beside = BehaviorTable.of([("L1", lacking), ("L2", features)])  # NaN cells
+    assert math.isnan(beside.columns["chat_participation"][0])
+    for table in (alone, beside):
+        profiles, failures = classify_cohort(table, rb)
+        assert [p.learner_id for p in profiles] == table.ids[1:]
+        assert [tuple(f) for f in failures] == [("L1", None, reason)]
+    coverage = {c.dimension: c.flagged for c in feature_coverage(alone, rb).dimensions}
+    assert coverage["processing"] == (("L1", ("chat_participation", "test_time")),)
 
 
 def test_no_rule_fired_error():
@@ -149,7 +170,7 @@ def test_no_rule_fired_error():
         RULE only: IF effort IS low THEN processing_score IS calm
         """
     )
-    assert _classify_failure(BehaviorRecord("L1", {"effort": 10.0}), rb) == (
+    assert _classify_failure(("L1", {"effort": 10.0}), rb) == (
         "L1",
         "processing",
         "no rule fired for learner 'L1' in dimension 'processing'",
@@ -157,15 +178,15 @@ def test_no_rule_fired_error():
 
 
 def test_cohort_empty(rb):
-    assert classify_cohort([], rb) == ([], [])
+    assert classify_cohort(BehaviorTable.of([]), rb) == ([], [])
 
 
 def test_cohort_collects_failures(rb):
-    good = BehaviorRecord("L1", _full_features(rb))
+    good = ("L1", _full_features(rb))
     bad_features = _full_features(rb)
     del bad_features["audio_time"]
-    bad = BehaviorRecord("L2", bad_features)
-    profiles, failures = classify_cohort([good, bad], rb)
+    bad = ("L2", bad_features)
+    profiles, failures = classify_cohort(BehaviorTable.of([good, bad]), rb)
     assert [p.learner_id for p in profiles] == ["L1"]
     assert [f.learner_id for f in failures] == ["L2"]
     assert "audio_time" in failures[0].reason
@@ -181,18 +202,18 @@ def test_cohort_logs_one_line_only_at_info(caplog):
         RULE b: IF effort IS high THEN processing_score IS busy
         """
     )
-    records = [
-        BehaviorRecord("L1", {"effort": 1.0}),
-        BehaviorRecord("L2", {"effort": 1.0}),
-        BehaviorRecord("L3", {"effort": 10.0}),
-        BehaviorRecord("L4", {"effort": 5.0}),  # between the ramps: no rule fires
-        BehaviorRecord("L5", {}),
-    ]
+    behaviors = BehaviorTable.of([
+        ("L1", {"effort": 1.0}),
+        ("L2", {"effort": 1.0}),
+        ("L3", {"effort": 10.0}),
+        ("L4", {"effort": 5.0}),  # between the ramps: no rule fires
+        ("L5", {}),
+    ])
     with caplog.at_level(logging.WARNING, logger="stylegroup.classify"):
-        classify_cohort(records, rb)
+        classify_cohort(behaviors, rb)
     assert caplog.records == []
     with caplog.at_level(logging.INFO, logger="stylegroup.classify"):
-        classify_cohort(records, rb)
+        classify_cohort(behaviors, rb)
     assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
         (
             "stylegroup.classify",
@@ -219,13 +240,13 @@ def test_cohort_keeps_zero_and_negative_zero_apart(monkeypatch):
     )
     crisp = np.array([0.0, -0.0, 0.0, -0.0, 7.0])
 
-    def score_block(compiled, values, missing):
+    def score_block(compiled, values):
         strengths = np.tile([1.0, 0.0], (len(values), 1))
         return np.full(len(values), -1), crisp[: len(values)], strengths
 
     monkeypatch.setattr(kernel, "score_block", score_block)
-    records = [BehaviorRecord(f"L{i}", {"effort": 1.0}) for i in range(5)]
-    table, failures = classify_cohort(records, rb)
+    behaviors = BehaviorTable.of((f"L{i}", {"effort": 1.0}) for i in range(5))
+    table, failures = classify_cohort(behaviors, rb)
     assert not failures
     scores = [p.results[0].crisp_score for p in table]
     assert [math.copysign(1.0, s) for s in scores] == [1.0, -1.0, 1.0, -1.0, 1.0]
@@ -239,14 +260,11 @@ def test_cohort_keeps_zero_and_negative_zero_apart(monkeypatch):
 
 def test_cohort_determinism_and_permutation_invariance(rb):
     # audio_time walks down the "low" ramp so each learner differs slightly
-    records = [
-        BehaviorRecord(f"L{i}", _full_features(rb, {"audio_time": 20.0 + 3.0 * i}))
-        for i in range(6)
-    ]
-    first, _ = classify_cohort(records, rb)
-    second, _ = classify_cohort(records, rb)
+    records = [(f"L{i}", _full_features(rb, {"audio_time": 20.0 + 3.0 * i})) for i in range(6)]
+    first, _ = classify_cohort(BehaviorTable.of(records), rb)
+    second, _ = classify_cohort(BehaviorTable.of(records), rb)
     assert first == second  # bit-identical profiles
-    reversed_profiles, _ = classify_cohort(list(reversed(records)), rb)
+    reversed_profiles, _ = classify_cohort(BehaviorTable.of(reversed(records)), rb)
     by_id = {p.learner_id: p for p in reversed_profiles}
     assert all(by_id[p.learner_id] == p for p in first)
     assert [p.learner_id for p in reversed_profiles] == [f"L{5 - i}" for i in range(6)]
@@ -269,15 +287,13 @@ def test_cohort_matches_learner_by_learner(rb, monkeypatch):
         counts=tuple((sig, 2) for sig in itertools.product(*labels)), noise_sigma=0.15, seed=3
     )
     _, generated = generate(spec, rb)
-    records = []
-    for i, record in enumerate(generated):
-        features = dict(record.features)
+    records = learner_values(generated)
+    for i, (_, features) in enumerate(records):
         if i % 23 == 0:
             del features[sorted(features)[i % len(features)]]
-        records.append(BehaviorRecord(record.learner_id, features))
     assert len(records) > _CHUNK
 
-    profiles, failures = classify_cohort(records, rb)
+    profiles, failures = classify_cohort(BehaviorTable.of(records), rb)
     term_of = {rule.rule_id: rule.consequent[1] for rule in rb.rules}
     multi = [
         sum(len({term_of[rule_id] for rule_id, _ in p.result(d).fired_rules}) > 1
@@ -287,8 +303,8 @@ def test_cohort_matches_learner_by_learner(rb, monkeypatch):
     assert max(multi) > 2 * _CHUNK  # multi-term rows of one dimension span several chunks
 
     expected_profiles, expected_failures = [], []
-    for record in records:
-        alone, failed = classify_cohort([record], rb)
+    for record in records:  # a learner's table lacks the column of a dropped feature
+        alone, failed = classify_cohort(BehaviorTable.of([record]), rb)
         expected_profiles.extend(alone)
         expected_failures.extend((f.learner_id, f.dimension, f.reason) for f in failed)
     assert profiles == expected_profiles  # labels, memberships, fired rules, crisp scores
@@ -300,7 +316,7 @@ def test_cohort_matches_learner_by_learner(rb, monkeypatch):
     assert any(len(r.fired_rules) > 1 for p in profiles for r in p.results)
 
     # firing strengths equal the scalar clause-by-clause product bit for bit
-    features = {r.learner_id: r.features for r in records}
+    features = dict(records)
     variables = {v.name: v for v in rb.variables}
     for profile in profiles:
         for result in profile.results:
@@ -318,7 +334,7 @@ def test_cohort_matches_learner_by_learner(rb, monkeypatch):
 
 def test_cohort_equals_integrating_every_row(rb, monkeypatch):
     # Every envelope is integrated here in one call, the single-term ones
-    # included, and labelled by `LinguisticVariable.classify`. The cohort
+    # included, and labelled by `strongest_term` of its memberships. The cohort
     # integrates its multi-term rows kernel._CHUNK (here 7) at a time.
     import itertools
     import math
@@ -333,30 +349,30 @@ def test_cohort_equals_integrating_every_row(rb, monkeypatch):
     spec = CohortSpec(
         counts=tuple((sig, 2) for sig in itertools.product(*labels)), noise_sigma=0.15, seed=11
     )
-    records = generate(spec, rb)[1][:400]
+    records = learner_values(generate(spec, rb)[1])[:400]
     assert len(records) > _CHUNK
 
-    expected = {r.learner_id: [] for r in records}  # (dimension, crisp, label) until a failure
+    expected = {learner: [] for learner, _ in records}  # (dimension, crisp, label) until a failure
     active_terms = set()
     multi = []  # multi-term rows per dimension, as the cohort integrates them
     for dimension in DIMENSIONS:
         compiled = rb.compile_dimension(dimension)
         variable = compiled.variable
-        values = [[r.features[name] for name in compiled.inputs] for r in records]
+        values = [[features[name] for name in compiled.inputs] for _, features in records]
         scales = kernel.term_strengths(compiled, kernel.firing_strengths(compiled, values))
         active_terms.update((scales > 0.0).sum(axis=1).tolist())
         multi.append(int(((scales > 0.0).sum(axis=1) > 1).sum()))
         crisp = kernel.centroids(variable.universe, [t for _, t in variable.terms], scales)
-        for record, score in zip(records, crisp.tolist()):
-            outcome = expected[record.learner_id]
+        for (learner, _), score in zip(records, crisp.tolist()):
+            outcome = expected[learner]
             if outcome and outcome[-1][1] is None:
                 continue  # an earlier dimension failed
-            label = None if math.isnan(score) else variable.classify(score)
+            label = None if math.isnan(score) else strongest_term(variable.fuzzify(score))
             outcome.append((dimension, None if label is None else score, label))
     assert {0, 1, 2} <= active_terms  # zero-, single- and multi-term envelopes
     assert any(m > 2 * _CHUNK and m % _CHUNK for m in multi)  # full chunks and a part one
 
-    profiles, failures = classify_cohort(records, rb)
+    profiles, failures = classify_cohort(BehaviorTable.of(records), rb)
     assert [(f.learner_id, f.dimension) for f in failures] == [
         (lid, outcome[-1][0]) for lid, outcome in expected.items() if outcome[-1][1] is None
     ]
@@ -370,8 +386,8 @@ def test_cohort_equals_integrating_every_row(rb, monkeypatch):
 
 def test_results_do_not_share_membership_dicts(rb):
     # Identical learners share one memoised label; each result read owns its dict.
-    records = [BehaviorRecord(f"L{i}", _full_features(rb)) for i in range(3)]
-    profiles, _ = classify_cohort(records, rb)
+    behaviors = BehaviorTable.of((f"L{i}", _full_features(rb)) for i in range(3))
+    profiles, _ = classify_cohort(behaviors, rb)
     dicts = [r.term_memberships for p in profiles for r in p.results]
     assert len({id(d) for d in dicts}) == len(dicts) == 3 * len(DIMENSIONS)
     before = dict(profiles[1].results[0].term_memberships)
@@ -383,11 +399,10 @@ def test_results_do_not_share_membership_dicts(rb):
 
 
 def test_cohort_table_is_a_sequence_of_profiles(rb):
-    records = [
-        BehaviorRecord(f"L{i}", _full_features(rb, {"audio_time": 20.0 + 3.0 * i}))
-        for i in range(4)
-    ]
-    table, _ = classify_cohort(records, rb)
+    behaviors = BehaviorTable.of(
+        (f"L{i}", _full_features(rb, {"audio_time": 20.0 + 3.0 * i})) for i in range(4)
+    )
+    table, _ = classify_cohort(behaviors, rb)
     assert isinstance(table, CohortTable)
     profiles = [table[n] for n in range(len(table))]
     assert list(table) == profiles == table[:] and table == profiles
@@ -505,8 +520,8 @@ def test_low_noise_synthetic_cohort_correlates(rb):
         ("reflection", "sensory", "verbal", "consecutive"),
     ]
     spec = CohortSpec(counts=tuple((s, 20) for s in signatures), noise_sigma=0.05, seed=5)
-    truth, records = generate(spec, rb)
-    profiles, failures = classify_cohort(records, rb)
+    truth, behaviors = generate(spec, rb)
+    profiles, failures = classify_cohort(behaviors, rb)
     assert not failures
 
     prototype = {}
@@ -529,8 +544,8 @@ def test_low_noise_synthetic_cohort_correlates(rb):
 
 
 def test_profiles_csv_round_trip(rb, tmp_path):
-    records = [BehaviorRecord(f"L{i}", _full_features(rb)) for i in range(3)]
-    profiles, _ = classify_cohort(records, rb)
+    behaviors = BehaviorTable.of((f"L{i}", _full_features(rb)) for i in range(3))
+    profiles, _ = classify_cohort(behaviors, rb)
     path = tmp_path / "profiles.csv"
     path.write_text(profiles_to_csv(profiles), encoding="utf-8")
     rebuilt = profiles_from_csv(path)
@@ -640,8 +655,7 @@ def test_profile_lists_are_refused_as_their_profiles_csv_is(tmp_path, profiles, 
 def test_profiles_json_contains_fired_rules(rb):
     import json
 
-    records = [BehaviorRecord("L1", _full_features(rb))]
-    profiles, _ = classify_cohort(records, rb)
+    profiles, _ = classify_cohort(BehaviorTable.of([("L1", _full_features(rb))]), rb)
     payload = json.loads(profiles_to_json(profiles))
     assert payload[0]["learner_id"] == "L1"
     first = payload[0]["results"][0]
@@ -757,12 +771,11 @@ def test_cohort_exports_equal_row_by_row_references(rb):
     )
     odd = [",", '"', "\r", "\n", "\r\n", 'a,"b"', "é"]
     records = []
-    for i, record in enumerate(generate(spec, rb)[1]):
-        features = dict(record.features)
+    for i, (_, features) in enumerate(learner_values(generate(spec, rb)[1])):
         if i % 17 == 0:
             del features[sorted(features)[0]]
-        records.append(BehaviorRecord(f"L{i}{odd[i % len(odd)]}", features))
-    table, failures = classify_cohort(records, rb)
+        records.append((f"L{i}{odd[i % len(odd)]}", features))
+    table, failures = classify_cohort(BehaviorTable.of(records), rb)
     assert any(f.dimension is None for f in failures)
     assert any(f.dimension is not None for f in failures)
     profiles = list(table)

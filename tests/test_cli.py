@@ -1027,11 +1027,11 @@ def test_pipeline_is_the_staged_commands_on_random_rule_bases(case):
 
         if not ceiling:  # the library in process groups as `pipeline` did
             rb = load_rulebase(case.fvars, case.frules)
-            records = generate(load_cohort_spec(root / "cohort.json")._replace(seed=case.seed),
+            behaviors = generate(load_cohort_spec(root / "cohort.json")._replace(seed=case.seed),
                                rb)[1]
             params = GroupingParams(case.control_fraction, case.seed, case.target_k,
                                     case.min_size)
-            assignment = assign_groups(classify_cohort(records, rb)[0], params)
+            assignment = assign_groups(classify_cohort(behaviors, rb)[0], params)
             assert assignment.to_csv() == written["assignment.csv"].decode()
             if case is _BUNDLED_CASE:
                 assert len(assignment.groups) == 3
@@ -1132,7 +1132,7 @@ def test_evaluate_refuses_a_learner_without_a_score(tmp_path, capsys):
     argv = ["evaluate", "--assignment", str(assignment), "--scores", str(scores), "--out", str(out)]
     assert main(argv) == 1
     assert capsys.readouterr().err.splitlines()[-1] == "error: no score for learner 'L3'"
-    assert not (out / "evaluation.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

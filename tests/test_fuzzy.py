@@ -11,6 +11,7 @@ from stylegroup.fuzzy import (
     LinguisticVariable,
     OutOfUniverseError,
     Trapezoid,
+    strongest_term,
 )
 from stylegroup.kernel import membership_grid
 
@@ -216,9 +217,9 @@ def test_rule_strength_commutative_and_bounded(degrees, rnd):
 
 
 def _score_block(compiled, rows):
-    """`kernel.score_block` over input dicts, as `classify_cohort` calls it."""
-    values, missing = kernel.feature_matrix(compiled.inputs, rows)
-    return kernel.score_block(compiled, values, missing)
+    """`kernel.score_block` over input dicts, NaN where a row lacks an input."""
+    values = [[row.get(name, math.nan) for name in compiled.inputs] for row in rows]
+    return kernel.score_block(compiled, np.array(values, dtype=float))
 
 
 def _scales(compiled, inputs):
@@ -443,7 +444,7 @@ def test_centroid_within_fired_support():
 
 
 def test_classify_left_pole():
-    assert PERCEPTION.classify(3.0) == "sensory"
+    assert strongest_term(PERCEPTION.fuzzify(3.0)) == "sensory"
     assert PERCEPTION.fuzzify(3.0) == {
         "sensory": 1.0,
         "sensory_intuitive": 0.0,
@@ -452,7 +453,7 @@ def test_classify_left_pole():
 
 
 def test_classify_hybrid_band():
-    assert PERCEPTION.classify(7.5) == "sensory_intuitive"
+    assert strongest_term(PERCEPTION.fuzzify(7.5)) == "sensory_intuitive"
     assert PERCEPTION.fuzzify(7.5) == {
         "sensory": 0.25,
         "sensory_intuitive": 1.0,
@@ -461,7 +462,7 @@ def test_classify_hybrid_band():
 
 
 def test_classify_right_shoulder():
-    assert PERCEPTION.classify(12.0) == "intuitive"
+    assert strongest_term(PERCEPTION.fuzzify(12.0)) == "intuitive"
 
 
 def test_classify_tie_breaks_to_first_declared():
@@ -470,12 +471,12 @@ def test_classify_tie_breaks_to_first_declared():
         (0, 10),
         (("first", Trapezoid(0, 2, 4, 6)), ("second", Trapezoid(0, 2, 4, 6))),
     )
-    assert var.classify(3.0) == "first"
+    assert strongest_term(var.fuzzify(3.0)) == "first"
 
 
 def test_classify_strict_about_universe():
     with pytest.raises(OutOfUniverseError):
-        PERCEPTION.classify(12.5)
+        strongest_term(PERCEPTION.fuzzify(12.5))
 
 
 @given(st.floats(min_value=0, max_value=12, allow_nan=False))
@@ -485,7 +486,7 @@ def test_classify_is_argmax_of_fuzzify(score):
     first_max = next(
         label for label in PERCEPTION.labels() if memberships[label] == best
     )
-    assert PERCEPTION.classify(score) == first_max
+    assert strongest_term(PERCEPTION.fuzzify(score)) == first_max
     # argmax is invariant under a strictly increasing transform
     transformed = {label: math.sqrt(m) for label, m in memberships.items()}
     assert (

@@ -1,0 +1,173 @@
+"""Golden output trees: fixed command runs against a committed table of digests.
+
+Each case runs the command line in fresh processes and compares every
+command's exit code, stdout and stderr, and the sha256 of every file it
+wrote, with `tests/data/golden.json`. So a change that claims to keep the
+outputs byte-identical proves it here. The digests depend on the float
+results of Python and numpy, so the table records both versions, and the
+test names them when they differ from the running ones.
+
+Regenerate the table (only for an intended change of output) with:
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import platform
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+TABLE = ROOT / "tests" / "data" / "golden.json"
+REGENERATE = "PYTHONPATH=src python tests/test_golden.py --write"
+
+# Two rule prototypes of the bundled base (proc1, perc1, ent1, und1 and
+# proc5, perc5, ent5, und5), as (variable, value) in declaration order.
+_FIRST = (
+    ("discussion_participation", 12.5), ("chat_participation", 12.5),
+    ("troubleshooting_participation", 90), ("test_time", 10), ("training_time", 10),
+    ("connected_people", 4.5), ("theory_time", 10), ("lesson_time", 90), ("exam_time", 90),
+    ("studied_examples", 90), ("example_difficulty", 90), ("system_requests", 90),
+    ("audio_time", 10), ("text_time", 10), ("video_time", 90),
+    ("reviewed_examples", 10), ("topic_searches", 10), ("summary_time", 10),
+)
+_LAST = (
+    ("discussion_participation", 1.5), ("chat_participation", 1.5),
+    ("troubleshooting_participation", 10), ("test_time", 90), ("training_time", 90),
+    ("connected_people", 0.5), ("theory_time", 90), ("lesson_time", 10), ("exam_time", 10),
+    ("studied_examples", 10), ("example_difficulty", 10), ("system_requests", 10),
+    ("audio_time", 90), ("text_time", 90), ("video_time", 10),
+    ("reviewed_examples", 90), ("topic_searches", 90), ("summary_time", 90),
+)
+# Ids as a behaviours file quotes them; three need quoting.
+_IDS = ('"Smith, J"', '"the ""ace"""', '"two\r\nlines"', "L04", "L05", "L06",
+        "L07", "L08", "L09", "L10", "L11", "L12", "L13", "L14")
+
+
+def _behaviors() -> str:
+    """A hand-written behaviours log.
+
+    Learners interleave (the rows run variable by variable), `test_time`
+    comes in two rows a learner, one total is clamped to its universe, one
+    variable is undeclared, L13 has no `video_time` and L14 fires no
+    entrance rule.
+    """
+    lines = ["learner_id,variable,value"]
+    for k, (name, _) in enumerate(_FIRST):
+        for n, learner in enumerate(_IDS):
+            value = (_FIRST if n % 2 == 0 else _LAST)[k][1] + 0.25 * (n % 3)
+            if learner == "L13" and name == "video_time":
+                continue
+            if learner == "L14" and name in ("audio_time", "text_time", "video_time"):
+                value = 50
+            if name == "test_time":
+                lines.append(f"{learner},{name},{value / 2!r}")
+                value /= 2
+            if learner == "L05" and name == "discussion_participation":
+                value += 9  # a total above the universe's 15
+            lines.append(f"{learner},{name},{value!r}")
+    lines.append("L04,forum_posts,3")
+    return "\r\n".join(lines) + "\r\n"
+
+
+def _scores() -> str:
+    rows = [f"{learner},{10 + (n * 7) % 9}.5" for n, learner in enumerate(_IDS)]
+    return "learner_id,score\n" + "\n".join(rows) + "\n"
+
+
+def _bundled(name: str) -> str:
+    return (SRC / "stylegroup" / "data" / name).read_text(encoding="utf-8")
+
+
+def _ceilings_fvars() -> str:
+    text = _bundled("default.fvars")
+    for name, ceiling in (("test_time", 7), ("theory_time", 45), ("audio_time", 7)):
+        text = re.sub(rf"^(input {name} dim=\w+)$", rf"\1 max_expected={ceiling}", text,
+                      flags=re.M)
+    return text
+
+
+# Per case: the inputs to write, then the commands to run in order.
+CASES = {
+    "pipeline-seed-42": ({}, [["pipeline", "--seed", "42", "--out", "out"]]),
+    "staged-hand-written": (
+        {"behaviors.csv": _behaviors, "scores.csv": _scores},
+        [
+            ["classify", "--behaviors", "behaviors.csv", "--out", "out"],
+            ["group", "--profiles", "out/profiles.csv", "--seed", "3", "--control-fraction",
+             "0.2", "--target-k", "2", "--min-size", "2", "--out", "out"],
+            ["evaluate", "--assignment", "out/assignment.csv", "--scores", "scores.csv",
+             "--out", "out"],
+        ],
+    ),
+    "pipeline-max-expected": (
+        {"base.fvars": _ceilings_fvars, "base.frules": lambda: _bundled("default.frules")},
+        [["pipeline", "--vars", "base.fvars", "--rules", "base.frules", "--seed", "8",
+          "--out", "out"]],
+    ),
+}
+
+
+def _versions() -> dict[str, str]:
+    return {"python": platform.python_version(), "numpy": numpy.__version__}
+
+
+def run_case(name: str) -> dict:
+    """Each command's exit code, stdout and stderr, then the digest of every file under out/."""
+    inputs, commands = CASES[name]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env.pop("STYLEGROUP_LOG", None)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for file_name, text in inputs.items():
+            (root / file_name).write_bytes(text().encode("utf-8"))
+        runs = []
+        for argv in commands:
+            done = subprocess.run(
+                [sys.executable, "-m", "stylegroup.cli", *argv],
+                cwd=root, env=env, capture_output=True, text=True,
+            )
+            runs.append({"argv": argv, "code": done.returncode, "stdout": done.stdout,
+                         "stderr": done.stderr})
+        files = {
+            path.relative_to(root / "out").as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted((root / "out").rglob("*")) if path.is_file()
+        }
+    return {"commands": runs, "files": files}
+
+
+@pytest.fixture(scope="module")
+def table() -> dict:
+    recorded = json.loads(TABLE.read_text(encoding="utf-8"))
+    versions = {key: recorded[key] for key in ("python", "numpy")}
+    if versions != _versions():
+        pytest.fail(
+            f"golden digests were recorded with Python {versions['python']}, numpy "
+            f"{versions['numpy']}; this is Python {platform.python_version()}, numpy "
+            f"{numpy.__version__}. Regenerate them at an unchanged commit with: {REGENERATE}"
+        )
+    return recorded["cases"]
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_output_tree_matches_the_golden_digests(table, name):
+    assert run_case(name) == table[name]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(f"usage: {REGENERATE}")
+    payload = {**_versions(), "cases": {name: run_case(name) for name in CASES}}
+    TABLE.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {TABLE}")

@@ -8,10 +8,11 @@ from contextlib import contextmanager
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import reference_csv_text, reference_load_behaviors
+from conftest import learner_values, reference_csv_text, reference_load_behaviors
 from stylegroup import ingest
 from stylegroup.dsl import parse_variables
 from stylegroup.ingest import (
+    BehaviorTable,
     DuplicateEntryError,
     IngestError,
     MalformedRowError,
@@ -52,9 +53,9 @@ def test_repeated_rows_sum(tmp_path):
         "b.csv",
         "learner_id,variable,value\nL1,discussion_participation,2\nL1,discussion_participation,2\n",
     )
-    records, report = load_behaviors(path, VARS)
-    assert len(records) == 1
-    assert records[0].features["discussion_participation"] == 4.0
+    table, report = load_behaviors(path, VARS)
+    assert table.ids == ["L1"]
+    assert table.columns["discussion_participation"] == [4.0]
     assert report.clamp_count == 0
 
 
@@ -62,8 +63,8 @@ def test_clamp_to_bound(tmp_path):
     path = _write(
         tmp_path, "b.csv", "learner_id,variable,value\nL1,discussion_participation,99\n"
     )
-    records, report = load_behaviors(path, VARS, policy="clamp")
-    assert records[0].features["discussion_participation"] == 15.0
+    table, report = load_behaviors(path, VARS, policy="clamp")
+    assert table.columns["discussion_participation"] == [15.0]
     assert report.clamp_count == 1
     assert report.clamped[0] == ("L1", "discussion_participation", 99.0, 15.0)
 
@@ -72,8 +73,8 @@ def test_clamp_never_moves_in_range_values(tmp_path):
     path = _write(
         tmp_path, "b.csv", "learner_id,variable,value\nL1,discussion_participation,7.25\n"
     )
-    records, report = load_behaviors(path, VARS, policy="clamp")
-    assert records[0].features["discussion_participation"] == 7.25
+    table, report = load_behaviors(path, VARS, policy="clamp")
+    assert table.columns["discussion_participation"] == [7.25]
     assert report.clamp_count == 0
 
 
@@ -129,15 +130,15 @@ def test_unknown_variable_strict_vs_clamp(tmp_path):
     )
     with pytest.raises(UndeclaredVariableError):
         load_behaviors(path, VARS, policy="strict")
-    records, report = load_behaviors(path, VARS, policy="clamp")
-    assert records[0].features == {"test_time": 10.0}
+    table, report = load_behaviors(path, VARS, policy="clamp")
+    assert learner_values(table) == [("L1", {"test_time": 10.0})]
     assert report.skipped_unknown == [("L1", "mystery")]
 
 
 def test_max_expected_rescales_to_percent(tmp_path):
     path = _write(tmp_path, "b.csv", "learner_id,variable,value\nL1,lesson_minutes,50\n")
-    records, _ = load_behaviors(path, VARS)
-    assert records[0].features["lesson_minutes"] == 25.0
+    table, _ = load_behaviors(path, VARS)
+    assert table.columns["lesson_minutes"] == [25.0]
 
 
 def test_aggregation_modes(tmp_path):
@@ -148,9 +149,9 @@ def test_aggregation_modes(tmp_path):
         "L1,peak_difficulty,30\nL1,peak_difficulty,80\nL1,peak_difficulty,55\n"
         "L1,mean_gap,10\nL1,mean_gap,30\n",
     )
-    records, _ = load_behaviors(path, VARS)
-    assert records[0].features["peak_difficulty"] == 80.0
-    assert records[0].features["mean_gap"] == 20.0
+    table, _ = load_behaviors(path, VARS)
+    assert table.columns["peak_difficulty"] == [80.0]
+    assert table.columns["mean_gap"] == [20.0]
 
 
 def test_row_order_does_not_matter_for_sum(tmp_path):
@@ -167,8 +168,8 @@ def test_row_order_does_not_matter_for_sum(tmp_path):
         shuffled = rows[:]
         rng.shuffle(shuffled)
         text = "learner_id,variable,value\n" + "\n".join(",".join(r) for r in shuffled)
-        records, _ = load_behaviors(_write(tmp_path, "b.csv", text), VARS)
-        snapshot = {r.learner_id: dict(r.features) for r in records}
+        table, _ = load_behaviors(_write(tmp_path, "b.csv", text), VARS)
+        snapshot = dict(learner_values(table))
         if baseline is None:
             baseline = snapshot
         assert snapshot == baseline
@@ -180,9 +181,9 @@ def test_strict_pass_implies_clamp_identical(tmp_path):
         "b.csv",
         "learner_id,variable,value\nL1,discussion_participation,4\nL1,test_time,55\n",
     )
-    strict_records, _ = load_behaviors(path, VARS, policy="strict")
-    clamp_records, report = load_behaviors(path, VARS, policy="clamp")
-    assert strict_records == clamp_records
+    strict_table, _ = load_behaviors(path, VARS, policy="strict")
+    clamp_table, report = load_behaviors(path, VARS, policy="clamp")
+    assert learner_values(strict_table) == learner_values(clamp_table)
     assert report.clamp_count == 0 and not report.skipped_unknown
 
 
@@ -190,8 +191,8 @@ def test_rfc4180_quoting(tmp_path):
     path = _write(
         tmp_path, "b.csv", 'learner_id,variable,value\n"L 1",discussion_participation,"3"\n'
     )
-    records, _ = load_behaviors(path, VARS)
-    assert records[0].learner_id == "L 1"
+    table, _ = load_behaviors(path, VARS)
+    assert table.ids == ["L 1"]
 
 
 # -- the row loop against the row-at-a-time reference --------------------------
@@ -237,10 +238,13 @@ def _row(draw, learners=_LEARNERS, bad_values=_BAD_VALUES):
 
 def _outcome(load, path, policy):
     try:
-        records, report = load(path, VARS, policy=policy)
+        table, report = load(path, VARS, policy=policy)
     except IngestError as exc:
         return type(exc), str(exc), getattr(exc, "line", None)
-    return [(r.learner_id, repr(list(r.features.items()))) for r in records], repr(report)
+    # Each learner's values by repr; a table has no order of features within a learner.
+    present = [(learner, {name: repr(value) for name, value in values.items()})
+               for learner, values in learner_values(table)]
+    return present, repr(report)
 
 
 @settings(max_examples=300, deadline=None)
@@ -642,10 +646,7 @@ def test_load_satisfaction(tmp_path):
 def test_coverage_flags_missing_feature(rb, tmp_path):
     complete = {v.name: 1.0 for v in rb.variables if v.kind == "input"}
     partial = {k: v for k, v in complete.items() if k != "exam_time"}
-    from stylegroup.ingest import BehaviorRecord
-
-    records = [BehaviorRecord("L1", complete), BehaviorRecord("L2", partial)]
-    report = feature_coverage(records, rb)
+    report = feature_coverage(BehaviorTable.of([("L1", complete), ("L2", partial)]), rb)
     by_dim = {c.dimension: c for c in report.dimensions}
     assert by_dim["perception"].covered == 1
     assert by_dim["perception"].flagged == (("L2", ("exam_time",)),)
@@ -653,15 +654,33 @@ def test_coverage_flags_missing_feature(rb, tmp_path):
 
 
 def test_coverage_full_cohort(rb):
-    from stylegroup.ingest import BehaviorRecord
-
     complete = {v.name: 1.0 for v in rb.variables if v.kind == "input"}
-    records = [BehaviorRecord(f"L{i}", dict(complete)) for i in range(5)]
-    report = feature_coverage(records, rb)
+    report = feature_coverage(BehaviorTable.of((f"L{i}", complete) for i in range(5)), rb)
     assert all(c.fraction == 1.0 for c in report.dimensions)
 
 
 def test_coverage_empty_cohort(rb):
-    report = feature_coverage([], rb)
+    report = feature_coverage(BehaviorTable.of([]), rb)
     assert report.total_learners == 0
     assert all(c.learners == 0 for c in report.dimensions)
+
+
+# -- the behaviours table ------------------------------------------------------
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_table_of_refuses_a_value_that_is_not_finite(value):
+    # NaN marks an absent value, so a pair may not give one as a value.
+    with pytest.raises(ValueError) as exc_info:
+        BehaviorTable.of([("L1", {"effort": 1.0}), ("L 2", {"effort": 2.0, "pace": value})])
+    assert str(exc_info.value) == f"learner 'L 2': pace value {value!r} is not finite"
+
+
+def test_table_of_gives_a_column_per_variable_named():
+    table = BehaviorTable.of([("L1", {"effort": 1}), ("L2", {"pace": 2.5, "effort": 3.0})])
+    assert table.ids == ["L1", "L2"]
+    assert list(table.columns) == ["effort", "pace"]
+    assert table.columns["effort"] == [1.0, 3.0]
+    assert repr(table.columns["pace"]) == "[nan, 2.5]"
+    assert repr(table.column("idle")) == "[nan, nan]"
+    assert learner_values(table) == [("L1", {"effort": 1.0}), ("L2", {"effort": 3.0, "pace": 2.5})]

@@ -21,7 +21,7 @@ from stylegroup.dsl import Diagnostic, Rule, RuleBase
 from stylegroup.fuzzy import CompiledRules, LinguisticVariable, Trapezoid
 from stylegroup.grouping import ContentPlan, Group, GroupAssignment, GroupingParams
 from stylegroup.ingest import (
-    BehaviorRecord,
+    BehaviorTable,
     ClampReport,
     CoverageReport,
     DimensionCoverage,
@@ -183,10 +183,10 @@ RECORDS = [
         True,
     ),
     (
-        lambda: BehaviorRecord("L1", {"effort": 2.0}),
-        lambda: BehaviorRecord("L1", {"effort": 2.5}),
-        "features",
-        "BehaviorRecord(learner_id='L1', features={'effort': 2.0})",
+        lambda: BehaviorTable.of([("L1", {"effort": 2.0})]),
+        lambda: BehaviorTable.of([("L1", {"effort": 2.5})]),
+        "columns",
+        "BehaviorTable(ids=['L1'], columns={'effort': [2.0]})",
         False,
     ),
     (
@@ -278,7 +278,7 @@ def test_records_compare_hash_and_print_by_field(make, other, field, text, hasha
     if hashable:
         assert hash(value) == hash(make())
         assert len({value, make(), other()}) == 2
-    else:  # a dict field
+    else:  # a dict or list field
         with pytest.raises(TypeError):
             hash(value)
 
