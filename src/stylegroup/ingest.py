@@ -105,6 +105,24 @@ class BehaviorTable(NamedTuple):
         column = self.columns.get(name)
         return [math.nan] * len(self.ids) if column is None else column
 
+    def __eq__(self, other):
+        """The same ids and column names, and each cell equal or NaN in both."""
+        if not isinstance(other, BehaviorTable):
+            return NotImplemented
+        if self.ids != other.ids or self.columns.keys() != other.columns.keys():
+            return False
+        for name, column in self.columns.items():
+            theirs = other.columns[name]
+            if column != theirs and (len(column) != len(theirs) or any(
+                a != b and (a == a or b == b) for a, b in zip(column, theirs)
+            )):
+                return False
+        return True
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
 
 class QuestionnaireRecord(NamedTuple):
     learner_id: str
@@ -206,6 +224,8 @@ def _read_rows(
             header = next(reader)
         except StopIteration:
             raise MalformedRowError(1, "file is empty") from None
+        except csv.Error as exc:
+            raise MalformedRowError(1, str(exc)) from None
         if [h.strip().lower() for h in header] != expected_header:
             raise MalformedRowError(
                 1, f"expected header {','.join(expected_header)!r}, got {','.join(header)!r}"
@@ -224,17 +244,21 @@ def learner_rows(
     """
     width = len(expected_header)
     with _read_rows(path, expected_header) as (_, reader):
-        for line, row in enumerate(reader, start=2):
-            if len(row) != width:
-                if _blank(row):
-                    continue
-                raise MalformedRowError(line, f"expected {width} fields, got {len(row)}")
-            learner = row[0].strip()
-            if not learner:
-                if _blank(row):
-                    continue
-                raise MalformedRowError(line, "empty learner_id")
-            yield line, row, learner
+        line = 1
+        try:
+            for line, row in enumerate(reader, start=2):
+                if len(row) != width:
+                    if _blank(row):
+                        continue
+                    raise MalformedRowError(line, f"expected {width} fields, got {len(row)}")
+                learner = row[0].strip()
+                if not learner:
+                    if _blank(row):
+                        continue
+                    raise MalformedRowError(line, "empty learner_id")
+                yield line, row, learner
+        except csv.Error as exc:  # raised while reading the record after `line`
+            raise MalformedRowError(line + 1, str(exc)) from None
 
 
 def parse_float(line: int, text: str, what: str) -> float:
@@ -259,11 +283,15 @@ def load_behaviors(
     the nearer bound and unknown variables are skipped; both are tallied in
     the returned report. Under ``strict`` either situation is an error.
 
+    A regular file whose header is one line is read by `_plain` for as long
+    as its rows are plain; from the first row that is not, `_fill` reads
+    the rest with `csv.reader`, and only it raises a row's error.
+
     Where `_split_point` allows, a forked child reads the second half of the
-    file while this process reads the first, and the halves merge in file
-    order. If the child gives no result (a bad row, bad UTF-8, a killed
-    child), this process reads the second half itself, so table, report
-    and errors are those of reading in one part.
+    file while this process reads the first, each half in that way, and the
+    halves merge in file order. If the child gives no result (a bad row,
+    bad UTF-8, a killed child), this process reads the second half itself,
+    so table, report and errors are those of reading in one part.
     """
     return _load(path, variables, policy, _split_point, _forked)
 
@@ -291,12 +319,14 @@ def _load(
     table: dict[tuple[str, str], list[float]] = {}
     names: dict[str, str] = {}
     state = (by_name, policy, table, names, report.skipped_unknown)
-    with _read_rows(path, BEHAVIORS_HEADER) as (handle, reader):
-        split, reason = plan(handle.fileno())
+    with _read_rows(path, BEHAVIORS_HEADER) as (handle, _):
+        fd = handle.fileno()
+        split, reason = plan(fd)
+        start = _records_start(fd)
         if split is None:
-            end = _fill(reader, 2, *state)
+            end = _read_part(fd, handle, start, None, state)
         else:
-            end, reason = _read_in_two(handle, split, state, run)
+            end, reason = _read_in_two(handle, start, split, state, run)
 
     ids = list(dict.fromkeys(map(itemgetter(0), table)))
     row = dict(zip(ids, range(len(ids))))
@@ -337,45 +367,193 @@ def _fill(reader, line, by_name, policy, table, names, skipped) -> int:
 
     Gives the number the next record would have. A key already in the table
     has a learner id and a declared variable, so later rows of it only need
-    their number checked; every row's cells are new objects.
+    their number checked; every row's cells are new objects. This is the
+    code that raises every behaviours row's error, `csv.reader`'s as a
+    `MalformedRowError` of the record it was reading.
     """
     get = table.get
     isfinite = math.isfinite
     line -= 1
-    for line, row in enumerate(reader, line + 1):
-        try:
-            learner, variable, raw = row
-        except ValueError:
-            if _blank(row):
-                continue
-            raise MalformedRowError(line, f"expected 3 fields, got {len(row)}") from None
-        learner, variable = learner.strip(), variable.strip()
-        values = get((learner, variable))
-        if values is None and not learner:
-            if _blank(row):
-                continue
-            raise MalformedRowError(line, "empty learner_id")
-        # float() strips only part of what str.strip() does (not U+001C-U+001F),
-        # so a value it accepts is the stripped cell's value; anything else is
-        # parsed again from the stripped cell, for its value or this row's error.
-        try:
-            value = float(raw)
-        except ValueError:
-            value = math.nan
-        if not isfinite(value):
-            value = parse_float(line, raw.strip(), "value")
-        if values is None:
-            if variable not in by_name:
-                if policy == "strict":
-                    raise UndeclaredVariableError(
-                        f"line {line}: variable {variable!r} is not declared"
-                    )
-                skipped.append((learner, variable))
-                continue
-            key = (names.setdefault(learner, learner), names.setdefault(variable, variable))
-            values = table[key] = []
-        values.append(value)
+    try:
+        for line, row in enumerate(reader, line + 1):
+            try:
+                learner, variable, raw = row
+            except ValueError:
+                if _blank(row):
+                    continue
+                raise MalformedRowError(line, f"expected 3 fields, got {len(row)}") from None
+            learner, variable = learner.strip(), variable.strip()
+            values = get((learner, variable))
+            if values is None and not learner:
+                if _blank(row):
+                    continue
+                raise MalformedRowError(line, "empty learner_id")
+            # float() strips only part of what str.strip() does (not U+001C-U+001F),
+            # so a value it accepts is the stripped cell's value; anything else is
+            # parsed again from the stripped cell, for its value or this row's error.
+            try:
+                value = float(raw)
+            except ValueError:
+                value = math.nan
+            if not isfinite(value):
+                value = parse_float(line, raw.strip(), "value")
+            if values is None:
+                if variable not in by_name:
+                    if policy == "strict":
+                        raise UndeclaredVariableError(
+                            f"line {line}: variable {variable!r} is not declared"
+                        )
+                    skipped.append((learner, variable))
+                    continue
+                key = (names.setdefault(learner, learner), names.setdefault(variable, variable))
+                values = table[key] = []
+            values.append(value)
+    except csv.Error as exc:  # raised while reading the record after `line`
+        raise MalformedRowError(line + 1, str(exc)) from None
     return line + 1
+
+
+# --------------------------------------------------------------------------
+# Plain rows
+
+
+def _records_start(fd: int) -> int | None:
+    r"""The byte offset of record 2 if `_plain` can read the file open on `fd`, else None.
+
+    It can if the file is regular (a pipe cannot be read from an offset)
+    and the header is one line, with no '"' and no "\r" but in its "\r\n".
+    """
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
+        return None
+    _, first = next(_pieces(fd, 0, None), (0, b""))
+    end = first.find(b"\n") + 1
+    if not end or b'"' in first[:end] or b"\r" in first[: end - 2]:
+        return None
+    return end
+
+
+def _pieces(fd: int, start: int, stop: int | None) -> Iterator[tuple[int, bytes]]:
+    """(byte offset, bytes) of the file open on `fd`, from `start` to `stop` or its end.
+
+    Each piece is `_SCAN_CHUNK` bytes or more, up to the last "\\n" in it,
+    read with os.pread. The last piece may end without a "\\n", and so may
+    one of more than four bytes per character of `csv.field_size_limit()`
+    with no "\\n": its line is too long to be plain, whatever it decodes to.
+    """
+    limit = csv.field_size_limit()
+    position, rest = start, b""
+    while True:
+        size = _SCAN_CHUNK if stop is None else min(_SCAN_CHUNK, stop - position)
+        block = os.pread(fd, size, position) if size > 0 else b""
+        if not block:
+            if rest:
+                yield position - len(rest), rest
+            return
+        position += len(block)
+        rest += block
+        cut = rest.rfind(b"\n") + 1 or (len(rest) if len(rest) > 4 * limit else 0)
+        if cut:
+            yield position - len(rest), rest[:cut]
+            rest = rest[cut:]
+
+
+def _plain(fd, start, stop, line, by_name, policy, table, names, skipped) -> tuple[int, int | None]:
+    r"""Read plain records from byte `start` to `stop` (or the end), numbered from `line`.
+
+    Reads `_pieces` of whole lines. A piece that holds a '"', a "\r" outside
+    a "\r\n" or a NUL (which `csv.reader` refuses before Python 3.11), is
+    not UTF-8, or has a line longer than `csv.field_size_limit()` is not
+    plain. In a plain piece each line is a record. A blank row is skipped.
+    Any other row is plain if its value is a finite number (`float` of the
+    raw text) and its head, the raw text before its last ",", is a learner
+    id and a variable that is declared (the value goes to the key's list in
+    `table`) or, under the clamp policy, undeclared (the pair goes to
+    `skipped`). A head is split, stripped and checked only the first time it
+    is seen; after that a row costs one `rpartition`, one dict lookup, one
+    `float` and one call.
+
+    Gives (the number, the byte offset) of the first record that is not
+    plain, or (the next record's number, None) when every record was.
+    Everything before that record is read as `_fill` would read it.
+    """
+    adders: dict[str, Callable[[float], None]] = {}
+    get = adders.get
+    limit = csv.field_size_limit()
+
+    def admit(head: str) -> Callable[[float], None] | None:
+        cells = head.split(",")
+        if len(cells) != 2:
+            return None
+        learner, variable = cells[0].strip(), cells[1].strip()
+        if not learner or (variable not in by_name and policy == "strict"):
+            return None
+        if variable in by_name:
+            key = (names.setdefault(learner, learner), names.setdefault(variable, variable))
+            add = table.setdefault(key, []).append
+        else:
+            pair = (learner, variable)
+            add = lambda value: skipped.append(pair)
+        adders[head] = add
+        return add
+
+    for offset, piece in _pieces(fd, start, stop):
+        if b'"' in piece or b"\0" in piece or (
+            b"\r" in piece and piece.count(b"\r") != piece.count(b"\r\n")
+        ):
+            return line, offset
+        try:
+            rows = piece.decode("utf-8").split("\n")
+        except UnicodeDecodeError:
+            return line, offset
+        if piece.endswith(b"\n"):
+            rows.pop()
+        if max(map(len, rows)) > limit:
+            return line, offset
+        for text in rows:
+            head, _, raw = text.rpartition(",")
+            add = get(head) or admit(head)
+            if add is None:
+                if not text.replace(",", "").strip():  # a blank row
+                    continue
+                break
+            try:
+                value = float(raw)
+            except ValueError:
+                break
+            if value - value:  # inf or nan
+                break
+            add(value)
+        else:
+            line += len(rows)
+            continue
+        # A row's text alone decides whether it is plain, so this is its first line.
+        n = rows.index(text)
+        return line + n, offset + len("".join(row + "\n" for row in rows[:n]).encode("utf-8"))
+    return line, None
+
+
+def _read_part(fd, lines, start, stop, state) -> int:
+    """Read a part's records from record 2 on: plainly from byte `start` to `stop`, then by `_fill`.
+
+    `lines` gives the part's lines from the file open on `fd`, after the
+    header; `start` is `_records_start`'s offset, and `stop` None reads to
+    the end. `_fill` takes over at the first record `_plain` leaves, after
+    skipping the lines before it in `lines`, so it meets every row, bad
+    UTF-8 and line number where `_fill` reading all of `lines` would. Gives
+    the next record's number. `lines` is then used up, or untouched if
+    `_plain` read every record.
+    """
+    line = 2
+    if start is not None:
+        line, start = _plain(fd, start, stop, line, *state)
+        if start is None:
+            return line
+    _skip(lines, line - 2)
+    return _fill(csv.reader(lines), line, *state)
+
+
+def _skip(lines: Iterator[str], count: int) -> None:
+    next(islice(lines, count, count), None)
 
 
 # --------------------------------------------------------------------------
@@ -448,25 +626,28 @@ def _split_point(fd: int) -> tuple[tuple[int, int] | None, str]:
     return (lines, offset), ""
 
 
-def _read_in_two(handle, split, state, run) -> tuple[int, str]:
-    """Read records 2..lines from `handle` while `run` reads the rest; merge in file order.
+def _read_in_two(handle, start, split, state, run) -> tuple[int, str]:
+    """Read records 2..lines as `_read_part` does while `run` reads the rest; merge in file order.
 
-    `handle` stands just after the header. Gives the next record's number,
-    and a reason if the second part had to be read here after all.
+    `handle` stands just after the header, and `start` is `_records_start`'s
+    offset. Gives the next record's number, and a reason if the second
+    part had to be read here after all.
 
     An error in this half comes first in the file, so it wins. If the other
-    half gives no result, this process reads it from where `handle` stands,
-    as a one-part read would, so any error there is raised by the same code
-    at the same record.
+    half gives no result, this process reads it from where `handle` stands
+    after the first half's lines, as a one-part read would, so any error
+    there is raised by the same code at the same record.
     """
     lines, offset = split
     by_name, policy, table, names, skipped = state
+    first = islice(handle, lines - 1)
     with run(partial(_tail, handle.fileno(), offset, lines + 1, by_name, policy)) as result:
-        _fill(csv.reader(islice(handle, lines - 1)), 2, *state)
+        _read_part(handle.fileno(), first, start, offset, state)
         payload = result()
     try:
         end, tail_table, tail_skipped = marshal.loads(payload)
     except (EOFError, ValueError, TypeError):
+        _skip(first, lines)
         return _fill(csv.reader(handle), lines + 1, *state), "second part failed"
     get = table.get
     for (learner, variable), values in tail_table.items():
@@ -483,18 +664,22 @@ def _read_in_two(handle, split, state, run) -> tuple[int, str]:
 def _tail(fd, offset, line, by_name, policy) -> bytes:
     """Read the file open on `fd` from byte `offset` on, numbering records from `line`.
 
-    Gives the marshal'd (next record's number, the table of values per key,
+    Reads plainly as far as `_plain` goes and by `_fill` from there. Gives
+    the marshal'd (next record's number, the table of values per key,
     skipped unknowns), or b"" if the read raised anything.
     """
     table: dict[tuple[str, str], list[float]] = {}
     skipped: list[tuple[str, str]] = []
+    state = (by_name, policy, table, {}, skipped)
     try:
-        raw = io.BufferedReader(_FileRange(fd, offset))
-        with io.TextIOWrapper(raw, encoding="utf-8", newline="") as handle:
-            end = _fill(csv.reader(handle), line, by_name, policy, table, {}, skipped)
+        line, offset = _plain(fd, offset, None, line, *state)
+        if offset is not None:
+            raw = io.BufferedReader(_FileRange(fd, offset))
+            with io.TextIOWrapper(raw, encoding="utf-8", newline="") as handle:
+                line = _fill(csv.reader(handle), line, *state)
     except Exception:
         return b""
-    return marshal.dumps((end, table, skipped))
+    return marshal.dumps((line, table, skipped))
 
 
 @contextmanager

@@ -100,17 +100,32 @@ def reference_load_behaviors(path, variables, policy="clamp"):
     by_name = {v.name: v for v in variables if v.kind == "input"}
     report = ClampReport()
     observations = {}
+    def records(reader):
+        """(line, row) from line 2 on; `csv.reader`'s error is a `MalformedRowError` of its record."""
+        line = 1
+        while True:
+            line += 1
+            try:
+                row = next(reader)
+            except StopIteration:
+                return
+            except csv.Error as exc:
+                raise MalformedRowError(line, str(exc)) from None
+            yield line, row
+
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
         except StopIteration:
             raise MalformedRowError(1, "file is empty") from None
+        except csv.Error as exc:
+            raise MalformedRowError(1, str(exc)) from None
         if [h.strip().lower() for h in header] != ["learner_id", "variable", "value"]:
             raise MalformedRowError(
                 1, f"expected header 'learner_id,variable,value', got {','.join(header)!r}"
             )
-        for line, row in enumerate(reader, start=2):
+        for line, row in records(reader):
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != 3:

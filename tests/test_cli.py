@@ -256,6 +256,18 @@ def test_failures_csv_quotes_comma_and_quote_ids(tmp_path, capsys):
     assert rows[2][2].startswith("learner 'Roe \"Rick\", Jr.' has no value for ")
 
 
+def test_classify_reports_a_field_over_the_size_limit_by_its_line(tmp_path, capsys):
+    behaviors = tmp_path / "b.csv"
+    behaviors.write_text(
+        "learner_id,variable,value\nL1,test_time,1\nL1,test_time, " + "0" * 131_072 + "\n",
+        encoding="utf-8",
+    )
+    assert main(["classify", "--behaviors", str(behaviors), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.endswith(
+        "\nerror: line 3: field larger than field limit (131072)\n"
+    )
+
+
 def test_group_and_evaluate_reject_corrupt_rows(tmp_path, capsys):
     profiles = tmp_path / "profiles.csv"
     rows = [f"L{i},{d},{3.5 + i % 3},reactive" for i in range(12) for d in ("processing",)]

@@ -18,6 +18,7 @@ import hashlib
 import json
 import os
 import platform
+import random
 import re
 import subprocess
 import sys
@@ -86,6 +87,56 @@ def _scores() -> str:
     return "learner_id,score\n" + "\n".join(rows) + "\n"
 
 
+# The raw-logs case: a seeded event log of about 3 MiB, so its read spans
+# several 1 MiB pieces and both halves of a two-part read.
+_EVENT_IDS = [f"R{n:04d}" for n in range(1, 171)]
+
+
+def _event_log() -> str:
+    """Each learner's features near one of two prototypes, split into 10-40 rows.
+
+    A learner's rows come in shuffled order, so keys repeat out of order.
+    One total is clamped to its universe, every learner has two rows of an
+    undeclared variable, and one row is blank.
+    """
+    rng = random.Random(22)
+    lines = ["learner_id,variable,value"]
+    for n, learner in enumerate(_EVENT_IDS):
+        rows = []
+        for name, value in (_FIRST if rng.random() < 0.5 else _LAST):
+            total = value * rng.uniform(0.85, 1.1)
+            if n == 7 and name == "exam_time":
+                total = 112.5  # above the universe's 100
+            weights = [rng.random() + 0.05 for _ in range(rng.randint(10, 40))]
+            rows.extend(f"{learner},{name},{w * total / sum(weights)!r}" for w in weights)
+        rows.extend(f"{learner},forum_posts,{rng.uniform(0, 30)!r}" for _ in range(2))
+        rng.shuffle(rows)
+        lines.extend(rows)
+        if n == 70:
+            lines.append("")
+    return "\n".join(lines) + "\n"
+
+
+def _event_questionnaire() -> str:
+    rng = random.Random(23)
+    rows = [f"{learner},{dimension},{rng.uniform(0, 11)!r}" for learner in _EVENT_IDS
+            for dimension in ("processing", "perception", "entrance", "understanding")]
+    return "learner_id,dimension,score\n" + "\n".join(rows) + "\n"
+
+
+def _event_scores() -> str:
+    rng = random.Random(24)
+    rows = [f"{learner},{rng.gauss(15.0, 2.5)!r}" for learner in _EVENT_IDS]
+    return "learner_id,score\n" + "\n".join(rows) + "\n"
+
+
+def _event_satisfaction() -> str:
+    rng = random.Random(25)
+    rows = [",".join([learner, *(str(rng.randint(1, 5)) for _ in range(7))])
+            for learner in _EVENT_IDS]
+    return "learner_id,q1,q2,q3,q4,q5,q6,q7\n" + "\n".join(rows) + "\n"
+
+
 def _bundled(name: str) -> str:
     return (SRC / "stylegroup" / "data" / name).read_text(encoding="utf-8")
 
@@ -115,6 +166,17 @@ CASES = {
         {"base.fvars": _ceilings_fvars, "base.frules": lambda: _bundled("default.frules")},
         [["pipeline", "--vars", "base.fvars", "--rules", "base.frules", "--seed", "8",
           "--out", "out"]],
+    ),
+    "staged-event-log": (
+        {"behaviors.csv": _event_log, "questionnaire.csv": _event_questionnaire,
+         "scores.csv": _event_scores, "satisfaction.csv": _event_satisfaction},
+        [
+            ["classify", "--behaviors", "behaviors.csv", "--questionnaire",
+             "questionnaire.csv", "--out", "out"],
+            ["group", "--profiles", "out/profiles.csv", "--seed", "5", "--out", "out"],
+            ["evaluate", "--assignment", "out/assignment.csv", "--scores", "scores.csv",
+             "--satisfaction", "satisfaction.csv", "--out", "out"],
+        ],
     ),
 }
 

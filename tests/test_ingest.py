@@ -4,9 +4,10 @@ import os
 import random
 import threading
 from contextlib import contextmanager
+from unittest.mock import patch
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from conftest import learner_values, reference_csv_text, reference_load_behaviors
 from stylegroup import ingest
@@ -183,7 +184,7 @@ def test_strict_pass_implies_clamp_identical(tmp_path):
     )
     strict_table, _ = load_behaviors(path, VARS, policy="strict")
     clamp_table, report = load_behaviors(path, VARS, policy="clamp")
-    assert learner_values(strict_table) == learner_values(clamp_table)
+    assert strict_table == clamp_table
     assert report.clamp_count == 0 and not report.skipped_unknown
 
 
@@ -583,6 +584,127 @@ def test_second_process_reads_the_open_file_not_the_path(tmp_path, two_cpus):
     ) == expected
 
 
+# -- plain rows ----------------------------------------------------------------
+
+
+def _csv_rows(path, rows, terminator="\n"):
+    """Rows as `csv.writer` writes them: a cell holding ',', '"' or a line end is quoted."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle, lineterminator=terminator).writerows(
+            [["learner_id", "variable", "value"], *rows]
+        )
+    return path
+
+
+def _plain_splits(path):
+    r"""The splits `_split_point` can choose: no '"' and no lone "\r" before them."""
+    data = path.read_bytes()
+    return [
+        (lines, offset) for lines, offset in _splits(path)
+        if b'"' not in data[:offset]
+        and data.count(b"\r", 0, offset) == data.count(b"\r\n", 0, offset)
+    ]
+
+
+_PLAIN = [["L1", "test_time", "1.5"], [" L2 ", "test_time", "2"], ["L1", " mean_gap", "3"],
+          ["L2", "mystery", "4"], ["L1", "test_time ", "5"], ["L1", "test_time", "6"]]
+
+
+@seed(22)
+@settings(max_examples=100, deadline=None)
+# a '"' first seen in a later piece, after heads that repeat out of order
+@example(rows=_PLAIN + [['Roe "Rick", Jr.', "test_time", "7"]] + _PLAIN, policy="clamp",
+         terminator="\r\n", chunk=16)
+# a blank row ends a piece; an undeclared variable under each policy
+@example(rows=_PLAIN[:3] + [[" ", "", "\t"], []] + _PLAIN, policy="strict", terminator="\n",
+         chunk=40)
+@example(rows=_PLAIN + [["L3", "test_time", "inf"]], policy="clamp", terminator="\n", chunk=3)
+@given(
+    rows=st.lists(_row(learners=st.sampled_from(["L1", "L2", "L3", 'Roe "Rick", Jr.'])),
+                  max_size=30),
+    policy=st.sampled_from(["clamp", "strict"]),
+    terminator=st.sampled_from(["\n", "\r\n"]),
+    chunk=st.integers(1, 64),
+)
+def test_plain_pieces_match_reference_loader_at_every_split(
+    tmp_path_factory, rows, policy, terminator, chunk
+):
+    """Pieces of a few bytes put a piece boundary at every place in some file."""
+    path = _csv_rows(tmp_path_factory.mktemp("rows") / "b.csv", rows, terminator)
+    expected = _outcome(reference_load_behaviors, path, policy)
+    with patch.object(ingest, "_SCAN_CHUNK", chunk):
+        assert _outcome(_split_at(None), path, policy) == expected
+        for split in _plain_splits(path):
+            assert _outcome(_split_at(split), path, policy) == expected, split
+
+
+def test_plain_rows_never_reach_the_csv_reader(tmp_path, caplog, monkeypatch, two_cpus):
+    """Blank rows, padded cells, undeclared variables and CRLF ends are all read plainly."""
+    rows = (_PLAIN + [[], ["  ", " "], ["L3", "peak_difficulty", " 7.25 "]]) * 40
+    path = _write_rows(tmp_path / "b.csv", rows, "\r\n")
+    expected = _outcome(reference_load_behaviors, path, "clamp")
+
+    def refuse(*args):
+        raise AssertionError("a plain row reached the csv reader")
+
+    monkeypatch.setattr(ingest, "_fill", refuse)
+    monkeypatch.setattr(ingest, "_SCAN_CHUNK", 100)
+    with caplog.at_level(logging.INFO, logger="stylegroup.ingest"):
+        assert _outcome(load_behaviors, path, "clamp") == expected
+    assert _parts(caplog) == "2"
+    assert _outcome(_split_at(None), path, "clamp") == expected
+
+
+@pytest.mark.parametrize(
+    "end",
+    [
+        # a last line without a line end
+        "", "\r", "\r\n", " ", "L2,test_time", "L2,test_time,x",
+        # a "\r" outside a "\r\n" ends a record, unquoted
+        "L3\r,test_time,1\n", "L3,test_time\r,1\n", "L3,test_time,1\rL3,test_time,2\n",
+    ],
+)
+def test_last_lines_match_reference_loader(tmp_path, end):
+    path = tmp_path / "b.csv"
+    path.write_bytes(("learner_id,variable,value\nL1,test_time,1\nL2,test_time,2\n" + end).encode())
+    expected = _outcome(reference_load_behaviors, path, "clamp")
+    with patch.object(ingest, "_SCAN_CHUNK", 8):
+        assert _outcome(_split_at(None), path, "clamp") == expected
+        for split in _plain_splits(path):
+            assert _outcome(_split_at(split), path, "clamp") == expected, split
+
+
+# A value `float` reads but `csv.reader` refuses: longer than its field size limit.
+_LONG = " " * csv.field_size_limit() + "1"
+
+
+@pytest.mark.parametrize("records_before", [5, 45])
+def test_field_over_the_size_limit_is_a_row_error_in_either_half(tmp_path, records_before):
+    rows = _GOOD + _GOOD[:5]
+    rows.insert(records_before - 1, ["L3", "test_time", _LONG])
+    path = _write_rows(tmp_path / "b.csv", rows)
+    expected = _outcome(reference_load_behaviors, path, "clamp")
+    message = f"line {records_before + 1}: field larger than field limit ({csv.field_size_limit()})"
+    assert expected == (MalformedRowError, message, records_before + 1)
+    (split,) = [split for split in _splits(path) if split[0] == 25]
+    assert _outcome(_split_at(split, ingest._forked), path, "clamp") == expected
+    assert _outcome(_split_at(None), path, "clamp") == expected
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [(f"learner_id,score\nL1,1\n\nL2,{_LONG}\nL3,2\n", 4), (f"learner_id,{_LONG}\nL1,1\n", 1)],
+)
+def test_field_over_the_size_limit_is_a_row_error_in_a_learner_file(tmp_path, text, line):
+    path = _write(tmp_path, "s.csv", text)
+    with pytest.raises(MalformedRowError) as exc_info:
+        load_scores(path)
+    assert exc_info.value.line == line
+    assert str(exc_info.value) == (
+        f"line {line}: field larger than field limit ({csv.field_size_limit()})"
+    )
+
+
 # -- questionnaire -----------------------------------------------------------
 
 
@@ -684,3 +806,15 @@ def test_table_of_gives_a_column_per_variable_named():
     assert repr(table.columns["pace"]) == "[nan, 2.5]"
     assert repr(table.column("idle")) == "[nan, nan]"
     assert learner_values(table) == [("L1", {"effort": 1.0}), ("L2", {"effort": 3.0, "pace": 2.5})]
+
+
+def test_tables_with_the_same_absent_cells_are_equal():
+    # Each NaN below is its own object, and list equality matches NaN only by identity.
+    pairs = BehaviorTable.of([("L1", {"x": 1.0}), ("L2", {"y": 2.0})])
+    columns = BehaviorTable(["L1", "L2"], {"x": [1.0, float("nan")], "y": [float("nan"), 2.0]})
+    assert pairs == columns and not pairs != columns
+    assert pairs != BehaviorTable(["L1", "L2"], {"x": [1.0, 2.0], "y": [float("nan"), 2.0]})
+    assert pairs != BehaviorTable(["L1", "L2"], {"x": [float("nan"), 1.0], "y": [float("nan"), 2.0]})
+    assert pairs != BehaviorTable(["L1", "L2"], {"x": [1.0, float("nan")]})
+    assert pairs != BehaviorTable(["L2", "L1"], {"x": [1.0, float("nan")], "y": [float("nan"), 2.0]})
+    assert pairs != BehaviorTable(["L1", "L2"], {"x": [1.0], "y": [float("nan"), 2.0]})
