@@ -317,6 +317,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         return 1
     behaviors_path = _require(args, "behaviors")
     behaviors, clamp_report = load_behaviors(behaviors_path, list(rb.variables), policy=args.policy)
+    questionnaire = load_questionnaire(args.questionnaire) if args.questionnaire else None
     out = _out_dir(args)
 
     clamp_lines = clamp_report.format_lines()
@@ -329,8 +330,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     )
     profiles, failures = _classify(behaviors, rb, out)
 
-    if args.questionnaire:
-        questionnaire = load_questionnaire(args.questionnaire)
+    if questionnaire is not None:
         report = validate_against_questionnaire(profiles, questionnaire)
         _dump_json(report.to_json_dict(), out / "validation.json")
 

@@ -288,10 +288,11 @@ def load_behaviors(
     the rest with `csv.reader`, and only it raises a row's error.
 
     Where `_split_point` allows, a forked child reads the second half of the
-    file while this process reads the first, each half in that way, and the
-    halves merge in file order. If the child gives no result (a bad row,
-    bad UTF-8, a killed child), this process reads the second half itself,
-    so table, report and errors are those of reading in one part.
+    file plainly while this process reads the first, and the halves merge
+    in file order. They merge only if `_plain` reads both halves to their
+    ends; otherwise this process reads on from where its plain read
+    stopped, as a one-part read would, so table, report and errors are
+    those of reading in one part.
     """
     return _load(path, variables, policy, _split_point, _forked)
 
@@ -300,13 +301,13 @@ def _load(
     path: str | Path,
     variables: Sequence[LinguisticVariable],
     policy: str,
-    plan: Callable[[int], tuple[tuple[int, int] | None, str]],
+    plan: Callable[[int], tuple[int | None, str]],
     run: Callable[[Callable[[], bytes]], ContextManager[Callable[[], bytes]]],
 ) -> tuple[BehaviorTable, ClampReport]:
     """`load_behaviors`, given where to split the file and how to run its second half.
 
-    ``plan(fd)``, given the open file's descriptor, gives ``((lines, offset),
-    "")`` or ``(None, reason)`` as `_split_point` does; ``run`` is a context
+    ``plan(fd)``, given the open file's descriptor, gives ``(offset, "")``
+    or ``(None, reason)`` as `_split_point` does; ``run`` is a context
     manager like `_forked`.
     """
     if policy not in ("clamp", "strict"):
@@ -323,10 +324,10 @@ def _load(
         fd = handle.fileno()
         split, reason = plan(fd)
         start = _records_start(fd)
-        if split is None:
-            end = _read_part(fd, handle, start, None, state)
+        if split is None or start is None:  # start None: the header is not plain
+            end, reason = _read_part(fd, handle, 2, start, state), reason or "first half not plain"
         else:
-            end, reason = _read_in_two(handle, start, split, state, run)
+            end, reason = _read_in_two(fd, handle, start, split, state, run)
 
     ids = list(dict.fromkeys(map(itemgetter(0), table)))
     row = dict(zip(ids, range(len(ids))))
@@ -532,20 +533,17 @@ def _plain(fd, start, stop, line, by_name, policy, table, names, skipped) -> tup
     return line, None
 
 
-def _read_part(fd, lines, start, stop, state) -> int:
-    """Read a part's records from record 2 on: plainly from byte `start` to `stop`, then by `_fill`.
+def _read_part(fd, lines, line, start, state) -> int:
+    """Read the records from number `line`, at byte `start`, to the end: plainly, then by `_fill`.
 
-    `lines` gives the part's lines from the file open on `fd`, after the
-    header; `start` is `_records_start`'s offset, and `stop` None reads to
-    the end. `_fill` takes over at the first record `_plain` leaves, after
-    skipping the lines before it in `lines`, so it meets every row, bad
-    UTF-8 and line number where `_fill` reading all of `lines` would. Gives
-    the next record's number. `lines` is then used up, or untouched if
-    `_plain` read every record.
+    `lines` gives the file's lines after the header, from the file open
+    on `fd`; `start` None reads by `_fill` alone. `_fill` takes over at the
+    first record `_plain` leaves, after skipping the lines before it in
+    `lines`, so it meets every row, bad UTF-8 and line number where `_fill`
+    reading all of `lines` would. Gives the next record's number.
     """
-    line = 2
     if start is not None:
-        line, start = _plain(fd, start, stop, line, *state)
+        line, start = _plain(fd, start, None, line, *state)
         if start is None:
             return line
     _skip(lines, line - 2)
@@ -560,38 +558,13 @@ def _skip(lines: Iterator[str], count: int) -> None:
 # Reading behaviours in two parts
 
 
-class _FileRange(io.RawIOBase):
-    """Bytes `start` to `stop` (or the end) of the file open on `fd`.
-
-    They are read with os.pread, which leaves the descriptor's position
-    alone, so this reader and any other of the same open file, a forked
-    child's included, do not disturb each other.
-    """
-
-    def __init__(self, fd: int, start: int, stop: int | None = None):
-        self._fd, self._position, self._stop = fd, start, stop
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        size = len(buffer)
-        if self._stop is not None:
-            size = min(size, self._stop - self._position)
-        data = os.pread(self._fd, size, self._position)
-        buffer[: len(data)] = data
-        self._position += len(data)
-        return len(data)
-
-
-def _split_point(fd: int) -> tuple[tuple[int, int] | None, str]:
+def _split_point(fd: int) -> tuple[int | None, str]:
     r"""Where a second process can start reading the file open on `fd`, or why it cannot.
 
-    The split falls after the first "\n" at or after the byte midpoint. If
-    the bytes before it hold no '"' and no "\r" outside a "\r\n", every
-    line end there ends a record, so those bytes hold exactly as many
-    records, header included, as "\n"s. Gives ((that count, the split's
-    byte offset), "") or (None, the reason to read in one part).
+    The split falls after the first "\n" at or after the byte midpoint.
+    Whether that line end ends a record is not checked here: `_read_in_two`
+    merges the halves only if `_plain` reads the first half up to it.
+    Gives (the split's byte offset, "") or (None, the reason to read in one part).
     """
     if not hasattr(os, "fork"):
         return None, "no fork"
@@ -607,48 +580,37 @@ def _split_point(fd: int) -> tuple[tuple[int, int] | None, str]:
     if not stat.S_ISREG(status.st_mode):  # a pipe cannot be read from an offset
         return None, "not a regular file"
     middle = status.st_size // 2
-    offset = middle + len(io.BufferedReader(_FileRange(fd, middle)).readline())
-    if offset >= status.st_size:
+    _, piece = next(_pieces(fd, middle, None), (middle, b""))
+    split = middle + piece.find(b"\n") + 1
+    if split <= middle or split >= status.st_size:
         return None, "no second half"
-    lines, after_cr, first_half = 0, False, _FileRange(fd, 0, offset)
-    while chunk := first_half.read(_SCAN_CHUNK):
-        if b'"' in chunk:
-            return None, "quote in first half"
-        # Every "\r" must start a "\r\n". The range ends with "\n", so a
-        # chunk that ends with "\r" has its "\n" at the next one's start.
-        if (after_cr and not chunk.startswith(b"\n")) or (
-            b"\r" in chunk
-            and chunk.count(b"\r") != chunk.count(b"\r\n") + chunk.endswith(b"\r")
-        ):
-            return None, "CR in first half"
-        after_cr = chunk.endswith(b"\r")
-        lines += chunk.count(b"\n")
-    return (lines, offset), ""
+    return split, ""
 
 
-def _read_in_two(handle, start, split, state, run) -> tuple[int, str]:
-    """Read records 2..lines as `_read_part` does while `run` reads the rest; merge in file order.
+def _read_in_two(fd, handle, start, split, state, run) -> tuple[int, str]:
+    """Read plainly from byte `start` to `split` while `run` reads the rest; merge in file order.
 
     `handle` stands just after the header, and `start` is `_records_start`'s
-    offset. Gives the next record's number, and a reason if the second
-    part had to be read here after all.
-
-    An error in this half comes first in the file, so it wins. If the other
-    half gives no result, this process reads it from where `handle` stands
-    after the first half's lines, as a one-part read would, so any error
-    there is raised by the same code at the same record.
+    offset. If `_plain` reads the first half to `split`, every line end
+    before it ended a record, so the halves merge, and the second half's
+    records are numbered on from the first's. Otherwise this process
+    leaves `run`, which stops the child without waiting for its result,
+    and reads on from where `_plain` stopped, as a one-part read would. If
+    the child gives no result, this process reads the second half itself
+    in the same way, so any error there is raised by the same code at the
+    same record. Gives the next record's number, and a reason if the
+    halves did not merge.
     """
-    lines, offset = split
     by_name, policy, table, names, skipped = state
-    first = islice(handle, lines - 1)
-    with run(partial(_tail, handle.fileno(), offset, lines + 1, by_name, policy)) as result:
-        _read_part(handle.fileno(), first, start, offset, state)
-        payload = result()
+    with run(partial(_tail, fd, split, by_name, policy)) as result:
+        line, stopped = _plain(fd, start, split, 2, *state)
+        payload = result() if stopped is None else b""
+    if stopped is not None:
+        return _read_part(fd, handle, line, stopped, state), "first half not plain"
     try:
-        end, tail_table, tail_skipped = marshal.loads(payload)
+        count, tail_table, tail_skipped = marshal.loads(payload)
     except (EOFError, ValueError, TypeError):
-        _skip(first, lines)
-        return _fill(csv.reader(handle), lines + 1, *state), "second part failed"
+        return _read_part(fd, handle, line, split, state), "second part failed"
     get = table.get
     for (learner, variable), values in tail_table.items():
         mine = get((learner, variable))
@@ -658,28 +620,19 @@ def _read_in_two(handle, start, split, state, run) -> tuple[int, str]:
         else:
             mine.extend(values)
     skipped.extend(tail_skipped)
-    return end, ""
+    return line + count, ""
 
 
-def _tail(fd, offset, line, by_name, policy) -> bytes:
-    """Read the file open on `fd` from byte `offset` on, numbering records from `line`.
+def _tail(fd, split, by_name, policy) -> bytes:
+    """Read the file open on `fd` plainly from byte `split` on.
 
-    Reads plainly as far as `_plain` goes and by `_fill` from there. Gives
-    the marshal'd (next record's number, the table of values per key,
-    skipped unknowns), or b"" if the read raised anything.
+    Gives the marshal'd (records read, the table of values per key, skipped
+    unknowns), or b"" if a record was not plain.
     """
     table: dict[tuple[str, str], list[float]] = {}
     skipped: list[tuple[str, str]] = []
-    state = (by_name, policy, table, {}, skipped)
-    try:
-        line, offset = _plain(fd, offset, None, line, *state)
-        if offset is not None:
-            raw = io.BufferedReader(_FileRange(fd, offset))
-            with io.TextIOWrapper(raw, encoding="utf-8", newline="") as handle:
-                line = _fill(csv.reader(handle), line, *state)
-    except Exception:
-        return b""
-    return marshal.dumps((line, table, skipped))
+    count, stopped = _plain(fd, split, None, 0, by_name, policy, table, {}, skipped)
+    return b"" if stopped is not None else marshal.dumps((count, table, skipped))
 
 
 @contextmanager

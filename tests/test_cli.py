@@ -791,16 +791,25 @@ def test_pipeline_refuses_bad_settings_before_writing_anything(
          "i/o error: [Errno 2] No such file or directory: '{missing}'"),
         (["evaluate", "--assignment", "{assignment}", "--scores", "{scores}", "--alpha", "1.5"],
          1, "error: alpha must lie in (0, 1), got 1.5"),
+        (["classify", "--behaviors", "{behaviors}", "--questionnaire", "{missing}"], 2,
+         "i/o error: [Errno 2] No such file or directory: '{missing}'"),
+        (["classify", "--behaviors", "{behaviors}", "--questionnaire", "{questionnaire}"], 1,
+         "error: line 2: score 99.0 outside [0.0, 11.0]"),
     ],
     ids=["simulate-seed", "simulate-global", "group-seed", "group-min-size", "group-missing",
-         "evaluate-alpha"],
+         "evaluate-alpha", "classify-questionnaire-missing", "classify-questionnaire-score"],
 )
 def test_staged_commands_refuse_before_creating_out(tmp_path, capsys, argv, code, message):
     spec = tmp_path / "global.json"
     spec.write_text(json.dumps(_spec(entry={"signature": _GLOBAL})), encoding="utf-8")
     assignment, scores = _evaluate_inputs(tmp_path)[1::2]
+    behaviors = tmp_path / "behaviors.csv"
+    behaviors.write_text("learner_id,variable,value\nL1,test_time,10\n", encoding="utf-8")
+    questionnaire = tmp_path / "questionnaire.csv"
+    questionnaire.write_text("learner_id,dimension,score\nL1,processing,99\n", encoding="utf-8")
     paths = {"global": spec, "profiles": _profiles_csv(tmp_path), "assignment": assignment,
-             "scores": scores, "missing": tmp_path / "missing.csv"}
+             "scores": scores, "behaviors": behaviors, "questionnaire": questionnaire,
+             "missing": tmp_path / "missing.csv"}
     out = tmp_path / "out"
     assert main([arg.format(**paths) for arg in argv] + ["--out", str(out)]) == code
     assert capsys.readouterr().err.splitlines()[-1] == message.format(**paths)

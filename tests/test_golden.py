@@ -15,6 +15,7 @@ Regenerate the table (only for an intended change of output) with:
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import platform
@@ -137,6 +138,26 @@ def _event_satisfaction() -> str:
     return "learner_id,q1,q2,q3,q4,q5,q6,q7\n" + "\n".join(rows) + "\n"
 
 
+# The wide-cohort case: 30 learners of every signature the bundled
+# labeller can emit (3 x 3 x 3 x 2), at noise 0.10, so grouping merges
+# about 50 times and some learners fire no rule.
+_WIDE_SIGNATURES = list(itertools.product(
+    ("reactive", "reactive_reflective", "reflection"),
+    ("sensory", "sensory_intuitive", "intuitive"),
+    ("visual", "visual_verbal", "verbal"),
+    ("consecutive", "sequential_global"),
+))
+
+
+def _wide_cohort() -> str:
+    spec = {
+        "cohort": [{"signature": list(s), "count": 30} for s in _WIDE_SIGNATURES],
+        "noise_sigma": 0.10,
+        "score_model": {"treated_mean": 17.65, "control_mean": 12.6, "sigma": 2.5},
+    }
+    return json.dumps(spec, indent=2) + "\n"
+
+
 def _bundled(name: str) -> str:
     return (SRC / "stylegroup" / "data" / name).read_text(encoding="utf-8")
 
@@ -177,6 +198,10 @@ CASES = {
             ["evaluate", "--assignment", "out/assignment.csv", "--scores", "scores.csv",
              "--satisfaction", "satisfaction.csv", "--out", "out"],
         ],
+    ),
+    "pipeline-wide-cohort-seed-5": (
+        {"cohort.json": _wide_cohort},
+        [["pipeline", "--cohort-spec", "cohort.json", "--seed", "5", "--out", "out"]],
     ),
 }
 

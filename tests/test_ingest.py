@@ -300,14 +300,9 @@ def _in_process(work):
 
 
 def _splits(path):
-    """Every (records before, byte offset) split at a line end after the header."""
+    """The byte offset after each line end: `_splits(path)[n]` follows records 1 to n + 1."""
     data = path.read_bytes()
-    header_end = data.index(b"\n") + 1
-    return [
-        (data.count(b"\n", 0, offset), offset)
-        for offset in range(header_end, len(data) + 1)
-        if data[offset - 1 : offset] == b"\n"
-    ]
+    return [offset for offset in range(1, len(data) + 1) if data[offset - 1 : offset] == b"\n"]
 
 
 def _split_at(split, run=_in_process):
@@ -374,7 +369,7 @@ def test_second_process_errors_match_reference_loader(tmp_path, rows, policy, er
     expected = _outcome(reference_load_behaviors, path, policy)
     assert expected[0] is error and expected[2] == line
     # records 1-30 here, records 31 on in the second process
-    (split,) = [split for split in _splits(path) if split[0] == 30]
+    split = _splits(path)[29]
     assert _outcome(_split_at(split, ingest._forked), path, policy) == expected
 
 
@@ -384,14 +379,14 @@ def _padded_row(size):
 
 
 def test_undecodable_second_half_is_read_again_here(tmp_path):
-    """A row error the second process meets first loses to bad UTF-8 that a one-part read decodes first.
+    """A bad row loses to bad UTF-8 after it that a one-part read decodes first.
 
     Text is decoded 8 KiB at a time from where the reader starts. The split
     sits half a chunk off the one-part read's chunk grid, and the bad row
-    ends the second process's first chunk: that process parses the row
-    before it reaches the bad byte, while a one-part read decodes both at
-    once and fails on the byte. The second process gives no result, and
-    this process reads the second half again on the one-part read's grid.
+    ends the first chunk of a reader started there: such a reader parses
+    the row before it reaches the bad byte, while a one-part read decodes
+    both at once and fails on the byte. The second process gives no result,
+    and this process reads the second half on the one-part read's grid.
     """
     header = b"learner_id,variable,value\n"
     bad_row, bad_byte = b"L2,test_time,abc\n", b"L3,test_time,\xff\n"
@@ -403,13 +398,12 @@ def test_undecodable_second_half_is_read_again_here(tmp_path):
     path.write_bytes(first + second + bad_byte + _padded_row(18) * 200)
     expected = _exception(reference_load_behaviors, path)
     assert type(expected) is UnicodeDecodeError
-    split = (first.count(b"\n"), offset)
     for run in (_in_process, ingest._forked):
-        got = _exception(_split_at(split, run), path)
+        got = _exception(_split_at(offset, run), path)
         assert (type(got), str(got)) == (type(expected), str(expected))
     # With the bad byte out of the way, the row error is raised at its record.
     path.write_bytes(first + second + _padded_row(18) * 200)
-    assert _exception(_split_at(split, ingest._forked), path).line == 1137 + 455
+    assert _exception(_split_at(offset, ingest._forked), path).line == 1137 + 455
 
 
 @contextmanager
@@ -442,8 +436,9 @@ def test_failed_second_part_is_read_here(tmp_path, caplog, two_cpus, run, rows, 
     """A second part that gives nothing or a cut payload, or whose child dies, is read again here."""
     path = _write_rows(tmp_path / "b.csv", rows)
     with open(path, "rb") as handle:
-        (lines, _), _ = ingest._split_point(handle.fileno())
-    assert lines < len(_GOOD) * 2 + 2  # a bad row is in the second half
+        split, _ = ingest._split_point(handle.fileno())
+    # a bad row is in the second half
+    assert path.read_bytes().count(b"\n", 0, split) < len(_GOOD) * 2 + 2
     with caplog.at_level(logging.INFO, logger="stylegroup.ingest"):
         got = _outcome(
             lambda *args, policy: ingest._load(*args, policy, ingest._split_point, run),
@@ -471,8 +466,8 @@ def _parts(caplog):
 @pytest.mark.parametrize(
     "first, parts",
     [
-        ('"L1",test_time,1\n', "1 (quote in first half)"),
-        ("L1,test_time,1\r", "1 (CR in first half)"),
+        ('"L1",test_time,1\n', "1 (first half not plain)"),
+        ("L1,test_time,1\r", "1 (first half not plain)"),
         ("L1,test_time,1\r\n", "2"),
         ("L1,test_time,1\n", "2"),
     ],
@@ -486,6 +481,15 @@ def test_quote_or_lone_cr_in_first_half_reads_in_one_part(tmp_path, caplog, two_
     with caplog.at_level(logging.INFO, logger="stylegroup.ingest"):
         got = _outcome(load_behaviors, path, "clamp")
     assert _parts(caplog) == parts
+    assert got == _outcome(reference_load_behaviors, path, "clamp")
+
+
+def test_quote_in_second_half_only_is_read_here(tmp_path, caplog, two_cpus):
+    """The child meets the only quoted row, gives nothing, and this process reads its half."""
+    path = _write_rows(tmp_path / "b.csv", _GOOD * 3 + [['"L1"', "test_time", "1"]] + _GOOD)
+    with caplog.at_level(logging.INFO, logger="stylegroup.ingest"):
+        got = _outcome(load_behaviors, path, "clamp")
+    assert _parts(caplog) == "1 (second part failed)"
     assert got == _outcome(reference_load_behaviors, path, "clamp")
 
 
@@ -512,21 +516,26 @@ def test_no_second_process_is_left_behind(tmp_path, caplog, two_cpus):
         with ingest._forked(work) as result:
             yield result
 
+    def load(*args, policy):
+        return ingest._load(*args, policy, ingest._split_point, counted)
+
     good = _write_rows(tmp_path / "good.csv", _GOOD * 3)
     bad = _write_rows(tmp_path / "bad.csv", [["L1", "test_time", "x"]] + _GOOD * 3)
-    with caplog.at_level(logging.INFO, logger="stylegroup.ingest"):
-        assert _outcome(
-            lambda *args, policy: ingest._load(*args, policy, ingest._split_point, counted),
-            good, "clamp",
-        ) == _outcome(reference_load_behaviors, good, "clamp")
-    assert _parts(caplog) == "2"
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    # the first half is not plain: nothing waits for the child's result
+    quoted = _write_rows(tmp_path / "quoted.csv", [['"L1"', "test_time", "1"]] + _GOOD * 3)
+    for path, parts in ((good, "2"), (quoted, "1 (first half not plain)")):
+        caplog.clear()
+        expected = _outcome(reference_load_behaviors, path, "clamp")
+        with caplog.at_level(logging.INFO, logger="stylegroup.ingest"):
+            assert _outcome(load, path, "clamp") == expected
+        assert _parts(caplog) == parts
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
     with pytest.raises(MalformedRowError):
-        ingest._load(bad, VARS, "clamp", ingest._split_point, counted)
+        load(bad, VARS, policy="clamp")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    assert len(forks) == 2
+    assert len(forks) == 3
 
 
 @pytest.mark.parametrize(
@@ -596,16 +605,6 @@ def _csv_rows(path, rows, terminator="\n"):
     return path
 
 
-def _plain_splits(path):
-    r"""The splits `_split_point` can choose: no '"' and no lone "\r" before them."""
-    data = path.read_bytes()
-    return [
-        (lines, offset) for lines, offset in _splits(path)
-        if b'"' not in data[:offset]
-        and data.count(b"\r", 0, offset) == data.count(b"\r\n", 0, offset)
-    ]
-
-
 _PLAIN = [["L1", "test_time", "1.5"], [" L2 ", "test_time", "2"], ["L1", " mean_gap", "3"],
           ["L2", "mystery", "4"], ["L1", "test_time ", "5"], ["L1", "test_time", "6"]]
 
@@ -634,7 +633,7 @@ def test_plain_pieces_match_reference_loader_at_every_split(
     expected = _outcome(reference_load_behaviors, path, policy)
     with patch.object(ingest, "_SCAN_CHUNK", chunk):
         assert _outcome(_split_at(None), path, policy) == expected
-        for split in _plain_splits(path):
+        for split in _splits(path):
             assert _outcome(_split_at(split), path, policy) == expected, split
 
 
@@ -670,8 +669,19 @@ def test_last_lines_match_reference_loader(tmp_path, end):
     expected = _outcome(reference_load_behaviors, path, "clamp")
     with patch.object(ingest, "_SCAN_CHUNK", 8):
         assert _outcome(_split_at(None), path, "clamp") == expected
-        for split in _plain_splits(path):
+        for split in _splits(path):
             assert _outcome(_split_at(split), path, "clamp") == expected, split
+
+
+def test_split_inside_a_quoted_line_end_matches_one_part_read(tmp_path):
+    """A split need not end a record: `_plain` stops at the quote before it, so no merge."""
+    rows = [["L1", "test_time", "1"], ["two\nlines", "test_time", "2"], ["L2", "test_time", "3"]]
+    path = _csv_rows(tmp_path / "b.csv", rows * 3)
+    split = path.read_bytes().index(b"two\n") + len(b"two\n")
+    assert split in _splits(path)
+    expected = _outcome(_split_at(None), path, "clamp")
+    assert expected == _outcome(reference_load_behaviors, path, "clamp")
+    assert _outcome(_split_at(split), path, "clamp") == expected
 
 
 # A value `float` reads but `csv.reader` refuses: longer than its field size limit.
@@ -686,7 +696,7 @@ def test_field_over_the_size_limit_is_a_row_error_in_either_half(tmp_path, recor
     expected = _outcome(reference_load_behaviors, path, "clamp")
     message = f"line {records_before + 1}: field larger than field limit ({csv.field_size_limit()})"
     assert expected == (MalformedRowError, message, records_before + 1)
-    (split,) = [split for split in _splits(path) if split[0] == 25]
+    split = _splits(path)[24]  # after record 25
     assert _outcome(_split_at(split, ingest._forked), path, "clamp") == expected
     assert _outcome(_split_at(None), path, "clamp") == expected
 
