@@ -73,6 +73,27 @@ log = logging.getLogger("stylegroup")
 DEFAULTS = {"out": "out", "policy": "clamp", "control_fraction": 0.1,
             "target_k": DEFAULT_TARGET_K, "min_size": DEFAULT_MIN_SIZE, "alpha": DEFAULT_ALPHA}
 
+# Each long flag, as its config key: its type (a tuple is its choices) and its help text.
+FLAGS = {
+    "config": (str, "JSON file with defaults for any flag"),
+    "vars": (str, "variables file (.fvars); bundled base when omitted"),
+    "rules": (str, "rules file (.frules); bundled base when omitted"),
+    "out": (str, f"output directory (default: {DEFAULTS['out']})"),
+    "seed": (int, "random seed (required; no ambient entropy)"),
+    "behaviors": (str, "long-format behaviours CSV"),
+    "questionnaire": (str, "questionnaire CSV for validation"),
+    "policy": (("clamp", "strict"), f"ingest policy (default {DEFAULTS['policy']})"),
+    "profiles": (str, "profiles CSV produced by classify"),
+    "control_fraction": (float, f"default {DEFAULTS['control_fraction']}"),
+    "target_k": (int, f"default {DEFAULTS['target_k']}"),
+    "min_size": (int, f"default {DEFAULTS['min_size']}"),
+    "assignment": (str, "assignment CSV produced by group"),
+    "scores": (str, "scores CSV: learner_id,score"),
+    "satisfaction": (str, "satisfaction CSV: learner_id,q1..q7"),
+    "alpha": (float, f"significance level (default {DEFAULTS['alpha']})"),
+    "cohort_spec": (str, "cohort spec JSON"),
+}
+
 
 class ConfigError(Exception):
     pass
@@ -93,108 +114,49 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Identify learning styles from behaviour logs, group learners, evaluate outcomes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, *, rules=False, out=False, seed=False):
-        p.add_argument("--config", help="JSON file with defaults for any flag")
-        if rules:
-            p.add_argument("--vars", help="variables file (.fvars); bundled base when omitted")
-            p.add_argument("--rules", help="rules file (.frules); bundled base when omitted")
-        if out:
-            p.add_argument("--out", help=f"output directory (default: {DEFAULTS['out']})")
-        if seed:
-            p.add_argument("--seed", type=int, help="random seed (required; no ambient entropy)")
-
-    def add_grouping(p: argparse.ArgumentParser):
-        for flag, kind in (("--control-fraction", float), ("--target-k", int), ("--min-size", int)):
-            p.add_argument(flag, type=kind, help=f"default {DEFAULTS[flag[2:].replace('-', '_')]}")
-
-    p = sub.add_parser("validate-rules", help="parse and validate a rule base")
-    add_common(p, rules=True)
-    p.set_defaults(handler=_cmd_validate_rules)
-
-    p = sub.add_parser("classify", help="classify a cohort from behaviour logs")
-    add_common(p, rules=True, out=True)
-    p.add_argument("--behaviors", help="long-format behaviours CSV")
-    p.add_argument("--questionnaire", help="questionnaire CSV for validation")
-    p.add_argument("--policy", choices=["clamp", "strict"],
-                   help=f"ingest policy (default {DEFAULTS['policy']})")
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("group", help="split control and form homogeneous groups")
-    add_common(p, out=True, seed=True)
-    p.add_argument("--profiles", help="profiles CSV produced by classify")
-    add_grouping(p)
-    p.set_defaults(handler=_cmd_group)
-
-    p = sub.add_parser("evaluate", help="statistical evaluation of group scores")
-    add_common(p, out=True)
-    p.add_argument("--assignment", help="assignment CSV produced by group")
-    p.add_argument("--scores", help="scores CSV: learner_id,score")
-    p.add_argument("--satisfaction", help="satisfaction CSV: learner_id,q1..q7")
-    p.add_argument("--alpha", type=float, help=f"significance level (default {DEFAULTS['alpha']})")
-    p.set_defaults(handler=_cmd_evaluate)
-
-    p = sub.add_parser("simulate", help="generate a synthetic cohort")
-    add_common(p, rules=True, out=True, seed=True)
-    p.add_argument("--cohort-spec", help="cohort spec JSON")
-    p.set_defaults(handler=_cmd_simulate)
-
-    p = sub.add_parser("pipeline", help="simulate, classify, group, and evaluate")
-    add_common(p, rules=True, out=True, seed=True)
-    p.add_argument("--cohort-spec", help="cohort spec JSON")
-    add_grouping(p)
-    p.add_argument("--alpha", type=float, help=f"significance level (default {DEFAULTS['alpha']})")
-    p.set_defaults(handler=_cmd_pipeline)
-
+    for command, (handler, summary, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for key in flags.split():
+            kind, text = FLAGS[key]
+            choices = kind if isinstance(kind, tuple) else None
+            p.add_argument("--" + key.replace("_", "-"), type=None if choices else kind,
+                           choices=choices, help=text)
+        p.set_defaults(handler=handler)
     return parser
 
 
-def _flag_actions(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
-    """The long flags of every subcommand, as config keys, each with its action.
-
-    One config file may serve several commands, so a key any command
-    knows is accepted by all of them. A key's flags share one type and one
-    set of choices across commands.
-    """
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return {
-        action.dest: action
-        for command in sub.choices.values()
-        for action in command._actions
-        if action.option_strings and action.dest != "help"
-    }
-
-
-def _resolve_settings(args: argparse.Namespace, actions: dict[str, argparse.Action]) -> None:
+def _resolve_settings(args: argparse.Namespace) -> None:
     """Set each flag the command line left unset from the config file, else from `DEFAULTS`.
 
-    Each config key must be some subcommand's long flag, with that flag's JSON type.
+    Each config key must be some subcommand's long flag, with that flag's JSON
+    type: one config file may serve several commands, so a key any command
+    knows is accepted by all of them.
     """
     config = read_json(args.config) if args.config else {}
     if not isinstance(config, dict):
         raise ConfigError("config file must hold a JSON object")
     if "config" in config:
         raise ConfigError("config key 'config' is not allowed: a config file cannot name another")
-    unknown = sorted(config.keys() - actions.keys())
+    unknown = sorted(config.keys() - FLAGS.keys())
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]!r}: no subcommand has that flag")
     for key, value in config.items():
-        action = actions[key]
-        if action.type is int:
-            ok, kind = type(value) is int, "an integer"
-        elif action.type is float:
-            ok, kind = type(value) in (int, float), "a number"
-        elif action.choices is not None:
-            ok = isinstance(value, str) and value in action.choices
-            kind = "one of " + ", ".join(map(repr, action.choices))
+        kind = FLAGS[key][0]
+        if kind is int:
+            ok, what = type(value) is int, "an integer"
+        elif kind is float:
+            ok, what = type(value) in (int, float), "a number"
+        elif kind is str:
+            ok, what = isinstance(value, str), "a string"
         else:
-            ok, kind = isinstance(value, str), "a string"
+            ok = isinstance(value, str) and value in kind
+            what = "one of " + ", ".join(map(repr, kind))
         if not ok:
-            raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
+            raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
     for key, value in list(vars(args).items()):
         if value is None:
             value = config.get(key, DEFAULTS.get(key))
-            if value is not None and actions[key].type is float:
+            if value is not None and FLAGS[key][0] is float:
                 value = float(value)
             setattr(args, key, value)
 
@@ -249,18 +211,19 @@ def _write_cohort(spec, rb: RuleBase, truth, behaviors, out: Path) -> None:
     write_truth_csv(truth, rb.dimensions(), out / "truth.csv")
 
 
-def _classify(behaviors, rb: RuleBase, out: Path):
-    """Classify, write the profiles and the failures, and print a line on the failures."""
+def _classify(behaviors, rb: RuleBase, out: Path, questionnaire=None, reports=None):
+    """Classify and print a line on the failures; validate against `questionnaire`, if given.
+
+    Only then create `out` and write into it the `reports` (file name to
+    text), the profiles, the failures and the validation.
+    """
     table, failures = classify_cohort(behaviors, rb)
     for failure in failures:
         log.info("classification failed: %s", failure.reason)
-    (out / "profiles.csv").write_text(profiles_to_csv(table), encoding="utf-8")
     detail = profiles_to_json(table)
-    (out / "profiles.json").write_text(detail, encoding="utf-8")
     rows = ((f.learner_id, f.dimension or "", f.reason) for f in failures)
-    (out / "failures.csv").write_text(
-        csv_text(["learner_id", "dimension", "reason"], rows), encoding="utf-8"
-    )
+    files = {**(reports or {}), "profiles.csv": profiles_to_csv(table), "profiles.json": detail,
+             "failures.csv": csv_text(["learner_id", "dimension", "reason"], rows)}
     # profiles.json is ASCII (JSON escapes the rest): its length is its size in bytes.
     log.info(
         "classification: profiles.csv %d rows, failures.csv %d rows, "
@@ -274,6 +237,12 @@ def _classify(behaviors, rb: RuleBase, out: Path):
             f"({missing} missing a feature, {len(failures) - missing} with no rule fired), "
             f"first: {failures[0].reason}; failures.csv lists each", file=sys.stderr,
         )
+    report = None if questionnaire is None else validate_against_questionnaire(table, questionnaire)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text, encoding="utf-8")
+    if report is not None:
+        _dump_json(report.to_json_dict(), out / "validation.json")
     return table, failures
 
 
@@ -318,22 +287,11 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     behaviors_path = _require(args, "behaviors")
     behaviors, clamp_report = load_behaviors(behaviors_path, list(rb.variables), policy=args.policy)
     questionnaire = load_questionnaire(args.questionnaire) if args.questionnaire else None
-    out = _out_dir(args)
-
-    clamp_lines = clamp_report.format_lines()
-    (out / "clamp_report.txt").write_text(
-        "".join(line + "\n" for line in clamp_lines), encoding="utf-8"
-    )
-    coverage = feature_coverage(behaviors, rb)
-    (out / "coverage.txt").write_text(
-        "\n".join(coverage.format_lines()) + "\n", encoding="utf-8"
-    )
-    profiles, failures = _classify(behaviors, rb, out)
-
-    if questionnaire is not None:
-        report = validate_against_questionnaire(profiles, questionnaire)
-        _dump_json(report.to_json_dict(), out / "validation.json")
-
+    reports = {
+        "clamp_report.txt": "".join(line + "\n" for line in clamp_report.format_lines()),
+        "coverage.txt": "\n".join(feature_coverage(behaviors, rb).format_lines()) + "\n",
+    }
+    profiles, failures = _classify(behaviors, rb, Path(args.out), questionnaire, reports)
     print(f"classified {len(profiles)} learners, {len(failures)} failures")
     return 0
 
@@ -422,15 +380,26 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     return 0
 
 
-# --------------------------------------------------------------------------
+# Each subcommand: its handler, its help, and its flags in the order `--help` lists them.
+COMMANDS = {
+    "validate-rules": (_cmd_validate_rules, "parse and validate a rule base", "config vars rules"),
+    "classify": (_cmd_classify, "classify a cohort from behaviour logs",
+                 "config vars rules out behaviors questionnaire policy"),
+    "group": (_cmd_group, "split control and form homogeneous groups",
+              "config out seed profiles control_fraction target_k min_size"),
+    "evaluate": (_cmd_evaluate, "statistical evaluation of group scores",
+                 "config out assignment scores satisfaction alpha"),
+    "simulate": (_cmd_simulate, "generate a synthetic cohort", "config vars rules out seed cohort_spec"),
+    "pipeline": (_cmd_pipeline, "simulate, classify, group, and evaluate",
+                 "config vars rules out seed cohort_spec control_fraction target_k min_size alpha"),
+}
 
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        _resolve_settings(args, _flag_actions(parser))
+        _resolve_settings(args)
     except (OSError, ValueError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import re
-from decimal import Decimal
 from importlib import resources
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -218,52 +217,40 @@ class _LineParser:
     def done(self) -> bool:
         return self.pos >= len(self.tokens)
 
-    def take(self, expected: str) -> _Token:
+    def at(self, kind: str, text: str | None = None) -> bool:
+        """Whether the next token is of `kind` and, given `text`, reads it (case-insensitively)."""
         token = self.peek()
-        if token is None:
-            self.fail(expected)
+        return token is not None and token.kind == kind and text in (None, token.text.lower())
+
+    def expect(self, what: str, kind: str, text: str | None = None) -> _Token:
+        """Take the next token when `at(kind, text)`; otherwise fail with `expected <what>`."""
+        if not self.at(kind, text):
+            self.fail(what)
         self.pos += 1
-        return token
+        return self.tokens[self.pos - 1]
 
     def expect_punct(self, char: str) -> _Token:
-        token = self.take(f"'{char}'")
-        if token.kind != "punct" or token.text != char:
-            raise ParseError(self.line_no, token.column, f"expected '{char}'")
-        return token
-
-    def expect_ident(self, what: str = "identifier") -> _Token:
-        token = self.take(what)
-        if token.kind != "ident":
-            raise ParseError(self.line_no, token.column, f"expected {what}")
-        return token
+        return self.expect(f"'{char}'", "punct", char)
 
     def expect_keyword(self, word: str) -> _Token:
-        token = self.take(f"keyword '{word}'")
-        if token.kind != "ident" or token.text.lower() != word:
-            raise ParseError(self.line_no, token.column, f"expected keyword '{word}'")
-        return token
+        return self.expect(f"keyword '{word}'", "ident", word)
+
+    def expect_word(self, what: str, words: Sequence[str]) -> str:
+        """An identifier that is one of `words`, lowercased; `what` names it when none is there."""
+        if self.at("ident") and self.peek().text.lower() not in words:
+            self.fail("one of " + ", ".join(words))
+        return self.expect(what, "ident").text.lower()
 
     def expect_number(self) -> tuple[float, _Token]:
-        token = self.take("number")
-        if token.kind != "number":
-            raise ParseError(self.line_no, token.column, "expected number")
+        token = self.expect("number", "number")
         value = float(token.text)
         if not math.isfinite(value):
             raise RangeError(self.line_no, token.column, "number is too large to be finite")
         return value, token
 
-    def at_keyword(self, word: str) -> bool:
-        token = self.peek()
-        return token is not None and token.kind == "ident" and token.text.lower() == word
-
-    def at_punct(self, char: str) -> bool:
-        token = self.peek()
-        return token is not None and token.kind == "punct" and token.text == char
-
     def expect_end(self):
-        token = self.peek()
-        if token is not None:
-            raise ParseError(self.line_no, token.column, "expected end of line")
+        if not self.done():
+            self.fail("end of line")
 
 
 # --------------------------------------------------------------------------
@@ -282,8 +269,8 @@ def _parse_universe(p: _LineParser) -> tuple[float, float]:
 def _parse_term_block(p: _LineParser) -> list[tuple[str, float, float, float, float, _Token]]:
     p.expect_punct("{")
     terms = []
-    while not p.at_punct("}"):
-        label_tok = p.expect_ident("term label")
+    while not p.at("punct", "}"):
+        label_tok = p.expect("term label", "ident")
         p.expect_punct("=")
         p.expect_punct("(")
         corners = []
@@ -302,36 +289,24 @@ def _parse_term_block(p: _LineParser) -> list[tuple[str, float, float, float, fl
 
 def _parse_variable_line(p: _LineParser) -> LinguisticVariable:
     line_no = p.line_no
-    kind_tok = p.expect_ident("'input' or 'output'")
-    kind = kind_tok.text.lower()
-    if kind not in ("input", "output"):
-        raise ParseError(line_no, kind_tok.column, "expected 'input' or 'output'")
-    name = p.expect_ident("variable name").text
+    kind = "input" if p.at("ident", "input") else "output"
+    p.expect("'input' or 'output'", "ident", kind)
+    name = p.expect("variable name", "ident").text
 
     dimension = None
     universe = DEFAULT_UNIVERSE
     aggregation = "sum"
     max_expected = None
-    while not p.done() and not p.at_punct("{"):
-        key_tok = p.expect_ident("attribute")
+    while not p.done() and not p.at("punct", "{"):
+        key_tok = p.expect("attribute", "ident")
         key = key_tok.text.lower()
         p.expect_punct("=")
         if key == "dim":
-            dim_tok = p.expect_ident("dimension name")
-            if dim_tok.text.lower() not in DIMENSIONS:
-                raise ParseError(
-                    line_no, dim_tok.column, f"expected one of {', '.join(DIMENSIONS)}"
-                )
-            dimension = dim_tok.text.lower()
+            dimension = p.expect_word("dimension name", DIMENSIONS)
         elif key == "universe":
             universe = _parse_universe(p)
         elif key == "agg":
-            agg_tok = p.expect_ident("aggregation mode")
-            if agg_tok.text.lower() not in AGGREGATIONS:
-                raise ParseError(
-                    line_no, agg_tok.column, f"expected one of {', '.join(AGGREGATIONS)}"
-                )
-            aggregation = agg_tok.text.lower()
+            aggregation = p.expect_word("aggregation mode", AGGREGATIONS)
         elif key == "max_expected":
             value, num_tok = p.expect_number()
             if value <= 0:
@@ -343,7 +318,7 @@ def _parse_variable_line(p: _LineParser) -> LinguisticVariable:
             )
 
     raw_terms = None
-    if p.at_punct("{"):
+    if p.at("punct", "{"):
         raw_terms = _parse_term_block(p)
     p.expect_end()
 
@@ -399,7 +374,7 @@ def _parse_variable_line(p: _LineParser) -> LinguisticVariable:
 def _expect_variable(
     p: _LineParser, variables: dict[str, LinguisticVariable], kind: str
 ) -> tuple[LinguisticVariable, _Token]:
-    tok = p.expect_ident(f"{kind} variable name")
+    tok = p.expect(f"{kind} variable name", "ident")
     variable = variables.get(tok.text)
     if variable is None:
         raise UnknownVariableError(p.line_no, tok.column, f"unknown variable {tok.text!r}")
@@ -412,7 +387,7 @@ def _expect_variable(
 
 def _expect_term(p: _LineParser, variable: LinguisticVariable) -> str:
     p.expect_keyword("is")
-    tok = p.expect_ident("term label")
+    tok = p.expect("term label", "ident")
     if tok.text not in variable.labels():
         raise UnknownTermError(
             p.line_no, tok.column, f"variable {variable.name!r} has no term {tok.text!r}"
@@ -422,7 +397,7 @@ def _expect_term(p: _LineParser, variable: LinguisticVariable) -> str:
 
 def _parse_rule_line(p: _LineParser, variables: dict[str, LinguisticVariable]) -> Rule:
     p.expect_keyword("rule")
-    rule_id = p.expect_ident("rule id").text
+    rule_id = p.expect("rule id", "ident").text
     p.expect_punct(":")
     p.expect_keyword("if")
 
@@ -435,9 +410,9 @@ def _parse_rule_line(p: _LineParser, variables: dict[str, LinguisticVariable]) -
                 f"variable {variable.name!r} appears twice in one antecedent",
             )
         antecedent.append((variable.name, _expect_term(p, variable)))
-        if not p.at_keyword("and"):
+        if not p.at("ident", "and"):
             break
-        p.take("keyword 'and'")
+        p.expect_keyword("and")
 
     p.expect_keyword("then")
     out_var, _ = _expect_variable(p, variables, "output")
@@ -505,13 +480,12 @@ def parse_rulebase(text: str) -> RuleBase:
     var_lines = []
     rule_lines = []
     for p in _numbered_lines(text):
-        head = p.peek()
-        if head.kind == "ident" and head.text.lower() in ("input", "output"):
+        if p.at("ident", "input") or p.at("ident", "output"):
             var_lines.append(p)
-        elif head.kind == "ident" and head.text.lower() == "rule":
+        elif p.at("ident", "rule"):
             rule_lines.append(p)
         else:
-            raise ParseError(p.line_no, head.column, "expected 'input', 'output' or 'RULE'")
+            p.fail("'input', 'output' or 'RULE'")
     variables = _variables_from(var_lines)
     return RuleBase(variables=tuple(variables), rules=tuple(_rules_from(rule_lines, variables)))
 
@@ -633,6 +607,8 @@ def _format_number(value: float) -> str:
     """
     if value == int(value):
         return str(int(value))
+    from decimal import Decimal  # here, not at the top: no command pretty-prints
+
     return format(Decimal(repr(value)), "f")
 
 

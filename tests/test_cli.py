@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
 from stylegroup.classify import classify_cohort
-from stylegroup.cli import main
+from stylegroup.cli import COMMANDS, FLAGS, main
 from stylegroup.dsl import default_rulebase, load_rulebase, pretty_print
 from stylegroup.grouping import GroupingParams, assign_groups
 from stylegroup.simulate import generate, load_cohort_spec
@@ -634,6 +634,12 @@ def test_unknown_config_key_is_a_config_error(tmp_path, capsys):
     assert main(argv) == 0
 
 
+def test_every_config_key_is_some_subcommands_flag():
+    """The config check accepts exactly the keys of `FLAGS`, so each must be a flag in use."""
+    used = [key for _, _, flags in COMMANDS.values() for key in flags.split()]
+    assert set(used) == FLAGS.keys()
+
+
 def test_a_config_file_may_not_set_config(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text('{"config": "other.json", "min_size": 2}', encoding="utf-8")
@@ -795,9 +801,14 @@ def test_pipeline_refuses_bad_settings_before_writing_anything(
          "i/o error: [Errno 2] No such file or directory: '{missing}'"),
         (["classify", "--behaviors", "{behaviors}", "--questionnaire", "{questionnaire}"], 1,
          "error: line 2: score 99.0 outside [0.0, 11.0]"),
+        (["classify", "--behaviors", "{behaviors}", "--questionnaire", "{unpaired}"], 1,
+         "error: need at least 3 pairs, got 0"),
+        (["classify", "--behaviors", "{behaviors}", "--vars", "{missing}"], 2,
+         "config error: --vars and --rules must be given together"),
     ],
     ids=["simulate-seed", "simulate-global", "group-seed", "group-min-size", "group-missing",
-         "evaluate-alpha", "classify-questionnaire-missing", "classify-questionnaire-score"],
+         "evaluate-alpha", "classify-questionnaire-missing", "classify-questionnaire-score",
+         "classify-questionnaire-unpaired", "classify-vars-alone"],
 )
 def test_staged_commands_refuse_before_creating_out(tmp_path, capsys, argv, code, message):
     spec = tmp_path / "global.json"
@@ -807,9 +818,11 @@ def test_staged_commands_refuse_before_creating_out(tmp_path, capsys, argv, code
     behaviors.write_text("learner_id,variable,value\nL1,test_time,10\n", encoding="utf-8")
     questionnaire = tmp_path / "questionnaire.csv"
     questionnaire.write_text("learner_id,dimension,score\nL1,processing,99\n", encoding="utf-8")
+    unpaired = tmp_path / "unpaired.csv"
+    unpaired.write_text("learner_id,dimension,score\nZZ,processing,3\n", encoding="utf-8")
     paths = {"global": spec, "profiles": _profiles_csv(tmp_path), "assignment": assignment,
              "scores": scores, "behaviors": behaviors, "questionnaire": questionnaire,
-             "missing": tmp_path / "missing.csv"}
+             "unpaired": unpaired, "missing": tmp_path / "missing.csv"}
     out = tmp_path / "out"
     assert main([arg.format(**paths) for arg in argv] + ["--out", str(out)]) == code
     assert capsys.readouterr().err.splitlines()[-1] == message.format(**paths)
@@ -1169,8 +1182,10 @@ def test_evaluate_refuses_a_learner_without_a_score(tmp_path, capsys):
          "config error: {path}: Expecting ',' delimiter: line 1 column 16 (char 15)"),
         ("--config", '{"min_size": 2, "min_size": 3}', 2,
          "config error: {path}: repeated key 'min_size'"),
+        ("--config", '[{"min_size": 2}]', 2, "config error: config file must hold a JSON object"),
     ],
-    ids=["spec-syntax", "spec-repeat", "spec-nested-repeat", "config-syntax", "config-repeat"],
+    ids=["spec-syntax", "spec-repeat", "spec-nested-repeat", "config-syntax", "config-repeat",
+         "config-array"],
 )
 def test_json_inputs_name_their_file_and_refuse_repeated_keys(
     tmp_path, capsys, flag, text, code, message

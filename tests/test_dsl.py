@@ -306,6 +306,15 @@ def test_validate_detects_duplicate_rules():
     assert duplicates[0].severity == "warning"
 
 
+def test_validate_reports_a_repeated_rule_id():
+    """Only a hand-built rule base can repeat an id: the parsers refuse one."""
+    rule = _rule("proc1", [("test_time", "low")], "reactive")
+    diagnostics = validate(RuleBase(variables=tuple(VARS), rules=(rule, rule)))
+    assert [d.format() for d in diagnostics if d.code == "duplicate-id"] == [
+        "error duplicate-id [proc1] rule id 'proc1' is not unique"
+    ]
+
+
 def test_validate_reports_uncovered_variable():
     rb = RuleBase(
         variables=tuple(VARS),

@@ -39,11 +39,12 @@ assert main(["validate-rules"]) == 0
 assert not [name for name in heavy if name in sys.modules], sys.modules.keys() & set(heavy)
 """
 
-# What decorating records with `dataclasses` would load: it imports `inspect`.
+# What decorating records with `dataclasses` would load (it imports `inspect`),
+# and `decimal`, which only `dsl.pretty_print` needs.
 NO_DATACLASSES = """
 import sys
 from stylegroup.cli import main
-heavy = ("dataclasses", "inspect")
+heavy = ("dataclasses", "inspect", "decimal")
 assert not [name for name in heavy if name in sys.modules], sys.modules.keys() & set(heavy)
 assert main(["validate-rules"]) == 0
 assert not [name for name in heavy if name in sys.modules], sys.modules.keys() & set(heavy)
@@ -269,3 +270,9 @@ def test_no_module_imports_dataclasses():
             if any(module.split(".")[0] == "dataclasses" for module in modules):
                 importers.add(path.name)
     assert importers == set()
+
+
+def test_every_module_parses_as_python_3_10():
+    """`requires-python` admits 3.10, so no module may use syntax added after it."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

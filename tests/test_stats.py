@@ -443,6 +443,31 @@ def test_evaluation_report_end_to_end():
 
 
 @pytest.mark.parametrize(
+    "samples, note, skipped",
+    [
+        ([Sample("group-1", (1.0, 2.0, 4.0))], "needs at least 2 groups", ["n < 8"]),
+        ([Sample("group-1", (1.0, 2.0, 4.0)), Sample("group-2", (3.0,))],
+         "every group needs n >= 2", ["n < 8", "n < 8"]),
+        ([Sample("group-1", (3.0,) * 8), Sample("group-2", (5.0,) * 8)],
+         "within-group variance is zero", ["zero variance", "zero variance"]),
+    ],
+    ids=["one-group", "single-learner", "constant-groups"],
+)
+def test_evaluation_report_says_why_it_skips_the_anova(samples, note, skipped):
+    report = build_evaluation_report(samples, None)
+    assert report.anova is None and report.posthoc == ()
+    assert report.anova_note == report.to_json_dict()["anova_note"] == note
+    assert list(report.normality) == [
+        (sample.label, None, why) for sample, why in zip(samples, skipped)
+    ]
+    lines = report.to_text().splitlines()
+    assert f"one-way ANOVA skipped: {note}" in lines
+    assert [line for line in lines if line.startswith("normality ")] == [
+        f"normality {sample.label}: skipped ({why})" for sample, why in zip(samples, skipped)
+    ]
+
+
+@pytest.mark.parametrize(
     "with_control, message",
     [
         (True, "evaluation: 3 samples, group sizes 4,3, control 5, alpha 0.01"),
