@@ -6,7 +6,6 @@ homogeneous groups -> per-group content plans -> statistical evaluation.
 
 from .classify import (
     CohortTable,
-    StyleProfile,
     classify_cohort,
     validate_against_questionnaire,
 )
@@ -25,6 +24,7 @@ from .fuzzy import LinguisticVariable, Trapezoid
 from .grouping import (
     GroupAssignment,
     GroupingParams,
+    Learner,
     assign_groups,
     content_plan,
     homogeneous_partition,

@@ -6,19 +6,18 @@ classify entry point. Each dimension compiles once
 through one `kernel.score_block` call: Mamdani firing strengths, the exact
 centroid of the output envelope as the crisp score, and as label the term of
 maximal membership at that score. Classification is deterministic and per-learner
-independent: cohort order never changes an individual profile.
+independent: cohort order never changes a learner's results.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from collections.abc import Sequence
-from itertools import compress, repeat
+from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .dsl import DIMENSIONS, RuleBase
+from .dsl import RuleBase
 from .fuzzy import strongest_term
 from .ingest import BehaviorTable, IngestError, QuestionnaireRecord, csv_field, csv_line
 from .ingest import learner_rows, parse_float
@@ -43,31 +42,6 @@ class InsufficientPairsError(ClassificationError):
         self.dimension = dimension
 
 
-class DimensionResult(NamedTuple):
-    dimension: str
-    crisp_score: float
-    label: str
-    term_memberships: dict[str, float]
-    fired_rules: tuple[tuple[str, float], ...]
-
-
-class StyleProfile(NamedTuple):
-    """One learner's result per dimension, in fixed dimension order."""
-
-    learner_id: str
-    results: tuple[DimensionResult, ...]
-
-    def result(self, dimension: str) -> DimensionResult:
-        for result in self.results:
-            if result.dimension == dimension:
-                return result
-        raise KeyError(f"profile of {self.learner_id!r} has no dimension {dimension!r}")
-
-    @property
-    def signature(self) -> tuple[str, ...]:
-        return tuple(result.label for result in self.results)
-
-
 class ClassificationFailure(NamedTuple):
     learner_id: str
     dimension: str | None
@@ -75,13 +49,14 @@ class ClassificationFailure(NamedTuple):
 
 
 class _Column(NamedTuple):
-    results: list[tuple]  # (dimension, crisp_score, label, term_memberships)
+    dimension: str
+    results: list[tuple]  # (crisp_score, label, term_memberships)
     codes: list[int]  # per row: its index into `results`
-    rule_ids: tuple[str, ...] | None
-    strengths: Sequence  # per row: kernel strengths, or (rule id, strength) pairs
+    rule_ids: tuple[str, ...]
+    strengths: Sequence  # per row: the strength of each rule of `rule_ids`
 
     def cells(self, k: int) -> Iterator:
-        """Per row, field k of its result: 0 dimension, 1 crisp score, 2 label."""
+        """Per row, field k of its result: 0 crisp score, 1 label."""
         return map([result[k] for result in self.results].__getitem__, self.codes)
 
 
@@ -102,69 +77,29 @@ def _check_dimensions(learners: Iterable[tuple[str, list[str]]]) -> None:
         raise IngestError(f"learner {first!r}: dimension {repeated[0]!r} listed twice")
 
 
-class CohortTable(Sequence):
-    """Classified learners by columns, read as a `Sequence[StyleProfile]`.
+class CohortTable:
+    """Classified learners by columns: what every later stage reads.
 
-    It holds the learner ids and one column per dimension; every row has a
-    result in each. Rows may share a result of a column. Row n's fired
-    rules are `strengths[n]`: the kernel's strength per rule of `rule_ids`
-    (zero where a rule did not fire), or, where `rule_ids` is None, the
-    pairs themselves. A profile is built when it is read, with its own
-    memberships dicts, so a caller may change them without changing the
-    table.
+    It holds the learner ids and one `_Column` per dimension, in rule-base
+    order; every row has a result in each, and rows may share a result of a
+    column. Row n's fired rules are the rules of `rule_ids` with a nonzero
+    `strengths[n]`. `classify_cohort` builds a table from the kernel's
+    strength matrix; `profiles_from_csv` builds one with no rules and empty
+    memberships, as `profiles.csv` keeps neither.
     """
 
     __slots__ = ("ids", "columns")
-    __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, ids: list[str], columns: list[_Column]):
         self.ids, self.columns = ids, columns
 
-    @classmethod
-    def of(cls, profiles: Sequence[StyleProfile]) -> CohortTable:
-        """The table of profiles that list the same dimensions; a table is returned as it is."""
-        if isinstance(profiles, CohortTable):
-            return profiles
-        profiles = list(profiles)
-        _check_dimensions((p.learner_id, [r.dimension for r in p.results]) for p in profiles)
-        codes = list(range(len(profiles)))
-        by_column = zip(*(p.results for p in profiles))
-        columns = [_Column([r[:4] for r in c], codes, None, [r[4] for r in c]) for c in by_column]
-        return cls([p.learner_id for p in profiles], columns)
-
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __getitem__(self, n):
-        if isinstance(n, slice):
-            return [self[i] for i in range(*n.indices(len(self)))]
-        results = []
-        for column in self.columns:
-            dimension, score, label, memberships = column.results[column.codes[n]]
-            fired = column.strengths[n]
-            if column.rule_ids is not None:  # strengths are products of memberships
-                row = fired.tolist()
-                fired = tuple(compress(zip(column.rule_ids, row), row))
-            results.append(DimensionResult(dimension, score, label, dict(memberships), fired))
-        return StyleProfile(self.ids[n], tuple(results))
-
-    def __eq__(self, other) -> bool:  # equal to a list or tuple of equal profiles
-        if isinstance(other, (CohortTable, list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
 
     def rows(self, k: int) -> Iterator[tuple]:
         """Per row, field k of each of its results, as `_Column.cells`."""
         cells = [column.cells(k) for column in self.columns]
         return zip(*cells) if cells else repeat((), len(self))
-
-    def take(self, rows: list[int]) -> CohortTable:
-        """The table of the given rows, in that order."""
-        columns = []
-        for c in self.columns:
-            strengths = [c.strengths[n] for n in rows] if c.rule_ids is None else c.strengths[rows]
-            columns.append(c._replace(codes=[c.codes[n] for n in rows], strengths=strengths))
-        return CohortTable([self.ids[n] for n in rows], columns)
 
     def result_count(self) -> int:
         return len(self) * len(self.columns)
@@ -179,17 +114,23 @@ def classify_cohort(
     kernel in one pass over all learners. The classified learners come
     back as one `CohortTable`, with per dimension the crisp scores, the
     kernel's strength matrix and, once per distinct crisp score, the
-    memberships and the label. Cohort order never changes a profile.
+    memberships and the label. Cohort order never changes a learner's row.
 
-    A learner gets a profile, or the failure of its first failing
-    dimension. Within a dimension a missing feature (the first in
-    rule/clause order; NaN, or a column the table lacks) is reported before
-    an empty envelope.
+    A learner gets a row, or the failure of its first failing dimension.
+    Within a dimension a missing feature (the first in rule/clause order;
+    NaN, or a column the table lacks) is reported before an empty envelope.
+    A repeated learner id is a `ValueError`: grouping keys learners by id.
     """
+    ids = behaviors.ids
+    if len(set(ids)) < len(ids):
+        seen: set[str] = set()
+        for learner_id in ids:
+            if learner_id in seen:
+                raise ValueError(f"learner {learner_id!r} is listed twice in the behaviours")
+            seen.add(learner_id)
     from . import kernel
 
     np = kernel.np  # numpy through the kernel, the one module that imports it
-    ids = behaviors.ids
     compiled = [(d, rb.compile_dimension(d)) for d in rb.dimensions()]
     blocks = []
     failed: dict[int, ClassificationFailure] = {}  # by row, for the first failing dimension
@@ -219,8 +160,8 @@ def classify_cohort(
         results = []
         for score in score_of.values():
             memberships = c.variable.fuzzify(score)
-            results.append((dimension, score, strongest_term(memberships), memberships))
-        columns.append(_Column(results, codes, c.rule_ids, strengths[rows]))
+            results.append((score, strongest_term(memberships), memberships))
+        columns.append(_Column(dimension, results, codes, c.rule_ids, strengths[rows]))
     table = CohortTable([ids[n] for n in rows], columns)
     failures = [failed[n] for n in sorted(failed)]
     missing_count = sum(failure.dimension is None for failure in failures)
@@ -228,7 +169,7 @@ def classify_cohort(
         "cohort: %d learners, %d classified, %d missing-feature, %d no-rule-fired, "
         "distinct crisp scores %s",
         len(ids), len(table), missing_count, len(failures) - missing_count,
-        ",".join(f"{d}={len(column.results)}" for (d, *_), column in zip(blocks, table.columns)),
+        ",".join(f"{column.dimension}={len(column.results)}" for column in table.columns),
     )
     return table, failures
 
@@ -273,29 +214,26 @@ class ValidationReport(NamedTuple):
 
 
 def validate_against_questionnaire(
-    profiles: Sequence[StyleProfile],
-    questionnaire: Sequence[QuestionnaireRecord],
+    table: CohortTable, questionnaire: Sequence[QuestionnaireRecord]
 ) -> ValidationReport:
     """Pearson correlation per dimension plus the pooled overall coefficient.
 
     Learners appearing in only one source are dropped (inner join) and
-    counted. Every dimension the profiles cover needs at least 3 pairs. A
-    dimension whose crisp or questionnaire scores are constant gets None
-    and a warning naming it, as does the pooled coefficient if its scores
-    are.
+    counted. Every dimension of the table needs at least 3 pairs, also
+    where it has no rows. A dimension whose crisp or questionnaire scores
+    are constant gets None and a warning naming it, as does the pooled
+    coefficient if its scores are.
     """
-    table = CohortTable.of(profiles)
     scores = {(record.learner_id, record.dimension): record.score for record in questionnaire}
-    columns = {column.results[0][0]: column for column in table.columns if column.results}
-    dimensions = [d for d in DIMENSIONS if d in columns]
+    dimensions = [column.dimension for column in table.columns]
     rows = []
     matched_keys = set()
-    for dimension in dimensions:
-        for learner_id, score in zip(table.ids, columns[dimension].cells(1)):
-            key = (learner_id, dimension)
+    for column in table.columns:
+        for learner_id, score in zip(table.ids, column.cells(0)):
+            key = (learner_id, column.dimension)
             if key in scores:
                 matched_keys.add(key)
-                rows.append(PairedRow(learner_id, dimension, score, scores[key]))
+                rows.append(PairedRow(*key, score, scores[key]))
 
     def correlation(rows: list[PairedRow], scope: str) -> float | None:
         try:
@@ -332,32 +270,38 @@ def validate_against_questionnaire(
 PROFILE_HEADER = ["learner_id", "dimension", "crisp_score", "label"]
 
 
-def profiles_to_csv(profiles: Sequence[StyleProfile]) -> str:
+def profiles_to_csv(table: CohortTable) -> str:
     """Flat export: one row per (learner, dimension).
 
     Each result's `,dimension,crisp_score,label` text is formatted once per
     column; per learner only the id is.
     """
-    table = CohortTable.of(profiles)
     ids = list(map(csv_field, table.ids))
     cells: list[Iterable[str]] = []
     for column in table.columns:
-        ends = [csv_line(("", d, repr(score), label)) for d, score, label, _ in column.results]
+        d = column.dimension
+        ends = [csv_line(("", d, repr(score), label)) for score, label, _ in column.results]
         cells += [ids, map(ends.__getitem__, column.codes)]
     rows = map(("%s%s" * len(table.columns)).__mod__, zip(*cells))
     return csv_line(PROFILE_HEADER) + "".join(rows)
 
 
 def profiles_from_csv(path: str | Path) -> CohortTable:
-    """Rebuild the table from the flat export (memberships and fired rules are not kept there)."""
-    grouped: dict[str, list[tuple]] = {}
-    memberships: dict[str, float] = {}  # shared: a profile read from the table copies it
+    """Rebuild the table from the flat export, with no rules and empty memberships.
+
+    `profiles.csv` keeps neither fired rules nor memberships: every row of a
+    column has empty strengths, and every result one shared empty dict.
+    """
+    grouped: dict[str, list[tuple]] = {}  # learner -> (dimension, crisp score, label) per row
     for line, (_, dimension, crisp, label), learner in learner_rows(path, PROFILE_HEADER):
         score = parse_float(line, crisp, "crisp_score")
-        grouped.setdefault(learner, []).append((dimension, score, label, memberships))
+        grouped.setdefault(learner, []).append((dimension, score, label))
     _check_dimensions((learner, [r[0] for r in results]) for learner, results in grouped.items())
-    codes, no_rules = list(range(len(grouped))), [()] * len(grouped)
-    columns = [_Column(list(c), codes, None, no_rules) for c in zip(*grouped.values())]
+    codes, no_rules, memberships = list(range(len(grouped))), [()] * len(grouped), {}
+    columns = []
+    for cells in zip(*grouped.values()):
+        results = [(score, label, memberships) for _, score, label in cells]
+        columns.append(_Column(cells[0][0], results, codes, (), no_rules))
     return CohortTable(list(grouped), columns)
 
 
@@ -372,20 +316,16 @@ def _result_ends(dimension, score, label, memberships) -> tuple[str, str]:
 
 def _fired_json(column: _Column) -> list[str]:
     """Each row's fired rules as `profiles_to_json` writes them, without the brackets."""
-    dumps = json.dumps
-    if column.rule_ids is None:
-        return [
-            ", ".join(f'{{"rule_id": {dumps(r)}, "strength": {dumps(s)}}}' for r, s in fired)
-            for fired in column.strengths
-        ]
-    ids = list(map(dumps, column.rule_ids))
+    if not column.rule_ids:  # nothing fired, as in a table read from profiles.csv
+        return [""] * len(column.codes)
+    ids = list(map(json.dumps, column.rule_ids))
     return [
         ", ".join([f'{{"rule_id": {i}, "strength": {s!r}}}' for i, s in zip(ids, row) if s > 0.0])
         for row in column.strengths.tolist()
     ]
 
 
-def profiles_to_json(profiles: Sequence[StyleProfile]) -> str:
+def profiles_to_json(table: CohortTable) -> str:
     """Detailed export including fired rules and term memberships.
 
     A JSON array with one learner per line, each line what
@@ -395,11 +335,10 @@ def profiles_to_json(profiles: Sequence[StyleProfile]) -> str:
     text before and after its fired rules is formatted once per entry of its
     column; per learner only the id and the fired strengths are.
     """
-    table = CohortTable.of(profiles)
     ids = [_JSON_STR(i) if type(i) is str else json.dumps(i) for i in table.ids]
     cells: list[Iterable[str]] = [ids]
     for c in table.columns:
-        ends = [_result_ends(*result) for result in c.results]
+        ends = [_result_ends(c.dimension, *result) for result in c.results]
         heads, tails = [head for head, _ in ends], [tail for _, tail in ends]
         cells += [map(heads.__getitem__, c.codes), _fired_json(c), map(tails.__getitem__, c.codes)]
     template = '{"learner_id": %s, "results": [' + ", ".join(["%s%s%s"] * len(table.columns)) + "]}"

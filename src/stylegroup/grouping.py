@@ -4,7 +4,7 @@ The control group is drawn first, uniformly at random without replacement
 from a seeded counter-based generator. The remaining learners partition by
 exact style signature; groups then merge (smallest into nearest centroid)
 until at most ``target_k`` groups remain and every group reaches
-``min_size``. The whole assignment is a pure function of (profiles, params).
+``min_size``. The whole assignment is a pure function of (cohort table, params).
 """
 
 from __future__ import annotations
@@ -12,10 +12,11 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
+from itertools import compress
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .classify import CohortTable, StyleProfile
+from .classify import CohortTable
 from .ingest import MalformedRowError, csv_text, learner_rows
 from .rng import STREAM_CONTROL, choice_set, philox_key
 
@@ -50,6 +51,14 @@ class GroupingParams(NamedTuple):
     seed: int
     target_k: int = DEFAULT_TARGET_K
     min_size: int = DEFAULT_MIN_SIZE
+
+
+class Learner(NamedTuple):
+    """One treated learner as grouping reads it: crisp scores and labels in dimension order."""
+
+    learner_id: str
+    scores: tuple[float, ...]
+    signature: StyleSignature
 
 
 class Group(NamedTuple):
@@ -151,7 +160,7 @@ def _check_target_k(target_k: int) -> None:
 
 
 def homogeneous_partition(
-    profiles: Sequence[StyleProfile],
+    learners: Sequence[Learner],
     target_k: int = DEFAULT_TARGET_K,
     min_size: int = DEFAULT_MIN_SIZE,
 ) -> tuple[Group, ...]:
@@ -161,20 +170,18 @@ def homogeneous_partition(
     ``min_size``, the smallest group merges into the group whose centroid
     (mean crisp-score vector) is nearest; ties prefer the smaller group id.
     ``target_k`` is a ceiling, not a forced count: one homogeneous group
-    stays one group.
+    stays one group. Learner ids must be distinct.
     """
-    table = CohortTable.of(profiles)
-    if not table:
+    if not learners:
         raise EmptyCohortError("cannot partition an empty cohort")
     _check_target_k(target_k)
-    if len(table) < target_k:
-        raise InfeasibleConstraintsError(f"{len(table)} learners cannot form {target_k} groups")
+    if len(learners) < target_k:
+        raise InfeasibleConstraintsError(f"{len(learners)} learners cannot form {target_k} groups")
 
-    scores = dict(zip(table.ids, table.rows(1)))
-    learners = list(zip(table.ids, table.rows(2)))
-    signatures = dict(learners)
+    scores, signatures = {}, {}
     by_signature: dict[StyleSignature, list[str]] = {}
-    for learner_id, signature in learners:
+    for learner_id, learner_scores, signature in learners:
+        scores[learner_id], signatures[learner_id] = learner_scores, signature
         by_signature.setdefault(signature, []).append(learner_id)
 
     # Mutable group state: id -> member learner ids; ids follow the
@@ -233,17 +240,15 @@ def check_params(params: GroupingParams, learners: int) -> None:
     _check_target_k(params.target_k)
 
 
-def assign_groups(
-    profiles: Sequence[StyleProfile], params: GroupingParams
-) -> GroupAssignment:
+def assign_groups(table: CohortTable, params: GroupingParams) -> GroupAssignment:
     """Full assignment: control split first, then homogeneous grouping."""
     _check_min_size(params.min_size)
-    table = CohortTable.of(profiles)
     treatment_ids, control = split_control(table.ids, params.control_fraction, params.seed)
-    treatment_set = set(treatment_ids)
-    treated = table.take([n for n, lid in enumerate(table.ids) if lid in treatment_set])
+    is_treated = map(set(treatment_ids).__contains__, table.ids)
+    rows = compress(zip(table.ids, table.rows(0), table.rows(1)), is_treated)
+    treated = list(map(Learner._make, rows))
     groups = homogeneous_partition(treated, target_k=params.target_k, min_size=params.min_size)
-    signatures_in = len(set(treated.rows(2)))
+    signatures_in = len({signature for _, _, signature in treated})
     log.info(
         "assignment: %d learners, %d control, %d signatures in, %d groups out, "
         "%d merges, sizes %s",

@@ -198,40 +198,86 @@ def reference_csv_text(header, rows) -> str:
     return '"'.join(parts)
 
 
-def reference_profiles_csv(profiles) -> str:
+def cohort_table(rows, rule_ids=None):
+    """A `classify.CohortTable` of hand-written rows, each (learner id, results).
+
+    A result is (dimension, crisp score, label, term memberships, fired
+    rules), its fired rules (rule id, strength) pairs of nonzero strength.
+    Every row lists the first row's dimensions, in that order. A column's
+    rules are `rule_ids[dimension]`, or else those its rows name, in the
+    order they first appear; a rule a row does not name has strength 0
+    there. Each row has a result of its own.
+    """
+    from stylegroup.classify import CohortTable, _Column
+
+    rows = list(rows)
+    assert len({tuple(r[0] for r in results) for _, results in rows}) <= 1, "ragged rows"
+    columns = []
+    for cells in zip(*(results for _, results in rows)):
+        dimension = cells[0][0]
+        named = dict.fromkeys(rule for *_, fired in cells for rule, _ in fired)
+        rules = tuple((rule_ids or {}).get(dimension, named))
+        strengths = np.array(
+            [[dict(fired).get(rule, 0.0) for rule in rules] for *_, fired in cells], float
+        ).reshape(len(cells), len(rules))
+        results = [(score, label, memberships) for _, score, label, memberships, _ in cells]
+        codes = list(range(len(cells)))
+        columns.append(_Column(dimension, results, codes, rules, strengths))
+    return CohortTable([learner for learner, _ in rows], columns)
+
+
+def table_rows(table):
+    """Each row of a `classify.CohortTable`, in the form `cohort_table` takes.
+
+    A row's fired rules are its column's rules of nonzero strength, in the
+    column's rule order.
+    """
+    columns = []
+    for column in table.columns:
+        cells = []
+        for code, strengths in zip(column.codes, column.strengths):
+            score, label, memberships = column.results[code]
+            fired = tuple(
+                (rule, s) for rule, s in zip(column.rule_ids, map(float, strengths)) if s > 0.0
+            )
+            cells.append((column.dimension, score, label, memberships, fired))
+        columns.append(cells)
+    return [(learner, tuple(cells[n] for cells in columns)) for n, learner in enumerate(table.ids)]
+
+
+def reference_profiles_csv(rows) -> str:
     """One `csv.writer` row per (learner, result): the oracle for `classify.profiles_to_csv`."""
     return reference_csv_text(
         ["learner_id", "dimension", "crisp_score", "label"],
         (
-            (profile.learner_id, result.dimension, repr(result.crisp_score), result.label)
-            for profile in profiles
-            for result in profile.results
+            (learner, dimension, repr(score), label)
+            for learner, results in rows
+            for dimension, score, label, _, _ in results
         ),
     )
 
 
-def reference_profiles_to_json(profiles) -> str:
+def reference_profiles_to_json(rows) -> str:
     """One `json.dumps` per learner: the oracle for `classify.profiles_to_json`."""
     import json
 
     payload = (
         {
-            "learner_id": profile.learner_id,
+            "learner_id": learner,
             "results": [
                 {
-                    "dimension": result.dimension,
-                    "crisp_score": result.crisp_score,
-                    "label": result.label,
-                    "term_memberships": result.term_memberships,
+                    "dimension": dimension,
+                    "crisp_score": score,
+                    "label": label,
+                    "term_memberships": memberships,
                     "fired_rules": [
-                        {"rule_id": rule_id, "strength": strength}
-                        for rule_id, strength in result.fired_rules
+                        {"rule_id": rule_id, "strength": strength} for rule_id, strength in fired
                     ],
                 }
-                for result in profile.results
+                for dimension, score, label, memberships, fired in results
             ],
         }
-        for profile in profiles
+        for learner, results in rows
     )
     return "[\n" + ",\n".join(json.dumps(item, sort_keys=True) for item in payload) + "\n]\n"
 

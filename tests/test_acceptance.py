@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from stylegroup.classify import DimensionResult, StyleProfile, classify_cohort
+from stylegroup.classify import classify_cohort
 from stylegroup.dsl import (
     DIMENSIONS,
     error_count,
@@ -29,7 +29,7 @@ from stylegroup.kernel import centroids
 from stylegroup.simulate import CohortSpec, ScoreModel, generate, generate_scores
 from stylegroup.stats import Sample, evaluation_samples, one_way_anova, pearson_r, two_sample_t
 
-from conftest import riemann_centroid, scaled_trap_envelope
+from conftest import cohort_table, riemann_centroid, scaled_trap_envelope
 from test_stats import oracle_anova, oracle_student_t, oracle_welch_t
 
 PLANTED_SIGNATURES = (
@@ -149,10 +149,12 @@ def test_criterion_4_zero_noise_recovery(rb):
     )
     start = time.perf_counter()
     truth, behaviors = generate(spec, rb)
-    profiles, failures = classify_cohort(behaviors, rb)
+    table, failures = classify_cohort(behaviors, rb)
     elapsed = time.perf_counter() - start
     truth_map = dict(truth)
-    recovered = sum(p.signature == truth_map[p.learner_id] for p in profiles)
+    recovered = sum(
+        signature == truth_map[learner] for learner, signature in zip(table.ids, table.rows(1))
+    )
     _report(
         4,
         "zero-noise-recovery",
@@ -178,14 +180,12 @@ def test_criterion_5_noisy_recovery_correlation(rb):
             seed=seed,
         )
         truth, behaviors = generate(spec, rb)
-        profiles, failures = classify_cohort(behaviors, rb)
+        table, failures = classify_cohort(behaviors, rb)
         assert not failures
         truth_map = dict(truth)
         for i, dimension in enumerate(DIMENSIONS):
-            planted = [
-                prototype[(dimension, truth_map[p.learner_id][i])] for p in profiles
-            ]
-            recovered = [p.results[i].crisp_score for p in profiles]
+            planted = [prototype[(dimension, truth_map[learner][i])] for learner in table.ids]
+            recovered = [scores[i] for scores in table.rows(0)]
             per_dimension_rs[dimension].append(pearson_r(planted, recovered))
 
     averaged = {d: sum(rs) / len(rs) for d, rs in per_dimension_rs.items()}
@@ -271,11 +271,9 @@ def test_criterion_7_significance_verdicts_across_seeds(rb):
             score_model=model,
         )
         truth, behaviors = generate(spec, rb)
-        profiles, failures = classify_cohort(behaviors, rb)
+        table, failures = classify_cohort(behaviors, rb)
         assert not failures
-        assignment = assign_groups(
-            profiles, GroupingParams(seed=seed, **params_template)
-        )
+        assignment = assign_groups(table, GroupingParams(seed=seed, **params_template))
         scores = generate_scores(truth, assignment, model, seed=seed)
         samples, control = evaluation_samples(assignment.rows(), scores)
         arms = [s.n for s in samples] + [control.n]
@@ -295,27 +293,27 @@ def test_criterion_7_significance_verdicts_across_seeds(rb):
     )
 
 
-def _random_profiles(rng, n):
+def _random_table(rng, n):
     labels = {
         "processing": ("reactive", "reactive_reflective", "reflection"),
         "perception": ("sensory", "sensory_intuitive", "intuitive"),
         "entrance": ("visual", "visual_verbal", "verbal"),
         "understanding": ("consecutive", "sequential_global", "global"),
     }
-    profiles = []
+    rows = []
     for i in range(n):
         results = tuple(
-            DimensionResult(
-                dimension=dimension,
-                crisp_score=float(rng.uniform(0.0, 12.0)),
-                label=labels[dimension][int(rng.integers(0, 3))],
-                term_memberships={},
-                fired_rules=(),
+            (
+                dimension,
+                float(rng.uniform(0.0, 12.0)),
+                labels[dimension][int(rng.integers(0, 3))],
+                {},
+                (),
             )
             for dimension in DIMENSIONS
         )
-        profiles.append(StyleProfile(learner_id=f"L{i:04d}", results=results))
-    return profiles
+        rows.append((f"L{i:04d}", results))
+    return cohort_table(rows)
 
 
 def test_criterion_8_grouping_invariants_randomized():
@@ -324,7 +322,7 @@ def test_criterion_8_grouping_invariants_randomized():
     bad = refused = 0
     for trial in range(1000):
         n = int(rng.integers(6, 60))
-        profiles = _random_profiles(rng, n)
+        table = _random_table(rng, n)
         params = GroupingParams(
             control_fraction=float(rng.uniform(0.1, 0.4)),
             seed=int(rng.integers(0, 10_000)),
@@ -336,7 +334,7 @@ def test_criterion_8_grouping_invariants_randomized():
         too_small = params.min_size < 2
         degenerate = min(control_n, n - control_n) < 2
         try:
-            first = assign_groups(profiles, params)
+            first = assign_groups(table, params)
         except InfeasibleConstraintsError as exc:
             refused += 1
             bad += not too_small or "min_size" not in str(exc)
@@ -348,12 +346,12 @@ def test_criterion_8_grouping_invariants_randomized():
         if too_small or degenerate:
             bad += 1
             continue
-        second = assign_groups(profiles, params)
+        second = assign_groups(table, params)
         if first != second or first.to_csv().encode() != second.to_csv().encode():
             bad += 1
             continue
         members = [m for g in first.groups for m in g.members]
-        cohort = {p.learner_id for p in profiles}
+        cohort = set(table.ids)
         if (
             len(members) != len(set(members))
             or set(members) & set(first.control)

@@ -4,42 +4,43 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from stylegroup.classify import (
     CohortTable,
-    DimensionResult,
     InsufficientPairsError,
-    StyleProfile,
     classify_cohort,
     profiles_from_csv,
     profiles_to_csv,
     profiles_to_json,
     validate_against_questionnaire,
 )
-from stylegroup.dsl import DIMENSIONS, parse_rulebase
+from stylegroup.dsl import DIMENSIONS, load_rulebase, parse_rulebase
 from stylegroup.fuzzy import strongest_term
 from stylegroup.ingest import BehaviorTable, IngestError, QuestionnaireRecord, csv_text
 from stylegroup.ingest import feature_coverage
+from stylegroup.simulate import CohortSpec, generate
 from stylegroup.stats import pearson_r
 
-from conftest import learner_values, reference_csv_text, reference_profiles_csv
+from conftest import cohort_table, learner_values, reference_csv_text, reference_profiles_csv
 from conftest import reference_profiles_to_json
 from conftest import riemann_centroid, rule_strength
-from conftest import scaled_trap_envelope
+from conftest import scaled_trap_envelope, table_rows
+from test_cli import _cases
 
 
 def _classify_one(learner, rb):
-    """One (id, features) learner's profile, through the one classify entry point."""
-    profiles, failures = classify_cohort(BehaviorTable.of([learner]), rb)
+    """One (id, features) learner's (crisp score, label, memberships, fired rules) by dimension."""
+    table, failures = classify_cohort(BehaviorTable.of([learner]), rb)
     assert not failures, failures
-    return profiles[0]
+    [(_, results)] = table_rows(table)
+    return {dimension: rest for dimension, *rest in results}
 
 
 def _classify_failure(learner, rb):
     """The (learner, dimension, reason) failure of one learner that cannot be classified."""
-    profiles, failures = classify_cohort(BehaviorTable.of([learner]), rb)
-    assert not profiles
+    table, failures = classify_cohort(BehaviorTable.of([learner]), rb)
+    assert len(table) == 0
     return (failures[0].learner_id, failures[0].dimension, failures[0].reason)
 
 
@@ -73,44 +74,43 @@ def _prototype_features(rb, rule):
 def test_reactive_prototype_classifies_reactive(rb):
     rule = next(r for r in rb.rules if r.rule_id == "proc1")
     record = ("L1", _full_features(rb, _prototype_features(rb, rule)))
-    profile = _classify_one(record, rb)
-    result = profile.result("processing")
-    assert result.label == "reactive"
-    assert result.fired_rules == (("proc1", 1.0),)
+    score, label, memberships, fired = _classify_one(record, rb)["processing"]
+    assert label == "reactive"
+    assert fired == (("proc1", 1.0),)
     # single-rule firing: the crisp score is the centroid of the consequent
     # trapezoid (0,0,6,8), inside its plateau
     oracle = riemann_centroid(scaled_trap_envelope([(1.0, (0, 0, 6, 8))]), 0.0, 12.0)
-    assert result.crisp_score == pytest.approx(oracle, abs=1e-4)
-    assert 0.0 <= result.crisp_score <= 6.0
-    assert result.term_memberships["reactive"] == 1.0
+    assert score == pytest.approx(oracle, abs=1e-4)
+    assert 0.0 <= score <= 6.0
+    assert memberships["reactive"] == 1.0
 
 
 def test_reflection_prototype_classifies_reflection(rb):
     rule = next(r for r in rb.rules if r.rule_id == "proc5")
     record = ("L1", _full_features(rb, _prototype_features(rb, rule)))
-    profile = _classify_one(record, rb)
-    assert profile.result("processing").label == "reflection"
+    _, label, _, _ = _classify_one(record, rb)["processing"]
+    assert label == "reflection"
 
 
 def test_profile_covers_all_dimensions_in_order(rb):
-    record = ("L1", _full_features(rb))
-    profile = _classify_one(record, rb)
-    assert tuple(r.dimension for r in profile.results) == DIMENSIONS
-    assert len(profile.signature) == 4
+    table, _ = classify_cohort(BehaviorTable.of([("L1", _full_features(rb))]), rb)
+    [(_, results)] = table_rows(table)
+    assert tuple(r[0] for r in results) == DIMENSIONS
+    [signature] = table.rows(1)
+    assert len(signature) == 4
 
 
 def test_balanced_inputs_fire_competing_rules_equally(mini_rulebase):
     # effort 6 gives both terms membership 0.5, so both rules fire at 0.5
     # and the crisp score is the centroid of the symmetric max-envelope.
     record = ("L1", {"effort": 6.0})
-    profile = _classify_one(record, mini_rulebase)
-    result = profile.result("processing")
-    assert dict(result.fired_rules) == {"r_low": 0.5, "r_high": 0.5}
+    score, _, _, fired = _classify_one(record, mini_rulebase)["processing"]
+    assert dict(fired) == {"r_low": 0.5, "r_high": 0.5}
     oracle = riemann_centroid(
         scaled_trap_envelope([(0.5, (0, 0, 6, 8)), (0.5, (6, 8, 12, 12))]), 0.0, 12.0
     )
-    assert result.crisp_score == pytest.approx(oracle, abs=1e-4)
-    assert result.crisp_score == pytest.approx(34.25 / 5.75, abs=1e-9)
+    assert score == pytest.approx(oracle, abs=1e-4)
+    assert score == pytest.approx(34.25 / 5.75, abs=1e-9)
 
 
 def test_single_rule_strength_does_not_move_centroid():
@@ -124,13 +124,11 @@ def test_single_rule_strength_does_not_move_centroid():
         RULE only: IF effort IS low THEN processing_score IS calm
         """
     )
-    weak = _classify_one(("L1", {"effort": 6.8}), rb)
-    strong = _classify_one(("L2", {"effort": 4.4}), rb)
-    weak_result = weak.result("processing")
-    strong_result = strong.result("processing")
-    assert dict(weak_result.fired_rules) == {"only": pytest.approx(0.3)}
-    assert dict(strong_result.fired_rules) == {"only": pytest.approx(0.9)}
-    assert weak_result.crisp_score == pytest.approx(strong_result.crisp_score, abs=1e-12)
+    weak_score, _, _, weak_fired = _classify_one(("L1", {"effort": 6.8}), rb)["processing"]
+    strong_score, _, _, strong_fired = _classify_one(("L2", {"effort": 4.4}), rb)["processing"]
+    assert dict(weak_fired) == {"only": pytest.approx(0.3)}
+    assert dict(strong_fired) == {"only": pytest.approx(0.9)}
+    assert weak_score == pytest.approx(strong_score, abs=1e-12)
 
 
 def test_missing_feature_error(rb):
@@ -154,8 +152,8 @@ def test_an_absent_column_and_a_nan_cell_fail_alike_in_rule_order(rb):
     beside = BehaviorTable.of([("L1", lacking), ("L2", features)])  # NaN cells
     assert math.isnan(beside.columns["chat_participation"][0])
     for table in (alone, beside):
-        profiles, failures = classify_cohort(table, rb)
-        assert [p.learner_id for p in profiles] == table.ids[1:]
+        classified, failures = classify_cohort(table, rb)
+        assert classified.ids == table.ids[1:]
         assert [tuple(f) for f in failures] == [("L1", None, reason)]
     coverage = {c.dimension: c.flagged for c in feature_coverage(alone, rb).dimensions}
     assert coverage["processing"] == (("L1", ("chat_participation", "test_time")),)
@@ -178,7 +176,26 @@ def test_no_rule_fired_error():
 
 
 def test_cohort_empty(rb):
-    assert classify_cohort(BehaviorTable.of([]), rb) == ([], [])
+    table, failures = classify_cohort(BehaviorTable.of([]), rb)
+    assert (table.ids, table_rows(table), failures) == ([], [], [])
+    # every dimension keeps its column, with no rows
+    assert [(c.dimension, c.results, c.codes) for c in table.columns] == [
+        (d, [], []) for d in DIMENSIONS
+    ]
+
+
+def test_cohort_refuses_a_repeated_learner_id(rb):
+    # Grouping keys scores and signatures by id: a repeat would be grouped and in the control.
+    features = _full_features(rb)
+    ids = ["L0001", "L0002", "L0003", "L0002", "L0001", "L0004"]
+    behaviors = BehaviorTable.of([(i, features) for i in ids])
+    assert behaviors.ids == ids
+    with pytest.raises(ValueError) as exc_info:
+        classify_cohort(behaviors, rb)
+    assert str(exc_info.value) == "learner 'L0002' is listed twice in the behaviours"
+    # a hand-built table is refused alike
+    with pytest.raises(ValueError, match="'L1' is listed twice"):
+        classify_cohort(BehaviorTable(["L1", "L1"], {"x": [1.0, 2.0]}), rb)
 
 
 def test_cohort_collects_failures(rb):
@@ -186,8 +203,8 @@ def test_cohort_collects_failures(rb):
     bad_features = _full_features(rb)
     del bad_features["audio_time"]
     bad = ("L2", bad_features)
-    profiles, failures = classify_cohort(BehaviorTable.of([good, bad]), rb)
-    assert [p.learner_id for p in profiles] == ["L1"]
+    table, failures = classify_cohort(BehaviorTable.of([good, bad]), rb)
+    assert table.ids == ["L1"]
     assert [f.learner_id for f in failures] == ["L2"]
     assert "audio_time" in failures[0].reason
 
@@ -248,14 +265,14 @@ def test_cohort_keeps_zero_and_negative_zero_apart(monkeypatch):
     behaviors = BehaviorTable.of((f"L{i}", {"effort": 1.0}) for i in range(5))
     table, failures = classify_cohort(behaviors, rb)
     assert not failures
-    scores = [p.results[0].crisp_score for p in table]
+    scores = [score for (score,) in table.rows(0)]
     assert [math.copysign(1.0, s) for s in scores] == [1.0, -1.0, 1.0, -1.0, 1.0]
     assert len(table.columns[0].results) == 3
     assert profiles_to_csv(table).splitlines()[1:] == [
         "L0,processing,0.0,calm", "L1,processing,-0.0,calm", "L2,processing,0.0,calm",
         "L3,processing,-0.0,calm", "L4,processing,7.0,busy",
     ]
-    assert profiles_to_json(table) == reference_profiles_to_json(list(table))
+    assert profiles_to_json(table) == reference_profiles_to_json(table_rows(table))
 
 
 def test_cohort_determinism_and_permutation_invariance(rb):
@@ -263,11 +280,11 @@ def test_cohort_determinism_and_permutation_invariance(rb):
     records = [(f"L{i}", _full_features(rb, {"audio_time": 20.0 + 3.0 * i})) for i in range(6)]
     first, _ = classify_cohort(BehaviorTable.of(records), rb)
     second, _ = classify_cohort(BehaviorTable.of(records), rb)
-    assert first == second  # bit-identical profiles
-    reversed_profiles, _ = classify_cohort(BehaviorTable.of(reversed(records)), rb)
-    by_id = {p.learner_id: p for p in reversed_profiles}
-    assert all(by_id[p.learner_id] == p for p in first)
-    assert [p.learner_id for p in reversed_profiles] == [f"L{5 - i}" for i in range(6)]
+    assert table_rows(first) == table_rows(second)  # bit-identical results
+    reversed_table, _ = classify_cohort(BehaviorTable.of(reversed(records)), rb)
+    by_id = dict(table_rows(reversed_table))
+    assert all(by_id[learner] == results for learner, results in table_rows(first))
+    assert reversed_table.ids == [f"L{5 - i}" for i in range(6)]
 
 
 def test_cohort_matches_learner_by_learner(rb, monkeypatch):
@@ -293,43 +310,43 @@ def test_cohort_matches_learner_by_learner(rb, monkeypatch):
             del features[sorted(features)[i % len(features)]]
     assert len(records) > _CHUNK
 
-    profiles, failures = classify_cohort(BehaviorTable.of(records), rb)
+    table, failures = classify_cohort(BehaviorTable.of(records), rb)
+    rows = table_rows(table)
     term_of = {rule.rule_id: rule.consequent[1] for rule in rb.rules}
     multi = [
-        sum(len({term_of[rule_id] for rule_id, _ in p.result(d).fired_rules}) > 1
-            for p in profiles)
-        for d in DIMENSIONS
+        sum(len({term_of[rule_id] for rule_id, _ in results[k][4]}) > 1 for _, results in rows)
+        for k in range(len(DIMENSIONS))
     ]
     assert max(multi) > 2 * _CHUNK  # multi-term rows of one dimension span several chunks
 
-    expected_profiles, expected_failures = [], []
+    expected_rows, expected_failures = [], []
     for record in records:  # a learner's table lacks the column of a dropped feature
         alone, failed = classify_cohort(BehaviorTable.of([record]), rb)
-        expected_profiles.extend(alone)
+        expected_rows.extend(table_rows(alone))
         expected_failures.extend((f.learner_id, f.dimension, f.reason) for f in failed)
-    assert profiles == expected_profiles  # labels, memberships, fired rules, crisp scores
+    assert rows == expected_rows  # labels, memberships, fired rules, crisp scores
     assert [(f.learner_id, f.dimension, f.reason) for f in failures] == expected_failures
 
     # the cohort exercises every outcome the kernel distinguishes
     assert any(f.dimension is None for f in failures)
     assert any(f.dimension is not None for f in failures)
-    assert any(len(r.fired_rules) > 1 for p in profiles for r in p.results)
+    assert any(len(r[4]) > 1 for _, results in rows for r in results)
 
     # firing strengths equal the scalar clause-by-clause product bit for bit
     features = dict(records)
     variables = {v.name: v for v in rb.variables}
-    for profile in profiles:
-        for result in profile.results:
+    for learner, results in rows:
+        for dimension, _, _, _, fired in results:
             expected = []
-            for rule in rb.rules_for(result.dimension):
+            for rule in rb.rules_for(dimension):
                 degrees = [
-                    variables[name].term(term).membership(features[profile.learner_id][name])
+                    variables[name].term(term).membership(features[learner][name])
                     for name, term in rule.antecedent
                 ]
                 strength = rule_strength(degrees)
                 if strength > 0.0:
                     expected.append((rule.rule_id, strength))
-            assert result.fired_rules == tuple(expected)
+            assert fired == tuple(expected)
 
 
 def test_cohort_equals_integrating_every_row(rb, monkeypatch):
@@ -372,75 +389,112 @@ def test_cohort_equals_integrating_every_row(rb, monkeypatch):
     assert {0, 1, 2} <= active_terms  # zero-, single- and multi-term envelopes
     assert any(m > 2 * _CHUNK and m % _CHUNK for m in multi)  # full chunks and a part one
 
-    profiles, failures = classify_cohort(BehaviorTable.of(records), rb)
+    table, failures = classify_cohort(BehaviorTable.of(records), rb)
     assert [(f.learner_id, f.dimension) for f in failures] == [
         (lid, outcome[-1][0]) for lid, outcome in expected.items() if outcome[-1][1] is None
     ]
-    assert failures and profiles
-    for profile in profiles:
-        outcome = expected[profile.learner_id]
-        assert [r.label for r in profile.results] == [label for _, _, label in outcome]
-        for result, (_, score, _) in zip(profile.results, outcome):
-            assert abs(result.crisp_score - score) <= 1e-12 * 12
+    assert failures and len(table)
+    for learner, scores, labels in zip(table.ids, table.rows(0), table.rows(1)):
+        outcome = expected[learner]
+        assert list(labels) == [label for _, _, label in outcome]
+        for crisp_score, (_, score, _) in zip(scores, outcome):
+            assert abs(crisp_score - score) <= 1e-12 * 12
 
 
-def test_results_do_not_share_membership_dicts(rb):
-    # Identical learners share one memoised label; each result read owns its dict.
-    behaviors = BehaviorTable.of((f"L{i}", _full_features(rb)) for i in range(3))
-    profiles, _ = classify_cohort(behaviors, rb)
-    dicts = [r.term_memberships for p in profiles for r in p.results]
-    assert len({id(d) for d in dicts}) == len(dicts) == 3 * len(DIMENSIONS)
-    before = dict(profiles[1].results[0].term_memberships)
-    profiles[0].results[0].term_memberships.clear()
-    assert profiles[1].results[0].term_memberships == before
-    # a profile is a view: changing what was read leaves the table as it was
-    dicts[0].clear()
-    assert profiles[0].results[0].term_memberships == before
-
-
-def test_cohort_table_is_a_sequence_of_profiles(rb):
+def test_cohort_table_rows_read_its_columns(rb):
     behaviors = BehaviorTable.of(
         (f"L{i}", _full_features(rb, {"audio_time": 20.0 + 3.0 * i})) for i in range(4)
     )
     table, _ = classify_cohort(behaviors, rb)
     assert isinstance(table, CohortTable)
-    profiles = [table[n] for n in range(len(table))]
-    assert list(table) == profiles == table[:] and table == profiles
-    assert table[-1] == profiles[-1] and table[1:3] == profiles[1:3]
-    assert CohortTable.of(table) is table
-    assert CohortTable.of(profiles) == table
-    assert table != profiles[:-1] and table != "L0"
-    with pytest.raises(IndexError):
-        table[len(table)]
-    assert list(table.rows(2)) == [p.signature for p in profiles]
-    assert list(table.take([2, 0])) == [profiles[2], profiles[0]]
-    assert list(table.take([2, 0]).rows(1)) == [
-        tuple(r.crisp_score for r in profiles[n].results) for n in (2, 0)
-    ]
+    rows = table_rows(table)
+    assert len(table) == len(rows) == 4 and table.result_count() == 4 * len(DIMENSIONS)
+    assert [learner for learner, _ in rows] == table.ids
+    assert list(table.rows(0)) == [tuple(r[1] for r in results) for _, results in rows]
+    assert list(table.rows(1)) == [tuple(r[2] for r in results) for _, results in rows]
+    # the hand-written rows a test builds a table of read back as written
+    rule_ids = {c.dimension: c.rule_ids for c in table.columns}
+    assert table_rows(cohort_table(rows, rule_ids)) == rows
+
+
+def _degree(x, corners):
+    """A trapezoid's membership at x: 1 on [b, c], linear on the ramps, 0 outside [a, d]."""
+    a, b, c, d = corners
+    if x < a or x > d:
+        return 0.0
+    if b <= x <= c:
+        return 1.0
+    return (x - a) / (b - a) if x < b else (d - x) / (d - c)
+
+
+def _first_strongest(x, terms):
+    """The term of largest membership at x; a tie goes to the first declared."""
+    degrees = [_degree(x, corners) for _, corners in terms]
+    return terms[degrees.index(max(degrees))][0]
+
+
+@seed(13)
+@settings(max_examples=40, deadline=None)
+@given(_cases())
+def test_random_rule_bases_score_and_label_as_an_independent_reference(case):
+    """Each crisp score is the Riemann centroid of the strength-scaled consequents, and
+    each label the term of largest membership there.
+
+    Two learners per planted signature keep the Riemann oracle cheap.
+    """
+    rb = load_rulebase(case.fvars, case.frules)
+    spec = CohortSpec.from_json_dict(case.spec)
+    spec = spec._replace(counts=tuple((sig, 2) for sig, _ in spec.counts), seed=case.seed)
+    behaviors = generate(spec, rb)[1]
+    features = dict(learner_values(behaviors))
+    table, _ = classify_cohort(behaviors, rb)
+    corners_of = {v.name: {label: trap.corners() for label, trap in v.terms} for v in rb.variables}
+    checked = 0
+    for column in table.columns:
+        output = rb.output_for(column.dimension)
+        lo, hi = output.universe
+        terms = [(label, trap.corners()) for label, trap in output.terms]
+        rules = rb.rules_for(column.dimension)
+        for learner, score, label in zip(table.ids, column.cells(0), column.cells(1)):
+            contributions = []
+            for rule in rules:
+                degrees = [_degree(features[learner][name], corners_of[name][term])
+                           for name, term in rule.antecedent]
+                strength = rule_strength(degrees)
+                if strength > 0.0:
+                    contributions.append((strength, corners_of[output.name][rule.consequent[1]]))
+            # Integer corners sit on the grid, so a vertical edge costs the oracle nothing.
+            points = int(hi - lo) * 10_000
+            expected = riemann_centroid(scaled_trap_envelope(contributions), lo, hi, points)
+            assert score == pytest.approx(expected, abs=1e-6), (learner, column.dimension)
+            near = {_first_strongest(x, terms) for x in (score - 1e-6, score, score + 1e-6)}
+            if len(near) == 1:  # no tie within 1e-6 of the score
+                assert label == near.pop(), (learner, column.dimension, score)
+            checked += 1
+    assert checked == len(table) * len(table.columns)
 
 
 # -- questionnaire validation --------------------------------------------------
 
 
-def _synthetic_profiles(scores_by_learner):
-    profiles = []
-    for learner_id, scores in scores_by_learner.items():
-        results = tuple(
-            DimensionResult(
-                dimension=dimension,
-                crisp_score=score,
-                label="x",
-                term_memberships={},
-                fired_rules=(),
-            )
-            for dimension, score in zip(DIMENSIONS, scores)
-        )
-        profiles.append(StyleProfile(learner_id=learner_id, results=results))
-    return profiles
+def _synthetic_table(scores_by_learner):
+    return cohort_table(
+        (learner_id, tuple((d, score, "x", {}, ()) for d, score in zip(DIMENSIONS, scores)))
+        for learner_id, scores in scores_by_learner.items()
+    )
+
+
+def _questionnaire(table, score_of, learners=slice(None)):
+    """A questionnaire record of score_of(crisp score) per (learner, dimension) of the table."""
+    return [
+        QuestionnaireRecord(learner, dimension, score_of(score))
+        for learner, results in table_rows(table)[learners]
+        for dimension, score, *_ in results
+    ]
 
 
 def test_validation_affine_copy_gives_perfect_r():
-    profiles = _synthetic_profiles(
+    table = _synthetic_table(
         {
             "L1": (1.0, 2.0, 3.0, 4.0),
             "L2": (2.0, 1.0, 5.0, 3.0),
@@ -448,12 +502,8 @@ def test_validation_affine_copy_gives_perfect_r():
             "L4": (3.0, 3.0, 7.0, 1.0),
         }
     )
-    questionnaire = [
-        QuestionnaireRecord(p.learner_id, d, 0.5 * p.result(d).crisp_score + 1.0)
-        for p in profiles
-        for d in DIMENSIONS
-    ]
-    report = validate_against_questionnaire(profiles, questionnaire)
+    questionnaire = _questionnaire(table, lambda score: 0.5 * score + 1.0)
+    report = validate_against_questionnaire(table, questionnaire)
     for r in report.per_dimension_r.values():
         assert r == pytest.approx(1.0, abs=1e-12)
     assert report.overall_r == pytest.approx(
@@ -468,20 +518,16 @@ def test_validation_affine_copy_gives_perfect_r():
 
 
 def test_validation_negated_scores_give_minus_one():
-    profiles = _synthetic_profiles(
+    table = _synthetic_table(
         {"L1": (1.0, 2.0, 3.0, 4.0), "L2": (2.0, 5.0, 1.0, 3.0), "L3": (4.0, 1.0, 6.0, 8.0)}
     )
-    questionnaire = [
-        QuestionnaireRecord(p.learner_id, d, 11.0 - p.result(d).crisp_score)
-        for p in profiles
-        for d in DIMENSIONS
-    ]
-    report = validate_against_questionnaire(profiles, questionnaire)
+    questionnaire = _questionnaire(table, lambda score: 11.0 - score)
+    report = validate_against_questionnaire(table, questionnaire)
     assert all(r == pytest.approx(-1.0, abs=1e-12) for r in report.per_dimension_r.values())
 
 
 def test_validation_inner_join_drops_and_counts():
-    profiles = _synthetic_profiles(
+    table = _synthetic_table(
         {
             "L1": (1.0, 2.0, 3.0, 4.0),
             "L2": (2.0, 1.0, 5.0, 3.0),
@@ -489,24 +535,31 @@ def test_validation_inner_join_drops_and_counts():
             "L4": (3.0, 3.0, 7.0, 1.0),
         }
     )
-    questionnaire = [
-        QuestionnaireRecord(p.learner_id, d, p.result(d).crisp_score)
-        for p in profiles[:3]
-        for d in DIMENSIONS
-    ]
+    questionnaire = _questionnaire(table, lambda score: score, slice(3))
     questionnaire.append(QuestionnaireRecord("L99", "processing", 5.0))
-    report = validate_against_questionnaire(profiles, questionnaire)
+    report = validate_against_questionnaire(table, questionnaire)
     assert report.unmatched_profile_entries == 4
     assert report.unmatched_questionnaire_entries == 1
 
 
 def test_validation_insufficient_pairs():
-    profiles = _synthetic_profiles({"L1": (1.0, 2.0, 3.0, 4.0), "L2": (2.0, 1.0, 5.0, 3.0)})
-    questionnaire = [
-        QuestionnaireRecord(p.learner_id, d, 1.0) for p in profiles for d in DIMENSIONS
-    ]
+    table = _synthetic_table({"L1": (1.0, 2.0, 3.0, 4.0), "L2": (2.0, 1.0, 5.0, 3.0)})
+    questionnaire = _questionnaire(table, lambda score: 1.0)
     with pytest.raises(InsufficientPairsError):
-        validate_against_questionnaire(profiles, questionnaire)
+        validate_against_questionnaire(table, questionnaire)
+
+
+def test_validation_names_the_dimension_when_every_learner_failed(rb):
+    features = _full_features(rb)
+    del features["exam_time"]
+    table, failures = classify_cohort(BehaviorTable.of([("L1", features), ("L2", features)]), rb)
+    assert len(table) == 0 and len(failures) == 2
+    questionnaire = [QuestionnaireRecord(learner, d, 5.0) for learner in ("L1", "L2", "L3")
+                     for d in DIMENSIONS]
+    with pytest.raises(InsufficientPairsError) as exc_info:
+        validate_against_questionnaire(table, questionnaire)
+    assert exc_info.value.dimension == "processing"
+    assert str(exc_info.value) == "dimension 'processing' has 0 paired learners, need at least 3"
 
 
 def test_low_noise_synthetic_cohort_correlates(rb):
@@ -521,7 +574,7 @@ def test_low_noise_synthetic_cohort_correlates(rb):
     ]
     spec = CohortSpec(counts=tuple((s, 20) for s in signatures), noise_sigma=0.05, seed=5)
     truth, behaviors = generate(spec, rb)
-    profiles, failures = classify_cohort(behaviors, rb)
+    table, failures = classify_cohort(behaviors, rb)
     assert not failures
 
     prototype = {}
@@ -535,7 +588,7 @@ def test_low_noise_synthetic_cohort_correlates(rb):
         for learner, signature in truth_map.items()
         for dimension, label in zip(DIMENSIONS, signature)
     ]
-    report = validate_against_questionnaire(profiles, questionnaire)
+    report = validate_against_questionnaire(table, questionnaire)
     for dimension, r in report.per_dimension_r.items():
         assert r >= 0.8, f"{dimension}: r={r}"
 
@@ -545,17 +598,17 @@ def test_low_noise_synthetic_cohort_correlates(rb):
 
 def test_profiles_csv_round_trip(rb, tmp_path):
     behaviors = BehaviorTable.of((f"L{i}", _full_features(rb)) for i in range(3))
-    profiles, _ = classify_cohort(behaviors, rb)
+    table, _ = classify_cohort(behaviors, rb)
     path = tmp_path / "profiles.csv"
-    path.write_text(profiles_to_csv(profiles), encoding="utf-8")
+    path.write_text(profiles_to_csv(table), encoding="utf-8")
     rebuilt = profiles_from_csv(path)
-    assert [p.learner_id for p in rebuilt] == [p.learner_id for p in profiles]
-    for original, copy in zip(profiles, rebuilt):
-        assert copy.signature == original.signature
-        for dimension in DIMENSIONS:
-            assert copy.result(dimension).crisp_score == original.result(
-                dimension
-            ).crisp_score
+    assert rebuilt.ids == table.ids
+    assert [c.dimension for c in rebuilt.columns] == list(DIMENSIONS)
+    assert list(rebuilt.rows(1)) == list(table.rows(1))
+    assert list(rebuilt.rows(0)) == list(table.rows(0))
+    # profiles.csv keeps no fired rules and no memberships
+    assert all(results == tuple((d, s, label, {}, ()) for d, s, label, _, _ in results)
+               for _, results in table_rows(rebuilt))
 
 
 # (id, row after L1's, the reader's message)
@@ -600,63 +653,44 @@ def test_profiles_from_csv_rejects_corrupt_rows(tmp_path, row, message):
     assert str(exc_info.value) == message
 
 
-def _profile(learner_id, *dimensions):
-    """A profile scoring 1, 2, ... in the given dimensions, in that order."""
-    scores = enumerate(dimensions, 1)
-    results = (DimensionResult(d, float(n), "calm", {"calm": 1.0}, ()) for n, d in scores)
-    return StyleProfile(learner_id, tuple(results))
+def _profile_rows(learner_id, *dimensions):
+    """profiles.csv rows of a learner scoring 1, 2, ... in the given dimensions, in that order."""
+    return "".join(f"{learner_id},{d},{float(n)!r},calm\n" for n, d in enumerate(dimensions, 1))
 
 
-# Lists of profiles whose learners do not all list the first learner's dimensions once each.
-_FIRST = _profile("L1", "processing", "perception")
+# profiles.csv files whose learners do not all list the first learner's dimensions once each.
+_FIRST = _profile_rows("L1", "processing", "perception")
 _TWICE = ("processing", "processing")
-_UNSHAPED_LISTS = [
-    ("ragged", [_FIRST, _profile("L2", "processing")],
+_UNSHAPED_FILES = [
+    ("ragged", _FIRST + _profile_rows("L2", "processing"),
      "learner 'L2': dimensions processing differ from the first learner's processing, perception"),
-    ("reordered", [_FIRST, _profile("L2", "perception", "processing")],
+    ("reordered", _FIRST + _profile_rows("L2", "perception", "processing"),
      "learner 'L2': dimensions perception, processing differ from the first learner's "
      "processing, perception"),
-    ("repeated", [_profile("L1", *_TWICE), _profile("L2", *_TWICE)],
+    ("repeated", _profile_rows("L1", *_TWICE) + _profile_rows("L2", *_TWICE),
      "learner 'L1': dimension 'processing' listed twice"),
 ]
 
 
 @pytest.mark.parametrize(
-    "profiles, message",
-    [case[1:] for case in _UNSHAPED_LISTS],
-    ids=[case[0] for case in _UNSHAPED_LISTS],
+    "rows, message",
+    [case[1:] for case in _UNSHAPED_FILES],
+    ids=[case[0] for case in _UNSHAPED_FILES],
 )
-def test_profile_lists_are_refused_as_their_profiles_csv_is(tmp_path, profiles, message):
-    from stylegroup.grouping import GroupingParams, assign_groups, homogeneous_partition
-
+def test_profiles_from_csv_refuses_learners_of_other_dimensions(tmp_path, rows, message):
+    # Averaging position by position would mix dimensions, or lengths, into a centroid.
     path = tmp_path / "profiles.csv"
-    rows = (f"{p.learner_id},{r.dimension},{r.crisp_score!r},{r.label}\n"
-            for p in profiles for r in p.results)
-    path.write_text("learner_id,dimension,crisp_score,label\n" + "".join(rows), encoding="utf-8")
+    path.write_text("learner_id,dimension,crisp_score,label\n" + rows, encoding="utf-8")
     with pytest.raises(IngestError) as from_csv:
         profiles_from_csv(path)
     assert str(from_csv.value) == message
-    # Averaging position by position would mix dimensions, or lengths, into a centroid.
-    params = GroupingParams(control_fraction=0.5, seed=1, target_k=1, min_size=2)
-    for call in (
-        CohortTable.of,
-        profiles_to_csv,
-        profiles_to_json,
-        lambda profiles: assign_groups(profiles, params),
-        lambda profiles: homogeneous_partition(profiles, target_k=1, min_size=1),
-        lambda profiles: validate_against_questionnaire(profiles, []),
-    ):
-        with pytest.raises(IngestError) as exc_info:
-            call(profiles)
-        assert type(exc_info.value) is type(from_csv.value)
-        assert str(exc_info.value) == message
 
 
 def test_profiles_json_contains_fired_rules(rb):
     import json
 
-    profiles, _ = classify_cohort(BehaviorTable.of([("L1", _full_features(rb))]), rb)
-    payload = json.loads(profiles_to_json(profiles))
+    table, _ = classify_cohort(BehaviorTable.of([("L1", _full_features(rb))]), rb)
+    payload = json.loads(profiles_to_json(table))
     assert payload[0]["learner_id"] == "L1"
     first = payload[0]["results"][0]
     assert {"dimension", "crisp_score", "label", "term_memberships", "fired_rules"} <= set(
@@ -667,9 +701,9 @@ def test_profiles_json_contains_fired_rules(rb):
 # Ids and names with JSON escapes, CSV specials and non-ASCII characters.
 _ODD_TEXT = st.text(alphabet='ab"\\,\r\n é中😀', min_size=1, max_size=5)
 _TERMS = st.sampled_from(["calm", "busy", 'o"dd'])
-# A library caller's numbers: ints, bools and numpy floats besides floats.
-# Values that compare equal but are written differently (0.0 and -0.0, 1
-# and 1.0, 1 and True) must not share a formatted fragment.
+# Numbers of other types besides floats. Values that compare equal but
+# are written differently (0.0 and -0.0, 1 and 1.0, 1 and True) must not
+# share a formatted fragment.
 _EQUAL_BUT_WRITTEN_APART = st.sampled_from(
     [0.0, -0.0, 0, False, np.float64(-0.0), 1.0, 1, True, np.float64(1.0)]
 )
@@ -681,38 +715,34 @@ def _numbers(floats):
 
 def _results(dimension):
     """A result in the given dimension."""
-    return st.builds(
-        DimensionResult,
-        dimension=st.just(dimension),
+    return st.tuples(
+        st.just(dimension),
         # Few distinct scores, so equal scores meet different labels and memberships.
-        crisp_score=st.sampled_from([3.5, 1e-300]) | _numbers(st.floats()),
-        label=_TERMS,
+        st.sampled_from([3.5, 1e-300]) | _numbers(st.floats()),
+        _TERMS,
         # An OrderedDict is written as a dict is, though marshal cannot write it.
-        term_memberships=st.dictionaries(
-            _TERMS, st.sampled_from([0.5]) | _numbers(st.floats(0, 1))
-        ).flatmap(lambda d: st.sampled_from([d, OrderedDict(d)])),
-        fired_rules=st.lists(
-            st.tuples(st.sampled_from(["r1", "r2"]) | _ODD_TEXT, _numbers(st.floats())),
-            max_size=3,
-        ).map(tuple),
-    ) | st.builds(  # results that are equal to one another but written apart
-        DimensionResult,
-        dimension=st.just(dimension),
-        crisp_score=_EQUAL_BUT_WRITTEN_APART,
-        label=st.just("calm"),
-        term_memberships=st.fixed_dictionaries(
-            {"calm": _EQUAL_BUT_WRITTEN_APART, "busy": _EQUAL_BUT_WRITTEN_APART}
+        st.dictionaries(_TERMS, st.sampled_from([0.5]) | _numbers(st.floats(0, 1))).flatmap(
+            lambda d: st.sampled_from([d, OrderedDict(d)])
         ),
-        fired_rules=st.just(()),
+        # Kernel strengths: products of memberships, so in (0, 1] where a rule fired.
+        st.dictionaries(
+            st.sampled_from(["r1", "r2"]) | _ODD_TEXT,
+            st.sampled_from([1.0, 0.5, 1e-300]) | st.floats(0, 1, exclude_min=True),
+            max_size=3,
+        ).map(lambda fired: tuple(fired.items())),
+    ) | st.tuples(  # results that are equal to one another but written apart
+        st.just(dimension),
+        _EQUAL_BUT_WRITTEN_APART,
+        st.just("calm"),
+        st.fixed_dictionaries({"calm": _EQUAL_BUT_WRITTEN_APART, "busy": _EQUAL_BUT_WRITTEN_APART}),
+        st.just(()),
     )
 
 
 def _cohorts(dimensions):
-    """Lists of profiles that all list `dimensions`, in that order."""
-    profile = st.builds(
-        StyleProfile, learner_id=_ODD_TEXT, results=st.tuples(*map(_results, dimensions))
-    )
-    return st.lists(profile, max_size=6)
+    """Tables whose rows all list `dimensions`, in that order."""
+    row = st.tuples(_ODD_TEXT, st.tuples(*map(_results, dimensions)))
+    return st.lists(row, max_size=6).map(cohort_table)
 
 
 # Every learner lists one drawn sequence of 0 to 4 distinct dimensions.
@@ -721,15 +751,13 @@ def _cohorts(dimensions):
         st.sampled_from(["processing", "perception"]) | _ODD_TEXT, max_size=4, unique=True
     ).flatmap(_cohorts)
 )
-def test_profiles_json_equals_one_dumps_per_learner(profiles):
-    # Non-finite scores and strengths, no fired rules and no results included.
-    assert profiles_to_json(profiles) == reference_profiles_to_json(profiles)
-    # A list is exported through its table, which reads back as the list.
-    table = CohortTable.of(profiles)
-    assert list(table) == profiles and table.result_count() == sum(len(p.results) for p in profiles)
-    assert list(table.rows(2)) == [p.signature for p in profiles]
-    assert profiles_to_csv(profiles) == profiles_to_csv(table) == reference_profiles_csv(profiles)
-    assert profiles_to_json(table) == reference_profiles_to_json(profiles)
+def test_profiles_json_equals_one_dumps_per_learner(table):
+    # Non-finite scores, no fired rules, no learners and no results included.
+    rows = table_rows(table)
+    assert profiles_to_json(table) == reference_profiles_to_json(rows)
+    assert profiles_to_csv(table) == reference_profiles_csv(rows)
+    assert table.result_count() == sum(len(results) for _, results in rows)
+    assert list(table.rows(1)) == [tuple(r[2] for r in results) for _, results in rows]
 
 
 def test_profiles_json_of_a_cohort_equals_one_dumps_per_learner(rb, caplog):
@@ -741,21 +769,18 @@ def test_profiles_json_of_a_cohort_equals_one_dumps_per_learner(rb, caplog):
     spec = CohortSpec(
         counts=tuple((sig, 2) for sig in itertools.product(*labels)), noise_sigma=0.1, seed=4
     )
-    profiles, _ = classify_cohort(generate(spec, rb)[1], rb)
+    table, _ = classify_cohort(generate(spec, rb)[1], rb)
     with caplog.at_level(logging.INFO, logger="stylegroup.classify"):
-        text = profiles_to_json(profiles)
-    assert text == reference_profiles_to_json(profiles)
-    results = [r for p in profiles for r in p.results]
+        text = profiles_to_json(table)
+    rows = table_rows(table)
+    assert text == reference_profiles_to_json(rows)
+    results = [r for _, results in rows for r in results]
     # one head and tail per distinct result, far fewer than results
-    distinct = len({(r.dimension, r.crisp_score, r.label) for r in results})
+    distinct = len({(dimension, score, label) for dimension, score, label, _, _ in results})
     assert distinct < len(results) / 2
     assert caplog.messages == [
-        f"JSON export: {len(profiles)} learners, {distinct} distinct results formatted"
+        f"JSON export: {len(table)} learners, {distinct} distinct results formatted"
     ]
-    # a caller's edit of the memberships it read leaves the table as it was
-    memberships = profiles[0].results[0].term_memberships
-    memberships[next(iter(memberships))] = 0.25
-    assert profiles_to_json(profiles) == text
 
 
 def test_cohort_exports_equal_row_by_row_references(rb):
@@ -778,22 +803,19 @@ def test_cohort_exports_equal_row_by_row_references(rb):
     table, failures = classify_cohort(BehaviorTable.of(records), rb)
     assert any(f.dimension is None for f in failures)
     assert any(f.dimension is not None for f in failures)
-    profiles = list(table)
-    assert profiles_to_csv(table) == reference_profiles_csv(profiles)
-    assert profiles_to_json(table) == reference_profiles_to_json(profiles)
+    rows = table_rows(table)
+    assert profiles_to_csv(table) == reference_profiles_csv(rows)
+    assert profiles_to_json(table) == reference_profiles_to_json(rows)
     header = ["learner_id", "dimension", "reason"]
-    rows = [(f.learner_id, f.dimension or "", f.reason) for f in failures]
-    assert csv_text(header, rows) == reference_csv_text(header, rows)
-    # The list of profiles takes the same paths as the table they were read from.
-    assert profiles_to_csv(profiles) == profiles_to_csv(table)
-    assert profiles_to_json(profiles) == profiles_to_json(table)
+    failed = [(f.learner_id, f.dimension or "", f.reason) for f in failures]
+    assert csv_text(header, failed) == reference_csv_text(header, failed)
+    # A table rebuilt from the rows read takes the same paths as the table itself.
+    rebuilt = cohort_table(rows, {c.dimension: c.rule_ids for c in table.columns})
+    assert profiles_to_csv(rebuilt) == profiles_to_csv(table)
+    assert profiles_to_json(rebuilt) == profiles_to_json(table)
     params = GroupingParams(control_fraction=0.2, seed=3, min_size=5)
-    assert assign_groups(profiles, params) == assign_groups(table, params)
-    questionnaire = [
-        QuestionnaireRecord(p.learner_id, r.dimension, r.crisp_score)
-        for p in profiles[::2]
-        for r in p.results
-    ]
+    assert assign_groups(rebuilt, params) == assign_groups(table, params)
+    questionnaire = _questionnaire(table, lambda score: score, slice(None, None, 2))
     report = validate_against_questionnaire(table, questionnaire)
-    assert report == validate_against_questionnaire(profiles, questionnaire)
+    assert report == validate_against_questionnaire(rebuilt, questionnaire)
     assert report.overall_r == pytest.approx(1.0)

@@ -802,7 +802,7 @@ def test_pipeline_refuses_bad_settings_before_writing_anything(
         (["classify", "--behaviors", "{behaviors}", "--questionnaire", "{questionnaire}"], 1,
          "error: line 2: score 99.0 outside [0.0, 11.0]"),
         (["classify", "--behaviors", "{behaviors}", "--questionnaire", "{unpaired}"], 1,
-         "error: need at least 3 pairs, got 0"),
+         "error: dimension 'processing' has 0 paired learners, need at least 3"),
         (["classify", "--behaviors", "{behaviors}", "--vars", "{missing}"], 2,
          "config error: --vars and --rules must be given together"),
     ],

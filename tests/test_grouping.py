@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stylegroup.classify import DimensionResult, StyleProfile, profiles_from_csv, profiles_to_csv
+from stylegroup.classify import profiles_from_csv, profiles_to_csv
 from stylegroup.dsl import DIMENSIONS
 from stylegroup.grouping import (
     DegenerateFractionError,
@@ -13,6 +13,7 @@ from stylegroup.grouping import (
     GroupAssignment,
     GroupingParams,
     InfeasibleConstraintsError,
+    Learner,
     assign_groups,
     assignment_from_csv,
     content_plan,
@@ -21,21 +22,22 @@ from stylegroup.grouping import (
 )
 from stylegroup.ingest import MalformedRowError
 
+from conftest import cohort_table, table_rows
+
 POLE_SCORE = {"low": 3.5, "high": 9.5, "mid": 7.2}
 
 
-def _profile(learner_id, signature, jitter=0.0):
-    results = tuple(
-        DimensionResult(
-            dimension=dimension,
-            crisp_score=(3.5 if k % 2 == 0 else 9.5) + jitter,
-            label=label,
-            term_memberships={},
-            fired_rules=(),
-        )
-        for k, (dimension, label) in enumerate(zip(DIMENSIONS, signature))
+def _learner(learner_id, signature, jitter=0.0):
+    scores = tuple((3.5 if k % 2 == 0 else 9.5) + jitter for k in range(len(signature)))
+    return Learner(learner_id, scores, tuple(signature))
+
+
+def _table(learners):
+    """The table of the learners, their scores and labels in `DIMENSIONS` order."""
+    return cohort_table(
+        (learner_id, tuple((d, s, label, {}, ()) for d, s, label in zip(DIMENSIONS, *rest)))
+        for learner_id, *rest in learners
     )
-    return StyleProfile(learner_id=learner_id, results=results)
 
 
 SIG_A = ("reactive", "sensory", "visual", "consecutive")
@@ -85,13 +87,13 @@ def test_split_control_empty_cohort():
 
 
 def test_partition_exact_signatures_no_merging():
-    profiles = [
-        _profile("L1", SIG_A),
-        _profile("L2", SIG_B),
-        _profile("L3", SIG_A),
-        _profile("L4", SIG_B),
+    learners = [
+        _learner("L1", SIG_A),
+        _learner("L2", SIG_B),
+        _learner("L3", SIG_A),
+        _learner("L4", SIG_B),
     ]
-    groups = homogeneous_partition(profiles, target_k=2, min_size=1)
+    groups = homogeneous_partition(learners, target_k=2, min_size=1)
     assert len(groups) == 2
     by_sig = {g.signature_mode: set(g.members) for g in groups}
     assert by_sig[SIG_A] == {"L1", "L3"}
@@ -99,20 +101,20 @@ def test_partition_exact_signatures_no_merging():
 
 
 def test_partition_target_k_is_a_ceiling():
-    profiles = [_profile(f"L{i}", SIG_A) for i in range(8)]
-    groups = homogeneous_partition(profiles, target_k=3, min_size=1)
+    learners = [_learner(f"L{i}", SIG_A) for i in range(8)]
+    groups = homogeneous_partition(learners, target_k=3, min_size=1)
     assert len(groups) == 1
     assert len(groups[0].members) == 8
 
 
 def test_partition_merges_small_groups_into_nearest():
     # two big far-apart clusters plus one tiny group near cluster A
-    profiles = (
-        [_profile(f"A{i}", SIG_A, jitter=0.0) for i in range(10)]
-        + [_profile(f"B{i}", SIG_B, jitter=0.0) for i in range(10)]
-        + [_profile("tiny", SIG_C, jitter=0.2)]
+    learners = (
+        [_learner(f"A{i}", SIG_A, jitter=0.0) for i in range(10)]
+        + [_learner(f"B{i}", SIG_B, jitter=0.0) for i in range(10)]
+        + [_learner("tiny", SIG_C, jitter=0.2)]
     )
-    groups = homogeneous_partition(profiles, target_k=2, min_size=2)
+    groups = homogeneous_partition(learners, target_k=2, min_size=2)
     assert len(groups) == 2
     tiny_home = next(g for g in groups if "tiny" in g.members)
     # SIG_C scores sit nearest the SIG_A centroid by construction
@@ -121,17 +123,17 @@ def test_partition_merges_small_groups_into_nearest():
 
 
 def test_partition_mode_signature_majority():
-    profiles = [_profile(f"A{i}", SIG_A) for i in range(5)] + [
-        _profile("c1", SIG_C, jitter=0.1)
+    learners = [_learner(f"A{i}", SIG_A) for i in range(5)] + [
+        _learner("c1", SIG_C, jitter=0.1)
     ]
-    groups = homogeneous_partition(profiles, target_k=1, min_size=1)
+    groups = homogeneous_partition(learners, target_k=1, min_size=1)
     assert len(groups) == 1
     assert groups[0].signature_mode == SIG_A
 
 
 def test_partition_infeasible_constraints():
     with pytest.raises(InfeasibleConstraintsError):
-        homogeneous_partition([_profile("L1", SIG_A)], target_k=2, min_size=1)
+        homogeneous_partition([_learner("L1", SIG_A)], target_k=2, min_size=1)
     with pytest.raises(EmptyCohortError):
         homogeneous_partition([], target_k=1, min_size=1)
 
@@ -141,13 +143,13 @@ def test_partition_invariants_randomized():
     signatures = [SIG_A, SIG_B, SIG_C]
     for _ in range(100):
         n = rng.randint(4, 40)
-        profiles = [
-            _profile(f"L{i}", rng.choice(signatures), jitter=rng.uniform(-0.5, 0.5))
+        learners = [
+            _learner(f"L{i}", rng.choice(signatures), jitter=rng.uniform(-0.5, 0.5))
             for i in range(n)
         ]
         target_k = rng.randint(1, 4)
         min_size = rng.randint(1, 5)
-        groups = homogeneous_partition(profiles, target_k=target_k, min_size=min_size)
+        groups = homogeneous_partition(learners, target_k=target_k, min_size=min_size)
         members = [m for g in groups for m in g.members]
         assert len(members) == n  # conservation
         assert len(set(members)) == n  # disjoint
@@ -156,7 +158,7 @@ def test_partition_invariants_randomized():
             assert all(len(g.members) >= min_size for g in groups)
 
 
-def _reference_partition(profiles, target_k, min_size):
+def _reference_partition(learners, target_k, min_size):
     """Smallest-into-nearest merging that recomputes every centroid at every step.
 
     Returns (members, centroid) per group in group id order.
@@ -169,10 +171,10 @@ def _reference_partition(profiles, target_k, min_size):
     def distance(a, b):
         return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
 
-    scores = {p.learner_id: tuple(r.crisp_score for r in p.results) for p in profiles}
+    scores = {learner.learner_id: learner.scores for learner in learners}
     by_signature = {}
-    for profile in profiles:
-        by_signature.setdefault(profile.signature, []).append(profile.learner_id)
+    for learner in learners:
+        by_signature.setdefault(learner.signature, []).append(learner.learner_id)
     groups = {gid: m for gid, (_, m) in enumerate(sorted(by_signature.items()), start=1)}
     while len(groups) > 1:
         if len(groups) <= target_k and all(len(m) >= min_size for m in groups.values()):
@@ -193,20 +195,18 @@ def test_partition_equals_recomputing_every_centroid():
     rng = random.Random(23)
     labels = ("a", "b", "c")
     for _ in range(20):
-        profiles = [
-            StyleProfile(
-                learner_id=f"L{i}",
-                results=tuple(
-                    DimensionResult(d, rng.uniform(0, 12), rng.choice(labels), {}, ())
-                    for d in DIMENSIONS
-                ),
+        learners = [
+            Learner(
+                f"L{i}",
+                tuple(rng.uniform(0, 12) for _ in DIMENSIONS),
+                tuple(rng.choice(labels) for _ in DIMENSIONS),
             )
             for i in range(rng.randint(20, 120))
         ]
         target_k, min_size = rng.randint(1, 5), rng.randint(1, 12)
-        groups = homogeneous_partition(profiles, target_k=target_k, min_size=min_size)
+        groups = homogeneous_partition(learners, target_k=target_k, min_size=min_size)
         assert [(g.members, g.centroid) for g in groups] == _reference_partition(
-            profiles, target_k, min_size
+            learners, target_k, min_size
         )
 
 
@@ -215,16 +215,16 @@ def test_partition_equals_recomputing_every_centroid():
 
 def test_assignment_partitions_and_is_deterministic():
     rng = random.Random(5)
-    profiles = [
-        _profile(f"L{i}", rng.choice([SIG_A, SIG_B, SIG_C]), jitter=rng.uniform(0, 0.4))
+    learners = [
+        _learner(f"L{i}", rng.choice([SIG_A, SIG_B, SIG_C]), jitter=rng.uniform(0, 0.4))
         for i in range(60)
     ]
     params = GroupingParams(control_fraction=0.2, seed=21, target_k=3, min_size=2)
-    first = assign_groups(profiles, params)
-    second = assign_groups(profiles, params)
+    first = assign_groups(_table(learners), params)
+    second = assign_groups(_table(learners), params)
     assert first == second
     grouped = {m for g in first.groups for m in g.members}
-    assert grouped | set(first.control) == {p.learner_id for p in profiles}
+    assert grouped | set(first.control) == {learner.learner_id for learner in learners}
     assert grouped & set(first.control) == set()
     assert len(first.control) == 12
 
@@ -232,17 +232,17 @@ def test_assignment_partitions_and_is_deterministic():
 @pytest.mark.parametrize("min_size", [1, 0, -3])
 def test_assign_groups_refuses_min_size_below_two(min_size):
     # Each group faces the control in a t-test, which needs 2 values a side.
-    profiles = [_profile(f"L{i}", SIG_A) for i in range(29)] + [_profile("L29", SIG_B)]
+    learners = [_learner(f"L{i}", SIG_A) for i in range(29)] + [_learner("L29", SIG_B)]
     params = GroupingParams(control_fraction=0.1, seed=1, target_k=2, min_size=min_size)
     with pytest.raises(InfeasibleConstraintsError) as exc_info:
-        assign_groups(profiles, params)
+        assign_groups(_table(learners), params)
     assert str(exc_info.value) == f"min_size must be >= 2, got {min_size}"
 
 
 def test_assignment_csv_shape():
-    profiles = [_profile(f"L{i}", SIG_A) for i in range(10)]
+    learners = [_learner(f"L{i}", SIG_A) for i in range(10)]
     params = GroupingParams(control_fraction=0.2, seed=1, target_k=1, min_size=2)
-    assignment = assign_groups(profiles, params)
+    assignment = assign_groups(_table(learners), params)
     lines = assignment.to_csv().splitlines()
     assert lines[0] == "learner_id,group_id,is_control"
     assert len(lines) == 11
@@ -250,9 +250,9 @@ def test_assignment_csv_shape():
 
 
 def test_assignment_csv_reads_back(tmp_path):
-    profiles = [_profile(f"L{i}", SIG_A) for i in range(10)]
+    learners = [_learner(f"L{i}", SIG_A) for i in range(10)]
     params = GroupingParams(control_fraction=0.2, seed=1, target_k=1, min_size=2)
-    assignment = assign_groups(profiles, params)
+    assignment = assign_groups(_table(learners), params)
     path = tmp_path / "assignment.csv"
     path.write_text(assignment.to_csv(), encoding="utf-8")
     entries = assignment_from_csv(path)
@@ -323,16 +323,16 @@ _IDS = st.text(
 def test_profile_and_assignment_csv_round_trip(tmp_path_factory, ids, data):
     """What `profiles_to_csv` and `GroupAssignment.to_csv` write, their readers give back."""
     dimensions = DIMENSIONS[: data.draw(st.integers(1, len(DIMENSIONS)))]
-    profiles = [
-        StyleProfile(
-            learner_id=learner,
-            results=tuple(
-                DimensionResult(
-                    dimension=dimension,
-                    crisp_score=data.draw(st.floats(allow_nan=False, allow_infinity=False)),
-                    label=data.draw(st.text(max_size=6)),
-                    term_memberships={},
-                    fired_rules=(),
+    rows = [
+        (
+            learner,
+            tuple(
+                (
+                    dimension,
+                    data.draw(st.floats(allow_nan=False, allow_infinity=False)),
+                    data.draw(st.text(max_size=6)),
+                    {},
+                    (),
                 )
                 for dimension in dimensions
             ),
@@ -349,16 +349,16 @@ def test_profile_and_assignment_csv_round_trip(tmp_path_factory, ids, data):
     control = tuple(learner for learner, control in zip(ids, in_control) if control)
     assignment = GroupAssignment(groups, control, GroupingParams(0.2, seed=0))
     directory = tmp_path_factory.mktemp("round-trip")
-    (directory / "profiles.csv").write_text(profiles_to_csv(profiles), encoding="utf-8")
+    (directory / "profiles.csv").write_text(profiles_to_csv(cohort_table(rows)), encoding="utf-8")
     (directory / "assignment.csv").write_text(assignment.to_csv(), encoding="utf-8")
 
     rebuilt = profiles_from_csv(directory / "profiles.csv")
     assert [
-        (p.learner_id, [(r.dimension, r.label, r.crisp_score.hex()) for r in p.results])
-        for p in rebuilt
+        (learner, [(d, label, score.hex()) for d, score, label, _, _ in results])
+        for learner, results in table_rows(rebuilt)
     ] == [
-        (p.learner_id, [(r.dimension, r.label, r.crisp_score.hex()) for r in p.results])
-        for p in profiles
+        (learner, [(d, label, score.hex()) for d, score, label, _, _ in results])
+        for learner, results in rows
     ]
     assert assignment_from_csv(directory / "assignment.csv") == [
         *((m, str(g.group_id), False) for g in groups for m in g.members),
@@ -370,8 +370,8 @@ def test_profile_and_assignment_csv_round_trip(tmp_path_factory, ids, data):
 
 
 def _group_with_signature(signature):
-    profiles = [_profile(f"L{i}", signature) for i in range(3)]
-    return homogeneous_partition(profiles, target_k=1, min_size=1)[0]
+    learners = [_learner(f"L{i}", signature) for i in range(3)]
+    return homogeneous_partition(learners, target_k=1, min_size=1)[0]
 
 
 def test_content_plan_pole_preferences():

@@ -146,6 +146,32 @@ def test_classify_loads_numpy_on_its_first_array_call(tmp_path):
     assert (tmp_path / "out" / "profiles.csv").exists()
 
 
+# What `import stylegroup` offers: removing or adding an export edits this list.
+PUBLIC_NAMES = [
+    "BehaviorTable", "CohortSpec", "CohortTable", "DIMENSIONS", "GroupAssignment",
+    "GroupingParams", "Learner", "LinguisticVariable", "QuestionnaireRecord", "RuleBase",
+    "Sample", "ScoreModel", "Trapezoid", "assign_groups", "build_evaluation_report",
+    "classify_cohort", "content_plan", "default_rulebase", "evaluation_samples",
+    "feature_coverage", "generate", "generate_scores", "homogeneous_partition",
+    "load_behaviors", "load_questionnaire", "load_rulebase", "normality_check",
+    "one_way_anova", "parse_rulebase", "parse_rules", "parse_variables", "pearson_r",
+    "posthoc_pairwise", "pretty_print", "reg_inc_beta", "satisfaction_score", "split_control",
+    "two_sample_t", "validate", "validate_against_questionnaire", "weighted_mean",
+]
+
+
+def test_package_exports_exactly_its_public_names():
+    import types
+
+    import stylegroup
+
+    exported = sorted(
+        name for name, value in vars(stylegroup).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert exported == PUBLIC_NAMES
+
+
 def test_import_binds_every_traced_function():
     """The benchmark traces only what `import stylegroup.cli` has loaded.
 

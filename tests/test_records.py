@@ -10,16 +10,10 @@ import re
 import pytest
 
 from stylegroup import stats  # `stats.TestResult`: pytest would collect a bare `TestResult`
-from stylegroup.classify import (
-    ClassificationFailure,
-    DimensionResult,
-    PairedRow,
-    StyleProfile,
-    ValidationReport,
-)
+from stylegroup.classify import ClassificationFailure, PairedRow, ValidationReport
 from stylegroup.dsl import Diagnostic, Rule, RuleBase
 from stylegroup.fuzzy import CompiledRules, LinguisticVariable, Trapezoid
-from stylegroup.grouping import ContentPlan, Group, GroupAssignment, GroupingParams
+from stylegroup.grouping import ContentPlan, Group, GroupAssignment, GroupingParams, Learner
 from stylegroup.ingest import (
     BehaviorTable,
     ClampReport,
@@ -48,10 +42,6 @@ def _variable(**declaration):
 
 def _rule(rule_id="r1"):
     return Rule(rule_id, "processing", (("effort", "low"),), ("processing_score", "reactive"))
-
-
-def _result(label="reactive"):
-    return DimensionResult("processing", 3.5, label, {"reactive": 1.0}, (("r1", 1.0),))
 
 
 def _row(questionnaire_score=4.0):
@@ -99,10 +89,6 @@ RULE = (
     "Rule(rule_id='r1', dimension='processing', antecedent=(('effort', 'low'),), "
     "consequent=('processing_score', 'reactive'))"
 )
-RESULT = (
-    "DimensionResult(dimension='processing', crisp_score=3.5, label='reactive', "
-    "term_memberships={'reactive': 1.0}, fired_rules=(('r1', 1.0),))"
-)
 ROW = "PairedRow(learner_id='L1', dimension='processing', crisp_score=3.5, questionnaire_score=4.0)"
 PARAMS = "GroupingParams(control_fraction=0.2, seed=3, target_k=4, min_size=10)"
 GROUP = "Group(group_id=1, members=('L1', 'L2'), centroid=(3.5,), signature_mode=('reactive',))"
@@ -140,14 +126,6 @@ RECORDS = [
         f"RuleBase(variables=({VARIABLE},), rules=({RULE},))",
         True,
     ),
-    (_result, lambda: _result("reflection"), "label", RESULT, False),
-    (
-        lambda: StyleProfile("L1", (_result(),)),
-        lambda: StyleProfile("L2", (_result(),)),
-        "learner_id",
-        f"StyleProfile(learner_id='L1', results=({RESULT},))",
-        False,
-    ),
     (
         lambda: ClassificationFailure("L1", None, "no value"),
         lambda: ClassificationFailure("L1", "processing", "no value"),
@@ -166,6 +144,13 @@ RECORDS = [
         False,
     ),
     (_params, lambda: _params(4), "seed", PARAMS, True),
+    (
+        lambda: Learner("L1", (3.5,), ("reactive",)),
+        lambda: Learner("L1", (3.5,), ("reflection",)),
+        "signature",
+        "Learner(learner_id='L1', scores=(3.5,), signature=('reactive',))",
+        True,
+    ),
     (_group, lambda: _group(2), "group_id", GROUP, True),
     (
         lambda: GroupAssignment((_group(),), ("L3",), _params()),

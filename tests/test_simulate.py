@@ -55,10 +55,14 @@ def test_zero_noise_features_sit_on_prototypes(rb):
 
 def test_zero_noise_recovery(rb):
     truth, table = generate(_spec(counts=10, noise=0.0, seed=4), rb)
-    profiles, failures = classify_cohort(table, rb)
+    classified, failures = classify_cohort(table, rb)
     assert not failures
     truth_map = dict(truth)
-    assert all(p.signature == truth_map[p.learner_id] for p in profiles)
+    assert len(classified) == len(truth)
+    assert all(
+        signature == truth_map[learner]
+        for learner, signature in zip(classified.ids, classified.rows(1))
+    )
 
 
 def test_generate_logs_one_line_only_at_info(rb, caplog):
@@ -157,9 +161,12 @@ def test_recovery_rate_non_increasing_in_noise(rb):
         rates = []
         for seed in range(5):
             truth, table = generate(_spec(counts=6, noise=sigma, seed=seed), rb)
-            profiles, failures = classify_cohort(table, rb)
+            classified, failures = classify_cohort(table, rb)
             truth_map = dict(truth)
-            hits = sum(p.signature == truth_map[p.learner_id] for p in profiles)
+            hits = sum(
+                signature == truth_map[learner]
+                for learner, signature in zip(classified.ids, classified.rows(1))
+            )
             rates.append(hits / len(truth))
         mean_rates.append(sum(rates) / len(rates))
     assert mean_rates[0] == 1.0
