@@ -28,11 +28,11 @@ from contextlib import contextmanager
 from functools import partial
 from itertools import islice
 from pathlib import Path
-from operator import itemgetter
 from typing import Callable, ContextManager, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .dsl import DIMENSIONS, RuleBase
 from .fuzzy import LinguisticVariable
+from .stats import LIKERT_RANGE, SATISFACTION_ITEMS
 
 QUESTIONNAIRE_RANGE = (0.0, 11.0)
 # The headers of the files `simulate` writes and these readers take.
@@ -308,18 +308,16 @@ def _load(
 
     ``plan(fd)``, given the open file's descriptor, gives ``(offset, "")``
     or ``(None, reason)`` as `_split_point` does; ``run`` is a context
-    manager like `_forked`.
+    manager like `_forked`. Both parts fill `learners`: learner -> declared
+    variable -> values in file order. One pass over it aggregates the cells.
     """
     if policy not in ("clamp", "strict"):
         raise ValueError(f"policy must be 'clamp' or 'strict', got {policy!r}")
     by_name = {v.name: v for v in variables if v.kind == "input"}
     report = ClampReport()
 
-    # One list of values per (learner, variable), in file order. The keys
-    # share one string object per distinct id or name.
-    table: dict[tuple[str, str], list[float]] = {}
-    names: dict[str, str] = {}
-    state = (by_name, policy, table, names, report.skipped_unknown)
+    learners: dict[str, dict[str, list[float]]] = {}  # each in order of its first row
+    state = (by_name, policy, learners, report.skipped_unknown)
     with _read_rows(path, BEHAVIORS_HEADER) as (handle, _):
         fd = handle.fileno()
         split, reason = plan(fd)
@@ -329,50 +327,43 @@ def _load(
         else:
             end, reason = _read_in_two(fd, handle, start, split, state, run)
 
-    ids = list(dict.fromkeys(map(itemgetter(0), table)))
-    row = dict(zip(ids, range(len(ids))))
-    columns = {name: [math.nan] * len(ids) for name in by_name}
-    outside = []  # (row, learner, variable, value, lo, hi) in table order
-    for (learner, variable), values in table.items():
-        spec = by_name[variable]
-        if spec.aggregation == "sum":
-            value = sum(values)
-        elif spec.aggregation == "mean":
-            value = sum(values) / len(values)
-        else:
-            value = max(values)
-        if spec.max_expected is not None:
-            value = read_value(value, spec.max_expected)
-        lo, hi = spec.universe
-        if value < lo or value > hi:
-            outside.append((row[learner], learner, variable, value, lo, hi))
-            value = min(max(value, lo), hi)
-        columns[variable][row[learner]] = value
-    outside.sort(key=itemgetter(0))  # learner by learner, each one's variables by first row
-    for _, learner, variable, value, lo, hi in outside:
-        if policy == "strict":
-            raise ValueOutOfUniverseError(
-                f"{learner}: {variable}={value!r} outside its universe [{lo}, {hi}]"
-            )
-        report.clamped.append((learner, variable, value, min(max(value, lo), hi)))
+    columns = {name: [math.nan] * len(learners) for name in by_name}
+    for n, (learner, values_of) in enumerate(learners.items()):
+        for variable, values in values_of.items():
+            spec = by_name[variable]
+            if spec.aggregation == "sum":
+                value = sum(values)
+            elif spec.aggregation == "mean":
+                value = sum(values) / len(values)
+            else:
+                value = max(values)
+            if spec.max_expected is not None:
+                value = read_value(value, spec.max_expected)
+            lo, hi = spec.universe
+            if value < lo or value > hi:
+                if policy == "strict":
+                    raise ValueOutOfUniverseError(
+                        f"{learner}: {variable}={value!r} outside its universe [{lo}, {hi}]"
+                    )
+                report.clamped.append((learner, variable, value, min(max(value, lo), hi)))
+                value = min(max(value, lo), hi)
+            columns[variable][n] = value
     log.info(
         "behaviours %s: %d rows, %d learners, %d keys, %d clamped, %d skipped-unknown, parts=%s",
-        path, end - 2, len(ids), len(table), report.clamp_count,
+        path, end - 2, len(learners), sum(map(len, learners.values())), report.clamp_count,
         len(report.skipped_unknown), f"1 ({reason})" if reason else "2",
     )
-    return BehaviorTable(ids, columns), report
+    return BehaviorTable(list(learners), columns), report
 
 
-def _fill(reader, line, by_name, policy, table, names, skipped) -> int:
-    """Read `reader`'s records, numbered from `line`, into `table` and `skipped`.
+def _fill(reader, line, by_name, policy, learners, skipped) -> int:
+    """Read `reader`'s records, numbered from `line`, into `learners` and `skipped`.
 
-    Gives the number the next record would have. A key already in the table
-    has a learner id and a declared variable, so later rows of it only need
-    their number checked; every row's cells are new objects. This is the
+    Gives the number the next record would have. A row's value goes to the
+    end of its learner's list of that variable in `learners`. This is the
     code that raises every behaviours row's error, `csv.reader`'s as a
     `MalformedRowError` of the record it was reading.
     """
-    get = table.get
     isfinite = math.isfinite
     line -= 1
     try:
@@ -384,8 +375,7 @@ def _fill(reader, line, by_name, policy, table, names, skipped) -> int:
                     continue
                 raise MalformedRowError(line, f"expected 3 fields, got {len(row)}") from None
             learner, variable = learner.strip(), variable.strip()
-            values = get((learner, variable))
-            if values is None and not learner:
+            if not learner:
                 if _blank(row):
                     continue
                 raise MalformedRowError(line, "empty learner_id")
@@ -398,17 +388,16 @@ def _fill(reader, line, by_name, policy, table, names, skipped) -> int:
                 value = math.nan
             if not isfinite(value):
                 value = parse_float(line, raw.strip(), "value")
-            if values is None:
-                if variable not in by_name:
-                    if policy == "strict":
-                        raise UndeclaredVariableError(
-                            f"line {line}: variable {variable!r} is not declared"
-                        )
-                    skipped.append((learner, variable))
-                    continue
-                key = (names.setdefault(learner, learner), names.setdefault(variable, variable))
-                values = table[key] = []
-            values.append(value)
+            spec = by_name.get(variable)
+            if spec is None:
+                if policy == "strict":
+                    raise UndeclaredVariableError(
+                        f"line {line}: variable {variable!r} is not declared"
+                    )
+                skipped.append((learner, variable))
+                continue
+            values_of = learners.get(learner) or learners.setdefault(learner, {})
+            (values_of.get(variable) or values_of.setdefault(spec.name, [])).append(value)
     except csv.Error as exc:  # raised while reading the record after `line`
         raise MalformedRowError(line + 1, str(exc)) from None
     return line + 1
@@ -458,7 +447,7 @@ def _pieces(fd: int, start: int, stop: int | None) -> Iterator[tuple[int, bytes]
             rest = rest[cut:]
 
 
-def _plain(fd, start, stop, line, by_name, policy, table, names, skipped) -> tuple[int, int | None]:
+def _plain(fd, start, stop, line, by_name, policy, learners, skipped) -> tuple[int, int | None]:
     r"""Read plain records from byte `start` to `stop` (or the end), numbered from `line`.
 
     Reads `_pieces` of whole lines. A piece that holds a '"', a "\r" outside
@@ -467,8 +456,8 @@ def _plain(fd, start, stop, line, by_name, policy, table, names, skipped) -> tup
     plain. In a plain piece each line is a record. A blank row is skipped.
     Any other row is plain if its value is a finite number (`float` of the
     raw text) and its head, the raw text before its last ",", is a learner
-    id and a variable that is declared (the value goes to the key's list in
-    `table`) or, under the clamp policy, undeclared (the pair goes to
+    id and a variable that is declared (the value goes to its list in
+    `learners`) or, under the clamp policy, undeclared (the pair goes to
     `skipped`). A head is split, stripped and checked only the first time it
     is seen; after that a row costs one `rpartition`, one dict lookup, one
     `float` and one call.
@@ -486,11 +475,12 @@ def _plain(fd, start, stop, line, by_name, policy, table, names, skipped) -> tup
         if len(cells) != 2:
             return None
         learner, variable = cells[0].strip(), cells[1].strip()
-        if not learner or (variable not in by_name and policy == "strict"):
+        spec = by_name.get(variable)
+        if not learner or (spec is None and policy == "strict"):
             return None
-        if variable in by_name:
-            key = (names.setdefault(learner, learner), names.setdefault(variable, variable))
-            add = table.setdefault(key, []).append
+        if spec is not None:  # `or`: nothing is made for a learner or key already there
+            values_of = learners.get(learner) or learners.setdefault(learner, {})
+            add = (values_of.get(variable) or values_of.setdefault(spec.name, [])).append
         else:
             pair = (learner, variable)
             add = lambda value: skipped.append(pair)
@@ -546,12 +536,8 @@ def _read_part(fd, lines, line, start, state) -> int:
         line, start = _plain(fd, start, None, line, *state)
         if start is None:
             return line
-    _skip(lines, line - 2)
+    next(islice(lines, line - 2, line - 2), None)  # skip the lines before record `line`
     return _fill(csv.reader(lines), line, *state)
-
-
-def _skip(lines: Iterator[str], count: int) -> None:
-    next(islice(lines, count, count), None)
 
 
 # --------------------------------------------------------------------------
@@ -574,7 +560,7 @@ def _split_point(fd: int) -> tuple[int | None, str]:
         cpus = os.cpu_count() or 1
     if cpus < 2:
         return None, "one CPU"
-    if threading.active_count() > 1:
+    if _thread_count() > 1:
         return None, "threads"
     status = os.fstat(fd)
     if not stat.S_ISREG(status.st_mode):  # a pipe cannot be read from an offset
@@ -587,38 +573,44 @@ def _split_point(fd: int) -> tuple[int | None, str]:
     return split, ""
 
 
+def _thread_count() -> int:
+    """This process's OS threads, numpy's too, where listed; else the threads `threading` knows."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return threading.active_count()
+
+
 def _read_in_two(fd, handle, start, split, state, run) -> tuple[int, str]:
     """Read plainly from byte `start` to `split` while `run` reads the rest; merge in file order.
 
     `handle` stands just after the header, and `start` is `_records_start`'s
     offset. If `_plain` reads the first half to `split`, every line end
     before it ended a record, so the halves merge, and the second half's
-    records are numbered on from the first's. Otherwise this process
-    leaves `run`, which stops the child without waiting for its result,
-    and reads on from where `_plain` stopped, as a one-part read would. If
-    the child gives no result, this process reads the second half itself
-    in the same way, so any error there is raised by the same code at the
-    same record. Gives the next record's number, and a reason if the
-    halves did not merge.
+    records are numbered on from the first's: a learner first met in the
+    second half is adopted whole, and others gain its values after their
+    own. Otherwise this process leaves `run`, which stops the child without
+    waiting for its result, and reads on from where `_plain` stopped, as a
+    one-part read would. If the child gives no result, this process reads
+    the second half itself in the same way, so any error there is raised by
+    the same code at the same record. Gives the next record's number, and a
+    reason if the halves did not merge.
     """
-    by_name, policy, table, names, skipped = state
+    by_name, policy, learners, skipped = state
     with run(partial(_tail, fd, split, by_name, policy)) as result:
         line, stopped = _plain(fd, start, split, 2, *state)
         payload = result() if stopped is None else b""
     if stopped is not None:
         return _read_part(fd, handle, line, stopped, state), "first half not plain"
     try:
-        count, tail_table, tail_skipped = marshal.loads(payload)
+        count, tail_learners, tail_skipped = marshal.loads(payload)
     except (EOFError, ValueError, TypeError):
         return _read_part(fd, handle, line, split, state), "second part failed"
-    get = table.get
-    for (learner, variable), values in tail_table.items():
-        mine = get((learner, variable))
-        if mine is None:
-            key = (names.setdefault(learner, learner), names.setdefault(variable, variable))
-            table[key] = values
-        else:
-            mine.extend(values)
+    for learner, theirs in tail_learners.items():
+        values_of = learners.setdefault(learner, theirs)
+        if values_of is not theirs:
+            for variable, values in theirs.items():
+                values_of.setdefault(variable, []).extend(values)
     skipped.extend(tail_skipped)
     return line + count, ""
 
@@ -626,24 +618,28 @@ def _read_in_two(fd, handle, start, split, state, run) -> tuple[int, str]:
 def _tail(fd, split, by_name, policy) -> bytes:
     """Read the file open on `fd` plainly from byte `split` on.
 
-    Gives the marshal'd (records read, the table of values per key, skipped
-    unknowns), or b"" if a record was not plain.
+    Gives the marshal'd (records read, learner -> variable -> values as
+    `_plain` fills them, skipped unknowns), or b"" if a record was not plain.
     """
-    table: dict[tuple[str, str], list[float]] = {}
+    learners: dict[str, dict[str, list[float]]] = {}
     skipped: list[tuple[str, str]] = []
-    count, stopped = _plain(fd, split, None, 0, by_name, policy, table, {}, skipped)
-    return b"" if stopped is not None else marshal.dumps((count, table, skipped))
+    count, stopped = _plain(fd, split, None, 0, by_name, policy, learners, skipped)
+    return b"" if stopped is not None else marshal.dumps((count, learners, skipped))
 
 
 @contextmanager
 def _forked(work: Callable[[], bytes]) -> Iterator[Callable[[], bytes]]:
     """Run `work` in a forked child; give a function that waits for the bytes it returns.
 
-    That function gives b"" if the child could not start, or less than all
-    if it died first. On leaving, the child is killed if it still runs, and
-    reaped.
+    That function gives b"" if no pipe could be made or the child could not
+    start, or less than all if it died first. On leaving, the child is
+    killed if it still runs, and reaped.
     """
-    read_fd, write_fd = os.pipe()
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        yield lambda: b""
+        return
     try:
         pid = os.fork()
     except OSError:  # no child: the read end gives b"" once write_fd is closed
@@ -704,15 +700,18 @@ def load_scores(path: str | Path) -> dict[str, float]:
 
 
 def load_satisfaction(path: str | Path) -> dict[str, tuple[float, ...]]:
-    """Load 7-item satisfaction responses: header learner_id,q1,...,q7."""
-    header = ["learner_id"] + [f"q{i}" for i in range(1, 8)]
+    """Load 7-item satisfaction responses: header learner_id,q1,...,q7, items in `LIKERT_RANGE`."""
+    header = ["learner_id"] + [f"q{i}" for i in range(1, SATISFACTION_ITEMS + 1)]
+    lo, hi = LIKERT_RANGE
     responses: dict[str, tuple[float, ...]] = {}
     for line, row, learner in learner_rows(path, header):
         if learner in responses:
             raise DuplicateEntryError(f"line {line}: duplicate responses for {learner!r}")
-        responses[learner] = tuple(
-            parse_float(line, cell.strip(), f"q{i}") for i, cell in enumerate(row[1:], 1)
-        )
+        items = tuple(parse_float(line, cell.strip(), f"q{i}") for i, cell in enumerate(row[1:], 1))
+        for i, item in enumerate(items, 1):
+            if item < lo or item > hi:
+                raise ScoreOutOfRangeError(f"line {line}: q{i} {item!r} outside [{lo}, {hi}]")
+        responses[learner] = items
     return responses
 
 

@@ -285,6 +285,25 @@ def test_group_and_evaluate_reject_corrupt_rows(tmp_path, capsys):
     assert "error: line 3: is_control 'true' is not 0 or 1\n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("learner", ["L1", "ZZ999"])
+def test_evaluate_refuses_a_satisfaction_item_by_its_line(tmp_path, capsys, learner):
+    """Items are checked as the file is read, also for a learner the assignment does not list."""
+    assignment = tmp_path / "assignment.csv"
+    assignment.write_text(
+        "learner_id,group_id,is_control\nL1,1,0\nL2,1,0\nL3,control,1\nL4,control,1\n"
+    )
+    scores = tmp_path / "scores.csv"
+    scores.write_text("learner_id,score\nL1,10\nL2,12\nL3,9\nL4,11\n")
+    satisfaction = tmp_path / "sat.csv"
+    satisfaction.write_text(
+        f"learner_id,q1,q2,q3,q4,q5,q6,q7\nL2,4,4,4,4,4,4,4\n{learner},9,4,4,4,4,4,4\n"
+    )
+    argv = ["evaluate", "--assignment", str(assignment), "--scores", str(scores),
+            "--satisfaction", str(satisfaction), "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "error: line 3: q1 9.0 outside [1.0, 5.0]"
+
+
 def test_evaluate_strips_assignment_ids_as_it_strips_score_ids(tmp_path, capsys):
     assignment = tmp_path / "assignment.csv"
     assignment.write_text(

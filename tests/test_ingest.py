@@ -1,4 +1,6 @@
+import _thread
 import csv
+import errno
 import logging
 import os
 import random
@@ -290,7 +292,7 @@ def two_cpus(monkeypatch):
     if not hasattr(os, "fork"):
         pytest.skip("reading in two parts needs os.fork")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(threading, "active_count", lambda: 1)
+    monkeypatch.setattr(ingest, "_thread_count", lambda: 1)
 
 
 @contextmanager
@@ -342,6 +344,57 @@ def test_every_split_matches_reference_loader(tmp_path_factory, rows, policy, te
     expected = _outcome(reference_load_behaviors, path, policy)
     for split in _splits(path):
         assert _outcome(_split_at(split), path, policy) == expected, split
+
+
+_DECLARED = ["discussion_participation", "test_time", "lesson_minutes", "peak_difficulty", "mean_gap"]
+# Every (learner, variable) key once: learner by learner, as `simulate` writes, or interleaved.
+_EACH_KEY_ONCE = [[f"L{n}", name, f"{(3 * n + i) % 11}.25"] for n in range(5)
+                  for i, name in enumerate(_DECLARED)]
+
+
+@st.composite
+def _keyed_rows(draw):
+    """Rows of a few (learner, variable) keys, each 1-3 times, in any order.
+
+    Values fall in and out of each universe, so a split can put a clamp or
+    a strict error on either side, before or after its key's other rows.
+    """
+    keys = draw(st.lists(
+        st.tuples(st.sampled_from(["L1", "L2", "L3", "L4", "L5"]),
+                  st.sampled_from(_DECLARED + ["mystery"])),
+        unique=True, max_size=15,
+    ))
+    values = st.floats(-5.0, 20.0) | st.floats(-40.0, 400.0)
+    rows = [[learner, variable, repr(draw(values))]
+            for learner, variable in keys for _ in range(draw(st.integers(1, 3)))]
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=100, deadline=None)
+@example(rows=_EACH_KEY_ONCE, policy="clamp")
+@example(rows=sorted(_EACH_KEY_ONCE, key=lambda row: row[1]), policy="clamp")
+# a learner whose later rows add a variable; a learner met only at the end
+@example(rows=[["L1", "test_time", "1"], ["L2", "test_time", "2"], ["L1", "test_time", "3"],
+               ["L2", "mean_gap", "4"], ["L1", "mean_gap", "5"], ["L9", "peak_difficulty", "6"],
+               ["L9", "test_time", "7"]], policy="clamp")
+# values out of universe near each end, clamped in learner order or refused at the first
+@example(rows=[["L2", "discussion_participation", "99"], ["L3", "test_time", "1"],
+               ["L1", "test_time", "2"], ["L3", "lesson_minutes", "999"],
+               ["L1", "discussion_participation", "-4"]], policy="clamp")
+@example(rows=[["L2", "discussion_participation", "99"], ["L3", "test_time", "1"],
+               ["L1", "test_time", "2"], ["L3", "lesson_minutes", "999"],
+               ["L1", "discussion_participation", "-4"]], policy="strict")
+@example(rows=[["L3", "test_time", "1"], ["L1", "test_time", "2"],
+               ["L3", "lesson_minutes", "999"]], policy="strict")
+@given(rows=_keyed_rows(), policy=st.sampled_from(["clamp", "strict"]))
+def test_every_split_merges_learners_and_variables_as_the_reference_loader(
+    tmp_path_factory, rows, policy
+):
+    path = _write_rows(tmp_path_factory.mktemp("rows") / "b.csv", rows)
+    expected = _outcome(reference_load_behaviors, path, policy)
+    for split in _splits(path):
+        assert _outcome(_split_at(split), path, policy) == expected, split
+        assert _outcome(_split_at(split, ingest._forked), path, policy) == expected, split
 
 
 _GOOD = [[f"L{i % 7}", "test_time", f"{i % 13}.5"] for i in range(40)]
@@ -549,12 +602,51 @@ def test_one_cpu_or_another_thread_reads_in_one_part(
         pytest.skip("reading in two parts needs os.fork")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: len(cpus))
-    monkeypatch.setattr(threading, "active_count", lambda: threads)
+    monkeypatch.setattr(ingest, "_thread_count", lambda: threads)
     path = _write_rows(tmp_path / "b.csv", _GOOD)
     with caplog.at_level(logging.INFO, logger="stylegroup.ingest"):
         got = _outcome(load_behaviors, path, "clamp")
     assert _parts(caplog) == parts
     assert got == _outcome(reference_load_behaviors, path, "clamp")
+
+
+def test_thread_unknown_to_threading_reads_in_one_part(tmp_path, caplog, monkeypatch):
+    """A thread started by `_thread`, as native code starts its own, is not in `threading`'s count."""
+    if not hasattr(os, "fork") or not os.path.isdir("/proc/self/task"):
+        pytest.skip("needs os.fork and a listing of the process's threads")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    path = _write_rows(tmp_path / "b.csv", _GOOD)
+    go, done = _thread.allocate_lock(), _thread.allocate_lock()
+    go.acquire()
+    done.acquire()
+    before, known = ingest._thread_count(), threading.active_count()
+
+    def wait():
+        go.acquire()
+        done.release()
+
+    _thread.start_new_thread(wait, ())
+    try:
+        assert (ingest._thread_count(), threading.active_count()) == (before + 1, known)
+        with caplog.at_level(logging.INFO, logger="stylegroup.ingest"):
+            got = _outcome(load_behaviors, path, "clamp")
+    finally:
+        go.release()
+        done.acquire()
+    assert _parts(caplog) == "1 (threads)"
+    assert got == _outcome(reference_load_behaviors, path, "clamp")
+
+
+def test_no_pipe_reads_in_one_part(tmp_path, caplog, monkeypatch, two_cpus):
+    def no_pipe():
+        raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+    path = _write_rows(tmp_path / "b.csv", _GOOD * 3)
+    expected = _outcome(reference_load_behaviors, path, "clamp")
+    monkeypatch.setattr(os, "pipe", no_pipe)
+    with caplog.at_level(logging.INFO, logger="stylegroup.ingest"):
+        assert _outcome(load_behaviors, path, "clamp") == expected
+    assert _parts(caplog) == "1 (second part failed)"
 
 
 def test_pipe_reads_in_one_part(tmp_path, caplog, two_cpus):
@@ -770,6 +862,19 @@ def test_load_satisfaction(tmp_path):
         "learner_id,q1,q2,q3,q4,q5,q6,q7\n , , , , , , , \nL1,5,4,3,4,5,4,5\n\n",
     )
     assert load_satisfaction(path) == {"L1": (5.0, 4.0, 3.0, 4.0, 5.0, 4.0, 5.0)}
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [("L1,9,4,4,4,4,4,4", "line 3: q1 9.0 outside [1.0, 5.0]"),
+     ("L1,4,4,4,4,4,4,0.5", "line 3: q7 0.5 outside [1.0, 5.0]"),
+     ("L1,4,0,4,4,4,4,9", "line 3: q2 0.0 outside [1.0, 5.0]")],
+)
+def test_satisfaction_item_outside_the_likert_range_is_a_row_error(tmp_path, row, message):
+    path = _write(tmp_path, "sat.csv", f"learner_id,q1,q2,q3,q4,q5,q6,q7\nL0,1,2,3,4,5,4,3\n{row}\n")
+    with pytest.raises(ScoreOutOfRangeError) as exc_info:
+        load_satisfaction(path)
+    assert str(exc_info.value) == message
 
 
 # -- coverage ----------------------------------------------------------------
