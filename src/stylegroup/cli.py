@@ -8,7 +8,10 @@ flag's JSON type: an integer for an integer flag, a number for a float
 flag, and for any other a string within its choices); ``DEFAULTS`` fills
 the rest. Diagnostics go to standard error, data to files under ``--out``
 or to standard output. Exit codes: 0 success, 1 validation failure, 2 I/O
-or configuration error. ``STYLEGROUP_LOG`` selects the log level.
+or configuration error. ``STYLEGROUP_LOG`` selects the log level (one of
+``LOG_LEVELS``, in any case; any other value is a configuration error).
+``main`` sets ``OPENBLAS_NUM_THREADS=1`` unless the caller has set it or
+numpy is already loaded: no command calls BLAS.
 
 All randomness flows from ``--seed``; simulate, group, and pipeline refuse
 to run without one.
@@ -99,12 +102,17 @@ class ConfigError(Exception):
     pass
 
 
+LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
+
+
 def _setup_logging() -> None:
-    level_name = os.environ.get("STYLEGROUP_LOG", "warning").upper()
+    value = os.environ.get("STYLEGROUP_LOG", "warning")
+    if value.lower() not in LOG_LEVELS:
+        raise ConfigError(
+            f"STYLEGROUP_LOG must be one of {', '.join(LOG_LEVELS)} (any case), got {value!r}"
+        )
     logging.basicConfig(
-        stream=sys.stderr,
-        level=getattr(logging, level_name, logging.WARNING),
-        format="%(levelname)s %(name)s: %(message)s",
+        stream=sys.stderr, level=value.upper(), format="%(levelname)s %(name)s: %(message)s"
     )
 
 
@@ -396,9 +404,14 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    _setup_logging()
+    if "numpy" not in sys.modules:
+        # No command calls BLAS: load numpy without OpenBLAS's worker thread,
+        # which spins for tens of ms of CPU. A caller's own value wins, and once
+        # numpy is loaded the variable would reach only child processes.
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = _build_parser().parse_args(argv)
     try:
+        _setup_logging()
         _resolve_settings(args)
     except (OSError, ValueError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -668,6 +668,34 @@ def test_a_config_file_may_not_set_config(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("value", ["basic_format", "verbose"])
+def test_a_log_setting_that_names_no_level_is_a_config_error(tmp_path, monkeypatch, capsys, value):
+    """`basic_format` once reached `logging.BASIC_FORMAT`, and `verbose` meant warning."""
+    monkeypatch.setenv("STYLEGROUP_LOG", value)
+    assert main(["validate-rules"]) == 2
+    assert capsys.readouterr() == ("", (
+        "config error: STYLEGROUP_LOG must be one of debug, info, warning, error, critical "
+        f"(any case), got {value!r}\n"
+    ))
+    assert main(["group", "--profiles", str(_profiles_csv(tmp_path)), "--seed", "3",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_log_level_may_be_upper_case(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    done = subprocess.run(
+        [sys.executable, "-m", "stylegroup.cli", "group", "--profiles",
+         str(_profiles_csv(tmp_path)), "--seed", "3", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "STYLEGROUP_LOG": "INFO"},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.startswith("INFO stylegroup.grouping: assignment: 40 learners")
+
+
 def test_group_logs_its_assignment_only_at_info(tmp_path):
     """At STYLEGROUP_LOG=info, group says what it formed; the files do not change."""
     import filecmp

@@ -6,6 +6,7 @@ numpy and every stylegroup module loaded already.
 
 import ast
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -60,6 +61,21 @@ assert "numpy" in sys.modules
 assert "numpy.ma" not in sys.modules  # `np.unique` would load it, for about 10 ms
 """
 
+# OpenBLAS starts no worker thread when `main` is the first to load numpy,
+# unless the caller asked for BLAS threads; a caller's value is kept.
+BLAS_THREADS = """
+import os
+import sys
+from stylegroup.cli import main
+behaviors, out = sys.argv[1:]
+asked = os.environ.get("OPENBLAS_NUM_THREADS")
+assert main(["classify", "--behaviors", behaviors, "--out", out]) == 0
+assert "numpy" in sys.modules
+assert os.environ["OPENBLAS_NUM_THREADS"] == (asked or "1")
+if asked is None and os.path.isdir("/proc/self/task"):
+    assert len(os.listdir("/proc/self/task")) == 1, os.listdir("/proc/self/task")
+"""
+
 TRACE_TARGETS = """
 import importlib.util
 import json
@@ -79,9 +95,9 @@ print(json.dumps(unresolved))
 """
 
 
-def _run(script, *args):
+def _run(script, *args, env=None):
     result = subprocess.run(
-        [sys.executable, "-c", script, *map(str, args)], capture_output=True, text=True
+        [sys.executable, "-c", script, *map(str, args)], capture_output=True, text=True, env=env
     )
     assert result.returncode == 0, result.stderr
     return result
@@ -144,6 +160,60 @@ def test_classify_loads_numpy_on_its_first_array_call(tmp_path):
                  "--seed", "1", "--out", str(sim)]) == 0
     _run(CLASSIFY, sim / "behaviors.csv", tmp_path / "out")
     assert (tmp_path / "out" / "profiles.csv").exists()
+
+
+def _simulated_behaviors(tmp_path):
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--cohort-spec", str(_cohort_spec(tmp_path, 3)),
+                 "--seed", "1", "--out", str(sim)]) == 0
+    return sim / "behaviors.csv"
+
+
+def test_classify_loads_numpy_without_a_blas_thread(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    _run(BLAS_THREADS, _simulated_behaviors(tmp_path), tmp_path / "out", env=env)
+    assert (tmp_path / "out" / "profiles.csv").exists()
+
+
+def test_a_callers_blas_thread_setting_wins(tmp_path):
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2"}
+    _run(BLAS_THREADS, _simulated_behaviors(tmp_path), tmp_path / "out", env=env)
+
+
+def test_in_process_main_leaves_the_environment_alone(monkeypatch):
+    """Once numpy has loaded, the setting would reach only child processes: `main` skips it."""
+    import numpy  # noqa: F401  (loaded in this process already, as for any library caller)
+
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    assert main(["validate-rules"]) == 0
+    assert dict(os.environ) == before
+
+
+def test_no_module_calls_blas():
+    """No `@`, `dot`, `einsum`, `linalg` and the like anywhere in the package.
+
+    `cli.main` loads numpy with ``OPENBLAS_NUM_THREADS=1`` because no command
+    calls BLAS. A module that adds such a call means revisiting that setting.
+    """
+    blas = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.MatMult):
+                names = ["@"]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.alias):
+                names = node.name.split(".")
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = node.module.split(".")
+            else:
+                names = []
+            found += [f"{path.name}:{name}" for name in names if name == "@" or name in blas]
+    assert found == []
 
 
 # What `import stylegroup` offers: removing or adding an export edits this list.
