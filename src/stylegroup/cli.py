@@ -11,7 +11,9 @@ or to standard output. Exit codes: 0 success, 1 validation failure, 2 I/O
 or configuration error. ``STYLEGROUP_LOG`` selects the log level (one of
 ``LOG_LEVELS``, in any case; any other value is a configuration error).
 ``main`` sets ``OPENBLAS_NUM_THREADS=1`` unless the caller has set it or
-numpy is already loaded: no command calls BLAS.
+numpy is already loaded: no command calls BLAS. ``python -m stylegroup.cli``
+and the ``stylegroup`` script run ``main`` through ``run``, which ends the
+process without interpreter teardown unless a tracer or profiler is set.
 
 All randomness flows from ``--seed``; simulate, group, and pipeline refuse
 to run without one.
@@ -20,6 +22,7 @@ to run without one.
 from __future__ import annotations
 
 import argparse
+import atexit
 import json
 import logging
 import os
@@ -440,5 +443,37 @@ def main(argv=None) -> int:
         return 2
 
 
+def _watched() -> bool:
+    """Whether a tracer or profiler (cProfile, coverage, a debugger) watches this thread."""
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+, cProfile too; tool ids 0-5
+    return monitoring is not None and any(monitoring.get_tool(tool) for tool in range(6))
+
+
+def run(argv=None):
+    """Run ``main`` as a whole process and end the process with its code.
+
+    Module teardown and the final collections only free memory the OS takes
+    back anyway, so with nothing watching, the exit callbacks run once, the
+    standard streams are flushed and ``os._exit`` ends the process. A flush
+    that fails, or a tracer or profiler, leaves by ``sys.exit`` instead, and
+    the interpreter reports and exits as it always has.
+    """
+    code = main(argv)
+    if not _watched():
+        atexit._run_exitfuncs()
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except (AttributeError, OSError, ValueError):
+            # A stream that is None, full or closed: interpreter shutdown
+            # flushes again and reports a failure as it always has.
+            pass
+        else:
+            os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()
