@@ -204,19 +204,13 @@ def read_value(raw: float, ceiling: float) -> float:
     return raw * 100.0 / ceiling
 
 
-def _blank(row: list[str]) -> bool:
-    return not row or all(not cell.strip() for cell in row)
-
-
 @contextmanager
 def _read_rows(
     path: str | Path, expected_header: list[str]
 ) -> Iterator[tuple[io.TextIOWrapper, Iterator[list[str]]]]:
     """Check the header, then give the open file and a reader of the rows after it.
 
-    The rows are records 2 on. Blank rows are not filtered here: a blank row
-    always fails the caller's field-count or empty-learner check, and the
-    caller skips it there.
+    The rows are records 2 on, blank rows included.
     """
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -242,23 +236,30 @@ def learner_rows(
     assignments included. The header compares case-insensitively; a row of
     another width than the header, or with an empty id, raises.
     """
-    width = len(expected_header)
     with _read_rows(path, expected_header) as (_, reader):
-        line = 1
-        try:
-            for line, row in enumerate(reader, start=2):
-                if len(row) != width:
-                    if _blank(row):
-                        continue
-                    raise MalformedRowError(line, f"expected {width} fields, got {len(row)}")
-                learner = row[0].strip()
-                if not learner:
-                    if _blank(row):
-                        continue
-                    raise MalformedRowError(line, "empty learner_id")
+        for line, row, learner in _records(reader, 2, len(expected_header)):
+            if learner:  # not a blank row
                 yield line, row, learner
-        except csv.Error as exc:  # raised while reading the record after `line`
-            raise MalformedRowError(line + 1, str(exc)) from None
+
+
+def _records(reader, line: int, width: int) -> Iterator[tuple[int, list[str], str]]:
+    """(line, row, stripped learner id) per record of `reader`, numbered from `line`.
+
+    A blank row gives an empty id. Any other row of another width than
+    `width`, or with an empty id, raises a `MalformedRowError`, and so does
+    `csv.reader`'s error, for the record it was reading.
+    """
+    line -= 1
+    try:
+        for line, row in enumerate(reader, line + 1):
+            learner = row[0].strip() if len(row) == width else ""
+            if not learner and any(cell.strip() for cell in row):  # not a blank row
+                if len(row) != width:
+                    raise MalformedRowError(line, f"expected {width} fields, got {len(row)}")
+                raise MalformedRowError(line, "empty learner_id")
+            yield line, row, learner
+    except csv.Error as exc:  # raised while reading the record after `line`
+        raise MalformedRowError(line + 1, str(exc)) from None
 
 
 def parse_float(line: int, text: str, what: str) -> float:
@@ -297,6 +298,10 @@ def load_behaviors(
     return _load(path, variables, policy, _split_point, _forked)
 
 
+# A variable's value from its values in file order, by its aggregation mode.
+_AGGREGATE = {"sum": sum, "mean": lambda values: sum(values) / len(values), "max": max}
+
+
 def _load(
     path: str | Path,
     variables: Sequence[LinguisticVariable],
@@ -328,18 +333,16 @@ def _load(
             end, reason = _read_in_two(fd, handle, start, split, state, run)
 
     columns = {name: [math.nan] * len(learners) for name in by_name}
+    rules = {  # each variable's, looked up once
+        name: (_AGGREGATE.get(v.aggregation, max), v.max_expected, *v.universe, columns[name])
+        for name, v in by_name.items()
+    }
     for n, (learner, values_of) in enumerate(learners.items()):
         for variable, values in values_of.items():
-            spec = by_name[variable]
-            if spec.aggregation == "sum":
-                value = sum(values)
-            elif spec.aggregation == "mean":
-                value = sum(values) / len(values)
-            else:
-                value = max(values)
-            if spec.max_expected is not None:
-                value = read_value(value, spec.max_expected)
-            lo, hi = spec.universe
+            aggregate, ceiling, lo, hi, column = rules[variable]
+            value = aggregate(values)
+            if ceiling is not None:
+                value = read_value(value, ceiling)
             if value < lo or value > hi:
                 if policy == "strict":
                     raise ValueOutOfUniverseError(
@@ -347,7 +350,7 @@ def _load(
                     )
                 report.clamped.append((learner, variable, value, min(max(value, lo), hi)))
                 value = min(max(value, lo), hi)
-            columns[variable][n] = value
+            column[n] = value
     log.info(
         "behaviours %s: %d rows, %d learners, %d keys, %d clamped, %d skipped-unknown, parts=%s",
         path, end - 2, len(learners), sum(map(len, learners.values())), report.clamp_count,
@@ -359,48 +362,45 @@ def _load(
 def _fill(reader, line, by_name, policy, learners, skipped) -> int:
     """Read `reader`'s records, numbered from `line`, into `learners` and `skipped`.
 
-    Gives the number the next record would have. A row's value goes to the
-    end of its learner's list of that variable in `learners`. This is the
-    code that raises every behaviours row's error, `csv.reader`'s as a
-    `MalformedRowError` of the record it was reading.
+    Gives the number the next record would have. This is the code that
+    raises every behaviours row's error.
     """
-    isfinite = math.isfinite
     line -= 1
-    try:
-        for line, row in enumerate(reader, line + 1):
-            try:
-                learner, variable, raw = row
-            except ValueError:
-                if _blank(row):
-                    continue
-                raise MalformedRowError(line, f"expected 3 fields, got {len(row)}") from None
-            learner, variable = learner.strip(), variable.strip()
-            if not learner:
-                if _blank(row):
-                    continue
-                raise MalformedRowError(line, "empty learner_id")
-            # float() strips only part of what str.strip() does (not U+001C-U+001F),
-            # so a value it accepts is the stripped cell's value; anything else is
-            # parsed again from the stripped cell, for its value or this row's error.
-            try:
-                value = float(raw)
-            except ValueError:
-                value = math.nan
-            if not isfinite(value):
-                value = parse_float(line, raw.strip(), "value")
-            spec = by_name.get(variable)
-            if spec is None:
-                if policy == "strict":
-                    raise UndeclaredVariableError(
-                        f"line {line}: variable {variable!r} is not declared"
-                    )
-                skipped.append((learner, variable))
-                continue
-            values_of = learners.get(learner) or learners.setdefault(learner, {})
-            (values_of.get(variable) or values_of.setdefault(spec.name, [])).append(value)
-    except csv.Error as exc:  # raised while reading the record after `line`
-        raise MalformedRowError(line + 1, str(exc)) from None
+    for line, row, learner in _records(reader, line + 1, 3):
+        if not learner:  # a blank row
+            continue
+        value = parse_float(line, row[2].strip(), "value")
+        variable = row[1].strip()
+        values = _admit(learner, variable, by_name, policy, learners, skipped)
+        if values is None:
+            raise UndeclaredVariableError(f"line {line}: variable {variable!r} is not declared")
+        values.append(value)
     return line + 1
+
+
+def _admit(learner, variable, by_name, policy, learners, skipped):
+    """Where the values of `learner`'s rows of `variable` go, or None if the policy refuses them.
+
+    A declared variable's go to the end of the learner's list of it in
+    `learners`, made on first use. Under the clamp policy an undeclared
+    one's go to a `_Skip`, which adds the pair to `skipped` for each value.
+    """
+    spec = by_name.get(variable)
+    if spec is None:
+        return None if policy == "strict" else _Skip((learner, variable), skipped)
+    # `or`: nothing is made for a learner or key already there
+    values_of = learners.get(learner) or learners.setdefault(learner, {})
+    return values_of.get(variable) or values_of.setdefault(spec.name, [])
+
+
+class _Skip(NamedTuple):
+    """The values of a (learner, undeclared variable) pair: each adds the pair to `skipped`."""
+
+    pair: tuple[str, str]
+    skipped: list[tuple[str, str]]
+
+    def append(self, value: float) -> None:
+        self.skipped.append(self.pair)
 
 
 # --------------------------------------------------------------------------
@@ -456,37 +456,18 @@ def _plain(fd, start, stop, line, by_name, policy, learners, skipped) -> tuple[i
     plain. In a plain piece each line is a record. A blank row is skipped.
     Any other row is plain if its value is a finite number (`float` of the
     raw text) and its head, the raw text before its last ",", is a learner
-    id and a variable that is declared (the value goes to its list in
-    `learners`) or, under the clamp policy, undeclared (the pair goes to
-    `skipped`). A head is split, stripped and checked only the first time it
-    is seen; after that a row costs one `rpartition`, one dict lookup, one
-    `float` and one call.
+    id and a variable that `_admit` takes. A head is split, stripped and
+    given to `_admit` only the first time it is seen, and the list (or
+    `_Skip`) it gives is kept for the head; after that a row costs one
+    `rpartition`, one `float`, one dict lookup and one `append`.
 
     Gives (the number, the byte offset) of the first record that is not
     plain, or (the next record's number, None) when every record was.
     Everything before that record is read as `_fill` would read it.
     """
-    adders: dict[str, Callable[[float], None]] = {}
-    get = adders.get
+    targets: dict[str, list[float] | _Skip] = {}  # by head
+    get = targets.get
     limit = csv.field_size_limit()
-
-    def admit(head: str) -> Callable[[float], None] | None:
-        cells = head.split(",")
-        if len(cells) != 2:
-            return None
-        learner, variable = cells[0].strip(), cells[1].strip()
-        spec = by_name.get(variable)
-        if not learner or (spec is None and policy == "strict"):
-            return None
-        if spec is not None:  # `or`: nothing is made for a learner or key already there
-            values_of = learners.get(learner) or learners.setdefault(learner, {})
-            add = (values_of.get(variable) or values_of.setdefault(spec.name, [])).append
-        else:
-            pair = (learner, variable)
-            add = lambda value: skipped.append(pair)
-        adders[head] = add
-        return add
-
     for offset, piece in _pieces(fd, start, stop):
         if b'"' in piece or b"\0" in piece or (
             b"\r" in piece and piece.count(b"\r") != piece.count(b"\r\n")
@@ -502,18 +483,27 @@ def _plain(fd, start, stop, line, by_name, policy, learners, skipped) -> tuple[i
             return line, offset
         for text in rows:
             head, _, raw = text.rpartition(",")
-            add = get(head) or admit(head)
-            if add is None:
-                if not text.replace(",", "").strip():  # a blank row
-                    continue
-                break
+            # float() strips only part of what str.strip() does (not U+001C-U+001F), so
+            # a value it reads is the value `_fill` reads from the stripped cell.
             try:
                 value = float(raw)
             except ValueError:
-                break
+                if text.replace(",", "").strip():
+                    break
+                continue  # a blank row
             if value - value:  # inf or nan
                 break
-            add(value)
+            values = get(head)
+            if values is None:
+                cells = head.split(",")
+                learner = cells[0].strip()
+                if len(cells) != 2 or not learner:
+                    break
+                values = _admit(learner, cells[1].strip(), by_name, policy, learners, skipped)
+                if values is None:
+                    break
+                targets[head] = values
+            values.append(value)
         else:
             line += len(rows)
             continue

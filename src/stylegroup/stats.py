@@ -177,6 +177,11 @@ def _f_p_value(f: float, df1: float, df2: float) -> float:
     return reg_inc_beta(df2 / 2.0, df1 / 2.0, df2 / (df2 + df1 * f))
 
 
+def _constant(values: Sequence[float]) -> bool:
+    """All values equal, which a variance above 0 can hide (the mean of three 0.1s is inexact)."""
+    return len(set(values)) == 1
+
+
 def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
     """Sample Pearson correlation; invariant under positive affine maps."""
     if len(x) != len(y):
@@ -188,7 +193,7 @@ def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
     my = sum(y) / n
     sxx = sum((xi - mx) ** 2 for xi in x)
     syy = sum((yi - my) ** 2 for yi in y)
-    if sxx == 0.0 or syy == 0.0:
+    if sxx == 0.0 or syy == 0.0 or _constant(x) or _constant(y):
         raise ZeroVarianceError("correlation is undefined for a constant sequence")
     sxy = sum((xi - mx) * (yi - my) for xi, yi in zip(x, y))
     return sxy / math.sqrt(sxx * syy)
@@ -210,7 +215,7 @@ def two_sample_t(
     if a.n < 2 or b.n < 2:
         raise TooFewObservationsError("both samples need n >= 2")
     va, vb = a.variance, b.variance
-    if va == 0.0 and vb == 0.0:
+    if (va == 0.0 or _constant(a.values)) and (vb == 0.0 or _constant(b.values)):
         raise ZeroVarianceError("both samples have zero variance")
     if variant == "student":
         pooled = ((a.n - 1) * va + (b.n - 1) * vb) / (a.n + b.n - 2)
@@ -251,7 +256,7 @@ def one_way_anova(groups: Sequence[Sample], alpha: float = DEFAULT_ALPHA) -> Ano
     ss_within = sum(sum((v - m) ** 2 for v in g.values) for g, m in zip(groups, means))
     df1 = len(groups) - 1
     df2 = total_n - len(groups)
-    if ss_within == 0.0:
+    if ss_within == 0.0 or all(_constant(g.values) for g in groups):
         raise ZeroVarianceError("within-group variance is zero")
     f = (ss_between / df1) / (ss_within / df2)
     p = _f_p_value(f, df1, df2)
@@ -303,7 +308,7 @@ def normality_check(sample: Sample) -> NormalityResult:
     m = sample.mean
     centered = [v - m for v in sample.values]
     m2 = sum(c**2 for c in centered) / sample.n
-    if m2 == 0.0:
+    if m2 == 0.0 or _constant(sample.values):
         raise ZeroVarianceError("normality screen is undefined for a constant sample")
     skew = (sum(c**3 for c in centered) / sample.n) / m2**1.5
     excess_kurtosis = (sum(c**4 for c in centered) / sample.n) / m2**2 - 3.0

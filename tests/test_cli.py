@@ -393,7 +393,8 @@ def test_classify_with_questionnaire_validation(tmp_path):
 
 def test_classify_validation_of_a_homogeneous_cohort(tmp_path, capsys, caplog):
     # One signature at noise 0: every learner has the same crisp scores, so
-    # no dimension has a correlation; the pooled one still does.
+    # no dimension has a correlation, and neither have the pooled scores,
+    # which are one value too.
     spec = tmp_path / "cohort.json"
     spec.write_text(json.dumps({
         "cohort": [{"signature": ["reactive", "sensory", "visual", "consecutive"], "count": 12}],
@@ -417,11 +418,12 @@ def test_classify_validation_of_a_homogeneous_cohort(tmp_path, capsys, caplog):
         f"validation: dimension {d!r}: correlation is undefined for a constant sequence; "
         "its coefficient is null"
         for d in dimensions
-    ]
+    ] + ["validation: all dimensions pooled: correlation is undefined for a constant sequence; "
+         "its coefficient is null"]
     report = json.loads((out / "validation.json").read_text(encoding="utf-8"))
     assert report["per_dimension_r"] == dict.fromkeys(dimensions)
     assert report["mean_dimension_r"] is None
-    assert isinstance(report["overall_r"], float)
+    assert report["overall_r"] is None
     assert len(report["rows"]) == 48
 
 

@@ -275,6 +275,28 @@ def test_pipeline_reads_a_ceiling_base_back_in_two_parts(table, tmp_path):
     assert files == table["pipeline-max-expected"]["files"]
 
 
+def test_output_trees_do_not_depend_on_the_hash_seed(tmp_path):
+    """A `pipeline`, then a `classify` of the behaviours it wrote, under two hash seeds."""
+    inputs, [pipeline] = CASES["pipeline-wide-cohort-seed-5"]
+    classify = ["classify", "--behaviors", "out/behaviors.csv", "--out", "staged"]
+    trees = []
+    for hash_seed in ("0", "1"):
+        root = tmp_path / hash_seed
+        root.mkdir()
+        for file_name, text in inputs.items():
+            (root / file_name).write_bytes(text().encode("utf-8"))
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": hash_seed}
+        env.pop("STYLEGROUP_LOG", None)
+        for argv in (pipeline, classify):
+            done = subprocess.run([sys.executable, "-m", "stylegroup.cli", *argv],
+                                  cwd=root, env=env, capture_output=True)
+            assert done.returncode == 0, done.stderr
+        assert (root / "staged" / "profiles.csv").is_file()
+        trees.append({path.relative_to(root).as_posix(): path.read_bytes()
+                      for path in sorted(root.rglob("*")) if path.is_file()})
+    assert trees[0] == trees[1]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(f"usage: {REGENERATE}")

@@ -239,6 +239,37 @@ def _row(draw, learners=_LEARNERS, bad_values=_BAD_VALUES):
     return [learner, draw(_padded(_VARIABLES)), draw(_value_text(bad_values))]
 
 
+_DECLARED = ["discussion_participation", "test_time", "lesson_minutes", "peak_difficulty", "mean_gap"]
+# Files whose heads, a row's learner id and variable as written, repeat in
+# each way the plain reader's per-head lookup can meet them.
+_HEAD_SHAPES = [
+    # heads that interleave: A, B, A (sums clamped at both ends of the universe)
+    [["L1", "test_time", "1"], ["L2", "test_time", "2"], ["L1", "test_time", "3"],
+     ["L2", "discussion_participation", "99"], ["L1", "discussion_participation", "-4"],
+     ["L2", "discussion_participation", "1"]],
+    # heads that never repeat while learners do
+    [[f"L{n}", name, f"{n + 3 * i}.5"] for i, name in enumerate(_DECLARED) for n in (1, 2)],
+    # undeclared heads between declared ones
+    [["L1", "test_time", "1"], ["L1", "mystery", "2"], ["L2", "test_time", "3"],
+     ["L2", "idle", "4"], ["L1", "mystery", "5"], ["L1", "test_time", "6"]],
+    # heads that differ only by surrounding spaces
+    [["L1", "test_time", "1"], [" L1", "test_time ", "2"], ["L1 ", " test_time", "3"],
+     ["L2", " mean_gap", "4"], ["\tL2 ", "mean_gap", "5"], ["L1", "test_time", "6"]],
+]
+
+
+def _head_shapes(first=(), **arguments):
+    """`_HEAD_SHAPES` under each policy as examples, each after the rows `first`."""
+
+    def add(test):
+        for rows in _HEAD_SHAPES:
+            for policy in ("clamp", "strict"):
+                test = example(rows=[*first, *rows], policy=policy, **arguments)(test)
+        return test
+
+    return add
+
+
 def _outcome(load, path, policy):
     try:
         table, report = load(path, VARS, policy=policy)
@@ -261,6 +292,8 @@ def _outcome(load, path, policy):
     rows=[[" ", "", "\t"], ["L1", "test_time", "1\x1c"], ["L1", "test_time", "2"]],
     policy="strict", quoting=0, terminator="\n",
 )
+# a quoted row first: `csv.reader` reads every row
+@_head_shapes(first=[["Doe, Jane", "test_time", "1"]], quoting=csv.QUOTE_MINIMAL, terminator="\n")
 @given(
     rows=st.lists(_row(), max_size=40),
     policy=st.sampled_from(["clamp", "strict"]),
@@ -329,6 +362,7 @@ def _write_rows(path, rows, terminator="\n"):
     rows=[["L1", "mystery", "1"], ["L2", "test_time", "2"], ["L1", "mystery", "3"]],
     policy="strict", terminator="\r\n",
 )
+@_head_shapes(terminator="\n")
 @given(
     rows=st.lists(
         _row(learners=st.sampled_from(["L1", "L2", "L3"]), bad_values=_BAD_VALUES.filter(
@@ -342,11 +376,10 @@ def test_every_split_matches_reference_loader(tmp_path_factory, rows, policy, te
     path = _write_rows(tmp_path_factory.mktemp("rows") / "b.csv", rows, terminator)
     assert b'"' not in path.read_bytes()
     expected = _outcome(reference_load_behaviors, path, policy)
-    for split in _splits(path):
+    for split in [None, *_splits(path)]:  # one part, then two at every line end
         assert _outcome(_split_at(split), path, policy) == expected, split
 
 
-_DECLARED = ["discussion_participation", "test_time", "lesson_minutes", "peak_difficulty", "mean_gap"]
 # Every (learner, variable) key once: learner by learner, as `simulate` writes, or interleaved.
 _EACH_KEY_ONCE = [[f"L{n}", name, f"{(3 * n + i) % 11}.25"] for n in range(5)
                   for i, name in enumerate(_DECLARED)]

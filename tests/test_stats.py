@@ -168,6 +168,20 @@ def test_pearson_errors():
         pearson_r([1, 1, 1], [1, 2, 3])
 
 
+# A constant sample whose plain mean is inexact: (0.1 + 0.1 + 0.1) / 3 is not 0.1,
+# so its variance, as computed, is above 0.
+_TENTHS = (0.1,) * 3
+# A sample that is not constant, but whose squared deviations underflow to 0.
+_TINY = (0.0, 1e-170, 2e-170)
+
+
+def test_pearson_refuses_a_constant_sequence_of_inexact_mean():
+    with pytest.raises(ZeroVarianceError):
+        pearson_r(list(_TENTHS), [1.0, 2.0, 3.0])
+    with pytest.raises(ZeroVarianceError):
+        pearson_r(list(_TINY), [1.0, 2.0, 3.0])
+
+
 # -- two-sample t --------------------------------------------------------------
 
 
@@ -226,6 +240,10 @@ def test_t_errors():
         two_sample_t(Sample("a", (1.0,)), Sample("b", (1.0, 2.0)))
     with pytest.raises(ZeroVarianceError):
         two_sample_t(Sample("a", (2.0, 2.0)), Sample("b", (3.0, 3.0)))
+    with pytest.raises(ZeroVarianceError):
+        two_sample_t(Sample("a", _TENTHS), Sample("b", _TENTHS))
+    with pytest.raises(ZeroVarianceError):
+        two_sample_t(Sample("a", _TINY), Sample("b", _TENTHS))
 
 
 @given(st.floats(min_value=0, max_value=50), st.floats(min_value=0, max_value=50))
@@ -305,6 +323,10 @@ def test_anova_errors():
         one_way_anova([Sample("a", (1.0, 2.0))])
     with pytest.raises(ZeroVarianceError):
         one_way_anova([Sample("a", (1.0, 1.0)), Sample("b", (2.0, 2.0))])
+    with pytest.raises(ZeroVarianceError):
+        one_way_anova([Sample("a", _TENTHS), Sample("b", (0.7,) * 3)])
+    with pytest.raises(ZeroVarianceError):
+        one_way_anova([Sample("a", _TINY), Sample("b", (2.0,) * 3)])
 
 
 # -- post-hoc --------------------------------------------------------------------
@@ -375,6 +397,13 @@ def test_jarque_bera_flags_skewed_sample():
 def test_jarque_bera_needs_eight():
     with pytest.raises(TooFewObservationsError):
         normality_check(Sample("tiny", (1.0, 2.0, 3.0, 4.0, 5.0)))
+
+
+def test_jarque_bera_refuses_a_constant_sample_of_inexact_mean():
+    with pytest.raises(ZeroVarianceError):
+        normality_check(Sample("tenths", (0.1,) * 9))
+    with pytest.raises(ZeroVarianceError):
+        normality_check(Sample("tiny", _TINY * 3))
 
 
 # -- aggregation -------------------------------------------------------------------
