@@ -263,6 +263,45 @@ def validate_against_questionnaire(
     )
 
 
+# One `PairedRow` as `json.dumps(..., indent=2, sort_keys=True)` writes it in the rows list.
+_PAIRED_ROW = (
+    '    {\n      "crisp_score": %s,\n      "dimension": %s,\n'
+    '      "learner_id": %s,\n      "questionnaire_score": %s\n    }'
+)
+
+
+def _json_numbers(values: Iterable) -> list[str]:
+    """What `json.dumps` writes for each number: a finite float is its repr."""
+    return [repr(x) if type(x) is float and x - x == 0.0 else json.dumps(x) for x in values]
+
+
+def _json_strs(values: Iterable) -> list[str]:
+    """What `json.dumps` writes for each value: a str goes through the C escaper."""
+    return [_JSON_STR(v) if type(v) is str else json.dumps(v) for v in values]
+
+
+def validation_to_json(report: ValidationReport) -> str:
+    """validation.json: `json.dumps(report.to_json_dict(), indent=2, sort_keys=True)` and a newline.
+
+    The top-level keys go through `json.dumps`; each row fills one template,
+    which spares the pure-Python encoder that `indent` selects.
+    """
+    text = json.dumps(report._replace(rows=()).to_json_dict(), indent=2, sort_keys=True) + "\n"
+    if not report.rows:
+        return text
+    learners, dimensions, crisp, questionnaire = zip(*report.rows)
+    dimension_json = {d: json.dumps(d) for d in set(dimensions)}
+    cells = zip(
+        _json_numbers(crisp),
+        map(dimension_json.__getitem__, dimensions),
+        _json_strs(learners),
+        _json_numbers(questionnaire),
+    )
+    rows = ",\n".join(map(_PAIRED_ROW.__mod__, cells))
+    # Only top-level keys sit at indent 2, and JSON strings escape newlines: one match.
+    return text.replace('\n  "rows": [],', '\n  "rows": [\n' + rows + "\n  ],", 1)
+
+
 # --------------------------------------------------------------------------
 # Export
 
@@ -335,8 +374,7 @@ def profiles_to_json(table: CohortTable) -> str:
     text before and after its fired rules is formatted once per entry of its
     column; per learner only the id and the fired strengths are.
     """
-    ids = [_JSON_STR(i) if type(i) is str else json.dumps(i) for i in table.ids]
-    cells: list[Iterable[str]] = [ids]
+    cells: list[Iterable[str]] = [_json_strs(table.ids)]
     for c in table.columns:
         ends = [_result_ends(c.dimension, *result) for result in c.results]
         heads, tails = [head for head, _ in ends], [tail for _, tail in ends]

@@ -12,8 +12,10 @@ or configuration error. ``STYLEGROUP_LOG`` selects the log level (one of
 ``LOG_LEVELS``, in any case; any other value is a configuration error).
 ``main`` sets ``OPENBLAS_NUM_THREADS=1`` unless the caller has set it or
 numpy is already loaded: no command calls BLAS. ``python -m stylegroup.cli``
-and the ``stylegroup`` script run ``main`` through ``run``, which ends the
-process without interpreter teardown unless a tracer or profiler is set.
+and the ``stylegroup`` script run ``main`` through ``run``, which turns the
+cyclic garbage collector off and ends the process without interpreter
+teardown unless a tracer or profiler is set. ``main`` leaves the collector
+as its caller set it.
 
 All randomness flows from ``--seed``; simulate, group, and pipeline refuse
 to run without one.
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import gc
 import json
 import logging
 import os
@@ -36,6 +39,7 @@ from .classify import (
     profiles_to_csv,
     profiles_to_json,
     validate_against_questionnaire,
+    validation_to_json,
 )
 from .dsl import Diagnostic, DslError, RuleBase, default_rulebase, error_count, load_rulebase
 from .dsl import validate
@@ -248,12 +252,12 @@ def _classify(behaviors, rb: RuleBase, out: Path, questionnaire=None, reports=No
             f"({missing} missing a feature, {len(failures) - missing} with no rule fired), "
             f"first: {failures[0].reason}; failures.csv lists each", file=sys.stderr,
         )
-    report = None if questionnaire is None else validate_against_questionnaire(table, questionnaire)
+    if questionnaire is not None:
+        report = validate_against_questionnaire(table, questionnaire)
+        files["validation.json"] = validation_to_json(report)
     out.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
         (out / name).write_text(text, encoding="utf-8")
-    if report is not None:
-        _dump_json(report.to_json_dict(), out / "validation.json")
     return table, failures
 
 
@@ -454,12 +458,17 @@ def _watched() -> bool:
 def run(argv=None):
     """Run ``main`` as a whole process and end the process with its code.
 
-    Module teardown and the final collections only free memory the OS takes
-    back anyway, so with nothing watching, the exit callbacks run once, the
-    standard streams are flushed and ``os._exit`` ends the process. A flush
-    that fails, or a tracer or profiler, leaves by ``sys.exit`` instead, and
-    the interpreter reports and exits as it always has.
+    The cyclic collector is off for the command: a command builds acyclic
+    tables, whose values the collector would only walk again and again, and
+    the little cyclic garbage it leaves (argparse's parser, json's encoder
+    closures) does not grow with the cohort. Module teardown and the final
+    collections only free memory the OS takes back anyway, so with nothing
+    watching, the exit callbacks run once, the standard streams are flushed
+    and ``os._exit`` ends the process. A flush that fails, or a tracer or
+    profiler, leaves by ``sys.exit`` instead, and the interpreter reports and
+    exits as it always has.
     """
+    gc.disable()
     code = main(argv)
     if not _watched():
         atexit._run_exitfuncs()

@@ -253,10 +253,15 @@ def one_way_anova(groups: Sequence[Sample], alpha: float = DEFAULT_ALPHA) -> Ano
     grand_mean = sum(sum(g.values) for g in groups) / total_n
     means = [g.mean for g in groups]  # each a sum over its group: read once
     ss_between = sum(g.n * (m - grand_mean) ** 2 for g, m in zip(groups, means))
-    ss_within = sum(sum((v - m) ** 2 for v in g.values) for g, m in zip(groups, means))
+    # A constant group adds exactly 0, which the deviations from an inexact mean would hide.
+    ss_within = sum(
+        sum((v - m) ** 2 for v in g.values)
+        for g, m in zip(groups, means)
+        if not _constant(g.values)
+    )
     df1 = len(groups) - 1
     df2 = total_n - len(groups)
-    if ss_within == 0.0 or all(_constant(g.values) for g in groups):
+    if ss_within == 0.0:
         raise ZeroVarianceError("within-group variance is zero")
     f = (ss_between / df1) / (ss_within / df2)
     p = _f_p_value(f, df1, df2)

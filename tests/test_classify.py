@@ -1,19 +1,23 @@
+import json
 import logging
 import math
 from collections import OrderedDict
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from stylegroup.classify import (
     CohortTable,
     InsufficientPairsError,
+    PairedRow,
+    ValidationReport,
     classify_cohort,
     profiles_from_csv,
     profiles_to_csv,
     profiles_to_json,
     validate_against_questionnaire,
+    validation_to_json,
 )
 from stylegroup.dsl import DIMENSIONS, load_rulebase, parse_rulebase
 from stylegroup.fuzzy import strongest_term
@@ -560,6 +564,36 @@ def test_validation_names_the_dimension_when_every_learner_failed(rb):
         validate_against_questionnaire(table, questionnaire)
     assert exc_info.value.dimension == "processing"
     assert str(exc_info.value) == "dimension 'processing' has 0 paired learners, need at least 3"
+
+
+# Ids and dimensions with JSON specials, control characters and non-ASCII text.
+_JSON_TEXT = st.text(alphabet='ab"\\,\x00\x1f\x7f\t\r\n é中😀', max_size=5)
+# Finite scores, subnormals and -0.0 included, and the largest finite float.
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 1.7976931348623157e308]
+)
+_COEFFICIENT = st.none() | _FINITE
+_PAIRED_ROWS = st.lists(
+    st.builds(PairedRow, _JSON_TEXT, st.sampled_from(DIMENSIONS) | _JSON_TEXT, _FINITE, _FINITE),
+    max_size=8,
+)
+
+
+@given(
+    st.builds(
+        ValidationReport,
+        st.dictionaries(st.sampled_from(DIMENSIONS) | _JSON_TEXT, _COEFFICIENT, max_size=4),
+        _COEFFICIENT,
+        _COEFFICIENT,
+        _PAIRED_ROWS.map(tuple),
+        st.integers(0, 10**6),
+        st.integers(0, 10**6),
+    )
+)
+@example(ValidationReport({}, None, None, (), 0, 0))
+def test_validation_json_equals_json_dumps(report):
+    expected = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    assert validation_to_json(report) == expected
 
 
 def test_low_noise_synthetic_cohort_correlates(rb):

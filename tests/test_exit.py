@@ -1,4 +1,5 @@
-"""How a command process ends: `cli.run` skips interpreter teardown, but not what it reports.
+"""How a command process runs and ends: `cli.run` turns the cyclic collector
+off and skips interpreter teardown, but not what it reports.
 
 Each case runs a fresh interpreter with block-buffered standard streams
 (`PYTHONUNBUFFERED` removed), so that stdout is written only when the
@@ -6,6 +7,8 @@ process flushes it on the way out.
 """
 
 import errno
+import gc
+import json
 import os
 import re
 import subprocess
@@ -44,6 +47,27 @@ try:
 except SystemExit as exc:
     os.write(2, b"sys.exit %d\\n" % exc.code)
     raise
+"""
+
+
+# `run` with `main` replaced by a note of whether the collector is on.
+COLLECTOR = """
+import gc
+import os
+import stylegroup.cli as cli
+cli.main = lambda argv: os.write(1, b"before %d, command %d\\n" % (enabled, gc.isenabled())) and 0
+enabled = gc.isenabled()
+cli.run([])
+"""
+
+# A command run with the collector off, then the count of what a collection finds.
+GARBAGE = """
+import gc
+import sys
+gc.disable()
+from stylegroup.cli import main
+assert main(sys.argv[1:]) == 0
+print(gc.collect())
 """
 
 
@@ -146,3 +170,35 @@ def test_the_console_script_ends_through_run():
     with open(ROOT / "pyproject.toml", "rb") as handle:
         scripts = tomllib.load(handle)["project"]["scripts"]
     assert scripts == {"stylegroup": "stylegroup.cli:run"}
+
+
+def test_run_executes_the_command_without_the_collector():
+    done = _spawn(["-c", COLLECTOR])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "before 1, command 0\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_its_caller_set_it(enabled, capsys):
+    was = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    try:
+        assert main(["validate-rules"]) == 0
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def test_a_commands_cyclic_garbage_does_not_grow_with_the_cohort(tmp_path):
+    """With the collector off for a whole command, only what the command leaves is there to find."""
+    found = []
+    for count in (8, 80):
+        spec, sim = tmp_path / f"cohort{count}.json", tmp_path / f"sim{count}"
+        signature = ["reactive", "sensory", "visual", "consecutive"]
+        spec.write_text(json.dumps({"cohort": [{"signature": signature, "count": count}]}))
+        assert main(["simulate", "--cohort-spec", str(spec), "--seed", "1", "--out", str(sim)]) == 0
+        argv = ["classify", "--behaviors", str(sim / "behaviors.csv"), "--out", str(sim / "out")]
+        done = _spawn(["-c", GARBAGE, *argv])
+        assert done.returncode == 0, done.stderr
+        found.append(int(done.stdout.splitlines()[-1]))
+    assert found[0] == found[1] > 0

@@ -332,6 +332,22 @@ def test_csv_is_imported_only_by_ingest():
     assert "csv_rows" not in names
 
 
+def test_gc_is_imported_only_by_cli():
+    """One collector policy, for a whole command process: `cli.run` turns the collector off."""
+    importers = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] if node.level == 0 else []
+            else:
+                continue
+            if "gc" in modules:
+                importers.add(path.name)
+    assert importers == {"cli.py"}
+
+
 def test_samples_are_built_only_by_stats():
     """One path to the evaluation samples: `simulate` draws scores, `stats` labels them."""
     builders, simulate_imports = set(), set()

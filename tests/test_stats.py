@@ -327,6 +327,8 @@ def test_anova_errors():
         one_way_anova([Sample("a", _TENTHS), Sample("b", (0.7,) * 3)])
     with pytest.raises(ZeroVarianceError):
         one_way_anova([Sample("a", _TINY), Sample("b", (2.0,) * 3)])
+    with pytest.raises(ZeroVarianceError):  # an underflowed spread next to an inexact mean
+        one_way_anova([Sample("a", _TINY), Sample("b", (0.7,) * 3)])
 
 
 # -- post-hoc --------------------------------------------------------------------
