@@ -33,11 +33,9 @@ import re
 from importlib import resources
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .fuzzy import CompiledRules, EmptyAntecedentError, LinguisticVariable, Trapezoid
+from .fuzzy import AGGREGATIONS, CompiledRules, EmptyAntecedentError, LinguisticVariable, Trapezoid
 
 DIMENSIONS = ("processing", "perception", "entrance", "understanding")
-
-AGGREGATIONS = ("sum", "mean", "max")
 
 DEFAULT_UNIVERSE = (0.0, 100.0)
 DEFAULT_TERMS = (

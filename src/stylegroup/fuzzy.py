@@ -21,6 +21,10 @@ from __future__ import annotations
 from typing import NamedTuple
 
 
+# How a variable's repeated observations combine into one value (`agg=` in `.fvars`).
+AGGREGATIONS = ("sum", "mean", "max")
+
+
 class FuzzyError(Exception):
     """Base class for inference failures."""
 
@@ -115,6 +119,18 @@ class LinguisticVariable(_Declaration):
             raise ValueError(f"variable {name!r}: universe bounds must satisfy lo < hi")
         if not terms:
             raise ValueError(f"variable {name!r} declares no terms")
+        if kind not in ("input", "output"):
+            raise ValueError(f"variable {name!r}: kind must be 'input' or 'output', got {kind!r}")
+        if aggregation not in AGGREGATIONS:
+            raise ValueError(
+                f"variable {name!r}: aggregation must be one of {', '.join(AGGREGATIONS)}, "
+                f"got {aggregation!r}"
+            )
+        if max_expected is not None and not 0 < max_expected < float("inf"):
+            raise ValueError(
+                f"variable {name!r}: max_expected must be a finite positive number, "
+                f"got {max_expected!r}"
+            )
         seen = set()
         for label, trap in terms:
             if label in seen:

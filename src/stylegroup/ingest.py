@@ -18,17 +18,14 @@ import csv
 import io
 import json
 import logging
-import marshal
 import math
 import os
 import re
 import stat
-import threading
 from contextlib import contextmanager
-from functools import partial
 from itertools import islice
 from pathlib import Path
-from typing import Callable, ContextManager, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .dsl import DIMENSIONS, RuleBase
 from .fuzzy import LinguisticVariable
@@ -273,6 +270,10 @@ def parse_float(line: int, text: str, what: str) -> float:
     return value
 
 
+# A variable's value from its values in file order, by its aggregation mode.
+_AGGREGATE = {"sum": sum, "mean": lambda values: sum(values) / len(values), "max": max}
+
+
 def load_behaviors(
     path: str | Path,
     variables: Sequence[LinguisticVariable],
@@ -286,35 +287,9 @@ def load_behaviors(
 
     A regular file whose header is one line is read by `_plain` for as long
     as its rows are plain; from the first row that is not, `_fill` reads
-    the rest with `csv.reader`, and only it raises a row's error.
-
-    Where `_split_point` allows, a forked child reads the second half of the
-    file plainly while this process reads the first, and the halves merge
-    in file order. They merge only if `_plain` reads both halves to their
-    ends; otherwise this process reads on from where its plain read
-    stopped, as a one-part read would, so table, report and errors are
-    those of reading in one part.
-    """
-    return _load(path, variables, policy, _split_point, _forked)
-
-
-# A variable's value from its values in file order, by its aggregation mode.
-_AGGREGATE = {"sum": sum, "mean": lambda values: sum(values) / len(values), "max": max}
-
-
-def _load(
-    path: str | Path,
-    variables: Sequence[LinguisticVariable],
-    policy: str,
-    plan: Callable[[int], tuple[int | None, str]],
-    run: Callable[[Callable[[], bytes]], ContextManager[Callable[[], bytes]]],
-) -> tuple[BehaviorTable, ClampReport]:
-    """`load_behaviors`, given where to split the file and how to run its second half.
-
-    ``plan(fd)``, given the open file's descriptor, gives ``(offset, "")``
-    or ``(None, reason)`` as `_split_point` does; ``run`` is a context
-    manager like `_forked`. Both parts fill `learners`: learner -> declared
-    variable -> values in file order. One pass over it aggregates the cells.
+    the rest with `csv.reader`, and only it raises a row's error. Both fill
+    `learners`: learner -> declared variable -> values in file order. One
+    pass over it aggregates the cells.
     """
     if policy not in ("clamp", "strict"):
         raise ValueError(f"policy must be 'clamp' or 'strict', got {policy!r}")
@@ -325,16 +300,15 @@ def _load(
     state = (by_name, policy, learners, report.skipped_unknown)
     with _read_rows(path, BEHAVIORS_HEADER) as (handle, _):
         fd = handle.fileno()
-        split, reason = plan(fd)
-        start = _records_start(fd)
-        if split is None or start is None:  # start None: the header is not plain
-            end, reason = _read_part(fd, handle, 2, start, state), reason or "first half not plain"
-        else:
-            end, reason = _read_in_two(fd, handle, start, split, state, run)
+        start = _records_start(fd)  # None: the header is not plain, so no row is read plainly
+        line, plain = (2, False) if start is None else _plain(fd, start, 2, *state)
+        if not plain:  # `_fill` reads on through `handle`, which stands after the header
+            next(islice(handle, line - 2, line - 2), None)  # skip the lines before record `line`
+            line = _fill(csv.reader(handle), line, *state)
 
     columns = {name: [math.nan] * len(learners) for name in by_name}
     rules = {  # each variable's, looked up once
-        name: (_AGGREGATE.get(v.aggregation, max), v.max_expected, *v.universe, columns[name])
+        name: (_AGGREGATE[v.aggregation], v.max_expected, *v.universe, columns[name])
         for name, v in by_name.items()
     }
     for n, (learner, values_of) in enumerate(learners.items()):
@@ -352,9 +326,9 @@ def _load(
                 value = min(max(value, lo), hi)
             column[n] = value
     log.info(
-        "behaviours %s: %d rows, %d learners, %d keys, %d clamped, %d skipped-unknown, parts=%s",
-        path, end - 2, len(learners), sum(map(len, learners.values())), report.clamp_count,
-        len(report.skipped_unknown), f"1 ({reason})" if reason else "2",
+        "behaviours %s: %d rows, %d learners, %d keys, %d clamped, %d skipped-unknown",
+        path, line - 2, len(learners), sum(map(len, learners.values())), report.clamp_count,
+        len(report.skipped_unknown),
     )
     return BehaviorTable(list(learners), columns), report
 
@@ -415,15 +389,15 @@ def _records_start(fd: int) -> int | None:
     """
     if not stat.S_ISREG(os.fstat(fd).st_mode):
         return None
-    _, first = next(_pieces(fd, 0, None), (0, b""))
+    first = next(_pieces(fd, 0), b"")
     end = first.find(b"\n") + 1
     if not end or b'"' in first[:end] or b"\r" in first[: end - 2]:
         return None
     return end
 
 
-def _pieces(fd: int, start: int, stop: int | None) -> Iterator[tuple[int, bytes]]:
-    """(byte offset, bytes) of the file open on `fd`, from `start` to `stop` or its end.
+def _pieces(fd: int, start: int) -> Iterator[bytes]:
+    """The bytes of the file open on `fd` from byte `start` to its end, in pieces.
 
     Each piece is `_SCAN_CHUNK` bytes or more, up to the last "\\n" in it,
     read with os.pread. The last piece may end without a "\\n", and so may
@@ -433,22 +407,21 @@ def _pieces(fd: int, start: int, stop: int | None) -> Iterator[tuple[int, bytes]
     limit = csv.field_size_limit()
     position, rest = start, b""
     while True:
-        size = _SCAN_CHUNK if stop is None else min(_SCAN_CHUNK, stop - position)
-        block = os.pread(fd, size, position) if size > 0 else b""
+        block = os.pread(fd, _SCAN_CHUNK, position)
         if not block:
             if rest:
-                yield position - len(rest), rest
+                yield rest
             return
         position += len(block)
         rest += block
         cut = rest.rfind(b"\n") + 1 or (len(rest) if len(rest) > 4 * limit else 0)
         if cut:
-            yield position - len(rest), rest[:cut]
+            yield rest[:cut]
             rest = rest[cut:]
 
 
-def _plain(fd, start, stop, line, by_name, policy, learners, skipped) -> tuple[int, int | None]:
-    r"""Read plain records from byte `start` to `stop` (or the end), numbered from `line`.
+def _plain(fd, start, line, by_name, policy, learners, skipped) -> tuple[int, bool]:
+    r"""Read plain records from byte `start` on, numbered from `line`.
 
     Reads `_pieces` of whole lines. A piece that holds a '"', a "\r" outside
     a "\r\n" or a NUL (which `csv.reader` refuses before Python 3.11), is
@@ -461,26 +434,26 @@ def _plain(fd, start, stop, line, by_name, policy, learners, skipped) -> tuple[i
     `_Skip`) it gives is kept for the head; after that a row costs one
     `rpartition`, one `float`, one dict lookup and one `append`.
 
-    Gives (the number, the byte offset) of the first record that is not
-    plain, or (the next record's number, None) when every record was.
-    Everything before that record is read as `_fill` would read it.
+    Gives (the number of the first record that is not plain, False), or
+    (the next record's number, True) when every record was. Everything
+    before that record is read as `_fill` would read it.
     """
     targets: dict[str, list[float] | _Skip] = {}  # by head
     get = targets.get
     limit = csv.field_size_limit()
-    for offset, piece in _pieces(fd, start, stop):
+    for piece in _pieces(fd, start):
         if b'"' in piece or b"\0" in piece or (
             b"\r" in piece and piece.count(b"\r") != piece.count(b"\r\n")
         ):
-            return line, offset
+            return line, False
         try:
             rows = piece.decode("utf-8").split("\n")
         except UnicodeDecodeError:
-            return line, offset
+            return line, False
         if piece.endswith(b"\n"):
             rows.pop()
         if max(map(len, rows)) > limit:
-            return line, offset
+            return line, False
         for text in rows:
             head, _, raw = text.rpartition(",")
             # float() strips only part of what str.strip() does (not U+001C-U+001F), so
@@ -508,149 +481,8 @@ def _plain(fd, start, stop, line, by_name, policy, learners, skipped) -> tuple[i
             line += len(rows)
             continue
         # A row's text alone decides whether it is plain, so this is its first line.
-        n = rows.index(text)
-        return line + n, offset + len("".join(row + "\n" for row in rows[:n]).encode("utf-8"))
-    return line, None
-
-
-def _read_part(fd, lines, line, start, state) -> int:
-    """Read the records from number `line`, at byte `start`, to the end: plainly, then by `_fill`.
-
-    `lines` gives the file's lines after the header, from the file open
-    on `fd`; `start` None reads by `_fill` alone. `_fill` takes over at the
-    first record `_plain` leaves, after skipping the lines before it in
-    `lines`, so it meets every row, bad UTF-8 and line number where `_fill`
-    reading all of `lines` would. Gives the next record's number.
-    """
-    if start is not None:
-        line, start = _plain(fd, start, None, line, *state)
-        if start is None:
-            return line
-    next(islice(lines, line - 2, line - 2), None)  # skip the lines before record `line`
-    return _fill(csv.reader(lines), line, *state)
-
-
-# --------------------------------------------------------------------------
-# Reading behaviours in two parts
-
-
-def _split_point(fd: int) -> tuple[int | None, str]:
-    r"""Where a second process can start reading the file open on `fd`, or why it cannot.
-
-    The split falls after the first "\n" at or after the byte midpoint.
-    Whether that line end ends a record is not checked here: `_read_in_two`
-    merges the halves only if `_plain` reads the first half up to it.
-    Gives (the split's byte offset, "") or (None, the reason to read in one part).
-    """
-    if not hasattr(os, "fork"):
-        return None, "no fork"
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    if cpus < 2:
-        return None, "one CPU"
-    if _thread_count() > 1:
-        return None, "threads"
-    status = os.fstat(fd)
-    if not stat.S_ISREG(status.st_mode):  # a pipe cannot be read from an offset
-        return None, "not a regular file"
-    middle = status.st_size // 2
-    _, piece = next(_pieces(fd, middle, None), (middle, b""))
-    split = middle + piece.find(b"\n") + 1
-    if split <= middle or split >= status.st_size:
-        return None, "no second half"
-    return split, ""
-
-
-def _thread_count() -> int:
-    """This process's OS threads, numpy's too, where listed; else the threads `threading` knows."""
-    try:
-        return len(os.listdir("/proc/self/task"))
-    except OSError:
-        return threading.active_count()
-
-
-def _read_in_two(fd, handle, start, split, state, run) -> tuple[int, str]:
-    """Read plainly from byte `start` to `split` while `run` reads the rest; merge in file order.
-
-    `handle` stands just after the header, and `start` is `_records_start`'s
-    offset. If `_plain` reads the first half to `split`, every line end
-    before it ended a record, so the halves merge, and the second half's
-    records are numbered on from the first's: a learner first met in the
-    second half is adopted whole, and others gain its values after their
-    own. Otherwise this process leaves `run`, which stops the child without
-    waiting for its result, and reads on from where `_plain` stopped, as a
-    one-part read would. If the child gives no result, this process reads
-    the second half itself in the same way, so any error there is raised by
-    the same code at the same record. Gives the next record's number, and a
-    reason if the halves did not merge.
-    """
-    by_name, policy, learners, skipped = state
-    with run(partial(_tail, fd, split, by_name, policy)) as result:
-        line, stopped = _plain(fd, start, split, 2, *state)
-        payload = result() if stopped is None else b""
-    if stopped is not None:
-        return _read_part(fd, handle, line, stopped, state), "first half not plain"
-    try:
-        count, tail_learners, tail_skipped = marshal.loads(payload)
-    except (EOFError, ValueError, TypeError):
-        return _read_part(fd, handle, line, split, state), "second part failed"
-    for learner, theirs in tail_learners.items():
-        values_of = learners.setdefault(learner, theirs)
-        if values_of is not theirs:
-            for variable, values in theirs.items():
-                values_of.setdefault(variable, []).extend(values)
-    skipped.extend(tail_skipped)
-    return line + count, ""
-
-
-def _tail(fd, split, by_name, policy) -> bytes:
-    """Read the file open on `fd` plainly from byte `split` on.
-
-    Gives the marshal'd (records read, learner -> variable -> values as
-    `_plain` fills them, skipped unknowns), or b"" if a record was not plain.
-    """
-    learners: dict[str, dict[str, list[float]]] = {}
-    skipped: list[tuple[str, str]] = []
-    count, stopped = _plain(fd, split, None, 0, by_name, policy, learners, skipped)
-    return b"" if stopped is not None else marshal.dumps((count, learners, skipped))
-
-
-@contextmanager
-def _forked(work: Callable[[], bytes]) -> Iterator[Callable[[], bytes]]:
-    """Run `work` in a forked child; give a function that waits for the bytes it returns.
-
-    That function gives b"" if no pipe could be made or the child could not
-    start, or less than all if it died first. On leaving, the child is
-    killed if it still runs, and reaped.
-    """
-    try:
-        read_fd, write_fd = os.pipe()
-    except OSError:
-        yield lambda: b""
-        return
-    try:
-        pid = os.fork()
-    except OSError:  # no child: the read end gives b"" once write_fd is closed
-        pid = None
-    if pid == 0:
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                pipe.write(work())
-        finally:
-            os._exit(0)
-    os.close(write_fd)
-    try:
-        with open(read_fd, "rb") as pipe:
-            yield pipe.read
-    finally:
-        if pid is not None:
-            import signal  # kept out of start-up: only a fork needs it
-
-            os.kill(pid, signal.SIGKILL)  # an exited child is a zombie until reaped
-            os.waitpid(pid, 0)
+        return line + rows.index(text), False
+    return line, True
 
 
 def load_questionnaire(path: str | Path) -> list[QuestionnaireRecord]:

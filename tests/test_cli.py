@@ -540,32 +540,25 @@ def test_classify_logs_what_it_read_only_at_info(tmp_path):
     import subprocess
     import sys
 
-    if not hasattr(os, "fork"):
-        pytest.skip("reading in two parts needs os.fork")
-    # The command as `python -m stylegroup.cli` runs it, on two usable CPUs
-    # whatever the host has, so that it reads in two parts.
-    command = (
-        "import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
-        "from stylegroup.cli import main; sys.exit(main())"
-    )
     sim = tmp_path / "sim"
     assert main(["simulate", "--cohort-spec", str(_small_cohort_spec(tmp_path)),
                  "--seed", "5", "--out", str(sim)]) == 0
     behaviors = sim / "behaviors.csv"
-    assert len(behaviors.read_text(encoding="utf-8").splitlines()) > 2
+    rows = len(behaviors.read_text(encoding="utf-8").splitlines()) - 1
+    assert rows > 1
     results = {}
     for level in ("warning", "info"):
         out = tmp_path / level
         results[level] = subprocess.run(
-            [sys.executable, "-c", command, "classify",
+            [sys.executable, "-m", "stylegroup.cli", "classify",
              "--behaviors", str(behaviors), "--out", str(out)],
             capture_output=True, text=True, env={**os.environ, "STYLEGROUP_LOG": level},
         )
         assert results[level].returncode == 0, results[level].stderr
     assert "INFO" not in results["warning"].stderr
     (line,) = [line for line in results["info"].stderr.splitlines() if "stylegroup.ingest" in line]
-    assert line.startswith(f"INFO stylegroup.ingest: behaviours {behaviors}: ")
-    assert line.endswith(", parts=2")
+    assert line.startswith(f"INFO stylegroup.ingest: behaviours {behaviors}: {rows} rows, ")
+    assert line.endswith(" skipped-unknown")
     assert results["info"].stdout == results["warning"].stdout
     names = sorted(p.name for p in (tmp_path / "warning").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "info").iterdir())

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -146,6 +147,25 @@ def test_variable_invariants_enforced():
         )
     with pytest.raises(ValueError):
         LinguisticVariable("v", (0, 10), (("a", Trapezoid(0, 1, 2, 11)),))
+
+
+@pytest.mark.parametrize(
+    "declaration, message",
+    [
+        ({"kind": "hidden"}, "kind must be 'input' or 'output', got 'hidden'"),
+        ({"aggregation": "median"}, "aggregation must be one of sum, mean, max, got 'median'"),
+        ({"max_expected": math.nan}, "max_expected must be a finite positive number, got nan"),
+        ({"max_expected": math.inf}, "max_expected must be a finite positive number, got inf"),
+        ({"max_expected": 0}, "max_expected must be a finite positive number, got 0"),
+        ({"max_expected": -5.0}, "max_expected must be a finite positive number, got -5.0"),
+    ],
+)
+def test_variable_refuses_a_declaration_the_fvars_parser_refuses(declaration, message):
+    """A bad aggregation would read as max, and a bad ceiling as NaN, a 0 division or a clamp."""
+    with pytest.raises(ValueError, match=f"^variable 'v': {re.escape(message)}$"):
+        LinguisticVariable("v", (0, 10), (("a", Trapezoid(0, 1, 2, 3)),), **declaration)
+    with pytest.raises(ValueError, match="^variable 'v': "):
+        LinguisticVariable("v", (0, 10), (("a", Trapezoid(0, 1, 2, 3)),))._replace(**declaration)
 
 
 # -- firing strengths ----------------------------------------------------------

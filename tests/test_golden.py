@@ -89,7 +89,7 @@ def _scores() -> str:
 
 
 # The raw-logs case: a seeded event log of about 3 MiB, so its read spans
-# several 1 MiB pieces and both halves of a two-part read.
+# several 1 MiB pieces.
 _EVENT_IDS = [f"R{n:04d}" for n in range(1, 171)]
 
 
@@ -250,29 +250,6 @@ def table() -> dict:
 @pytest.mark.parametrize("name", list(CASES))
 def test_output_tree_matches_the_golden_digests(table, name):
     assert run_case(name) == table[name]
-
-
-def test_pipeline_reads_a_ceiling_base_back_in_two_parts(table, tmp_path):
-    """A fresh `pipeline` runs no numpy thread, so reading back its `behaviors.csv` can fork.
-
-    The files are the golden ones, which a one-part read wrote.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    if not hasattr(os, "fork") or (cpus or 1) < 2:
-        pytest.skip("reading in two parts needs os.fork and two usable CPUs")
-    inputs, [argv] = CASES["pipeline-max-expected"]
-    for file_name, text in inputs.items():
-        (tmp_path / file_name).write_bytes(text().encode("utf-8"))
-    env = {**os.environ, "PYTHONPATH": str(SRC), "STYLEGROUP_LOG": "info"}
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    done = subprocess.run([sys.executable, "-m", "stylegroup.cli", *argv],
-                          cwd=tmp_path, env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    (line,) = [line for line in done.stderr.splitlines() if "stylegroup.ingest" in line]
-    assert line.endswith(", parts=2"), line
-    files = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-             for path in sorted((tmp_path / "out").iterdir())}
-    assert files == table["pipeline-max-expected"]["files"]
 
 
 def test_output_trees_do_not_depend_on_the_hash_seed(tmp_path):

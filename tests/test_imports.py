@@ -30,7 +30,7 @@ assert main(["group", "--profiles", profiles, "--seed", "3", "--min-size", "2",
              "--control-fraction", "0.25", "--out", out]) == 0
 """
 
-# The modules a second process for reading behaviours could have pulled in.
+# The modules that pickling work for another process would pull in at start-up.
 NO_PROCESS_POOL = """
 import sys
 from stylegroup.cli import main
@@ -289,63 +289,60 @@ def _importers(trees: dict[str, ast.Module], module: str) -> set[tuple[str, str 
     return {(name, f) for name, tree in trees.items() for f in _imports_of(tree, module)}
 
 
-def test_numpy_is_imported_only_by_the_kernel_and_philox_rng():
-    trees = {
-        path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")
-    }
-    assert _importers(trees, "numpy") == {("kernel.py", None), ("rng.py", "philox_rng")}
-    # One inference path: only `classify_cohort` loads the kernel.
-    assert _importers(trees, "stylegroup.kernel") == {("classify.py", "classify_cohort")}
+def _trees() -> dict[str, ast.Module]:
+    """Each package module's syntax tree, by file name."""
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+
+
+def _names(tree: ast.Module) -> set[str]:
+    """Every name a module reads, defines, imports or looks up as an attribute."""
     named = set()
-    for node in ast.walk(trees["grouping.py"]):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             named.add(node.id)
         elif isinstance(node, ast.Attribute):
             named.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            named.add(node.name)
         elif isinstance(node, ast.alias):
             named.update(node.name.split("."))
         elif isinstance(node, ast.ImportFrom) and node.module:
             named.update(node.module.split("."))
-    assert not named & {"numpy", "philox_rng"}
+    return named
+
+
+def _importing_files(trees: dict[str, ast.Module], module: str) -> set[str]:
+    return {name for name, _ in _importers(trees, module)}
+
+
+def test_numpy_is_imported_only_by_the_kernel_and_philox_rng():
+    trees = _trees()
+    assert _importers(trees, "numpy") == {("kernel.py", None), ("rng.py", "philox_rng")}
+    # One inference path: only `classify_cohort` loads the kernel.
+    assert _importers(trees, "stylegroup.kernel") == {("classify.py", "classify_cohort")}
+    assert not _names(trees["grouping.py"]) & {"numpy", "philox_rng"}
 
 
 def test_csv_is_imported_only_by_ingest():
     """One CSV layer: `ingest` writes with `csv_text` and reads with `learner_rows`."""
-    importers, names = set(), set()
-    for path in PACKAGE.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""] if node.level == 0 else []
-            else:
-                modules = []
-            if any(module.split(".")[0] == "csv" for module in modules):
-                importers.add(path.name)
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, (ast.FunctionDef, ast.alias)):
-                names.add(node.name)
-    assert importers == {"ingest.py"}
-    assert "csv_rows" not in names
+    trees = _trees()
+    assert _importing_files(trees, "csv") == {"ingest.py"}
+    assert not any("csv_rows" in _names(tree) for tree in trees.values())
 
 
 def test_gc_is_imported_only_by_cli():
     """One collector policy, for a whole command process: `cli.run` turns the collector off."""
-    importers = set()
-    for path in PACKAGE.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""] if node.level == 0 else []
-            else:
-                continue
-            if "gc" in modules:
-                importers.add(path.name)
-    assert importers == {"cli.py"}
+    assert _importing_files(_trees(), "gc") == {"cli.py"}
+
+
+def test_behaviours_are_read_in_one_process():
+    """No module forks, opens a pipe, marshals for another process or counts threads."""
+    trees = _trees()
+    for module in ("threading", "_thread", "marshal", "multiprocessing", "concurrent"):
+        assert _importing_files(trees, module) == set(), module
+    process_words = {"fork", "pipe", "sched_getaffinity", "cpu_count", "_thread_count"}
+    found = {(name, word) for name, tree in trees.items() for word in _names(tree) & process_words}
+    assert found == set()
 
 
 def test_samples_are_built_only_by_stats():
@@ -370,18 +367,24 @@ def test_samples_are_built_only_by_stats():
 
 def test_no_module_imports_dataclasses():
     """Records are `NamedTuple`s or classes with `__slots__`: no class is generated at start-up."""
-    importers = set()
-    for path in PACKAGE.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    assert _importing_files(_trees(), "dataclasses") == set()
+
+
+def test_every_top_level_import_is_used():
+    """A name a module imports at top level is read in it; `__init__`'s re-exports aside."""
+    unused = []
+    for name, tree in sorted(_trees().items()):
+        if name == "__init__.py":
+            continue
+        imported = []
+        for node in tree.body:
             if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""] if node.level == 0 else []
-            else:
-                modules = []
-            if any(module.split(".")[0] == "dataclasses" for module in modules):
-                importers.add(path.name)
-    assert importers == set()
+                imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [alias.asname or alias.name for alias in node.names]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{name}:{bound}" for bound in imported if bound not in read]
+    assert unused == []
 
 
 def test_every_module_parses_as_python_3_10():

@@ -1,11 +1,7 @@
-import _thread
 import csv
-import errno
 import logging
 import os
 import random
-import threading
-from contextlib import contextmanager
 from unittest.mock import patch
 
 import pytest
@@ -312,39 +308,7 @@ def test_load_behaviors_matches_reference_loader(
     assert _outcome(load_behaviors, path, policy) == expected
 
 
-# -- reading in two parts ------------------------------------------------------
-
-
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """Let `load_behaviors` read in two parts on any host: two usable CPUs, no other thread.
-
-    A one-CPU host, a CPU-pinned run or a test plugin's thread would
-    otherwise send every file down the one-part path.
-    """
-    if not hasattr(os, "fork"):
-        pytest.skip("reading in two parts needs os.fork")
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(ingest, "_thread_count", lambda: 1)
-
-
-@contextmanager
-def _in_process(work):
-    """Run a second part's work here, in place of `ingest._forked`."""
-    yield work
-
-
-def _splits(path):
-    """The byte offset after each line end: `_splits(path)[n]` follows records 1 to n + 1."""
-    data = path.read_bytes()
-    return [offset for offset in range(1, len(data) + 1) if data[offset - 1 : offset] == b"\n"]
-
-
-def _split_at(split, run=_in_process):
-    """A loader that splits the file at `split` and runs its second part with `run`."""
-    return lambda path, variables, policy: ingest._load(
-        path, variables, policy, lambda _: (split, ""), run
-    )
+# -- plain pieces ----------------------------------------------------------------
 
 
 def _write_rows(path, rows, terminator="\n"):
@@ -373,11 +337,13 @@ def _write_rows(path, rows, terminator="\n"):
     terminator=st.sampled_from(["\n", "\r\n"]),
 )
 def test_every_split_matches_reference_loader(tmp_path_factory, rows, policy, terminator):
+    """One piece, then a piece per line: `_plain` goes on from a piece split at every line end."""
     path = _write_rows(tmp_path_factory.mktemp("rows") / "b.csv", rows, terminator)
     assert b'"' not in path.read_bytes()
     expected = _outcome(reference_load_behaviors, path, policy)
-    for split in [None, *_splits(path)]:  # one part, then two at every line end
-        assert _outcome(_split_at(split), path, policy) == expected, split
+    assert _outcome(load_behaviors, path, policy) == expected
+    with patch.object(ingest, "_SCAN_CHUNK", 1):
+        assert _outcome(load_behaviors, path, policy) == expected
 
 
 # Every (learner, variable) key once: learner by learner, as `simulate` writes, or interleaved.
@@ -389,8 +355,8 @@ _EACH_KEY_ONCE = [[f"L{n}", name, f"{(3 * n + i) % 11}.25"] for n in range(5)
 def _keyed_rows(draw):
     """Rows of a few (learner, variable) keys, each 1-3 times, in any order.
 
-    Values fall in and out of each universe, so a split can put a clamp or
-    a strict error on either side, before or after its key's other rows.
+    Values fall in and out of each universe, so a clamp or a strict error
+    can fall before or after its key's other rows.
     """
     keys = draw(st.lists(
         st.tuples(st.sampled_from(["L1", "L2", "L3", "L4", "L5"]),
@@ -423,11 +389,12 @@ def _keyed_rows(draw):
 def test_every_split_merges_learners_and_variables_as_the_reference_loader(
     tmp_path_factory, rows, policy
 ):
+    """A key's rows in one piece or in many join one list, in file order, as the reference's."""
     path = _write_rows(tmp_path_factory.mktemp("rows") / "b.csv", rows)
     expected = _outcome(reference_load_behaviors, path, policy)
-    for split in _splits(path):
-        assert _outcome(_split_at(split), path, policy) == expected, split
-        assert _outcome(_split_at(split, ingest._forked), path, policy) == expected, split
+    assert _outcome(load_behaviors, path, policy) == expected
+    with patch.object(ingest, "_SCAN_CHUNK", 1):
+        assert _outcome(load_behaviors, path, policy) == expected
 
 
 _GOOD = [[f"L{i % 7}", "test_time", f"{i % 13}.5"] for i in range(40)]
@@ -436,12 +403,12 @@ _GOOD = [[f"L{i % 7}", "test_time", f"{i % 13}.5"] for i in range(40)]
 @pytest.mark.parametrize(
     "rows, policy, error, line",
     [
-        # both halves hold a bad row: the first half's comes first in the file
+        # two bad rows: the first in the file wins
         (_GOOD[:5] + [["L1", "test_time", "abc"]] + _GOOD[5:] + [["L2", "test_time", "x"]],
          "clamp", MalformedRowError, 7),
         (_GOOD[:5] + [["L1", "mystery", "1"]] + _GOOD[5:] + [["L2", "test_time", "x"]],
          "strict", UndeclaredVariableError, None),
-        # only the second half's
+        # one bad row, after 40 plain rows
         (_GOOD + [["L2", "test_time", "x"]] + _GOOD, "clamp", MalformedRowError, 42),
         (_GOOD + [["L2", "test_time"]] + _GOOD, "clamp", MalformedRowError, 42),
         (_GOOD + [["", "test_time", "1"]] + _GOOD, "clamp", MalformedRowError, 42),
@@ -450,92 +417,16 @@ _GOOD = [[f"L{i % 7}", "test_time", f"{i % 13}.5"] for i in range(40)]
         (_GOOD + [["L2", "lesson_minutes", "999"]] + _GOOD, "strict", ValueOutOfUniverseError, None),
     ],
 )
-def test_second_process_errors_match_reference_loader(tmp_path, rows, policy, error, line):
+def test_row_errors_after_plain_rows_match_reference_loader(tmp_path, rows, policy, error, line):
     path = _write_rows(tmp_path / "b.csv", rows)
     expected = _outcome(reference_load_behaviors, path, policy)
     assert expected[0] is error and expected[2] == line
-    # records 1-30 here, records 31 on in the second process
-    split = _splits(path)[29]
-    assert _outcome(_split_at(split, ingest._forked), path, policy) == expected
+    assert _outcome(load_behaviors, path, policy) == expected
 
 
 def _padded_row(size):
     """A good row of exactly `size` bytes."""
     return b"L1,test_time,1.25" + b" " * (size - 18) + b"\n"
-
-
-def test_undecodable_second_half_is_read_again_here(tmp_path):
-    """A bad row loses to bad UTF-8 after it that a one-part read decodes first.
-
-    Text is decoded 8 KiB at a time from where the reader starts. The split
-    sits half a chunk off the one-part read's chunk grid, and the bad row
-    ends the first chunk of a reader started there: such a reader parses
-    the row before it reaches the bad byte, while a one-part read decodes
-    both at once and fails on the byte. The second process gives no result,
-    and this process reads the second half on the one-part read's grid.
-    """
-    header = b"learner_id,variable,value\n"
-    bad_row, bad_byte = b"L2,test_time,abc\n", b"L3,test_time,\xff\n"
-    offset = 8192 * 2 + 4096
-    first = header + _padded_row(18) * 1135 + _padded_row(24)
-    second = _padded_row(18) * 453 + _padded_row(21) + bad_row
-    assert (len(first), len(first + second)) == (offset, offset + 8192)
-    path = tmp_path / "b.csv"
-    path.write_bytes(first + second + bad_byte + _padded_row(18) * 200)
-    expected = _exception(reference_load_behaviors, path)
-    assert type(expected) is UnicodeDecodeError
-    for run in (_in_process, ingest._forked):
-        got = _exception(_split_at(offset, run), path)
-        assert (type(got), str(got)) == (type(expected), str(expected))
-    # With the bad byte out of the way, the row error is raised at its record.
-    path.write_bytes(first + second + _padded_row(18) * 200)
-    assert _exception(_split_at(offset, ingest._forked), path).line == 1137 + 455
-
-
-@contextmanager
-def _gives_nothing(work):
-    yield lambda: b""
-
-
-@contextmanager
-def _gives_half(work):
-    payload = work()
-    yield lambda: payload[: len(payload) // 2]
-
-
-@contextmanager
-def _child_exits_first(work):
-    with ingest._forked(lambda: os._exit(1)) as result:
-        yield result
-
-
-@pytest.mark.parametrize("run", [_gives_nothing, _gives_half, _child_exits_first])
-@pytest.mark.parametrize(
-    "rows, policy, error",
-    [
-        (_GOOD * 3, "clamp", None),
-        (_GOOD * 2 + [["L2", "test_time", "x"]] + _GOOD, "clamp", MalformedRowError),
-        (_GOOD * 2 + [["L2", "mystery", "1"]] + _GOOD, "strict", UndeclaredVariableError),
-    ],
-)
-def test_failed_second_part_is_read_here(tmp_path, caplog, two_cpus, run, rows, policy, error):
-    """A second part that gives nothing or a cut payload, or whose child dies, is read again here."""
-    path = _write_rows(tmp_path / "b.csv", rows)
-    with open(path, "rb") as handle:
-        split, _ = ingest._split_point(handle.fileno())
-    # a bad row is in the second half
-    assert path.read_bytes().count(b"\n", 0, split) < len(_GOOD) * 2 + 2
-    with caplog.at_level(logging.INFO, logger="stylegroup.ingest"):
-        got = _outcome(
-            lambda *args, policy: ingest._load(*args, policy, ingest._split_point, run),
-            path, policy,
-        )
-    expected = _outcome(reference_load_behaviors, path, policy)
-    assert got == expected
-    if error is None:
-        assert _parts(caplog) == "1 (second part failed)"
-    else:
-        assert expected[0] is error
 
 
 def _exception(load, path):
@@ -544,42 +435,33 @@ def _exception(load, path):
     return info.value
 
 
-def _parts(caplog):
-    (message,) = [r.getMessage() for r in caplog.records if r.name == "stylegroup.ingest"]
-    return message.split("parts=")[1]
+def test_bad_utf8_after_a_bad_row_is_reported_as_the_csv_reader_reports_it(tmp_path):
+    """A bad row loses to bad UTF-8 after it in the same decoded chunk.
 
-
-@pytest.mark.parametrize(
-    "first, parts",
-    [
-        ('"L1",test_time,1\n', "1 (first half not plain)"),
-        ("L1,test_time,1\r", "1 (first half not plain)"),
-        ("L1,test_time,1\r\n", "2"),
-        ("L1,test_time,1\n", "2"),
-    ],
-)
-def test_quote_or_lone_cr_in_first_half_reads_in_one_part(tmp_path, caplog, two_cpus, first, parts):
-    text = "learner_id,variable,value\n" + first + "".join(
-        f"L{i % 7},test_time,{i % 13}.5\n" for i in range(60)
-    )
+    Text is decoded 8 KiB at a time from the start of the file, and both
+    lie in the second chunk. In one piece, `_plain` stops at the bad byte;
+    in a piece per line, at the bad row. Either way `_fill` reads on
+    through the file object on the same chunk grid as `csv.reader` alone,
+    and so decodes the bad byte before it parses the bad row.
+    """
+    header = b"learner_id,variable,value\n"
+    bad_row, bad_byte = b"L2,test_time,abc\n", b"L3,test_time,\xff\n"
+    head = header + _padded_row(18) * 500
+    assert 8192 < len(head) < 2 * 8192 - len(bad_row + bad_byte)
     path = tmp_path / "b.csv"
-    path.write_bytes(text.encode("utf-8"))
-    with caplog.at_level(logging.INFO, logger="stylegroup.ingest"):
-        got = _outcome(load_behaviors, path, "clamp")
-    assert _parts(caplog) == parts
-    assert got == _outcome(reference_load_behaviors, path, "clamp")
+    path.write_bytes(head + bad_row + bad_byte + _padded_row(18) * 200)
+    expected = _exception(reference_load_behaviors, path)
+    assert type(expected) is UnicodeDecodeError
+    for chunk in (ingest._SCAN_CHUNK, 1):
+        with patch.object(ingest, "_SCAN_CHUNK", chunk):
+            got = _exception(load_behaviors, path)
+        assert (type(got), str(got)) == (type(expected), str(expected)), chunk
+    # With the bad byte out of the way, the row error is raised at its record.
+    path.write_bytes(head + bad_row + _padded_row(18) * 200)
+    assert _exception(load_behaviors, path).line == 502
 
 
-def test_quote_in_second_half_only_is_read_here(tmp_path, caplog, two_cpus):
-    """The child meets the only quoted row, gives nothing, and this process reads its half."""
-    path = _write_rows(tmp_path / "b.csv", _GOOD * 3 + [['"L1"', "test_time", "1"]] + _GOOD)
-    with caplog.at_level(logging.INFO, logger="stylegroup.ingest"):
-        got = _outcome(load_behaviors, path, "clamp")
-    assert _parts(caplog) == "1 (second part failed)"
-    assert got == _outcome(reference_load_behaviors, path, "clamp")
-
-
-def test_info_line_counts_what_was_read(tmp_path, caplog, two_cpus):
+def test_info_line_counts_what_was_read(tmp_path, caplog):
     path = _write_rows(
         tmp_path / "b.csv",
         [["L1", "test_time", "1"], ["L1", "mystery", "2"], [], ["L2", "discussion_participation", "99"],
@@ -589,136 +471,29 @@ def test_info_line_counts_what_was_read(tmp_path, caplog, two_cpus):
         load_behaviors(path, VARS)
     (message,) = [r.getMessage() for r in caplog.records if r.name == "stylegroup.ingest"]
     assert message == (
-        f"behaviours {path}: 6 rows, 2 learners, 3 keys, 1 clamped, 1 skipped-unknown, parts=2"
+        f"behaviours {path}: 6 rows, 2 learners, 3 keys, 1 clamped, 1 skipped-unknown"
     )
 
 
-def test_no_second_process_is_left_behind(tmp_path, caplog, two_cpus):
-    forks = []
-
-    @contextmanager
-    def counted(work):
-        forks.append(work)
-        with ingest._forked(work) as result:
-            yield result
-
-    def load(*args, policy):
-        return ingest._load(*args, policy, ingest._split_point, counted)
-
-    good = _write_rows(tmp_path / "good.csv", _GOOD * 3)
-    bad = _write_rows(tmp_path / "bad.csv", [["L1", "test_time", "x"]] + _GOOD * 3)
-    # the first half is not plain: nothing waits for the child's result
-    quoted = _write_rows(tmp_path / "quoted.csv", [['"L1"', "test_time", "1"]] + _GOOD * 3)
-    for path, parts in ((good, "2"), (quoted, "1 (first half not plain)")):
-        caplog.clear()
-        expected = _outcome(reference_load_behaviors, path, "clamp")
-        with caplog.at_level(logging.INFO, logger="stylegroup.ingest"):
-            assert _outcome(load, path, "clamp") == expected
-        assert _parts(caplog) == parts
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-    with pytest.raises(MalformedRowError):
-        load(bad, VARS, policy="clamp")
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert len(forks) == 3
+def _refuse(*args):
+    raise AssertionError("called")
 
 
-@pytest.mark.parametrize(
-    "cpus, threads, parts",
-    [({0}, 1, "1 (one CPU)"), ({0, 1}, 2, "1 (threads)"), ({0, 1}, 1, "2")],
-)
-def test_one_cpu_or_another_thread_reads_in_one_part(
-    tmp_path, caplog, monkeypatch, cpus, threads, parts
-):
-    if not hasattr(os, "fork"):
-        pytest.skip("reading in two parts needs os.fork")
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: len(cpus))
-    monkeypatch.setattr(ingest, "_thread_count", lambda: threads)
-    path = _write_rows(tmp_path / "b.csv", _GOOD)
-    with caplog.at_level(logging.INFO, logger="stylegroup.ingest"):
-        got = _outcome(load_behaviors, path, "clamp")
-    assert _parts(caplog) == parts
-    assert got == _outcome(reference_load_behaviors, path, "clamp")
-
-
-def test_thread_unknown_to_threading_reads_in_one_part(tmp_path, caplog, monkeypatch):
-    """A thread started by `_thread`, as native code starts its own, is not in `threading`'s count."""
-    if not hasattr(os, "fork") or not os.path.isdir("/proc/self/task"):
-        pytest.skip("needs os.fork and a listing of the process's threads")
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    path = _write_rows(tmp_path / "b.csv", _GOOD)
-    go, done = _thread.allocate_lock(), _thread.allocate_lock()
-    go.acquire()
-    done.acquire()
-    before, known = ingest._thread_count(), threading.active_count()
-
-    def wait():
-        go.acquire()
-        done.release()
-
-    _thread.start_new_thread(wait, ())
-    try:
-        assert (ingest._thread_count(), threading.active_count()) == (before + 1, known)
-        with caplog.at_level(logging.INFO, logger="stylegroup.ingest"):
-            got = _outcome(load_behaviors, path, "clamp")
-    finally:
-        go.release()
-        done.acquire()
-    assert _parts(caplog) == "1 (threads)"
-    assert got == _outcome(reference_load_behaviors, path, "clamp")
-
-
-def test_no_pipe_reads_in_one_part(tmp_path, caplog, monkeypatch, two_cpus):
-    def no_pipe():
-        raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
-
-    path = _write_rows(tmp_path / "b.csv", _GOOD * 3)
-    expected = _outcome(reference_load_behaviors, path, "clamp")
-    monkeypatch.setattr(os, "pipe", no_pipe)
-    with caplog.at_level(logging.INFO, logger="stylegroup.ingest"):
-        assert _outcome(load_behaviors, path, "clamp") == expected
-    assert _parts(caplog) == "1 (second part failed)"
-
-
-def test_pipe_reads_in_one_part(tmp_path, caplog, two_cpus):
-    """A pipe (process substitution, /dev/stdin) has no offsets to split at; it reads as before."""
+def test_pipe_reads_in_one_part(tmp_path, monkeypatch):
+    """A pipe (process substitution, /dev/stdin) has no offsets: the CSV reader reads all of it."""
     if not os.path.isdir("/dev/fd"):
         pytest.skip("needs /dev/fd to name a pipe")
     path = _write_rows(tmp_path / "b.csv", _GOOD * 3)
     expected = _outcome(reference_load_behaviors, path, "clamp")
     data = path.read_bytes()
+    monkeypatch.setattr(ingest, "_plain", _refuse)
     read_fd, write_fd = os.pipe()
     try:
         assert os.write(write_fd, data) == len(data)  # fits the pipe's buffer
         os.close(write_fd)
-        with caplog.at_level(logging.INFO, logger="stylegroup.ingest"):
-            assert _outcome(load_behaviors, f"/dev/fd/{read_fd}", "clamp") == expected
+        assert _outcome(load_behaviors, f"/dev/fd/{read_fd}", "clamp") == expected
     finally:
         os.close(read_fd)
-    assert _parts(caplog) == "1 (not a regular file)"
-
-
-def test_second_process_reads_the_open_file_not_the_path(tmp_path, two_cpus):
-    """Replacing the file at `path` after it is opened changes neither half."""
-    path = _write_rows(tmp_path / "b.csv", _GOOD * 3)
-    expected = _outcome(reference_load_behaviors, path, "clamp")
-    replacement = _write_rows(tmp_path / "other.csv", [["L9", "test_time", "1"]] * 200)
-
-    def split_then_replace(fd):
-        split = ingest._split_point(fd)
-        assert split[0] is not None, split
-        os.replace(replacement, path)
-        return split
-
-    assert _outcome(
-        lambda *args, policy: ingest._load(*args, policy, split_then_replace, ingest._forked),
-        path, "clamp",
-    ) == expected
-
-
-# -- plain rows ----------------------------------------------------------------
 
 
 def _csv_rows(path, rows, terminator="\n"):
@@ -757,26 +532,17 @@ def test_plain_pieces_match_reference_loader_at_every_split(
     path = _csv_rows(tmp_path_factory.mktemp("rows") / "b.csv", rows, terminator)
     expected = _outcome(reference_load_behaviors, path, policy)
     with patch.object(ingest, "_SCAN_CHUNK", chunk):
-        assert _outcome(_split_at(None), path, policy) == expected
-        for split in _splits(path):
-            assert _outcome(_split_at(split), path, policy) == expected, split
+        assert _outcome(load_behaviors, path, policy) == expected
 
 
-def test_plain_rows_never_reach_the_csv_reader(tmp_path, caplog, monkeypatch, two_cpus):
+def test_plain_rows_never_reach_the_csv_reader(tmp_path, monkeypatch):
     """Blank rows, padded cells, undeclared variables and CRLF ends are all read plainly."""
     rows = (_PLAIN + [[], ["  ", " "], ["L3", "peak_difficulty", " 7.25 "]]) * 40
     path = _write_rows(tmp_path / "b.csv", rows, "\r\n")
     expected = _outcome(reference_load_behaviors, path, "clamp")
-
-    def refuse(*args):
-        raise AssertionError("a plain row reached the csv reader")
-
-    monkeypatch.setattr(ingest, "_fill", refuse)
+    monkeypatch.setattr(ingest, "_fill", _refuse)
     monkeypatch.setattr(ingest, "_SCAN_CHUNK", 100)
-    with caplog.at_level(logging.INFO, logger="stylegroup.ingest"):
-        assert _outcome(load_behaviors, path, "clamp") == expected
-    assert _parts(caplog) == "2"
-    assert _outcome(_split_at(None), path, "clamp") == expected
+    assert _outcome(load_behaviors, path, "clamp") == expected
 
 
 @pytest.mark.parametrize(
@@ -793,20 +559,17 @@ def test_last_lines_match_reference_loader(tmp_path, end):
     path.write_bytes(("learner_id,variable,value\nL1,test_time,1\nL2,test_time,2\n" + end).encode())
     expected = _outcome(reference_load_behaviors, path, "clamp")
     with patch.object(ingest, "_SCAN_CHUNK", 8):
-        assert _outcome(_split_at(None), path, "clamp") == expected
-        for split in _splits(path):
-            assert _outcome(_split_at(split), path, "clamp") == expected, split
+        assert _outcome(load_behaviors, path, "clamp") == expected
 
 
 def test_split_inside_a_quoted_line_end_matches_one_part_read(tmp_path):
-    """A split need not end a record: `_plain` stops at the quote before it, so no merge."""
+    """A piece may end at a line end in a quoted field: `_plain` stops at the quote before it."""
     rows = [["L1", "test_time", "1"], ["two\nlines", "test_time", "2"], ["L2", "test_time", "3"]]
     path = _csv_rows(tmp_path / "b.csv", rows * 3)
-    split = path.read_bytes().index(b"two\n") + len(b"two\n")
-    assert split in _splits(path)
-    expected = _outcome(_split_at(None), path, "clamp")
-    assert expected == _outcome(reference_load_behaviors, path, "clamp")
-    assert _outcome(_split_at(split), path, "clamp") == expected
+    assert b'"two\nlines"' in path.read_bytes()
+    expected = _outcome(reference_load_behaviors, path, "clamp")
+    with patch.object(ingest, "_SCAN_CHUNK", 1):  # a piece per line end, the quoted one too
+        assert _outcome(load_behaviors, path, "clamp") == expected
 
 
 # A value `float` reads but `csv.reader` refuses: longer than its field size limit.
@@ -815,15 +578,14 @@ _LONG = " " * csv.field_size_limit() + "1"
 
 @pytest.mark.parametrize("records_before", [5, 45])
 def test_field_over_the_size_limit_is_a_row_error_in_either_half(tmp_path, records_before):
+    """Early or late among plain rows, the long row is the CSV reader's error at its line."""
     rows = _GOOD + _GOOD[:5]
     rows.insert(records_before - 1, ["L3", "test_time", _LONG])
     path = _write_rows(tmp_path / "b.csv", rows)
     expected = _outcome(reference_load_behaviors, path, "clamp")
     message = f"line {records_before + 1}: field larger than field limit ({csv.field_size_limit()})"
     assert expected == (MalformedRowError, message, records_before + 1)
-    split = _splits(path)[24]  # after record 25
-    assert _outcome(_split_at(split, ingest._forked), path, "clamp") == expected
-    assert _outcome(_split_at(None), path, "clamp") == expected
+    assert _outcome(load_behaviors, path, "clamp") == expected
 
 
 @pytest.mark.parametrize(
