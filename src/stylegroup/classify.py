@@ -15,13 +15,14 @@ import json
 import logging
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
-from .dsl import RuleBase
-from .fuzzy import strongest_term
+from . import fuzzy, stats
 from .ingest import BehaviorTable, IngestError, QuestionnaireRecord, csv_field, csv_line
 from .ingest import learner_rows, parse_float
-from .stats import ZeroVarianceError, pearson_r
+
+if TYPE_CHECKING:
+    from .dsl import RuleBase
 
 log = logging.getLogger(__name__)
 
@@ -160,7 +161,7 @@ def classify_cohort(
         results = []
         for score in score_of.values():
             memberships = c.variable.fuzzify(score)
-            results.append((score, strongest_term(memberships), memberships))
+            results.append((score, fuzzy.strongest_term(memberships), memberships))
         columns.append(_Column(dimension, results, codes, c.rule_ids, strengths[rows]))
     table = CohortTable([ids[n] for n in rows], columns)
     failures = [failed[n] for n in sorted(failed)]
@@ -237,10 +238,10 @@ def validate_against_questionnaire(
 
     def correlation(rows: list[PairedRow], scope: str) -> float | None:
         try:
-            return pearson_r(
+            return stats.pearson_r(
                 [row.crisp_score for row in rows], [row.questionnaire_score for row in rows]
             )
-        except ZeroVarianceError as exc:
+        except stats.ZeroVarianceError as exc:
             log.warning("validation: %s: %s; its coefficient is null", scope, exc)
             return None
 

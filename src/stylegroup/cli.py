@@ -5,8 +5,9 @@ Flags override values from an optional ``--config`` JSON file (keys match
 the long flag names with underscores; a key that is the long flag of no
 subcommand, or ``config`` itself, is an error, and each value must have its
 flag's JSON type: an integer for an integer flag, a number for a float
-flag, and for any other a string within its choices); ``DEFAULTS`` fills
-the rest. Diagnostics go to standard error, data to files under ``--out``
+flag, and for any other a string within its choices); ``DEFAULTS``, and
+for ``STAGE_DEFAULTS`` the stage modules' constants, fill the rest.
+Diagnostics go to standard error, data to files under ``--out``
 or to standard output. Exit codes: 0 success, 1 validation failure, 2 I/O
 or configuration error. ``STYLEGROUP_LOG`` selects the log level (one of
 ``LOG_LEVELS``, in any case; any other value is a configuration error).
@@ -19,6 +20,12 @@ as its caller set it.
 
 All randomness flows from ``--seed``; simulate, group, and pipeline refuse
 to run without one.
+
+The stage modules are bound as module objects, which the package leaves
+unexecuted until a command first reads from one. Nothing at module level,
+in parsing, in logging set-up or in resolving settings a command lacks reads
+from them, so a command executes only the modules it calls: ``validate-rules``
+executes ``dsl`` and ``fuzzy``, and ``--help`` none.
 """
 
 from __future__ import annotations
@@ -29,59 +36,20 @@ import gc
 import json
 import logging
 import os
+import re
 import sys
 from pathlib import Path
 
-from .classify import (
-    ClassificationError,
-    classify_cohort,
-    profiles_from_csv,
-    profiles_to_csv,
-    profiles_to_json,
-    validate_against_questionnaire,
-    validation_to_json,
-)
-from .dsl import Diagnostic, DslError, RuleBase, default_rulebase, error_count, load_rulebase
-from .dsl import validate
-from .grouping import (
-    DEFAULT_MIN_SIZE,
-    DEFAULT_TARGET_K,
-    GroupAssignment,
-    GroupingError,
-    GroupingParams,
-    assign_groups,
-    assignment_from_csv,
-    check_params,
-    content_plan,
-)
-from .ingest import (
-    IngestError,
-    csv_text,
-    feature_coverage,
-    load_behaviors,
-    load_questionnaire,
-    load_satisfaction,
-    load_scores,
-    read_json,
-)
-from .simulate import (
-    SimulationError,
-    default_cohort_spec,
-    generate,
-    generate_scores,
-    load_cohort_spec,
-    write_behaviors_csv,
-    write_scores_csv,
-    write_truth_csv,
-)
-from .stats import DEFAULT_ALPHA, StatsError, build_evaluation_report, check_alpha
-from .stats import evaluation_samples, values_by_label
+from . import classify, dsl, grouping, ingest, simulate, stats
 
 log = logging.getLogger("stylegroup")
 
 # What each setting is when neither its flag nor the config file gives it.
-DEFAULTS = {"out": "out", "policy": "clamp", "control_fraction": 0.1,
-            "target_k": DEFAULT_TARGET_K, "min_size": DEFAULT_MIN_SIZE, "alpha": DEFAULT_ALPHA}
+DEFAULTS = {"out": "out", "policy": "clamp", "control_fraction": 0.1}
+# The settings whose default is a stage module's constant, as (module, name). Only
+# a command with the flag reads it, and `--help` reads it from the module's source.
+STAGE_DEFAULTS = {"target_k": ("grouping", "DEFAULT_TARGET_K"),
+                  "min_size": ("grouping", "DEFAULT_MIN_SIZE"), "alpha": ("stats", "DEFAULT_ALPHA")}
 
 # Each long flag, as its config key: its type (a tuple is its choices) and its help text.
 FLAGS = {
@@ -95,12 +63,12 @@ FLAGS = {
     "policy": (("clamp", "strict"), f"ingest policy (default {DEFAULTS['policy']})"),
     "profiles": (str, "profiles CSV produced by classify"),
     "control_fraction": (float, f"default {DEFAULTS['control_fraction']}"),
-    "target_k": (int, f"default {DEFAULTS['target_k']}"),
-    "min_size": (int, f"default {DEFAULTS['min_size']}"),
+    "target_k": (int, "default {}"),
+    "min_size": (int, "default {}"),
     "assignment": (str, "assignment CSV produced by group"),
     "scores": (str, "scores CSV: learner_id,score"),
     "satisfaction": (str, "satisfaction CSV: learner_id,q1..q7"),
-    "alpha": (float, f"significance level (default {DEFAULTS['alpha']})"),
+    "alpha": (float, "significance level (default {})"),
     "cohort_spec": (str, "cohort spec JSON"),
 }
 
@@ -123,6 +91,16 @@ def _setup_logging() -> None:
     )
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    def _get_help_string(self, action):
+        """Fill in a stage default as its module's source assigns it: help executes no stage."""
+        if action.dest not in STAGE_DEFAULTS:
+            return action.help
+        module, name = STAGE_DEFAULTS[action.dest]
+        source = Path(__file__).with_name(f"{module}.py").read_text(encoding="utf-8")
+        return action.help.format(re.search(rf"^{name} = (.+)$", source, re.M)[1])
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stylegroup",
@@ -130,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (handler, summary, flags) in COMMANDS.items():
-        p = sub.add_parser(command, help=summary)
+        p = sub.add_parser(command, help=summary, formatter_class=_HelpFormatter)
         for key in flags.split():
             kind, text = FLAGS[key]
             choices = kind if isinstance(kind, tuple) else None
@@ -141,13 +119,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_settings(args: argparse.Namespace) -> None:
-    """Set each flag the command line left unset from the config file, else from `DEFAULTS`.
+    """Set each flag the command line left unset from the config file, else from its default.
 
     Each config key must be some subcommand's long flag, with that flag's JSON
     type: one config file may serve several commands, so a key any command
     knows is accepted by all of them.
     """
-    config = read_json(args.config) if args.config else {}
+    config = ingest.read_json(args.config) if args.config else {}
     if not isinstance(config, dict):
         raise ConfigError("config file must hold a JSON object")
     if "config" in config:
@@ -170,7 +148,13 @@ def _resolve_settings(args: argparse.Namespace) -> None:
             raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
     for key, value in list(vars(args).items()):
         if value is None:
-            value = config.get(key, DEFAULTS.get(key))
+            if key in config:
+                value = config[key]
+            elif key in STAGE_DEFAULTS:
+                module, name = STAGE_DEFAULTS[key]
+                value = getattr(globals()[module], name)
+            else:
+                value = DEFAULTS.get(key)
             if value is not None and FLAGS[key][0] is float:
                 value = float(value)
             setattr(args, key, value)
@@ -183,21 +167,21 @@ def _require(args: argparse.Namespace, key: str):
     return value
 
 
-def _load_rulebase(args: argparse.Namespace) -> RuleBase:
+def _load_rulebase(args: argparse.Namespace) -> dsl.RuleBase:
     if args.vars is None and args.rules is None:
-        return default_rulebase()
+        return dsl.default_rulebase()
     if args.vars is None or args.rules is None:
         raise ConfigError("--vars and --rules must be given together")
-    return load_rulebase(
+    return dsl.load_rulebase(
         Path(args.vars).read_text(encoding="utf-8"),
         Path(args.rules).read_text(encoding="utf-8"),
     )
 
 
-def _checked_rulebase(args: argparse.Namespace) -> tuple[RuleBase, list[Diagnostic]]:
+def _checked_rulebase(args: argparse.Namespace) -> tuple[dsl.RuleBase, list[dsl.Diagnostic]]:
     """Load and validate; print the diagnostics to stderr."""
     rb = _load_rulebase(args)
-    diagnostics = validate(rb)
+    diagnostics = dsl.validate(rb)
     for diagnostic in diagnostics:
         print(diagnostic.format(), file=sys.stderr)
     return rb, diagnostics
@@ -219,26 +203,27 @@ def _dump_json(payload, path: Path) -> None:
 # Stages: each writes its files into `out`, for a staged command and `pipeline` alike.
 
 
-def _write_cohort(spec, rb: RuleBase, truth, behaviors, out: Path) -> None:
+def _write_cohort(spec, rb: dsl.RuleBase, truth, behaviors, out: Path) -> None:
     """Write a generated cohort's spec, behaviours and planted truth."""
     _dump_json(spec.to_json_dict(), out / "cohort_spec.json")
-    write_behaviors_csv(behaviors, rb, out / "behaviors.csv")
-    write_truth_csv(truth, rb.dimensions(), out / "truth.csv")
+    simulate.write_behaviors_csv(behaviors, rb, out / "behaviors.csv")
+    simulate.write_truth_csv(truth, rb.dimensions(), out / "truth.csv")
 
 
-def _classify(behaviors, rb: RuleBase, out: Path, questionnaire=None, reports=None):
+def _classify(behaviors, rb: dsl.RuleBase, out: Path, questionnaire=None, reports=None):
     """Classify and print a line on the failures; validate against `questionnaire`, if given.
 
     Only then create `out` and write into it the `reports` (file name to
     text), the profiles, the failures and the validation.
     """
-    table, failures = classify_cohort(behaviors, rb)
+    table, failures = classify.classify_cohort(behaviors, rb)
     for failure in failures:
         log.info("classification failed: %s", failure.reason)
-    detail = profiles_to_json(table)
+    detail = classify.profiles_to_json(table)
     rows = ((f.learner_id, f.dimension or "", f.reason) for f in failures)
-    files = {**(reports or {}), "profiles.csv": profiles_to_csv(table), "profiles.json": detail,
-             "failures.csv": csv_text(["learner_id", "dimension", "reason"], rows)}
+    files = {**(reports or {}), "profiles.csv": classify.profiles_to_csv(table),
+             "profiles.json": detail,
+             "failures.csv": ingest.csv_text(["learner_id", "dimension", "reason"], rows)}
     # profiles.json is ASCII (JSON escapes the rest): its length is its size in bytes.
     log.info(
         "classification: profiles.csv %d rows, failures.csv %d rows, "
@@ -253,28 +238,28 @@ def _classify(behaviors, rb: RuleBase, out: Path, questionnaire=None, reports=No
             f"first: {failures[0].reason}; failures.csv lists each", file=sys.stderr,
         )
     if questionnaire is not None:
-        report = validate_against_questionnaire(table, questionnaire)
-        files["validation.json"] = validation_to_json(report)
+        report = classify.validate_against_questionnaire(table, questionnaire)
+        files["validation.json"] = classify.validation_to_json(report)
     out.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
         (out / name).write_text(text, encoding="utf-8")
     return table, failures
 
 
-def _group(table, params: GroupingParams, out: Path) -> GroupAssignment:
+def _group(table, params: grouping.GroupingParams, out: Path) -> grouping.GroupAssignment:
     """Split off the control, form the groups, and write the assignment and content plans."""
-    assignment = assign_groups(table, params)
+    assignment = grouping.assign_groups(table, params)
     (out / "assignment.csv").write_text(assignment.to_csv(), encoding="utf-8")
-    plans = [content_plan(group).to_json_dict() for group in assignment.groups]
+    plans = [grouping.content_plan(group).to_json_dict() for group in assignment.groups]
     _dump_json(plans, out / "content_plans.json")
     return assignment
 
 
 def _evaluate(rows, scores, alpha: float, satisfaction, out: Path):
     """Evaluate the scores of the assignment rows; only then create `out` and write the report."""
-    samples, control = evaluation_samples(rows, scores)
-    responses = None if satisfaction is None else values_by_label(rows, satisfaction)
-    report = build_evaluation_report(
+    samples, control = stats.evaluation_samples(rows, scores)
+    responses = None if satisfaction is None else stats.values_by_label(rows, satisfaction)
+    report = stats.build_evaluation_report(
         samples, control, alpha=alpha, satisfaction_responses=responses
     )
     out.mkdir(parents=True, exist_ok=True)
@@ -289,7 +274,7 @@ def _evaluate(rows, scores, alpha: float, satisfaction, out: Path):
 
 def _cmd_validate_rules(args: argparse.Namespace) -> int:
     _, diagnostics = _checked_rulebase(args)
-    errors = error_count(diagnostics)
+    errors = dsl.error_count(diagnostics)
     warnings = len(diagnostics) - errors
     print(f"{errors} errors, {warnings} warnings")
     return 1 if errors else 0
@@ -297,22 +282,24 @@ def _cmd_validate_rules(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     rb, diagnostics = _checked_rulebase(args)
-    if error_count(diagnostics):
+    if dsl.error_count(diagnostics):
         return 1
     behaviors_path = _require(args, "behaviors")
-    behaviors, clamp_report = load_behaviors(behaviors_path, list(rb.variables), policy=args.policy)
-    questionnaire = load_questionnaire(args.questionnaire) if args.questionnaire else None
+    behaviors, clamp_report = ingest.load_behaviors(
+        behaviors_path, list(rb.variables), policy=args.policy
+    )
+    questionnaire = ingest.load_questionnaire(args.questionnaire) if args.questionnaire else None
     reports = {
         "clamp_report.txt": "".join(line + "\n" for line in clamp_report.format_lines()),
-        "coverage.txt": "\n".join(feature_coverage(behaviors, rb).format_lines()) + "\n",
+        "coverage.txt": "\n".join(ingest.feature_coverage(behaviors, rb).format_lines()) + "\n",
     }
     profiles, failures = _classify(behaviors, rb, Path(args.out), questionnaire, reports)
     print(f"classified {len(profiles)} learners, {len(failures)} failures")
     return 0
 
 
-def _grouping_params(args: argparse.Namespace) -> GroupingParams:
-    return GroupingParams(
+def _grouping_params(args: argparse.Namespace) -> grouping.GroupingParams:
+    return grouping.GroupingParams(
         control_fraction=args.control_fraction,
         seed=_require(args, "seed"),
         target_k=args.target_k,
@@ -323,8 +310,8 @@ def _grouping_params(args: argparse.Namespace) -> GroupingParams:
 def _cmd_group(args: argparse.Namespace) -> int:
     profiles_path = _require(args, "profiles")
     params = _grouping_params(args)
-    profiles = profiles_from_csv(profiles_path)
-    check_params(params, len(profiles))
+    profiles = classify.profiles_from_csv(profiles_path)
+    grouping.check_params(params, len(profiles))
     assignment = _group(profiles, params, _out_dir(args))
     print(
         f"{len(assignment.groups)} groups "
@@ -337,10 +324,10 @@ def _cmd_group(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     assignment_path = _require(args, "assignment")
     scores_path = _require(args, "scores")
-    check_alpha(args.alpha)
-    scores = load_scores(scores_path)
-    entries = assignment_from_csv(assignment_path)
-    satisfaction = load_satisfaction(args.satisfaction) if args.satisfaction else None
+    stats.check_alpha(args.alpha)
+    scores = ingest.load_scores(scores_path)
+    entries = grouping.assignment_from_csv(assignment_path)
+    satisfaction = ingest.load_satisfaction(args.satisfaction) if args.satisfaction else None
     report = _evaluate(entries, scores, args.alpha, satisfaction, Path(args.out))
     print(report.to_text(), end="")
     return 0
@@ -349,16 +336,16 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _resolve_cohort_spec(args: argparse.Namespace):
     seed = _require(args, "seed")
     if args.cohort_spec:
-        return load_cohort_spec(args.cohort_spec)._replace(seed=seed)
-    return default_cohort_spec(seed=seed)
+        return simulate.load_cohort_spec(args.cohort_spec)._replace(seed=seed)
+    return simulate.default_cohort_spec(seed=seed)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     rb, diagnostics = _checked_rulebase(args)
-    if error_count(diagnostics):
+    if dsl.error_count(diagnostics):
         return 1
     spec = _resolve_cohort_spec(args)
-    truth, behaviors = generate(spec, rb)
+    truth, behaviors = simulate.generate(spec, rb)
     _write_cohort(spec, rb, truth, behaviors, _out_dir(args))
     print(f"simulated {len(truth)} learners")
     return 0
@@ -366,26 +353,26 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     rb, diagnostics = _checked_rulebase(args)
-    if error_count(diagnostics):
+    if dsl.error_count(diagnostics):
         return 1
     spec = _resolve_cohort_spec(args)
     params = _grouping_params(args)
     # Refuse before writing anything what grouping would refuse for the spec's
     # cohort (no stage sees more learners), and an alpha `evaluate` refuses.
-    check_params(params, spec.total)
-    check_alpha(args.alpha)
-    truth, behaviors = generate(spec, rb)
+    grouping.check_params(params, spec.total)
+    stats.check_alpha(args.alpha)
+    truth, behaviors = simulate.generate(spec, rb)
     out = _out_dir(args)
 
     _write_cohort(spec, rb, truth, behaviors, out)
     if any(v.max_expected is not None for v in rb.variables):
         # A ceiling's raw value reads back to other bits: classify what `classify` reads.
-        behaviors, _ = load_behaviors(out / "behaviors.csv", list(rb.variables))
+        behaviors, _ = ingest.load_behaviors(out / "behaviors.csv", list(rb.variables))
     profiles, _ = _classify(behaviors, rb, out)
     assignment = _group(profiles, params, out)
     if spec.score_model is not None:
-        scores = generate_scores(truth, assignment, spec.score_model, spec.seed)
-        write_scores_csv(scores, out / "scores.csv")
+        scores = simulate.generate_scores(truth, assignment, spec.score_model, spec.seed)
+        simulate.write_scores_csv(scores, out / "scores.csv")
         _evaluate(assignment.rows(), scores, args.alpha, None, out)
 
     print(
@@ -432,12 +419,12 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
     except (
-        DslError,
-        IngestError,
-        ClassificationError,
-        GroupingError,
-        SimulationError,
-        StatsError,
+        dsl.DslError,
+        ingest.IngestError,
+        classify.ClassificationError,
+        grouping.GroupingError,
+        simulate.SimulationError,
+        stats.StatsError,
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

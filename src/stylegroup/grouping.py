@@ -14,11 +14,13 @@ import math
 from collections import Counter
 from itertools import compress
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .classify import CohortTable
 from .ingest import MalformedRowError, csv_text, learner_rows
 from .rng import STREAM_CONTROL, choice_set, philox_key
+
+if TYPE_CHECKING:
+    from .classify import CohortTable
 
 log = logging.getLogger(__name__)
 

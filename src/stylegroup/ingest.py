@@ -25,11 +25,13 @@ import stat
 from contextlib import contextmanager
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .dsl import DIMENSIONS, RuleBase
-from .fuzzy import LinguisticVariable
-from .stats import LIKERT_RANGE, SATISFACTION_ITEMS
+from . import dsl, stats
+
+if TYPE_CHECKING:
+    from .dsl import RuleBase
+    from .fuzzy import LinguisticVariable
 
 QUESTIONNAIRE_RANGE = (0.0, 11.0)
 # The headers of the files `simulate` writes and these readers take.
@@ -492,9 +494,9 @@ def load_questionnaire(path: str | Path) -> list[QuestionnaireRecord]:
     lo, hi = QUESTIONNAIRE_RANGE
     for line, row, learner in learner_rows(path, ["learner_id", "dimension", "score"]):
         dimension, raw_score = row[1].strip(), row[2].strip()
-        if dimension not in DIMENSIONS:
+        if dimension not in dsl.DIMENSIONS:
             raise UnknownDimensionError(
-                f"line {line}: dimension {dimension!r} is not one of {', '.join(DIMENSIONS)}"
+                f"line {line}: dimension {dimension!r} is not one of {', '.join(dsl.DIMENSIONS)}"
             )
         score = parse_float(line, raw_score, "score")
         if score < lo or score > hi:
@@ -523,8 +525,8 @@ def load_scores(path: str | Path) -> dict[str, float]:
 
 def load_satisfaction(path: str | Path) -> dict[str, tuple[float, ...]]:
     """Load 7-item satisfaction responses: header learner_id,q1,...,q7, items in `LIKERT_RANGE`."""
-    header = ["learner_id"] + [f"q{i}" for i in range(1, SATISFACTION_ITEMS + 1)]
-    lo, hi = LIKERT_RANGE
+    header = ["learner_id"] + [f"q{i}" for i in range(1, stats.SATISFACTION_ITEMS + 1)]
+    lo, hi = stats.LIKERT_RANGE
     responses: dict[str, tuple[float, ...]] = {}
     for line, row, learner in learner_rows(path, header):
         if learner in responses:

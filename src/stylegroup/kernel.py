@@ -5,7 +5,7 @@ Its one caller, `classify_cohort`, imports it when first called and runs
 every learner of a dimension through one `score_block` call, on the matrix
 of that dimension's columns of an `ingest.BehaviorTable`, where NaN marks an
 absent value. So the commands that compute no arrays (`validate-rules`,
-`evaluate`) start without numpy. The rules come compiled by
+`group`, `evaluate`) start without numpy. The rules come compiled by
 `RuleBase.compile_dimension` (`dsl`).
 """
 

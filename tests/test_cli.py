@@ -1055,7 +1055,7 @@ def test_pipeline_is_the_staged_commands_on_random_rule_bases(case):
     """
     from unittest import mock
 
-    from stylegroup import cli
+    from stylegroup import ingest
 
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -1069,7 +1069,7 @@ def test_pipeline_is_the_staged_commands_on_random_rule_bases(case):
         pipeline = ["pipeline", *base, *spec, *grouping]
         ceiling = "max_expected" in case.fvars
         # Without a ceiling `pipeline` classifies the generated features and reads nothing back.
-        with mock.patch.object(cli, "load_behaviors", None) if not ceiling else contextlib.nullcontext():
+        with mock.patch.object(ingest, "load_behaviors", None) if not ceiling else contextlib.nullcontext():
             code, stdout, stderr = _run(*pipeline, "--out", root / "run")
         written = _files(root / "run")
         assert (code, stdout, stderr) == _run(*pipeline, "--out", root / "again")
@@ -1166,10 +1166,10 @@ def test_pipeline_classifies_what_classify_reads_with_max_expected(tmp_path, cap
     import re
 
     import stylegroup
-    from stylegroup import cli
+    from stylegroup import ingest
 
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "load_behaviors", None)  # calling it would raise TypeError
+        patch.setattr(ingest, "load_behaviors", None)  # calling it would raise TypeError
         assert main(["pipeline", "--seed", "8", "--out", str(tmp_path / "bundled")]) == 0
 
     data = Path(stylegroup.__file__).parent / "data"

@@ -1,4 +1,5 @@
-"""Which commands load numpy, and what a fresh `import stylegroup.cli` binds.
+"""Which commands load numpy, which package modules each executes, and what a fresh
+`import stylegroup.cli` binds.
 
 Each case runs in a fresh interpreter, because the test process itself has
 numpy and every stylegroup module loaded already.
@@ -10,6 +11,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from stylegroup.cli import main
 from stylegroup.rng import STREAM_CONTROL, philox_rng
@@ -236,10 +239,102 @@ def test_package_exports_exactly_its_public_names():
     import stylegroup
 
     exported = sorted(
-        name for name, value in vars(stylegroup).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        name for name in dir(stylegroup)
+        if not name.startswith("_") and not isinstance(getattr(stylegroup, name), types.ModuleType)
     )
     assert exported == PUBLIC_NAMES
+    assert stylegroup.__all__ == PUBLIC_NAMES
+
+
+# What a fresh interpreter has executed of the package after `argv` (None: after
+# `import stylegroup` alone): a lazily registered module not yet executed keeps
+# its lazy type, and `data` is the bundled rule base's directory.
+EXECUTED = """
+import json
+import sys
+import types
+import stylegroup
+argv = json.loads(sys.argv[1])
+if argv is not None:
+    from stylegroup.cli import main
+    try:
+        assert main(argv) == 0
+    except SystemExit as exc:  # --help
+        assert exc.code == 0
+registered = {name for name in sys.modules if name.startswith("stylegroup.")}
+executed = {name for name in registered if type(sys.modules[name]) is types.ModuleType}
+print(json.dumps([sorted(registered), sorted(executed - {"stylegroup.data"})]))
+"""
+
+EVERY_MODULE = ["classify", "cli", "dsl", "fuzzy", "grouping", "ingest", "kernel", "rng",
+                "simulate", "stats"]
+
+
+def _executed(argv):
+    """The package modules registered and those executed after `argv`, without the prefix."""
+    result = _run(EXECUTED, json.dumps(argv and list(map(str, argv))))
+    registered, executed = json.loads(result.stdout.splitlines()[-1])
+    return {n.removeprefix("stylegroup.") for n in registered}, [
+        n.removeprefix("stylegroup.") for n in executed
+    ]
+
+
+def test_import_stylegroup_executes_no_module():
+    registered, executed = _executed(None)
+    assert registered == set(EVERY_MODULE) - {"cli", "kernel"}
+    assert executed == []
+
+
+def test_each_command_executes_only_the_modules_it_calls(tmp_path):
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--cohort-spec", str(_cohort_spec(tmp_path, 12)),
+                 "--seed", "1", "--out", str(sim)]) == 0
+    assert main(["classify", "--behaviors", str(sim / "behaviors.csv"), "--out", str(sim)]) == 0
+    group = ["group", "--profiles", sim / "profiles.csv", "--seed", "3", "--min-size", "2",
+             "--control-fraction", "0.25", "--out"]
+    assert main([*map(str, group), str(sim)]) == 0
+    learners = [row.split(",")[0] for row in (sim / "assignment.csv").read_text().splitlines()[1:]]
+    scores = sim / "scores.csv"
+    scores.write_text(
+        "learner_id,score\n" + "".join(f"{lid},{n % 7}\n" for n, lid in enumerate(learners)),
+        encoding="utf-8",
+    )
+    questionnaire = tmp_path / "questionnaire.csv"
+    questionnaire.write_text("learner_id,dimension,score\n" + "".join(
+        f"{lid},{dimension},{(n + len(dimension)) % 11}\n" for n, lid in enumerate(learners)
+        for dimension in ("processing", "perception", "entrance", "understanding")
+    ), encoding="utf-8")
+    out = tmp_path / "out"
+    cases = {
+        ("validate-rules",): ["cli", "dsl", "fuzzy"],
+        ("classify", "--behaviors", sim / "behaviors.csv", "--questionnaire", questionnaire,
+         "--out", out): ["classify", "cli", "dsl", "fuzzy", "ingest", "kernel", "stats"],
+        (*group, out): ["classify", "cli", "grouping", "ingest", "rng"],
+        ("evaluate", "--assignment", sim / "assignment.csv", "--scores", scores,
+         "--out", out): ["cli", "grouping", "ingest", "rng", "stats"],
+        ("simulate", "--seed", "1", "--out", out):
+            ["cli", "dsl", "fuzzy", "grouping", "ingest", "rng", "simulate"],
+        ("pipeline", "--seed", "1", "--out", out): EVERY_MODULE,
+    }
+    for argv, expected in cases.items():
+        assert _executed(argv)[1] == expected, argv
+        assert _executed([argv[0], "--help"])[1] == ["cli"], argv[0]
+    assert _executed(["--help"])[1] == ["cli"]
+
+
+def test_help_shows_the_stage_defaults_a_command_uses(capsys):
+    """`--help` reads them from the modules' source, without executing the modules."""
+    from stylegroup import grouping, stats
+
+    for command, shown in (
+        ("group", [f"--target-k TARGET_K default {grouping.DEFAULT_TARGET_K}",
+                   f"--min-size MIN_SIZE default {grouping.DEFAULT_MIN_SIZE}"]),
+        ("evaluate", [f"--alpha ALPHA significance level (default {stats.DEFAULT_ALPHA})"]),
+    ):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert all(line in text for line in shown), text
 
 
 def test_import_binds_every_traced_function():
